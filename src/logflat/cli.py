@@ -83,7 +83,7 @@ class Workspace:
         for obj in doc.get("objects", []):
             self.objects[obj["name"]] = self._build(obj)
 
-    def get(self, name, kinds=None):
+    def get(self, name):
         if name not in self.objects:
             raise ValidationError(f"unknown object {name!r}")
         return self.objects[name]

@@ -10,6 +10,7 @@ order is degree-reverse-lexicographic with ties by position.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -413,8 +414,14 @@ def m_monic(field, f, key):
 def buchberger(field, gens, key, ring_mode=False):
     """Reduced Groebner basis of the module generated by ``gens``.
 
-    Deterministic: input is canonically sorted, pairs are processed in a
-    fixed order, and the result is interreduced, monic, and sorted.
+    Deterministic: input is canonically sorted, S-pairs (i, j) with i < j
+    are processed in increasing ``(key((lcm, pos)), i, j)`` order, where
+    ``lcm`` and ``pos`` come from the two leading terms, and the result is
+    interreduced, monic, and sorted.  Basis elements never change inside the
+    pair loop, so a pair's order entry is fixed when the pair is formed and a
+    heap pops the pairs in exactly that order.  Pairs whose leading terms sit
+    in different positions, and in ``ring_mode`` pairs with coprime leading
+    monomials (product criterion, valid for ideals), are never queued.
     """
     basis = []
     for g in sorted((g for g in gens if g),
@@ -422,18 +429,25 @@ def buchberger(field, gens, key, ring_mode=False):
         r = m_reduce(field, g, basis, key)
         if r:
             basis.append(m_monic(field, r, key))
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        pairs.sort(key=lambda ij: _pair_lcm_key(basis, ij, key))
-        i, j = pairs.pop(0)
+    lts = [m_lt(g, key) for g in basis]
+
+    def pairs_with(j):
+        mj, pj = lts[j]
+        for i in range(j):
+            mi, pi = lts[i]
+            if pi != pj:
+                continue
+            if ring_mode and all(min(a, b) == 0 for a, b in zip(mi, mj)):
+                continue
+            lcm = tuple(max(a, b) for a, b in zip(mi, mj))
+            yield (key((lcm, pj)), i, j, lcm)
+
+    queue = [e for j in range(len(basis)) for e in pairs_with(j)]
+    heapq.heapify(queue)
+    while queue:
+        _, i, j, lcm = heapq.heappop(queue)
         gi, gj = basis[i], basis[j]
-        (mi, pi) = m_lt(gi, key)
-        (mj, pj) = m_lt(gj, key)
-        if pi != pj:
-            continue
-        lcm = tuple(max(a, b) for a, b in zip(mi, mj))
-        if ring_mode and all(min(a, b) == 0 for a, b in zip(mi, mj)):
-            continue  # product criterion (valid for ideals)
+        mi, mj = lts[i][0], lts[j][0]
         si = m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mi)), gi)
         sj = m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mj)), gj)
         s = m_sub(field, si, sj)
@@ -441,8 +455,9 @@ def buchberger(field, gens, key, ring_mode=False):
         if r:
             r = m_monic(field, r, key)
             basis.append(r)
-            new = len(basis) - 1
-            pairs.extend((t, new) for t in range(new))
+            lts.append(m_lt(r, key))
+            for e in pairs_with(len(basis) - 1):
+                heapq.heappush(queue, e)
     # interreduce
     changed = True
     while changed:
@@ -460,12 +475,16 @@ def buchberger(field, gens, key, ring_mode=False):
     return basis
 
 
-def _pair_lcm_key(basis, ij, key):
-    i, j = ij
-    (mi, pi) = m_lt(basis[i], key)
-    (mj, pj) = m_lt(basis[j], key)
-    lcm = tuple(max(a, b) for a, b in zip(mi, mj))
-    return (key((lcm, pi if pi == pj else 0)), i, j)
+def _augmented_gb(field, vecs, rank, nvars, ring_key):
+    """Groebner basis of {v_i (+) e_(rank+i)} under the block order that
+    eliminates the value block (positions below ``rank``), with its key."""
+    aug = []
+    for i, v in enumerate(vecs):
+        g = dict(v)
+        g[((0,) * nvars, rank + i)] = field.one()
+        aug.append(g)
+    key = block_key(ring_key, rank)
+    return buchberger(field, aug, key), key
 
 
 def syzygies(field, vecs, rank, nvars, ring_key):
@@ -473,14 +492,7 @@ def syzygies(field, vecs, rank, nvars, ring_key):
 
     Computed from a Groebner basis of {v_i (+) e_i} under a block order that
     eliminates the value block."""
-    k = len(vecs)
-    aug = []
-    for i, v in enumerate(vecs):
-        g = dict(v)
-        g[((0,) * nvars, rank + i)] = field.one()
-        aug.append(g)
-    key = block_key(ring_key, rank)
-    gb = buchberger(field, aug, key)
+    gb, _ = _augmented_gb(field, vecs, rank, nvars, ring_key)
     out = []
     for g in gb:
         if all(p >= rank for (_, p) in g):
@@ -492,14 +504,7 @@ def lift_through(field, vecs, rank, nvars, ring_key, target):
     """Coefficients c with target = sum c_i vecs_i, or None.
 
     Same elimination trick as ``syzygies``; also the membership test."""
-    k = len(vecs)
-    aug = []
-    for i, v in enumerate(vecs):
-        g = dict(v)
-        g[((0,) * nvars, rank + i)] = field.one()
-        aug.append(g)
-    key = block_key(ring_key, rank)
-    gb = buchberger(field, aug, key)
+    gb, key = _augmented_gb(field, vecs, rank, nvars, ring_key)
     r = m_reduce(field, target, gb, key)
     if any(p < rank for (_, p) in r):
         return None

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from unittest import mock
+
 import pytest
 
 from logflat.abgrp import FgAbGroup
@@ -11,9 +14,12 @@ from logflat.polyalg import (
     PolyRing,
     RingMap,
     RingPresentation,
+    block_key,
     buchberger,
+    degrevlex_key,
     kernel_of_module_map,
     m_sub,
+    module_key,
     regular_element_test,
     syzygies_over,
     toric_ideal,
@@ -29,6 +35,25 @@ def ring(names, field=QQ):
 
 def gb_strings(rp):
     return sorted(rp.ring.to_str(g) for g in rp.gb())
+
+
+def is_groebner_basis(field, basis, key):
+    """Buchberger's criterion: every S-polynomial of two elements with
+    leading terms in the same position reduces to zero against ``basis``."""
+    for i in range(len(basis)):
+        for j in range(i + 1, len(basis)):
+            (mi, pi) = pa.m_lt(basis[i], key)
+            (mj, pj) = pa.m_lt(basis[j], key)
+            if pi != pj:
+                continue
+            lcm = tuple(max(a, b) for a, b in zip(mi, mj))
+            si = pa.m_shift(field, field.one(),
+                            tuple(a - b for a, b in zip(lcm, mi)), basis[i])
+            sj = pa.m_shift(field, field.one(),
+                            tuple(a - b for a, b in zip(lcm, mj)), basis[j])
+            if pa.m_reduce(field, m_sub(field, si, sj), basis, key):
+                return False
+    return True
 
 
 class TestGroebner:
@@ -51,19 +76,7 @@ class TestGroebner:
         # all S-polynomials of the returned basis reduce to zero
         r = ring(["x", "y", "z"])
         rp = RingPresentation(r, [r.parse("x^2 - y*z"), r.parse("y^2 - x*z")])
-        gb = rp.gb()
-        key = r.mkey()
-        for i in range(len(gb)):
-            for j in range(i + 1, len(gb)):
-                (mi, _) = pa.m_lt(gb[i], key)
-                (mj, _) = pa.m_lt(gb[j], key)
-                lcm = tuple(max(a, b) for a, b in zip(mi, mj))
-                si = pa.m_shift(QQ, QQ.one(),
-                                tuple(a - b for a, b in zip(lcm, mi)), gb[i])
-                sj = pa.m_shift(QQ, QQ.one(),
-                                tuple(a - b for a, b in zip(lcm, mj)), gb[j])
-                s = m_sub(QQ, si, sj)
-                assert not pa.m_reduce(QQ, s, gb, key)
+        assert is_groebner_basis(QQ, rp.gb(), r.mkey())
 
     def test_nf_idempotent(self):
         r = ring(["x", "y"])
@@ -267,7 +280,7 @@ class TestParser:
             r.parse("q + 1")
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 
 @settings(max_examples=40, deadline=None)
@@ -289,3 +302,156 @@ def test_nf_difference_characterizes_equality(terms_f, terms_g):
     same_nf = rp.nf(f) == rp.nf(g)
     diff_zero = rp.is_zero(r.sub(f, g))
     assert same_nf == diff_zero
+
+
+def _sorted_list_buchberger(field, gens, key, ring_mode=False):
+    """The earlier pair loop of ``buchberger``, kept as the reference for
+    its processing order: the whole pair list is re-sorted by
+    (key((lcm, pos)), i, j) before every pop."""
+    basis = []
+    for g in sorted((g for g in gens if g),
+                    key=lambda g: key(pa.m_lt(g, key))):
+        r = pa.m_reduce(field, g, basis, key)
+        if r:
+            basis.append(pa.m_monic(field, r, key))
+
+    def pair_key(ij):
+        i, j = ij
+        (mi, pi) = pa.m_lt(basis[i], key)
+        (mj, pj) = pa.m_lt(basis[j], key)
+        lcm = tuple(max(a, b) for a, b in zip(mi, mj))
+        return (key((lcm, pi if pi == pj else 0)), i, j)
+
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    while pairs:
+        pairs.sort(key=pair_key)
+        i, j = pairs.pop(0)
+        gi, gj = basis[i], basis[j]
+        (mi, pi) = pa.m_lt(gi, key)
+        (mj, pj) = pa.m_lt(gj, key)
+        if pi != pj:
+            continue
+        lcm = tuple(max(a, b) for a, b in zip(mi, mj))
+        if ring_mode and all(min(a, b) == 0 for a, b in zip(mi, mj)):
+            continue
+        si = pa.m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mi)), gi)
+        sj = pa.m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mj)), gj)
+        r = pa.m_reduce(field, m_sub(field, si, sj), basis, key)
+        if r:
+            basis.append(pa.m_monic(field, r, key))
+            new = len(basis) - 1
+            pairs.extend((t, new) for t in range(new))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(basis)):
+            if not basis[i]:
+                continue
+            others = [basis[t] for t in range(len(basis)) if t != i and basis[t]]
+            r = pa.m_reduce(field, basis[i], others, key)
+            if r != basis[i]:
+                basis[i] = pa.m_monic(field, r, key) if r else {}
+                changed = True
+    basis = [g for g in basis if g]
+    basis.sort(key=lambda g: key(pa.m_lt(g, key)))
+    return basis
+
+
+@st.composite
+def module_problems(draw):
+    """Small random generators of a submodule of S^rank, with an order."""
+    field = draw(st.sampled_from([QQ, FieldFp(5), FieldFp(32003)]))
+    nvars = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 3))
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * nvars),
+                     st.integers(0, rank - 1), st.integers(-3, 3))
+    gens = []
+    for terms in draw(st.lists(st.lists(term, max_size=3), max_size=4)):
+        g = {}
+        for mono, pos, c in terms:
+            if c:
+                g = pa.m_add(field, g, {(mono, pos): field.of_int(c)})
+        gens.append(g)
+    if draw(st.booleans()):
+        key = module_key(degrevlex_key)
+    else:
+        key = block_key(degrevlex_key, draw(st.integers(0, rank)))
+    return field, rank, gens, key, draw(st.booleans())
+
+
+def _reductions(gb, field, gens, key, ring_mode):
+    """The output of ``gb`` on the problem, and every (f, len(basis)) that it
+    handed to ``m_reduce``, in call order."""
+    seen = []
+    real = pa.m_reduce
+
+    def recording(field, f, basis, key):
+        seen.append((dict(f), len(basis)))
+        return real(field, f, basis, key)
+
+    with mock.patch.object(pa, "m_reduce", recording):
+        return gb(field, gens, key, ring_mode), seen
+
+
+# leading terms xy, xz, yz: all three pairs tie on their lcm xyz, so the
+# (i, j) tie-break decides the order
+_TIED_LCMS = [{((1, 1, 0), 0): QQ.one(), ((0, 0, 0), 0): QQ.one()},
+              {((1, 0, 1), 0): QQ.one(), ((0, 0, 0), 0): QQ.one()},
+              {((0, 1, 1), 0): QQ.one(), ((0, 0, 0), 0): QQ.of_int(2)}]
+
+
+@settings(max_examples=80, deadline=None)
+@given(module_problems())
+@example((QQ, 1, _TIED_LCMS, module_key(degrevlex_key), False))
+def test_heap_pair_order_matches_sorted_list_reference(problem):
+    # The reduced basis does not depend on the pair order, so the order is
+    # checked through the reductions: the same S-polynomials must reach
+    # m_reduce in the same sequence.  This holds for any input, including
+    # ring_mode on a module, where the product criterion may skip pairs a
+    # module basis needs.
+    field, rank, gens, key, ring_mode = problem
+    out, seen = _reductions(buchberger, field, gens, key, ring_mode)
+    ref, ref_seen = _reductions(_sorted_list_buchberger, field, gens, key,
+                                ring_mode)
+    assert out == ref
+    assert seen == ref_seen
+    if not ring_mode or rank == 1:
+        assert is_groebner_basis(field, out, key)
+
+
+def _monic_terms(terms):
+    """A polynomial as {exponents: Fraction}, made monic under degrevlex and
+    returned as a sorted tuple of its terms."""
+    lead = terms[max(terms, key=degrevlex_key)]
+    return tuple(sorted((m, c / lead) for m, c in terms.items()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.tuples(st.integers(0, 2),
+                                             st.integers(0, 2),
+                                             st.integers(0, 2)),
+                                   st.integers(-3, 3)),
+                         min_size=1, max_size=3),
+                min_size=1, max_size=3))
+def test_reduced_basis_matches_sympy(polys):
+    sympy = pytest.importorskip("sympy")
+    r = ring(["x", "y", "z"])
+    xs = sympy.symbols("x y z")
+    gens, exprs = [], []
+    for terms in polys:
+        g, e = r.zero(), 0
+        for mono, c in terms:
+            g = r.add(g, r.monomial(mono, QQ.of_int(c)))
+            e += c * xs[0] ** mono[0] * xs[1] ** mono[1] * xs[2] ** mono[2]
+        gens.append(g)
+        exprs.append(e)
+    if not any(gens):
+        return
+    gb = RingPresentation(r, gens).gb()
+    assert is_groebner_basis(QQ, gb, r.mkey())
+    ours = sorted(_monic_terms({m: c for (m, _), c in g.items()}) for g in gb)
+    theirs = sorted(
+        _monic_terms({m: Fraction(int(c.p), int(c.q))
+                      for m, c in sympy.Poly(p, *xs, domain="QQ").terms()})
+        for p in sympy.groebner(exprs, *xs, order="grevlex", domain="QQ").exprs)
+    assert ours == theirs
