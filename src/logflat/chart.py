@@ -440,7 +440,7 @@ def _tower_base(cr: ChartRing, m: ModulePresentation, killed):
         return True, {"base": "field", "flat": True}
     # contraction of the current B-level ideal to the A-variables
     level = cr.pres.quotient([cr.pres.ring.var(k) for k in killed])
-    contraction = gd._eliminate(level, keep=cr.avars)
+    contraction = pa.eliminate_ideal(level, keep=cr.avars)
     ring = cr.pres.ring
     base_ring = PolyRing(ring.field, [ring.names[i] for i in cr.avars])
     base_ideal = []

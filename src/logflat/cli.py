@@ -28,12 +28,41 @@ from . import graded as gd
 from . import chart as ch
 from . import descent as de
 
-OBJECT_KINDS = ("monoid", "monoid_hom", "module_over_monoid", "ring",
-                "module", "grading", "chart", "gluing", "descent_datum",
-                "lift_problem")
-TASK_KINDS = ("classify", "primes", "flat", "basis", "graded_flat",
-              "nodal_panel", "log_flat_point", "chart_criterion",
-              "chart_invariance", "lift", "glue", "descend", "roundtrip")
+# Every object and task kind, with the object kinds each of its reference
+# fields accepts.  A module's ring may name a gluing, which stands for the
+# glued ring C.
+OBJECT_REFS = {
+    "monoid": {},
+    "monoid_hom": {"source": ("monoid",), "target": ("monoid",)},
+    "module_over_monoid": {"owner": ("monoid",)},
+    "ring": {},
+    "module": {"ring": ("ring", "gluing")},
+    "grading": {"ring": ("ring",)},
+    "chart": {"q": ("monoid",), "p": ("monoid",), "h": ("monoid_hom",),
+              "a": ("ring",), "c": ("ring",)},
+    "gluing": {"c1": ("ring",), "c2": ("ring",), "c0": ("ring",)},
+    "descent_datum": {"gluing": ("gluing",), "m1": ("module",),
+                      "m2": ("module",)},
+    "lift_problem": {"aprime": ("ring",), "h": ("monoid_hom",),
+                     "chart": ("chart",)},
+}
+TASK_REFS = {
+    "classify": {"hom": ("monoid_hom",)},
+    "primes": {"monoid": ("monoid",)},
+    "flat": {"module": ("module_over_monoid",)},
+    "basis": {"module": ("module_over_monoid",)},
+    "graded_flat": {"module": ("module",), "monoid": ("monoid",),
+                    "chart": ("chart",), "grading": ("grading",)},
+    "nodal_panel": {"module": ("module",)},
+    "log_flat_point": {"monoid": ("monoid",), "module": ("module",)},
+    "chart_criterion": {"chart": ("chart",), "module": ("module",)},
+    "chart_invariance": {"chart": ("chart",), "module": ("module",),
+                         "chart2": ("chart",)},
+    "lift": {"problem": ("lift_problem",)},
+    "glue": {"gluing": ("gluing",)},
+    "descend": {"datum": ("descent_datum",)},
+    "roundtrip": {"gluing": ("gluing",), "module": ("module",)},
+}
 
 
 class ValidationError(ValueError):
@@ -51,25 +80,46 @@ def parse_field(spec):
 def validate_file(doc):
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ValidationError("file must be a dict with version 1")
-    names = set()
+    kinds = {}
     for obj in doc.get("objects", []):
         if "name" not in obj or "kind" not in obj:
             raise ValidationError("object without name or kind")
-        if obj["kind"] not in OBJECT_KINDS:
+        if obj["kind"] not in OBJECT_REFS:
             raise ValidationError(f"unknown object kind {obj['kind']!r}")
-        if obj["name"] in names:
+        if obj["name"] in kinds:
             raise ValidationError(f"duplicate name {obj['name']!r}")
-        names.add(obj["name"])
+        # objects are built in file order, so references point backwards
+        _check_refs(obj, OBJECT_REFS[obj["kind"]], kinds)
+        kinds[obj["name"]] = obj["kind"]
     for task in doc.get("tasks", []):
-        if task.get("kind") not in TASK_KINDS:
+        if task.get("kind") not in TASK_REFS:
             raise ValidationError(f"unknown task kind {task.get('kind')!r}")
+        refs = TASK_REFS[task["kind"]]
+        _check_refs(task, refs, kinds)
         for key, val in task.items():
-            if key in ("kind", "name", "units_rank", "window", "shape"):
+            if key in refs or key in ("kind", "name", "units_rank", "window",
+                                      "shape"):
                 continue
-            if isinstance(val, str) and val not in names:
+            if isinstance(val, str) and val not in kinds:
                 raise ValidationError(
                     f"task references unknown object {val!r}")
     return doc
+
+
+def _check_refs(entry, refs, kinds):
+    """Each reference field present in ``entry`` names an object, defined in
+    ``kinds`` (name -> kind), of a kind that the field accepts."""
+    for field, accepted in refs.items():
+        if field not in entry:
+            continue
+        val = entry[field]
+        if not isinstance(val, str) or val not in kinds:
+            raise ValidationError(
+                f"{entry['kind']} {field!r} references unknown object {val!r}")
+        if kinds[val] not in accepted:
+            raise ValidationError(
+                f"{entry['kind']} {field!r} references {val!r}, a "
+                f"{kinds[val]}; expected {' or '.join(accepted)}")
 
 
 class Workspace:

@@ -300,7 +300,7 @@ def _flat_over_base(m: ModulePresentation, pres: RingPresentation, base,
     """
     if base == "field" or not avars:
         return True, {"base": "field", "flat": True}
-    contraction = _eliminate(pres, keep=avars)
+    contraction = pa.eliminate_ideal(pres, keep=avars)
     ring = pres.ring
     base_names = [ring.names[i] for i in avars]
     base_ring = PolyRing(ring.field, base_names)
@@ -319,11 +319,6 @@ def _flat_over_base(m: ModulePresentation, pres: RingPresentation, base,
         ok, fstar = flat_over_kt(m, base[1])
         return ok, {"base": "k[t]", "flat": ok, "bad_locus": fstar}
     raise UnsupportedShape("base ring is neither a field nor k[t]")
-
-
-def _eliminate(pres: RingPresentation, keep):
-    """Generators of the contraction of the ideal to the kept variables."""
-    return pa.eliminate_ideal(pres, keep)
 
 
 def flat_over_kt(m: ModulePresentation, t_index):

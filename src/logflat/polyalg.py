@@ -377,28 +377,69 @@ def _divides(m1, m2):
     return all(a <= b for a, b in zip(m1, m2))
 
 
-def m_reduce(field, f, basis, key):
-    """Full normal form of f against the list of module elements ``basis``."""
+class _Desc:
+    """A heap entry that orders by descending ``k``, so ``heapq`` pops the
+    largest term first."""
+
+    __slots__ = ("k", "t")
+
+    def __init__(self, k, t):
+        self.k = k
+        self.t = t
+
+    def __lt__(self, other):
+        return other.k < self.k
+
+
+def m_reduce(field, f, basis, key, lts=None):
+    """Full normal form of f against the list of module elements ``basis``.
+
+    Each step takes the leading term of what is left of f.  The first basis
+    element, in list order, whose leading term lies in the same position and
+    divides it cancels it; if none does, the term moves to the remainder.
+    Zero basis elements are skipped.  ``lts``, when given, holds the leading
+    terms of ``basis`` position for position (any value for a zero element);
+    it is computed when omitted.  The remainder's terms come out in
+    descending order.
+    """
+    if lts is None:
+        lts = [m_lt(g, key) if g else None for g in basis]
+    reducers = [(lt[0], lt[1], g, g[lt]) for lt, g in zip(lts, basis) if g]
     f = dict(f)
+    heap = [_Desc(key(t), t) for t in f]
+    heapq.heapify(heap)
     out = {}
-    lts = [(m_lt(g, key), g) for g in basis if g]
-    while f:
-        t = m_lt(f, key)
-        c = f[t]
+    while heap:
+        t = heapq.heappop(heap).t
+        c = f.pop(t, None)
+        if c is None:
+            continue  # cancelled, or a second entry of a processed term
         mono, pos = t
-        hit = None
-        for (lm, lp), g in lts:
+        for lm, lp, g, lc in reducers:
             if lp == pos and _divides(lm, mono):
-                hit = ((lm, lp), g)
                 break
-        if hit is None:
+        else:
             out[t] = c
-            del f[t]
             continue
-        (lm, lp), g = hit
         shift = tuple(a - b for a, b in zip(mono, lm))
-        factor = field.div(c, g[(lm, lp)])
-        f = m_sub(field, f, m_shift(field, factor, shift, g))
+        factor = field.div(c, lc)
+        lead = (lm, lp)
+        for term, v in g.items():
+            if term == lead:
+                continue
+            m, p = term
+            s = (tuple(a + b for a, b in zip(m, shift)), p)
+            d = field.mul(factor, v)
+            old = f.get(s)
+            if old is None:
+                f[s] = field.neg(d)
+                heapq.heappush(heap, _Desc(key(s), s))
+            else:
+                old = field.sub(old, d)
+                if field.is_zero(old):
+                    del f[s]
+                else:
+                    f[s] = old
     return out
 
 
@@ -411,6 +452,16 @@ def m_monic(field, f, key):
     return m_scale(field, field.inv(c), f)
 
 
+def _monic_remainder(field, r):
+    """A nonzero result of ``m_reduce`` made monic, and its leading term,
+    which ``m_reduce`` puts first."""
+    lt = next(iter(r))
+    c = r[lt]
+    if not field.eq(c, field.one()):
+        r = m_scale(field, field.inv(c), r)
+    return r, lt
+
+
 def buchberger(field, gens, key, ring_mode=False):
     """Reduced Groebner basis of the module generated by ``gens``.
 
@@ -421,15 +472,18 @@ def buchberger(field, gens, key, ring_mode=False):
     pair loop, so a pair's order entry is fixed when the pair is formed and a
     heap pops the pairs in exactly that order.  Pairs whose leading terms sit
     in different positions, and in ``ring_mode`` pairs with coprime leading
-    monomials (product criterion, valid for ideals), are never queued.
+    monomials (product criterion, valid for ideals), are never queued.  The
+    leading term of each basis element is found once, when the element is
+    added or changed, and handed to every reduction.
     """
-    basis = []
+    basis, lts = [], []
     for g in sorted((g for g in gens if g),
                     key=lambda g: key(m_lt(g, key))):
-        r = m_reduce(field, g, basis, key)
+        r = m_reduce(field, g, basis, key, lts)
         if r:
-            basis.append(m_monic(field, r, key))
-    lts = [m_lt(g, key) for g in basis]
+            r, lt = _monic_remainder(field, r)
+            basis.append(r)
+            lts.append(lt)
 
     def pairs_with(j):
         mj, pj = lts[j]
@@ -451,11 +505,11 @@ def buchberger(field, gens, key, ring_mode=False):
         si = m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mi)), gi)
         sj = m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mj)), gj)
         s = m_sub(field, si, sj)
-        r = m_reduce(field, s, basis, key)
+        r = m_reduce(field, s, basis, key, lts)
         if r:
-            r = m_monic(field, r, key)
+            r, lt = _monic_remainder(field, r)
             basis.append(r)
-            lts.append(m_lt(r, key))
+            lts.append(lt)
             for e in pairs_with(len(basis) - 1):
                 heapq.heappush(queue, e)
     # interreduce
@@ -465,14 +519,16 @@ def buchberger(field, gens, key, ring_mode=False):
         for i in range(len(basis)):
             if not basis[i]:
                 continue
-            others = [basis[t] for t in range(len(basis)) if t != i and basis[t]]
-            r = m_reduce(field, basis[i], others, key)
+            others = [t for t in range(len(basis)) if t != i and basis[t]]
+            r = m_reduce(field, basis[i], [basis[t] for t in others], key,
+                         [lts[t] for t in others])
             if r != basis[i]:
-                basis[i] = m_monic(field, r, key) if r else {}
+                basis[i], lts[i] = (_monic_remainder(field, r) if r
+                                    else ({}, None))
                 changed = True
-    basis = [g for g in basis if g]
-    basis.sort(key=lambda g: key(m_lt(g, key)))
-    return basis
+    order = sorted((t for t in range(len(basis)) if basis[t]),
+                   key=lambda t: key(lts[t]))
+    return [basis[t] for t in order]
 
 
 def _augmented_gb(field, vecs, rank, nvars, ring_key):
@@ -715,15 +771,19 @@ class RingPresentation:
         self.ring = ring
         self.ideal = [dict(g) for g in ideal_gens if g]
         self._gb = None
+        self._lts = None
 
     def gb(self):
         if self._gb is None:
-            self._gb = buchberger(self.ring.field, self.ideal, self.ring.mkey(),
+            key = self.ring.mkey()
+            self._gb = buchberger(self.ring.field, self.ideal, key,
                                   ring_mode=True)
+            self._lts = [m_lt(g, key) for g in self._gb]
         return self._gb
 
     def nf(self, p):
-        return m_reduce(self.ring.field, p, self.gb(), self.ring.mkey())
+        gb = self.gb()
+        return m_reduce(self.ring.field, p, gb, self.ring.mkey(), self._lts)
 
     def is_zero(self, p):
         return not self.nf(p)
@@ -784,6 +844,7 @@ class ModulePresentation:
         self.rank = rank
         self.columns = [dict(c) for c in columns if c]
         self._gb = None
+        self._lts = None
 
     def _full_relations(self):
         rels = list(self.columns)
@@ -795,12 +856,16 @@ class ModulePresentation:
 
     def gb(self):
         if self._gb is None:
+            key = self.over.ring.mkey()
             self._gb = buchberger(self.over.ring.field, self._full_relations(),
-                                  self.over.ring.mkey())
+                                  key)
+            self._lts = [m_lt(g, key) for g in self._gb]
         return self._gb
 
     def nf(self, v):
-        return m_reduce(self.over.ring.field, v, self.gb(), self.over.ring.mkey())
+        gb = self.gb()
+        return m_reduce(self.over.ring.field, v, gb, self.over.ring.mkey(),
+                        self._lts)
 
     def is_zero_elem(self, v):
         return not self.nf(v)
@@ -993,15 +1058,14 @@ def _ring_mul_vec(over, f, vec):
     return out
 
 
-def multiply_into(over, f, vec):
-    return _ring_mul_vec(over, f, vec)
-
-
 # -- vector space structure ----------------------------------------------------
 
 
-def vector_space_basis(over: RingPresentation, rank, rel_cols, cap=4096):
-    """Standard monomials (mono, pos) of the quotient, or None if infinite."""
+def vector_space_basis(over: RingPresentation, rank, rel_cols):
+    """Standard monomials (mono, pos) of the quotient, or None if infinite.
+
+    Finiteness is decided from the leading terms before any monomial is
+    enumerated, so the enumeration of a finite quotient always ends."""
     mp = ModulePresentation(over, rank, rel_cols)
     gb = mp.gb()
     key = over.ring.mkey()
@@ -1026,8 +1090,6 @@ def vector_space_basis(over: RingPresentation, rank, rel_cols, cap=4096):
             if any(_divides(lm, mono) for lm in pos_leads):
                 continue
             seen.add(mono)
-            if len(seen) > cap:
-                return None
             basis.append((mono, pos))
             for v in range(nv):
                 nxt = tuple(e + (1 if i == v else 0) for i, e in enumerate(mono))
@@ -1035,8 +1097,8 @@ def vector_space_basis(over: RingPresentation, rank, rel_cols, cap=4096):
     return sorted(basis, key=key)
 
 
-def vector_space_dimension(over, rank, rel_cols, cap=4096):
-    b = vector_space_basis(over, rank, rel_cols, cap)
+def vector_space_dimension(over, rank, rel_cols):
+    b = vector_space_basis(over, rank, rel_cols)
     return None if b is None else len(b)
 
 

@@ -42,6 +42,27 @@ class TestValidation:
         f.write_text(json.dumps(bad))
         assert run_cli("check", str(f)).returncode == 2
 
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    def test_wrong_kind_reference_exits_2(self, tmp_path, command):
+        # the module field names the monoid P: rejected before any task runs
+        doc = cli.load_gallery("smooth-divisor")
+        doc["tasks"] = [{"kind": "chart_invariance", "chart": "chart",
+                         "module": "P"}]
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        r = run_cli(command, str(f))
+        assert r.returncode == 2
+        assert "'P', a monoid; expected module" in r.stderr
+        with pytest.raises(cli.ValidationError):
+            cli.validate_file(doc)
+
+    def test_wrong_kind_object_reference_exits_2(self, tmp_path):
+        doc = cli.load_gallery("smooth-divisor")
+        doc["objects"][-1]["ring"] = "P"
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        assert run_cli("check", str(f)).returncode == 2
+
     def test_empty_tasks_exit_0(self, tmp_path):
         doc = {"version": 1, "objects": [], "tasks": []}
         f = tmp_path / "empty.json"

@@ -129,6 +129,12 @@ class TestDimensions:
         rp = RingPresentation(r, [r.parse("x^2"), r.parse("y^2")])
         assert vector_space_dimension(rp, 1, []) == 4
 
+    def test_large_finite_is_counted(self):
+        # a large finite quotient is counted in full, not reported infinite
+        r = ring(["x", "y"])
+        rp = RingPresentation(r, [r.parse("x^65"), r.parse("y^65")])
+        assert vector_space_dimension(rp, 1, []) == 4225
+
     def test_infinite(self):
         r = ring(["x", "y"])
         rp = RingPresentation(r, [r.parse("x*y")])
@@ -357,25 +363,35 @@ def _sorted_list_buchberger(field, gens, key, ring_mode=False):
     return basis
 
 
+def _elements(draw, field, nvars, rank, count, terms, exp):
+    """Up to ``count`` random elements of S^rank (zero ones included), each
+    a sum of up to ``terms`` terms with exponents at most ``exp``."""
+    term = st.tuples(st.tuples(*[st.integers(0, exp)] * nvars),
+                     st.integers(0, rank - 1), st.integers(-3, 3))
+    out = []
+    for ts in draw(st.lists(st.lists(term, max_size=terms), max_size=count)):
+        g = {}
+        for mono, pos, c in ts:
+            if c:
+                g = pa.m_add(field, g, {(mono, pos): field.of_int(c)})
+        out.append(g)
+    return out
+
+
+def _draw_key(draw, rank):
+    if draw(st.booleans()):
+        return module_key(degrevlex_key)
+    return block_key(degrevlex_key, draw(st.integers(0, rank)))
+
+
 @st.composite
 def module_problems(draw):
     """Small random generators of a submodule of S^rank, with an order."""
     field = draw(st.sampled_from([QQ, FieldFp(5), FieldFp(32003)]))
     nvars = draw(st.integers(1, 3))
     rank = draw(st.integers(1, 3))
-    term = st.tuples(st.tuples(*[st.integers(0, 2)] * nvars),
-                     st.integers(0, rank - 1), st.integers(-3, 3))
-    gens = []
-    for terms in draw(st.lists(st.lists(term, max_size=3), max_size=4)):
-        g = {}
-        for mono, pos, c in terms:
-            if c:
-                g = pa.m_add(field, g, {(mono, pos): field.of_int(c)})
-        gens.append(g)
-    if draw(st.booleans()):
-        key = module_key(degrevlex_key)
-    else:
-        key = block_key(degrevlex_key, draw(st.integers(0, rank)))
+    gens = _elements(draw, field, nvars, rank, 4, 3, 2)
+    key = _draw_key(draw, rank)
     return field, rank, gens, key, draw(st.booleans())
 
 
@@ -385,9 +401,9 @@ def _reductions(gb, field, gens, key, ring_mode):
     seen = []
     real = pa.m_reduce
 
-    def recording(field, f, basis, key):
+    def recording(field, f, basis, key, lts=None):
         seen.append((dict(f), len(basis)))
-        return real(field, f, basis, key)
+        return real(field, f, basis, key, lts)
 
     with mock.patch.object(pa, "m_reduce", recording):
         return gb(field, gens, key, ring_mode), seen
@@ -417,6 +433,58 @@ def test_heap_pair_order_matches_sorted_list_reference(problem):
     assert seen == ref_seen
     if not ring_mode or rank == 1:
         assert is_groebner_basis(field, out, key)
+
+
+def _max_scan_m_reduce(field, f, basis, key):
+    """The earlier ``m_reduce``, kept as the reference for the heap kernel:
+    it takes the leading term by a ``max`` over all of f at every step and
+    subtracts the scaled reducer into a fresh copy of f."""
+    f = dict(f)
+    out = {}
+    lts = [(pa.m_lt(g, key), g) for g in basis if g]
+    while f:
+        t = pa.m_lt(f, key)
+        c = f[t]
+        mono, pos = t
+        hit = None
+        for (lm, lp), g in lts:
+            if lp == pos and pa._divides(lm, mono):
+                hit = ((lm, lp), g)
+                break
+        if hit is None:
+            out[t] = c
+            del f[t]
+            continue
+        (lm, lp), g = hit
+        shift = tuple(a - b for a, b in zip(mono, lm))
+        factor = field.div(c, g[(lm, lp)])
+        f = m_sub(field, f, pa.m_shift(field, factor, shift, g))
+    return out
+
+
+@st.composite
+def reduction_problems(draw):
+    """An element f of S^rank and a random basis that is usually not a
+    Groebner basis, so which reducer divides first changes the result."""
+    field = draw(st.sampled_from([QQ, FieldFp(5), FieldFp(32003)]))
+    nvars = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 3))
+    basis = _elements(draw, field, nvars, rank, 5, 3, 2)
+    f = _elements(draw, field, nvars, rank, 1, 8, 4)
+    return field, f[0] if f else {}, basis, _draw_key(draw, rank)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reduction_problems())
+def test_m_reduce_matches_max_scan_reference(problem):
+    field, f, basis, key = problem
+    ref = _max_scan_m_reduce(field, f, basis, key)
+    lts = [pa.m_lt(g, key) if g else None for g in basis]
+    for out in (pa.m_reduce(field, f, basis, key),
+                pa.m_reduce(field, f, basis, key, lts)):
+        assert out == ref
+        # the remainder comes out in descending order, like the reference
+        assert list(out) == list(ref)
 
 
 def _monic_terms(terms):
