@@ -449,11 +449,12 @@ class GroupHom:
 
     def apply(self, x):
         x = self.source.reduce(x)
-        out = self.target.zero()
+        out = [0] * self.target.dim
         for xi, img in zip(x, self.images):
             if xi:
-                out = self.target.add(out, self.target.scale(xi, img))
-        return out
+                for j, v in enumerate(img):
+                    out[j] += xi * v
+        return self.target.reduce(out)
 
     def compose(self, inner):
         """self o inner."""

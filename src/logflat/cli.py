@@ -63,6 +63,11 @@ TASK_REFS = {
     "descend": {"datum": ("descent_datum",)},
     "roundtrip": {"gluing": ("gluing",), "module": ("module",)},
 }
+# Every reference field above is required, except these: chart_invariance
+# builds chart2 from units_rank when it is absent, and graded_flat needs only
+# one of its three bases (validate_file checks that one is there).
+OPTIONAL_REFS = {"chart_invariance": ("chart2",),
+                 "graded_flat": ("monoid", "chart", "grading")}
 
 
 class ValidationError(ValueError):
@@ -96,6 +101,9 @@ def validate_file(doc):
             raise ValidationError(f"unknown task kind {task.get('kind')!r}")
         refs = TASK_REFS[task["kind"]]
         _check_refs(task, refs, kinds)
+        if task["kind"] == "graded_flat" and not any(
+                f in task for f in OPTIONAL_REFS["graded_flat"]):
+            raise ValidationError("graded_flat needs a monoid, chart or grading")
         for key, val in task.items():
             if key in refs or key in ("kind", "name", "units_rank", "window",
                                       "shape"):
@@ -107,11 +115,16 @@ def validate_file(doc):
 
 
 def _check_refs(entry, refs, kinds):
-    """Each reference field present in ``entry`` names an object, defined in
-    ``kinds`` (name -> kind), of a kind that the field accepts."""
+    """Each reference field of ``entry`` is present unless optional, and names
+    an object, defined in ``kinds`` (name -> kind), of a kind that the field
+    accepts."""
+    optional = OPTIONAL_REFS.get(entry["kind"], ())
     for field, accepted in refs.items():
         if field not in entry:
-            continue
+            if field in optional:
+                continue
+            raise ValidationError(
+                f"{entry['kind']} is missing its {field!r} field")
         val = entry[field]
         if not isinstance(val, str) or val not in kinds:
             raise ValidationError(
@@ -321,7 +334,7 @@ def _task_graded_flat(ws, task):
     elif "chart" in task:
         chart = ws.get(task["chart"])
         ok, cert = ch.second_chart_criterion(chart, m)
-    elif "grading" in task:
+    else:
         # fallback: exactness against an explicit family of homogeneous ideals
         grading = ws.get(task["grading"])
         family = []
@@ -334,8 +347,6 @@ def _task_graded_flat(ws, task):
         cert = {"criterion": "homogeneous ideal family",
                 "family_size": len(family), "entries": results,
                 "complete": False}
-    else:
-        raise ValidationError("graded_flat needs a monoid, chart or grading")
     return {"graded_flat": ok, "certificate": _jsonable(cert)}
 
 

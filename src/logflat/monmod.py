@@ -262,7 +262,7 @@ def _common_lower_bound(m: PModule, t1, t2, comp):
     amb = m.ambient
     mon = m.action_image_monoid()
     proj, sharp = mon._sharp_data()
-    lam = mon._positive_functional()
+    lam = mon._integer_functional()
     rank = sharp.ambient.rank
 
     def lam_of(y):

@@ -11,8 +11,6 @@ a strictly positive rational functional on the sharp generators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
 
 from .abgrp import (
     FgAbGroup,
@@ -25,6 +23,11 @@ from .abgrp import (
     solve_integer,
 )
 from . import qcone
+
+
+def _lam_value(lam, x):
+    """lam . x over the free coordinates (lam has one entry per free rank)."""
+    return sum(l * v for l, v in zip(lam, x))
 
 
 class AmbientMismatch(ValueError):
@@ -156,10 +159,17 @@ class FineMonoid:
         self._cache["lambda"] = lam
         return lam
 
-    # -- membership --------------------------------------------------------
+    def _integer_functional(self):
+        """The least positive integer multiple of ``_positive_functional``.
 
-    def _lam_value(self, lam, x, rank):
-        return sum(l * v for l, v in zip(lam, x[:rank]))
+        The membership searches only compare and divide its values, which
+        a positive scaling leaves unchanged, and integers are faster."""
+        if "int_lambda" not in self._cache:
+            self._cache["int_lambda"] = tuple(
+                qcone.clear_denominators(self._positive_functional()))
+        return self._cache["int_lambda"]
+
+    # -- membership --------------------------------------------------------
 
     def member(self, g):
         """Whether g is an N-combination of the generators.  Exact."""
@@ -171,14 +181,13 @@ class FineMonoid:
         memo = self._cache.setdefault("member_memo", {})
         if target in memo:
             return memo[target]
-        lam = self._positive_functional()
+        lam = self._integer_functional()
         gens = sorted(set(sharp.generators))
         res = self._bounded_search(sharp.ambient, lam, gens, target)
         memo[target] = res
         return res
 
     def _bounded_search(self, amb, lam, gens, target):
-        rank = amb.rank
         memo = {}
 
         def rec(t, idx):
@@ -189,12 +198,12 @@ class FineMonoid:
             key = (t, idx)
             if key in memo:
                 return memo[key]
-            lt = self._lam_value(lam, t, rank)
+            lt = _lam_value(lam, t)
             res = False
             if lt >= 0:
                 g = gens[idx]
-                lg = self._lam_value(lam, g, rank)
-                top = int(lt / lg) if lg > 0 else 0
+                lg = _lam_value(lam, g)
+                top = lt // lg if lg > 0 else 0
                 cur = t
                 for k in range(top + 1):
                     if rec(cur, idx + 1):
@@ -217,20 +226,20 @@ class FineMonoid:
         n = len(self.generators)
         if self.ambient.is_zero(g):
             return True, (0,) * n
-        lam = self._positive_functional()
-        amb, rank = self.ambient, self.ambient.rank
+        lam = self._integer_functional()
+        amb = self.ambient
 
         def rec(t, idx, acc):
             if all(x == 0 for x in t):
                 return acc + (0,) * (n - len(acc))
             if idx == n:
                 return None
-            lt = self._lam_value(lam, t, rank)
+            lt = _lam_value(lam, t)
             if lt < 0:
                 return None
             gvec = self.generators[idx]
-            lg = self._lam_value(lam, gvec, rank)
-            top = int(lt / lg) if lg > 0 else 0
+            lg = _lam_value(lam, gvec)
+            top = lt // lg if lg > 0 else 0
             cur = t
             for k in range(top + 1):
                 out = rec(cur, idx + 1, acc + (k,))
@@ -861,18 +870,13 @@ def _positive_unit_relation(mon: FineMonoid):
     n = len(mon.generators)
     total = [0] * n
     basis = mon.relation_lattice()
+    k = len(basis)
     for i in sorted(mon.unit_indices()):
-        k = len(basis)
-        rows = [tuple(Fraction(col[j]) for col in basis) for j in range(n)]
-        cons = [(rows[j], 0) for j in range(n)]
-        cons.append((rows[i], 1))
-        pt = qcone.feasible_point(cons, k)
+        pt = qcone.feasible_point(
+            qcone.nonneg_combination_system(basis, i, n), k)
         if pt is None:
             raise AssertionError("unit generator without positive relation")
-        den = 1
-        for c in pt:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in pt]
+        ints = qcone.clear_denominators(pt)
         for j in range(n):
             total[j] += sum(ints[t] * basis[t][j] for t in range(k))
     return total

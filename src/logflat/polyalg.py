@@ -13,7 +13,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+
+from .qcone import clear_denominators
 
 
 # -- coefficient fields --------------------------------------------------------
@@ -1178,13 +1179,8 @@ def toric_ideal(p_monoid, field=QQ, names=None, allow_units=False):
         # ideal homogeneous, so saturation per variable is revlex division
         lam = p_monoid._positive_functional()
         rank = p_monoid.ambient.rank
-        den = 1
-        vals = []
-        for g in gens:
-            v = sum(l * c for l, c in zip(lam, g[:rank]))
-            vals.append(v)
-            den = den * v.denominator // gcd(den, v.denominator)
-        weights = [int(v * den) for v in vals]
+        weights = clear_denominators(
+            [sum(l * c for l, c in zip(lam, g[:rank])) for g in gens])
         current = binomials
         for i in range(n):
             key = weighted_revlex_key(weights, i)

@@ -2,58 +2,79 @@
 
 Small systems only (the monoid layer keeps generator counts in single
 digits).  Constraints are pairs (coeffs, rhs) meaning  sum coeffs*x >= rhs,
-with Fraction arithmetic throughout.
+with int or Fraction entries.  Each constraint is kept as one primitive
+integer row (a_0, ..., a_{n-1}, b): denominators cleared, then divided by
+the gcd of its entries.  A positive scaling changes neither the half-space
+nor, up to another positive scaling, any row it is combined into, so rows
+that are positive multiples of each other coincide and are dropped, and
+every bound of the back-substitution is the one of the rational system.
+Only the returned point is rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+
+
+def clear_denominators(values):
+    """The integers d*v for the least d >= 1 making every int or Fraction v
+    integral."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
 
 
 def _norm(con):
     coeffs, rhs = con
-    return tuple(Fraction(c) for c in coeffs), Fraction(rhs)
+    return _primitive(clear_denominators([*coeffs, rhs]))
 
 
 def feasible_point(constraints, nvars):
     """A rational point satisfying all constraints, or None."""
-    cons = [_norm(c) for c in constraints]
-    return _solve(cons, nvars)
+    return _solve([_norm(c) for c in constraints], nvars)
 
 
-def _solve(cons, nvars):
-    cons = list(dict.fromkeys(cons))
+def _solve(rows, nvars):
+    rows = list(dict.fromkeys(rows))
     if nvars == 0:
-        for coeffs, rhs in cons:
-            if rhs > 0:
+        for row in rows:
+            if row[-1] > 0:
                 return None
         return ()
     k = nvars - 1
-    pos, neg, rest = [], [], []
-    for coeffs, rhs in cons:
-        a = coeffs[k]
+    pos, neg, projected = [], [], []
+    for row in rows:
+        a = row[k]
         if a > 0:
-            pos.append((coeffs, rhs))
+            pos.append(row)
         elif a < 0:
-            neg.append((coeffs, rhs))
+            neg.append(row)
         else:
-            rest.append((coeffs[:k], rhs))
-    projected = list(rest)
-    for pc, pr in pos:
-        for nc, nr in neg:
-            a, b = pc[k], -nc[k]
-            # b*(pc >= pr) + a*(nc >= nr), variable k cancels
-            coeffs = tuple(b * pc[i] + a * nc[i] for i in range(k))
-            projected.append((coeffs, b * pr + a * nr))
+            projected.append(row[:k] + row[-1:])
+    for p in pos:
+        a = p[k]
+        pk = p[:k] + p[-1:]
+        for q in neg:
+            b = -q[k]
+            # b*(p >= .) + a*(q >= .), variable k cancels
+            projected.append(_primitive(
+                [b * x + a * y for x, y in zip(pk, q[:k] + q[-1:])]))
     inner = _solve(projected, k)
     if inner is None:
         return None
     lo, hi = None, None
-    for coeffs, rhs in pos:
-        bound = (rhs - sum(c * x for c, x in zip(coeffs[:k], inner))) / coeffs[k]
+    for row in pos:
+        bound = Fraction(row[-1] - sum(c * x for c, x in zip(row, inner)),
+                         row[k])
         lo = bound if lo is None or bound > lo else lo
-    for coeffs, rhs in neg:
-        bound = (rhs - sum(c * x for c, x in zip(coeffs[:k], inner))) / coeffs[k]
+    for row in neg:
+        bound = Fraction(row[-1] - sum(c * x for c, x in zip(row, inner)),
+                         row[k])
         hi = bound if hi is None or bound < hi else hi
     if lo is None and hi is None:
         val = Fraction(0)
@@ -83,14 +104,18 @@ def face_functional(zero_vectors, positive_vectors, dim):
     return feasible_point(cons, dim)
 
 
+def nonneg_combination_system(basis_cols, i, n):
+    """Constraints on c, over the k = len(basis_cols) columns of the n-row
+    matrix B, saying (B c)_j >= 0 for all j and (B c)_i >= 1."""
+    rows = [tuple(col[j] for col in basis_cols) for j in range(n)]
+    return [(row, 0) for row in rows] + [(rows[i], 1)]
+
+
 def nonneg_combination_hits(basis_cols, i, n):
     """Whether some c has (B c)_j >= 0 for all j and (B c)_i >= 1, for the
     n-row matrix B given by columns.  Rational feasibility suffices: the
     column span is a lattice, so solutions scale to integer ones."""
-    k = len(basis_cols)
-    if k == 0:
+    if not basis_cols:
         return False
-    rows = [tuple(Fraction(col[j]) for col in basis_cols) for j in range(n)]
-    cons = [(rows[j], 0) for j in range(n)]
-    cons.append((rows[i], 1))
-    return feasible_point(cons, k) is not None
+    cons = nonneg_combination_system(basis_cols, i, n)
+    return feasible_point(cons, len(basis_cols)) is not None

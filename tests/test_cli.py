@@ -63,6 +63,52 @@ class TestValidation:
         f.write_text(json.dumps(doc))
         assert run_cli("check", str(f)).returncode == 2
 
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    def test_missing_task_field_exits_2(self, tmp_path, command):
+        # without the check the task would fail with KeyError: 'module'
+        doc = cli.load_gallery("smooth-divisor")
+        doc["tasks"] = [{"kind": "chart_criterion", "chart": "chart"}]
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        r = run_cli(command, str(f))
+        assert r.returncode == 2
+        assert "chart_criterion is missing its 'module' field" in r.stderr
+
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    def test_missing_object_field_exits_2(self, tmp_path, command):
+        doc = {"version": 1,
+               "objects": [{"name": "M", "kind": "module", "rank": 1}],
+               "tasks": []}
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        r = run_cli(command, str(f))
+        assert r.returncode == 2
+        assert "module is missing its 'ring' field" in r.stderr
+
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    def test_graded_flat_without_base_exits_2(self, tmp_path, command):
+        doc = dict(NODAL_FILE, tasks=[{"kind": "graded_flat", "module": "M"}])
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        r = run_cli(command, str(f))
+        assert r.returncode == 2
+        assert "graded_flat needs a monoid, chart or grading" in r.stderr
+
+    def test_optional_fields_may_be_absent(self):
+        # chart_invariance derives chart2 from units_rank
+        doc = cli.load_gallery("smooth-divisor")
+        doc["tasks"] = [{"kind": "chart_invariance", "chart": "chart",
+                         "module": doc["tasks"][0]["module"]}]
+        cli.validate_file(doc)
+        # graded_flat with one base of the three
+        doc = {"version": 1,
+               "objects": NODAL_FILE["objects"] + [
+                   {"name": "G", "kind": "grading", "ring": "B",
+                    "group_rank": 1, "degrees": [[1], [1]]}],
+               "tasks": [{"kind": "graded_flat", "module": "M",
+                          "grading": "G"}]}
+        cli.validate_file(doc)
+
     def test_empty_tasks_exit_0(self, tmp_path):
         doc = {"version": 1, "objects": [], "tasks": []}
         f = tmp_path / "empty.json"

@@ -1,0 +1,194 @@
+"""Membership searches over the integer multiple of the positive functional,
+against copies of the searches over the Fraction functional they replaced,
+and against brute-force enumeration of the monoid."""
+
+from hypothesis import assume, given, settings, strategies as st
+
+from logflat import monmod
+from logflat.abgrp import FgAbGroup
+from logflat.monoid import FineMonoid
+
+
+# -- the Fraction-functional searches, kept as references ----------------------
+
+
+def _lam(lam, x, rank):
+    return sum(l * v for l, v in zip(lam, x[:rank]))
+
+
+def reference_member(mon, g):
+    g = mon.ambient.reduce(g)
+    if mon.ambient.is_zero(g):
+        return True
+    proj, sharp = mon._sharp_data()
+    amb, rank = sharp.ambient, sharp.ambient.rank
+    lam = mon._positive_functional()
+    gens = sorted(set(sharp.generators))
+    memo = {}
+
+    def rec(t, idx):
+        if all(x == 0 for x in t):
+            return True
+        if idx == len(gens):
+            return False
+        key = (t, idx)
+        if key in memo:
+            return memo[key]
+        lt = _lam(lam, t, rank)
+        res = False
+        if lt >= 0:
+            g = gens[idx]
+            lg = _lam(lam, g, rank)
+            top = int(lt / lg) if lg > 0 else 0
+            cur = t
+            for k in range(top + 1):
+                if rec(cur, idx + 1):
+                    res = True
+                    break
+                cur = amb.sub(cur, g)
+        memo[key] = res
+        return res
+
+    return rec(amb.reduce(proj.apply(g)), 0)
+
+
+def reference_certificate(mon, g):
+    g = mon.ambient.reduce(g)
+    n = len(mon.generators)
+    if mon.ambient.is_zero(g):
+        return True, (0,) * n
+    lam = mon._positive_functional()
+    amb, rank = mon.ambient, mon.ambient.rank
+
+    def rec(t, idx, acc):
+        if all(x == 0 for x in t):
+            return acc + (0,) * (n - len(acc))
+        if idx == n:
+            return None
+        lt = _lam(lam, t, rank)
+        if lt < 0:
+            return None
+        gvec = mon.generators[idx]
+        lg = _lam(lam, gvec, rank)
+        top = int(lt / lg) if lg > 0 else 0
+        cur = t
+        for k in range(top + 1):
+            out = rec(cur, idx + 1, acc + (k,))
+            if out is not None:
+                return out
+            cur = amb.sub(cur, gvec)
+        return None
+
+    out = rec(g, 0, ())
+    return (True, out) if out is not None else (False, None)
+
+
+def reference_common_lower_bound(m, t1, t2, comp):
+    amb = m.ambient
+    mon = m.action_image_monoid()
+    proj, sharp = mon._sharp_data()
+    lam = mon._positive_functional()
+    rank = sharp.ambient.rank
+
+    def lam_of(y):
+        return _lam(lam, proj.apply(y), rank)
+
+    nonunit = [mon.generators[i] for i in range(len(mon.generators))
+               if i not in mon.unit_indices()]
+    for g, c in m.generators:
+        if c != comp:
+            continue
+        budget = min(lam_of(amb.sub(t1, g)), lam_of(amb.sub(t2, g)))
+        if budget < 0:
+            continue
+        seen, stack = set(), [amb.zero()]
+        while stack:
+            w = stack.pop()
+            if w in seen:
+                continue
+            seen.add(w)
+            x = amb.add(g, w)
+            if reference_member(mon, amb.sub(t1, x)) and \
+                    reference_member(mon, amb.sub(t2, x)):
+                return x
+            for ng in nonunit:
+                w2 = amb.add(w, ng)
+                if w2 not in seen and lam_of(w2) <= budget:
+                    stack.append(w2)
+    return None
+
+
+# -- random small monoids -----------------------------------------------------
+
+
+@st.composite
+def monoids(draw):
+    """Monoids in Z^rank (+) torsion: some sharp, some with units (a generator
+    and its negative), some with torsion in the ambient group."""
+    rank = draw(st.integers(1, 2))
+    torsion = draw(st.sampled_from([(), (2,), (3,), (2, 4)]))
+    amb = FgAbGroup(rank, torsion)
+    vec = st.tuples(*[st.integers(-2, 3)] * rank,
+                    *[st.integers(0, d - 1) for d in torsion])
+    gens = draw(st.lists(vec, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        gens.append(tuple(-x for x in draw(st.sampled_from(gens))))
+    return FineMonoid(amb, gens)
+
+
+def _targets(draw, mon, count):
+    amb = mon.ambient
+    vec = st.tuples(*[st.integers(-4, 4)] * amb.rank,
+                    *[st.integers(0, d - 1) for d in amb.torsion])
+    return [amb.reduce(draw(vec)) for _ in range(count)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(monoids(), st.data())
+def test_member_matches_fraction_reference(mon, data):
+    for t in _targets(data.draw, mon, 8):
+        assert mon.member(t) == reference_member(mon, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(monoids(), st.data())
+def test_certificate_matches_fraction_reference(mon, data):
+    assume(mon.is_sharp())
+    amb = mon.ambient
+    for t in _targets(data.draw, mon, 8):
+        ok, mult = mon.member_with_certificate(t)
+        assert (ok, mult) == reference_certificate(mon, t)
+        if ok:
+            total = amb.zero()
+            for k, g in zip(mult, mon.generators):
+                total = amb.add(total, amb.scale(k, g))
+            assert total == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(monoids(), st.data())
+def test_common_lower_bound_matches_fraction_reference(mon, data):
+    gens = _targets(data.draw, mon, 2)
+    m = monmod.PModule.embedded(mon, [(g, 0) for g in gens])
+    comp = m.generators[0][1]
+    for t1, t2 in zip(_targets(data.draw, mon, 3), _targets(data.draw, mon, 3)):
+        assert monmod._common_lower_bound(m, t1, t2, comp) == \
+            reference_common_lower_bound(m, t1, t2, comp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monoids(), st.data())
+def test_member_matches_enumeration(mon, data):
+    """In a sharp monoid every generator has lam >= 1, so g in P needs at
+    most lam(g) generators: enumerating that many decides membership."""
+    assume(mon.is_sharp())
+    lam = mon._positive_functional()
+    rank = mon.ambient.rank
+    bounded = [t for t in _targets(data.draw, mon, 8)
+               if _lam(lam, t, rank) <= 10]
+    if not bounded:
+        return
+    depth = max(0, max(int(_lam(lam, t, rank)) for t in bounded))
+    elements = set(mon.elements_up_to(depth))
+    for t in bounded:
+        assert mon.member(t) == (t in elements)
