@@ -11,6 +11,7 @@ unimodular transforms, computed with arbitrary-precision integers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -338,6 +339,22 @@ class FgAbGroup:
 
     def sub(self, x, y):
         return self.reduce(tuple(a - b for a, b in zip(x, y)))
+
+    def reduced_sub(self):
+        """``sub`` for elements already in reduced form, as a function.
+
+        It skips the conversion and length check of ``reduce`` and only
+        takes the torsion coordinates mod d; the search loops that subtract
+        generators over and over build it once and call it instead."""
+        rank, torsion = self.rank, self.torsion
+        if not torsion:
+            return lambda x, y: tuple(map(operator.sub, x, y))
+
+        def sub(x, y):
+            d = tuple(map(operator.sub, x, y))
+            return d[:rank] + tuple(map(operator.mod, d[rank:], torsion))
+
+        return sub
 
     def neg(self, x):
         return self.reduce(tuple(-a for a in x))

@@ -16,10 +16,11 @@ search certified by the positive functional of the image monoid.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .abgrp import FgAbGroup, lattice_contains
-from .monoid import AmbientMismatch, FineMonoid, MonoidHom
+from .monoid import AmbientMismatch, FineMonoid, MonoidHom, _lam_value
 
 FREE = "free"
 EMBEDDED = "embedded"
@@ -261,16 +262,16 @@ def _common_lower_bound(m: PModule, t1, t2, comp):
     """
     amb = m.ambient
     mon = m.action_image_monoid()
-    proj, sharp = mon._sharp_data()
+    proj, _ = mon._sharp_data()
     lam = mon._integer_functional()
-    rank = sharp.ambient.rank
 
     def lam_of(y):
-        v = proj.apply(y)
-        return sum(l * c for l, c in zip(lam, v[:rank]))
+        return _lam_value(lam, proj.apply(y))
 
-    nonunit = [mon.generators[i] for i in range(len(mon.generators))
-               if i not in mon.unit_indices()]
+    units = mon.unit_indices()
+    nonunit = [(ng, lam_of(ng)) for i, ng in enumerate(mon.generators)
+               if i not in units]
+    sub = amb.reduced_sub()
     for g, c in m.generators:
         if c != comp:
             continue
@@ -278,27 +279,31 @@ def _common_lower_bound(m: PModule, t1, t2, comp):
         budget = min(lam_of(d1), lam_of(d2))
         if budget < 0:
             continue
-        found = _search_lower(m, mon, amb, nonunit, lam_of, budget, g, t1, t2)
+        found = _search_lower(mon, sub, nonunit, budget, d1, d2)
         if found is not None:
-            return found
+            return amb.sub(t1, found)
     return None
 
 
-def _search_lower(m, mon, amb, nonunit, lam_of, budget, g, t1, t2):
+def _search_lower(mon, sub, nonunit, budget, d1, d2):
+    """Depth-first search over w in the image monoid with lam(w) <= budget
+    for d_i - w both in it; returns d1 - w for the first such w, or None.
+
+    The search runs on d1 - w and d2 - w, which determine w; lam(w) is
+    carried along, since lam is additive on the free coordinates."""
     seen = set()
-    stack = [amb.zero()]
+    stack = [(d1, d2, 0)]
     while stack:
-        w = stack.pop()
-        if w in seen:
+        e1, e2, lw = stack.pop()
+        if e1 in seen:
             continue
-        seen.add(w)
-        x = amb.add(g, w)
-        if mon.member(amb.sub(t1, x)) and mon.member(amb.sub(t2, x)):
-            return x
-        for ng in nonunit:
-            w2 = amb.add(w, ng)
-            if w2 not in seen and lam_of(w2) <= budget:
-                stack.append(w2)
+        seen.add(e1)
+        if mon.member(e1) and mon.member(e2):
+            return e1
+        for ng, lg in nonunit:
+            f1 = sub(e1, ng)
+            if f1 not in seen and lw + lg <= budget:
+                stack.append((f1, sub(e2, ng), lw + lg))
     return None
 
 
@@ -513,20 +518,29 @@ def sharpen_module(m: PModule):
 
 
 def module_over_source(h: MonoidHom, window=24):
-    """Realize the target of h as a module over the source, when it is
-    finitely generated; None when the saturation search exceeds the cap."""
-    p, q = h.target, h.source
+    """Realize the target P of h as a module over the source Q, when it is
+    finitely generated.
+
+    None means one of two things.  Either P is proved not finite over Q:
+    the rational rank of h(Q) is below that of P (if finitely many
+    translates t + h(Q) covered P, two multiples of each generator of P
+    would share one, so h(Q)^gp would have full rank).  Or, at equal ranks,
+    the saturation search ran out of its window."""
+    p = h.target
     amb = p.ambient
-    img = FineMonoid(amb, h.images) if h.images else FineMonoid(amb, [])
+    img = FineMonoid(amb, h.images)
+    if (len(img.generators) - len(img.relation_lattice())
+            < len(p.generators) - len(p.relation_lattice())):
+        return None
 
     def covered(x, reps):
         return any(img.member(amb.sub(x, t)) for t in reps)
 
     reps = [amb.zero()]
-    queue = list(reps)
+    queue = deque(reps)
     steps = 0
     while queue:
-        t = queue.pop(0)
+        t = queue.popleft()
         for g in p.generators:
             c = amb.add(t, g)
             steps += 1

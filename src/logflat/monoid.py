@@ -174,7 +174,7 @@ class FineMonoid:
     def member(self, g):
         """Whether g is an N-combination of the generators.  Exact."""
         g = self.ambient.reduce(g)
-        if self.ambient.is_zero(g):
+        if not any(g):
             return True
         proj, sharp = self._sharp_data()
         target = proj.apply(g)
@@ -188,12 +188,18 @@ class FineMonoid:
         return res
 
     def _bounded_search(self, amb, lam, gens, target):
+        """Whether the reduced element ``target`` of ``amb`` is an
+        N-combination of ``gens``, taking each generator as often as the
+        functional ``lam`` allows, in order."""
+        sub = amb.reduced_sub()
+        lgs = [_lam_value(lam, g) for g in gens]
+        n = len(gens)
         memo = {}
 
         def rec(t, idx):
-            if all(x == 0 for x in t):
+            if not any(t):
                 return True
-            if idx == len(gens):
+            if idx == n:
                 return False
             key = (t, idx)
             if key in memo:
@@ -201,19 +207,18 @@ class FineMonoid:
             lt = _lam_value(lam, t)
             res = False
             if lt >= 0:
-                g = gens[idx]
-                lg = _lam_value(lam, g)
+                g, lg = gens[idx], lgs[idx]
                 top = lt // lg if lg > 0 else 0
                 cur = t
                 for k in range(top + 1):
                     if rec(cur, idx + 1):
                         res = True
                         break
-                    cur = amb.sub(cur, g)
+                    cur = sub(cur, g)
             memo[key] = res
             return res
 
-        return rec(amb.reduce(target), 0)
+        return rec(target, 0)
 
     def member_with_certificate(self, g):
         """(True, multiplicity vector over the generators) or (False, None).
@@ -224,28 +229,29 @@ class FineMonoid:
             raise ValueError("certificates require a sharp monoid")
         g = self.ambient.reduce(g)
         n = len(self.generators)
-        if self.ambient.is_zero(g):
+        if not any(g):
             return True, (0,) * n
         lam = self._integer_functional()
-        amb = self.ambient
+        sub = self.ambient.reduced_sub()
+        gens = self.generators
+        lgs = [_lam_value(lam, gvec) for gvec in gens]
 
         def rec(t, idx, acc):
-            if all(x == 0 for x in t):
+            if not any(t):
                 return acc + (0,) * (n - len(acc))
             if idx == n:
                 return None
             lt = _lam_value(lam, t)
             if lt < 0:
                 return None
-            gvec = self.generators[idx]
-            lg = _lam_value(lam, gvec)
+            gvec, lg = gens[idx], lgs[idx]
             top = lt // lg if lg > 0 else 0
             cur = t
             for k in range(top + 1):
                 out = rec(cur, idx + 1, acc + (k,))
                 if out is not None:
                     return out
-                cur = amb.sub(cur, gvec)
+                cur = sub(cur, gvec)
             return None
 
         out = rec(g, 0, ())

@@ -220,3 +220,15 @@ def test_split_surjection_requires_surjective():
     h = GroupHom(z, z, ((2,),))
     with pytest.raises(NotSurjective):
         split_surjection(h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.sampled_from([(), (2,), (3,), (2, 4)]), st.data())
+def test_reduced_sub_matches_sub(rank, torsion, data):
+    g = FgAbGroup(rank, torsion)
+    vec = st.tuples(*[st.integers(-6, 6)] * rank,
+                    *[st.integers(0, d - 1) for d in torsion])
+    sub = g.reduced_sub()
+    for _ in range(6):
+        x, y = data.draw(vec), data.draw(vec)
+        assert sub(x, y) == g.sub(x, y)

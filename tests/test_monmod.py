@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logflat.abgrp import FgAbGroup
 from logflat.monoid import FineMonoid, MonoidHom, MonoidIdeal, diagonal, nat_monoid
@@ -241,3 +242,84 @@ class TestModuleOverSource:
         m = monmod.module_over_source(h)
         assert m is not None
         assert not is_flat(m).flat
+
+
+# -- module_over_source against the window-only search --------------------------
+
+
+def reference_module_over_source(h, window=24):
+    """module_over_source without the rank exit: the saturation search alone."""
+    p = h.target
+    amb = p.ambient
+    img = FineMonoid(amb, h.images)
+
+    def covered(x, reps):
+        return any(img.member(amb.sub(x, t)) for t in reps)
+
+    reps = [amb.zero()]
+    queue = list(reps)
+    steps = 0
+    while queue:
+        t = queue.pop(0)
+        for g in p.generators:
+            c = amb.add(t, g)
+            steps += 1
+            if steps > window * max(1, len(p.generators)):
+                return None
+            if not covered(c, reps):
+                reps.append(c)
+                queue.append(c)
+    return PModule.over_hom(h, [(t, 0) for t in reps])
+
+
+def _same_module_over_source(h, window=24):
+    got = monmod.module_over_source(h, window=window)
+    want = reference_module_over_source(h, window=window)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.generators == want.generators
+    return got
+
+
+@st.composite
+def source_homs(draw):
+    """N^k -> P with P in Z^rank (+) torsion, rank 1-3, some P with units;
+    each image an N-combination of the generators of P, so zero and
+    repeated images occur."""
+    rank = draw(st.integers(1, 3))
+    torsion = draw(st.sampled_from([(), (2,), (3,), (2, 4)]))
+    amb = FgAbGroup(rank, torsion)
+    vec = st.tuples(*[st.integers(-1, 2)] * rank,
+                    *[st.integers(0, d - 1) for d in torsion])
+    gens = draw(st.lists(vec, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        gens.append(tuple(-x for x in draw(st.sampled_from(gens))))
+    p = FineMonoid(amb, gens)
+    k = draw(st.integers(1, 3))
+    images = []
+    for _ in range(k):
+        coeffs = draw(st.lists(st.integers(0, 2), min_size=len(p.generators),
+                               max_size=len(p.generators)))
+        v = amb.zero()
+        for c, g in zip(coeffs, p.generators):
+            v = amb.add(v, amb.scale(c, g))
+        images.append(v)
+    return MonoidHom(nat_monoid(k), p, images)
+
+
+@settings(max_examples=150, deadline=None)
+@given(source_homs(), st.integers(1, 8))
+def test_module_over_source_matches_window_search(h, window):
+    _same_module_over_source(h, window)
+
+
+@pytest.mark.parametrize("h, finite", [
+    # equal ranks but Z is not finite over N: the window still decides
+    (MonoidHom(nat(), FineMonoid(FgAbGroup.free(1), [(1,), (-1,)]), [(1,)]),
+     False),
+    (MonoidHom(nat(), nat(), [(2,)]), True),
+    (MonoidHom(nat2(), nat(), [(1,), (1,)]), True),
+    (MonoidHom(nat(), nat_monoid(3), [(1, 1, 1)]), False),
+])
+def test_module_over_source_explicit_cases(h, finite):
+    assert (_same_module_over_source(h) is not None) == finite

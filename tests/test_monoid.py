@@ -289,3 +289,34 @@ def test_groupification_cokernel_of_diagonal():
     assert cok == FgAbGroup.free(2)
     assert cok.is_zero(to_cok((1, 1, 1)))
     assert not cok.is_zero(to_cok((1, 0, 0)))
+
+
+# classify_morphism on cones over a 5-gon and an 8-gon, for the identity, a
+# ray N -> P (1 |-> a vertex) and an interior N -> P (1 |-> the sum of the
+# vertices); the values are those of the window-only module_over_source.
+_POLYGONS = {
+    "5-gon": [(0, 0), (2, 0), (3, 1), (2, 2), (0, 1)],
+    "8-gon": [(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)],
+}
+_PINNED = {
+    "identity": (True, True, True, True, True, True, "CosetFreeBasis", {}),
+    "ray": (True, False, False, False, None, None, "NoneType", {}),
+    "interior": (True, False, False, True, None, None, "NoneType", {}),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_POLYGONS))
+def test_classify_polygon_cones_pinned(tag):
+    gens = [(x, y, 1) for x, y in _POLYGONS[tag]]
+    p = FineMonoid(FgAbGroup.free(3), gens)
+    interior = tuple(sum(g[t] for g in gens) for t in range(3))
+    homs = {
+        "identity": MonoidHom.identity(p),
+        "ray": MonoidHom(nat_monoid(1), p, [gens[0]]),
+        "interior": MonoidHom(nat_monoid(1), p, [interior]),
+    }
+    for name, h in homs.items():
+        c = classify_morphism(h)
+        got = (c.injective, c.surjective, c.strict, c.vertical, c.flat,
+               c.free, type(c.basis).__name__, c.witness)
+        assert got == _PINNED[name], name
