@@ -460,10 +460,6 @@ class GroupHom:
     def identity(cls, g):
         return cls(g, g, tuple(g.generators()))
 
-    @classmethod
-    def zero_hom(cls, source, target):
-        return cls(source, target, tuple(target.zero() for _ in range(source.dim)))
-
     def apply(self, x):
         x = self.source.reduce(x)
         out = [0] * self.target.dim

@@ -104,6 +104,10 @@ def validate_file(doc):
         if task["kind"] == "graded_flat" and not any(
                 f in task for f in OPTIONAL_REFS["graded_flat"]):
             raise ValidationError("graded_flat needs a monoid, chart or grading")
+        rank = task.get("units_rank", 0)
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
+            raise ValidationError(
+                f"units_rank must be an integer >= 0, not {rank!r}")
         for key, val in task.items():
             if key in refs or key in ("kind", "name", "units_rank", "window",
                                       "shape"):

@@ -247,7 +247,7 @@ class DescentDatum:
         """M_i / I_i M_i as a module over C_0."""
         glue, m = (self.glue, self.m1) if which == 1 else (self.glue, self.m2)
         f = glue.f1 if which == 1 else glue.f2
-        cols = [_transport(f, c) for c in m.columns]
+        cols = [pa.transport_col(f, c) for c in m.columns]
         return ModulePresentation(glue.c0, m.rank, cols)
 
     def _check_invertible(self):
@@ -266,15 +266,6 @@ class DescentDatum:
         self.phi_inv = _invert_module_map(phi_cols, r1, r2)
         if self.phi_inv is None:
             raise ValueError("phi is not invertible over C0")
-
-
-def _transport(rmap: RingMap, col):
-    field = rmap.target.ring.field
-    out = {}
-    for (mono, pos), c in col.items():
-        p = rmap.apply({(mono, 0): c})
-        out = m_add(field, out, {(mm, pos): cc for (mm, _), cc in p.items()})
-    return out
 
 
 def _invert_module_map(phi_cols, m_from: ModulePresentation,
@@ -321,7 +312,7 @@ def pullback_P(glue: GluingDatum, m: ModulePresentation) -> DescentDatum:
 
 
 def _restrict_along(proj: RingMap, ker, m: ModulePresentation):
-    cols = [_transport(proj, c) for c in m.columns]
+    cols = [pa.transport_col(proj, c) for c in m.columns]
     return ModulePresentation(proj.target, m.rank, cols)
 
 
@@ -516,8 +507,9 @@ def _pd_certificate(glue, d: DescentDatum):
 def _restrict_presentation(glue, which, back, proj_cols, target):
     """Whether the projections define an isomorphism D (x)_C C_i -> M_i."""
     proj = glue.p1 if which == 1 else glue.p2
-    source = ModulePresentation(proj.target, back.rank,
-                                [_transport(proj, c) for c in back.columns])
+    source = ModulePresentation(
+        proj.target, back.rank,
+        [pa.transport_col(proj, c) for c in back.columns])
     try:
         inv = _invert_module_map(proj_cols, source, target)
     except Exception:

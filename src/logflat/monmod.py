@@ -125,10 +125,6 @@ class PModule:
         return [list(g) for g in gens] + \
                [list(c) for c in self.ambient.relation_columns()]
 
-    def _same_orbit(self, x, y):
-        return lattice_contains(self._action_span_columns(),
-                                self.ambient.sub(x, y))
-
     def _canonical_components(self, gens):
         reps = []  # (value, original component) representatives
         out = []

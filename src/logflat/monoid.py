@@ -63,11 +63,6 @@ class FineMonoid:
 
     # -- relation lattice and units ---------------------------------------
 
-    def _gen_matrix(self):
-        return IntMatrix.from_columns([list(g) for g in self.generators],
-                                      nrows=self.ambient.dim) \
-            if self.generators else IntMatrix.zero(self.ambient.dim, 0)
-
     def relation_lattice(self):
         """Basis of {a in Z^n : sum a_i g_i = 0 in the ambient group}."""
         if "rel_lattice" in self._cache:

@@ -892,21 +892,7 @@ class ModulePresentation:
 
 def syzygies_over(over: RingPresentation, cols, rank):
     """Syzygies of the columns over the presented ring (ideal absorbed)."""
-    field = over.ring.field
-    nv = over.ring.nvars
-    extra = []
-    for g in over.ideal:
-        for i in range(rank):
-            extra.append({(m, i): c for (m, _), c in g.items()})
-    all_cols = list(cols) + extra
-    syz = syzygies(field, all_cols, rank, nv, over.ring.key)
-    k = len(cols)
-    out = []
-    for s in syz:
-        proj = {(m, p): c for (m, p), c in s.items() if p < k}
-        if proj:
-            out.append(proj)
-    return _dedupe(field, out, module_key(over.ring.key))
+    return kernel_of_matrix(over, cols, rank)
 
 
 def _dedupe(field, elems, key):
@@ -1024,12 +1010,13 @@ def tor1_via_resolution(n: ModulePresentation, algebra_map: RingMap):
         target = algebra_map.target
         return ModulePresentation(target, 0, []), True
     d2 = syzygies_over(over, d1, n.rank)
-    t_d1 = [_transport_col(algebra_map, col) for col in d1]
-    t_d2 = [_transport_col(algebra_map, col) for col in d2]
+    t_d1 = [transport_col(algebra_map, col) for col in d1]
+    t_d2 = [transport_col(algebra_map, col) for col in d2]
     return homology(algebra_map.target, t_d2, a, [], t_d1, n.rank, [])
 
 
-def _transport_col(rmap: RingMap, col):
+def transport_col(rmap: RingMap, col):
+    """A column over the source of ``rmap``, entry by entry, over its target."""
     field = rmap.target.ring.field
     out = {}
     for (mono, pos), c in col.items():

@@ -455,3 +455,119 @@ class TestFreeCertificate:
         # this h IS free (basis {0, e1}); the criterion must accept it
         ok, _ = second_chart_criterion(chart, m)
         assert ok in (True, False)
+
+
+# -- the shared chart tower ----------------------------------------------------------
+
+
+def reference_tower(cr, m, evars, killed=()):
+    """The chart tower without sharing: every ordering of the spawning
+    variables is recomputed, and the top level resolves over B itself."""
+    ring = cr.pres.ring
+    level = cr.pres.quotient([ring.var(k) for k in killed])
+    base_ok, base_cert = ch._tower_base(cr, m, level)
+    cert = {"base": base_cert, "spawning": []}
+    verdict = base_ok
+    for e in evars:
+        ze = ring.var(e)
+        if killed:
+            tz = ch._tor_against_quotient(cr, m, e, level)
+        else:
+            d2 = pa.syzygies_over(cr.pres, [ze], 1)
+            tz = ch._tensored_homology_is_zero(
+                m, [pa.transport_col(cr.to_c, s) for s in d2],
+                [cr.to_c.apply(ze)])
+        sub_m = ModulePresentation(
+            m.over.quotient([cr.to_c.apply(ze)]), m.rank, m.columns)
+        sub_ok, sub_cert = reference_tower(
+            cr, sub_m, [v for v in evars if v != e], tuple(killed) + (e,))
+        cert["spawning"].append({"variable": ring.names[e], "tor1_zero": tz,
+                                 "quotient": sub_cert})
+        verdict = verdict and tz and sub_ok
+    cert["verdict"] = verdict
+    return verdict, cert
+
+
+def kt_chart():
+    """Q = 0, P = N^3, A = k[t], C = k[t,x,y,z], b = (x, y, z): k[t] is the
+    base at every level of the tower."""
+    aring = PolyRing(pa.QQ, ["t"])
+    a = RingPresentation(aring, [])
+    cring = PolyRing(pa.QQ, ["t", "x", "y", "z"])
+    c = RingPresentation(cring, [])
+    h = MonoidHom(trivial_monoid(), nat_monoid(3), [])
+    f = RingMap(a, c, [cring.var(0)], check=False)
+    return ChartData(trivial_monoid(), nat_monoid(3), h, a, c, [],
+                     [cring.var(1), cring.var(2), cring.var(3)], f)
+
+
+def tower_case(source, which):
+    """(chart, module): a chart_criterion task of a gallery by index, or a
+    module over the nodal chart at units_rank 1 or over kt_chart by its
+    relation."""
+    if source == "nodal":
+        chart = unit_extension_chart(nodal_chart())
+    elif source == "kt":
+        chart = kt_chart()
+    else:
+        from logflat import cli
+        doc = cli.load_gallery(source)
+        ws = cli.Workspace(doc, pa.QQ)
+        tasks = [t for t in doc["tasks"] if t["kind"] == "chart_criterion"]
+        task = tasks[which]
+        return ws.get(task["chart"]), ws.get(task["module"])
+    return chart, ModulePresentation(
+        chart.c, 1, [chart.c.parse(which)] if which else [])
+
+
+class TestSharedTower:
+    @pytest.mark.parametrize("source, which", [
+        ("nodal", ""), ("nodal", "x + y"),
+        ("smooth-divisor", 0), ("smooth-divisor", 1), ("smooth-divisor", 2),
+        ("expanded-degeneration", 0), ("expanded-degeneration", 1),
+        ("kt", "t*x - y"), ("kt", "x*y*z - t")])
+    def test_matches_reference(self, source, which):
+        chart, m = tower_case(source, which)
+        cr = build_B(chart)
+        assert ch._tower(cr, m) == \
+            reference_tower(cr, m, list(cr.pvars))
+
+    def test_one_tor_test_per_killed_set_and_variable(self, monkeypatch):
+        chart = unit_extension_chart(nodal_chart())
+        cr = build_B(chart)
+        n_ideal = len(cr.pres.ideal)
+        calls = []
+        tor = ch._tor_against_quotient
+
+        def recording(cr, m, e, level):
+            killed = frozenset(next(iter(g))[0]
+                               for g in level.ideal[n_ideal:])
+            calls.append((killed, e))
+            return tor(cr, m, e, level)
+
+        monkeypatch.setattr(ch, "_tor_against_quotient", recording)
+        ch._tower(cr, ModulePresentation(chart.c, 1, []))
+        n = len(cr.pvars)
+        assert n == 4
+        assert len(calls) == len(set(calls)) == n * 2 ** (n - 1) == 32
+
+    def test_free_module_units_rank_2(self):
+        from logflat import cli
+        doc = cli.load_gallery("nodal-degeneration")
+        doc["objects"] += [
+            {"name": "Q", "kind": "monoid", "ambient_rank": 1,
+             "generators": [[1]]},
+            {"name": "P", "kind": "monoid", "ambient_rank": 2,
+             "generators": [[1, 0], [0, 1]]},
+            {"name": "h", "kind": "monoid_hom", "source": "Q", "target": "P",
+             "images": [[1, 1]]},
+            {"name": "A", "kind": "ring", "variables": [], "relations": []},
+            {"name": "node", "kind": "chart", "q": "Q", "p": "P", "h": "h",
+             "a": "A", "c": "B", "t": ["0"], "b": ["x", "y"], "f": []}]
+        doc["tasks"] = [{"kind": "chart_invariance", "chart": "node",
+                         "module": "structure", "units_rank": 2}]
+        report, code = cli.run_document(doc)
+        assert code == 0
+        result = report["tasks"][0]["result"]
+        assert result["invariant"] is True
+        assert result["certificate"]["verdicts"] == [True, True]

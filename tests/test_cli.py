@@ -94,6 +94,29 @@ class TestValidation:
         assert r.returncode == 2
         assert "graded_flat needs a monoid, chart or grading" in r.stderr
 
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    @pytest.mark.parametrize("rank", ["2", -1, True, 1.5, None])
+    def test_bad_units_rank_exits_2(self, tmp_path, command, rank):
+        # without the check "2" failed inside the task with TypeError and
+        # -1 with IndexError (exit 1)
+        doc = cli.load_gallery("smooth-divisor")
+        doc["tasks"] = [{"kind": "chart_invariance", "chart": "chart",
+                         "module": "free", "units_rank": rank}]
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        r = run_cli(command, str(f))
+        assert r.returncode == 2
+        assert "units_rank must be an integer >= 0" in r.stderr
+
+    @pytest.mark.parametrize("rank", [0, 1])
+    def test_units_rank_accepted(self, rank):
+        doc = cli.load_gallery("smooth-divisor")
+        doc["tasks"] = [{"kind": "chart_invariance", "chart": "chart",
+                         "module": "free", "units_rank": rank}]
+        report, code = cli.run_document(doc)
+        assert code == 0
+        assert report["tasks"][0]["result"]["invariant"] is True
+
     def test_optional_fields_may_be_absent(self):
         # chart_invariance derives chart2 from units_rank
         doc = cli.load_gallery("smooth-divisor")
