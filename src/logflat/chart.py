@@ -306,35 +306,6 @@ def log_flat_over_point(p_monoid: FineMonoid, m: ModulePresentation,
 # -- the second chart criterion ----------------------------------------------------
 
 
-def _tensored_homology_is_zero(m: ModulePresentation, a_cols, b_cols):
-    """H1 of  M^s2 -> M^s1 -> M  for the transported complex (b_cols: the s1
-    maps into M; a_cols: the s2 maps into M^s1)."""
-    over = m.over
-    r = m.rank
-    s1 = len(b_cols)
-    big_b = []
-    for j in range(s1):
-        for u in range(r):
-            big_b.append(_kron_block(b_cols[j], u, r))
-    mid_rels = []
-    for j in range(s1):
-        for rel in m.columns:
-            mid_rels.append({(mono, j * r + pos): c
-                             for (mono, pos), c in rel.items()})
-    big_a = []
-    for col in a_cols:
-        for u in range(r):
-            big_a.append(_kron_block(col, u, r))
-    out_rels = list(m.columns)
-    _, is_zero = pa.homology(over, big_a, s1 * r, mid_rels, big_b, r, out_rels)
-    return is_zero
-
-
-def _kron_block(col, u, r):
-    """Tensor a column of ring elements with the u-th basis vector of M."""
-    return {(mono, pos * r + u): c for (mono, pos), c in col.items()}
-
-
 def second_chart_criterion(chart: ChartData, m: ModulePresentation,
                            cr: ChartRing | None = None):
     """Log flatness over the chart base: graded flatness of M over (G, B),
@@ -423,12 +394,8 @@ def _tor_against_quotient(cr: ChartRing, m, e, level):
     """Tor_1^{B_level}(M, B_level/(z_e)) for the level presentation
     B_level = B/(killed variables), resolving over it and transporting the
     complex along B_level -> C/(their images), the ring of M."""
-    d1 = [cr.pres.ring.var(e)]
-    d2 = pa.syzygies_over(level, d1, 1)
     sub_map = RingMap(level, m.over, list(cr.to_c.images), check=False)
-    t_d1 = [sub_map.apply(g) for g in d1]
-    t_d2 = [pa.transport_col(sub_map, s) for s in d2]
-    return _tensored_homology_is_zero(m, t_d2, t_d1)
+    return pa.tor1_along(sub_map, [cr.pres.ring.var(e)], 1, m)[1]
 
 
 def _tower_base(cr: ChartRing, m: ModulePresentation, level):
@@ -492,19 +459,10 @@ def first_chart_criterion_instances(chart: ChartData, m: ModulePresentation,
     Not a decision procedure for flatness over A(h,t); each entry is an exact
     Tor vanishing computed by resolving over A(h,t) and transporting along
     the comparison map."""
-    aht, cpgp, comparison = build_A_ht(chart, field)
+    _, cpgp, comparison = build_A_ht(chart, field)
     mp = module_laurent_extension(m, cpgp, list(range(m.over.ring.nvars)))
-    results = []
-    for gens in ideal_lists:
-        d1 = [dict(g) for g in gens]
-        if not d1:
-            results.append(True)
-            continue
-        d2 = pa.syzygies_over(aht, d1, 1)
-        t_d1 = [comparison.apply(g) for g in d1]
-        t_d2 = [pa.transport_col(comparison, s) for s in d2]
-        results.append(_tensored_homology_is_zero(mp, t_d2, t_d1))
-    return results
+    return [pa.tor1_along(comparison, list(gens), 1, mp)[1]
+            for gens in ideal_lists]
 
 
 # -- chart-change invariance -------------------------------------------------------
@@ -709,12 +667,11 @@ def certify_unit(pres: RingPresentation, p):
     if basis is None:
         raise UnsupportedShape("unit certification needs a finite dimensional ring")
     field = pres.ring.field
-    cols = []
-    for mono, _ in basis:
-        prod = pres.nf(pres.ring.mul(p, pres.ring.monomial(mono)))
-        cols.append(_coords(prod, basis, field))
-    target = _coords(pres.nf(pres.ring.one()), basis, field)
-    sol = _solve_field(field, cols, target)
+    cols = [pa.coordinates(
+        field, pres.nf(pres.ring.mul(p, pres.ring.monomial(mono))), basis)
+        for mono, _ in basis]
+    target = pa.coordinates(field, pres.nf(pres.ring.one()), basis)
+    sol = pa.solve_linear(field, cols, target)
     if sol is None:
         raise HomotopyInvalid("element is not a unit")
     inv = pres.ring.zero()
@@ -722,50 +679,6 @@ def certify_unit(pres: RingPresentation, p):
         if not field.is_zero(c):
             inv = pres.ring.add(inv, pres.ring.monomial(mono, c))
     return Unit(pres, p, inv)
-
-
-def _coords(p, basis, field):
-    idx = {b: i for i, b in enumerate(basis)}
-    out = [field.zero()] * len(basis)
-    for k, c in p.items():
-        out[idx[k]] = c
-    return out
-
-
-def _solve_field(field, cols, target):
-    """Solve sum x_j cols_j = target by Gaussian elimination."""
-    if not cols:
-        return None
-    n = len(target)
-    k = len(cols)
-    rows = [[cols[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    piv = []
-    r = 0
-    for c in range(k):
-        sel = None
-        for i in range(r, n):
-            if not field.is_zero(rows[i][c]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i in range(n):
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(f, b))
-                           for a, b in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, n):
-        if not field.is_zero(rows[i][k]):
-            return None
-    out = [field.zero()] * k
-    for i, c in enumerate(piv):
-        out[c] = rows[i][k]
-    return out
 
 
 def try_nth_root(pres: RingPresentation, u: Unit, n):

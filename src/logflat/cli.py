@@ -86,6 +86,7 @@ def validate_file(doc):
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ValidationError("file must be a dict with version 1")
     kinds = {}
+    ring_vars = {}
     for obj in doc.get("objects", []):
         if "name" not in obj or "kind" not in obj:
             raise ValidationError("object without name or kind")
@@ -95,6 +96,10 @@ def validate_file(doc):
             raise ValidationError(f"duplicate name {obj['name']!r}")
         # objects are built in file order, so references point backwards
         _check_refs(obj, OBJECT_REFS[obj["kind"]], kinds)
+        if obj["kind"] == "ring":
+            ring_vars[obj["name"]] = _check_ring(obj)
+        elif obj["kind"] == "module":
+            _check_module(obj, ring_vars.get(obj["ring"]))
         kinds[obj["name"]] = obj["kind"]
     for task in doc.get("tasks", []):
         if task.get("kind") not in TASK_REFS:
@@ -137,6 +142,45 @@ def _check_refs(entry, refs, kinds):
             raise ValidationError(
                 f"{entry['kind']} {field!r} references {val!r}, a "
                 f"{kinds[val]}; expected {' or '.join(accepted)}")
+
+
+def _check_ring(obj):
+    """The ring's variable names, after checking that every relation is a
+    polynomial in them."""
+    names = obj.get("variables")
+    if not isinstance(names, list) or not all(
+            isinstance(v, str) for v in names):
+        raise ValidationError(
+            f"ring {obj['name']!r} needs a list of variable names")
+    _check_polys(obj, obj.get("relations", []), names)
+    return names
+
+
+def _check_module(obj, names):
+    """A rank >= 0, and relation columns with at most ``rank`` entries, each
+    a polynomial in ``names`` (unchecked when ``names`` is None: a module
+    over a gluing, whose variables exist only once the gluing is built)."""
+    rank = obj.get("rank")
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
+        raise ValidationError(
+            f"module {obj['name']!r} rank must be an integer >= 0, "
+            f"not {rank!r}")
+    for col in obj.get("relations", []):
+        if not isinstance(col, list) or len(col) > rank:
+            raise ValidationError(
+                f"module {obj['name']!r} relation {col!r} is not a list of "
+                f"at most {rank} entries")
+        if names is not None:
+            _check_polys(obj, [e for e in col if e], names)
+
+
+def _check_polys(obj, texts, names):
+    for text in texts:
+        try:
+            PolyRing(pa.QQ, names).parse(text)
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise ValidationError(f"{obj['kind']} {obj['name']!r}: bad "
+                                  f"polynomial {text!r}: {e}")
 
 
 class Workspace:

@@ -161,7 +161,7 @@ class GluingDatum:
         i1 = self._graph_ideal([p[0] for p in pairs], self.c1, znames, field)
         i2 = self._graph_ideal([p[1] for p in pairs], self.c2, znames, field)
         zring = PolyRing(field, znames)
-        inter = _ideal_intersection(zring, i1, i2)
+        inter = pa.ideal_intersection(RingPresentation(zring, []), i1, i2)
         self.c = RingPresentation(zring, inter)
         self.p1 = RingMap(self.c, self.c1, [p[0] for p in pairs], check=False)
         self.p2 = RingMap(self.c, self.c2, [p[1] for p in pairs], check=False)
@@ -199,9 +199,9 @@ class GluingDatum:
         the kernel-product identity (ker p_1)(ker p_2) = 0."""
         inj = all(
             self.c.is_zero(z) for z in
-            _ideal_intersection(self.c.ring,
-                                self.ker_p1 + [g for g in self.c.ideal],
-                                self.ker_p2 + [g for g in self.c.ideal]))
+            pa.ideal_intersection(RingPresentation(self.c.ring, []),
+                                  self.ker_p1 + self.c.ideal,
+                                  self.ker_p2 + self.c.ideal))
         prod_zero = all(
             self.c.is_zero(self.c.ring.mul(a, b))
             for a in self.ker_p1 for b in self.ker_p2)
@@ -211,18 +211,6 @@ class GluingDatum:
 def _same_quotient(a: RingPresentation, b: RingPresentation):
     return all(b.is_zero(g) for g in a.ideal) and \
         all(a.is_zero(g) for g in b.ideal)
-
-
-def _ideal_intersection(ring, gens1, gens2):
-    """I cap J via the kernel of R -> R/I (+) R/J."""
-    field = ring.field
-    free = RingPresentation(ring, [])
-    col = {((0,) * ring.nvars, 0): field.one(),
-           ((0,) * ring.nvars, 1): field.one()}
-    rels = [{(mono, 0): c for (mono, _), c in g.items()} for g in gens1]
-    rels += [{(mono, 1): c for (mono, _), c in g.items()} for g in gens2]
-    ker = pa.kernel_of_matrix(free, [col], 2, rels)
-    return [{(mono, 0): c for (mono, p), c in g.items()} for g in ker]
 
 
 # -- descent data ------------------------------------------------------------------
@@ -245,10 +233,8 @@ class DescentDatum:
 
     def reduction(self, which):
         """M_i / I_i M_i as a module over C_0."""
-        glue, m = (self.glue, self.m1) if which == 1 else (self.glue, self.m2)
-        f = glue.f1 if which == 1 else glue.f2
-        cols = [pa.transport_col(f, c) for c in m.columns]
-        return ModulePresentation(glue.c0, m.rank, cols)
+        return _base_change(self.glue.f1 if which == 1 else self.glue.f2,
+                            self.m1 if which == 1 else self.m2)
 
     def _check_invertible(self):
         r1 = self.reduction(1)
@@ -271,15 +257,15 @@ class DescentDatum:
 def _invert_module_map(phi_cols, m_from: ModulePresentation,
                        m_to: ModulePresentation):
     """Columns of an inverse map, or None (kernel and cokernel must vanish)."""
-    field = m_to.over.ring.field
-    nv = m_to.over.ring.nvars
+    ring = m_to.over.ring
     # surjectivity with witnesses: lift each basis vector of m_to
     inv_cols = []
-    lift_cols = phi_cols + m_to.columns
+    lift_cols = (phi_cols + m_to.columns
+                 + pa.ideal_rows(m_to.over.ideal, m_to.rank))
     for i in range(m_to.rank):
         target = m_to.basis_elem(i)
-        w = pa.lift_through(field, _with_ideal(m_to, lift_cols), m_to.rank,
-                            nv, m_to.over.ring.key, target)
+        w = pa.lift_through(ring.field, lift_cols, m_to.rank, ring.nvars,
+                            ring.key, target)
         if w is None:
             return None
         inv_cols.append({(mono, pos): c for (mono, pos), c in w.items()
@@ -291,29 +277,22 @@ def _invert_module_map(phi_cols, m_from: ModulePresentation,
     return inv_cols
 
 
-def _with_ideal(mp: ModulePresentation, cols):
-    out = list(cols)
-    for g in mp.over.ideal:
-        for i in range(mp.rank):
-            out.append({(mono, i): c for (mono, _), c in g.items()})
-    return out
-
-
 # -- the functors P and D ------------------------------------------------------------
 
 
 def pullback_P(glue: GluingDatum, m: ModulePresentation) -> DescentDatum:
     """P(M) = (M/I_2 M, M/I_1 M) with the canonical clutching."""
-    m1 = _restrict_along(glue.p1, glue.ker_p1, m)
-    m2 = _restrict_along(glue.p2, glue.ker_p2, m)
+    m1 = _base_change(glue.p1, m)
+    m2 = _base_change(glue.p2, m)
     phi = [ModulePresentation(glue.c0, m.rank, []).basis_elem(i)
            for i in range(m.rank)]
     return DescentDatum(glue, m1, m2, phi)
 
 
-def _restrict_along(proj: RingMap, ker, m: ModulePresentation):
-    cols = [pa.transport_col(proj, c) for c in m.columns]
-    return ModulePresentation(proj.target, m.rank, cols)
+def _base_change(rmap: RingMap, m: ModulePresentation):
+    """M (x)_R S for the ring map R -> S: M's columns carried along it."""
+    return ModulePresentation(rmap.target, m.rank,
+                              [pa.transport_col(rmap, c) for c in m.columns])
 
 
 def lift_coefficients(glue: GluingDatum, col, via):
@@ -334,9 +313,7 @@ def m0_over_c(glue: GluingDatum, d: DescentDatum):
     m0 = d.reduction(2)
     to0 = glue.to_c0()
     cols = [lift_coefficients(glue, c, to0) for c in m0.columns]
-    for z in kernel_of_ring_map(to0):
-        for j in range(m0.rank):
-            cols.append(_mul_basis(glue.c, z, j))
+    cols += pa.ideal_rows(kernel_of_ring_map(to0), m0.rank)
     return ModulePresentation(glue.c, m0.rank, cols)
 
 
@@ -361,38 +338,13 @@ def descend_D(d: DescentDatum) -> ModulePresentation:
 def _module_over_c(glue: GluingDatum, m1, m2):
     """M_1 (+) M_2 as a presented C-module: restriction of scalars along the
     surjections p_i, with kernel multiples as extra relations."""
-    c = glue.c
     r1, r2 = m1.rank, m2.rank
-    cols = []
-    for col in m1.columns:
-        cols.append(_lift_cols(glue, col, 1, r1, 0))
-    for z in glue.ker_p1:
-        for i in range(r1):
-            cols.append(_mul_basis(c, z, i))
-    for col in m2.columns:
-        cols.append(_lift_cols(glue, col, 2, r2, r1))
-    for z in glue.ker_p2:
-        for j in range(r2):
-            cols.append(_mul_basis(c, z, r1 + j))
-    return cols
-
-
-def _mul_basis(c, z, pos):
-    return {(mono, pos): cc for (mono, _), cc in z.items()}
-
-
-def _lift_cols(glue, col, which, rank, offset):
-    """Lift a column over C_i to C through the surjection p_i."""
-    proj = glue.p1 if which == 1 else glue.p2
-    field = glue.c.ring.field
-    out = {}
-    for (mono, pos), cc in col.items():
-        w = subalgebra_witness(proj, {(mono, 0): cc})
-        if w is None:
-            raise KernelNotFinitelyGenerated("failed to lift a coefficient")
-        out = m_add(field, out, {(mm, pos + offset): c2
-                                 for (mm, _), c2 in w.items()})
-    return out
+    second = ([lift_coefficients(glue, col, glue.p2) for col in m2.columns]
+              + pa.ideal_rows(glue.ker_p2, r2))
+    return ([lift_coefficients(glue, col, glue.p1) for col in m1.columns]
+            + pa.ideal_rows(glue.ker_p1, r1)
+            + [{(mono, pos + r1): c for (mono, pos), c in col.items()}
+               for col in second])
 
 
 # -- gates and roundtrips -------------------------------------------------------------
@@ -459,7 +411,7 @@ def _canonical_into_descent(glue, m: ModulePresentation, back):
         # the image of e_i is the pair (e_i, e_i): coordinates in C^{r1+r2}
         target = {((0,) * glue.c.ring.nvars, i): field.one()}
         target[( (0,) * glue.c.ring.nvars, r + i)] = field.one()
-        w = pa.lift_through(field, _with_ideal_c(glue, gens, 2 * r),
+        w = pa.lift_through(field, gens + pa.ideal_rows(glue.c.ideal, 2 * r),
                             2 * r, glue.c.ring.nvars, glue.c.ring.key, target)
         if w is None:
             return None
@@ -468,37 +420,18 @@ def _canonical_into_descent(glue, m: ModulePresentation, back):
     return cand
 
 
-def _with_ideal_c(glue, cols, rank):
-    out = list(cols)
-    for g in glue.c.ideal:
-        for i in range(rank):
-            out.append({(mono, i): c for (mono, _), c in g.items()})
-    return out
-
-
 def _pd_certificate(glue, d: DescentDatum):
     """PD(d) = d: the natural projections of D onto M_1 and M_2 are
     isomorphisms (kernel and cokernel vanish)."""
     back = descend_D(d)
     gens = back.descent_generators
     r1 = d.m1.rank
-    field = glue.c.ring.field
-    proj1_cols = []
-    proj2_cols = []
-    for g in gens:
-        c1_part = {}
-        c2_part = {}
-        for (mono, pos), c in g.items():
-            if pos < r1:
-                p = glue.p1.apply({(mono, 0): c})
-                c1_part = m_add(field, c1_part,
-                                {(mm, pos): cc for (mm, _), cc in p.items()})
-            else:
-                p = glue.p2.apply({(mono, 0): c})
-                c2_part = m_add(field, c2_part,
-                                {(mm, pos - r1): cc for (mm, _), cc in p.items()})
-        proj1_cols.append(c1_part)
-        proj2_cols.append(c2_part)
+    proj1_cols = [pa.transport_col(glue.p1, {
+        (mono, pos): c for (mono, pos), c in g.items() if pos < r1})
+        for g in gens]
+    proj2_cols = [pa.transport_col(glue.p2, {
+        (mono, pos - r1): c for (mono, pos), c in g.items() if pos >= r1})
+        for g in gens]
     m1_back = _restrict_presentation(glue, 1, back, proj1_cols, d.m1)
     m2_back = _restrict_presentation(glue, 2, back, proj2_cols, d.m2)
     return m1_back and m2_back
@@ -506,10 +439,7 @@ def _pd_certificate(glue, d: DescentDatum):
 
 def _restrict_presentation(glue, which, back, proj_cols, target):
     """Whether the projections define an isomorphism D (x)_C C_i -> M_i."""
-    proj = glue.p1 if which == 1 else glue.p2
-    source = ModulePresentation(
-        proj.target, back.rank,
-        [pa.transport_col(proj, c) for c in back.columns])
+    source = _base_change(glue.p1 if which == 1 else glue.p2, back)
     try:
         inv = _invert_module_map(proj_cols, source, target)
     except Exception:
@@ -520,6 +450,25 @@ def _restrict_presentation(glue, which, back, proj_cols, target):
 # -- Hom and Ext fiber products --------------------------------------------------------
 
 
+def _precomposition(cols, rank, n: ModulePresentation, bn):
+    """Precomposition Hom(R^rank, N) -> Hom(R^len(cols), N) with the matrix
+    of columns ``cols``, as a matrix over the k-basis ``bn`` of N: the
+    coordinate of b_u in the image of e_pos is unknown pos * len(bn) + u."""
+    field = n.over.ring.field
+    bidx = {b: i for i, b in enumerate(bn)}
+    nb = len(bn)
+    mat = [[field.zero()] * (rank * nb) for _ in range(len(cols) * nb)]
+    for j, col in enumerate(cols):
+        for (mono, pos), c in col.items():
+            for b_u, b in enumerate(bn):
+                prod = n.nf({(tuple(a + e for a, e in zip(b[0], mono)),
+                              b[1]): c})
+                for k, cc in prod.items():
+                    row, at = mat[j * nb + bidx[k]], pos * nb + b_u
+                    row[at] = field.add(row[at], cc)
+    return mat
+
+
 def _hom_space(m: ModulePresentation, n: ModulePresentation):
     """Basis of Hom(M, N) as a k-space (finite dimensional target only).
 
@@ -528,55 +477,8 @@ def _hom_space(m: ModulePresentation, n: ModulePresentation):
     bn = n.kbasis()
     if bn is None:
         raise NotFiniteDimensional("Hom needs a finite dimensional target")
-    field = n.over.ring.field
-    bidx = {b: i for i, b in enumerate(bn)}
-    unknowns = m.rank * len(bn)
-    mat_rows = []
-    for col in m.columns:
-        block = [[field.zero()] * unknowns for _ in range(len(bn))]
-        for (mono, pos), c in col.items():
-            for b_u, b in enumerate(bn):
-                prod = n.nf({(tuple(a + e for a, e in zip(b[0], mono)),
-                              b[1]): c})
-                for k, cc in prod.items():
-                    block[bidx[k]][pos * len(bn) + b_u] = field.add(
-                        block[bidx[k]][pos * len(bn) + b_u], cc)
-        mat_rows.extend(block)
-    basis = _nullspace(field, mat_rows, unknowns)
-    return basis, bn
-
-
-def _nullspace(field, rows, ncols):
-    mat = [list(r) for r in rows]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(mat)):
-            if not field.is_zero(mat[i][c]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(inv, v) for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not field.is_zero(mat[i][c]):
-                f = mat[i][c]
-                mat[i] = [field.sub(a, field.mul(f, b))
-                          for a, b in zip(mat[i], mat[r])]
-        piv_cols.append(c)
-        r += 1
-    free_cols = [c for c in range(ncols) if c not in piv_cols]
-    basis = []
-    for fc in free_cols:
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
-        for i, pc in enumerate(piv_cols):
-            v[pc] = field.neg(mat[i][fc])
-        basis.append(v)
-    return basis
+    mat = _precomposition(m.columns, m.rank, n, bn)
+    return pa.nullspace(n.over.ring.field, mat, m.rank * len(bn)), bn
 
 
 def hom_dimension(m, n):
@@ -596,33 +498,11 @@ def ext1_dimension(m: ModulePresentation, n: ModulePresentation):
     if bn is None:
         raise NotFiniteDimensional("Ext needs finite dimensional modules")
     field = over.ring.field
-    f0, f1, f2 = m.rank, len(d1), len(d2)
-    bidx = {b: i for i, b in enumerate(bn)}
-
-    def compose_matrix(cols, src_rank, tgt_rank):
-        """Precomposition Hom(R^tgt, N) -> Hom(R^src, N) in the bn-basis."""
-        nin = tgt_rank * len(bn)
-        nout = src_rank * len(bn)
-        mat = [[field.zero()] * nin for _ in range(nout)]
-        for j, col in enumerate(cols):
-            for (mono, pos), c in col.items():
-                for b_u, b in enumerate(bn):
-                    prod = n.nf(
-                        {(tuple(a + e for a, e in zip(b[0], mono)), b[1]): c})
-                    for k, cc in prod.items():
-                        out_idx = j * len(bn) + bidx[k]
-                        in_idx = pos * len(bn) + b_u
-                        mat[out_idx][in_idx] = field.add(mat[out_idx][in_idx],
-                                                         cc)
-        return mat, nin
-
-    m1, n_in1 = compose_matrix(d1, f1, f0)   # Hom(F0,N) -> Hom(F1,N)
-    if f2 == 0:
-        ker2_dim = f1 * len(bn)
-    else:
-        m2, n_in2 = compose_matrix(d2, f2, f1)   # Hom(F1,N) -> Hom(F2,N)
-        ker2_dim = len(_nullspace(field, m2, n_in2))
-    rank1 = n_in1 - len(_nullspace(field, m1, n_in1))
+    f0, f1 = m.rank * len(bn), len(d1) * len(bn)
+    ker2_dim = len(pa.nullspace(field, _precomposition(d2, len(d1), n, bn),
+                                f1))
+    rank1 = f0 - len(pa.nullspace(field, _precomposition(d1, m.rank, n, bn),
+                                  f0))
     return ker2_dim - rank1
 
 
@@ -681,7 +561,7 @@ def _fiber_dimension(glue, dm, dn, h1, h2, h0):
         row = [rows[i][t] for i in range(len(b1))] + \
               [field.neg(rows2[j][t]) for j in range(len(b2))]
         mat.append(row)
-    null = _nullspace(field, mat, len(b1) + len(b2))
+    null = pa.nullspace(field, mat, len(b1) + len(b2))
     return len(null)
 
 
@@ -697,64 +577,18 @@ def _restrict_hom(glue, which, dm, dn, v, bn_i, bn0, b0):
     imgs0 = []
     for pos in range(m_i.rank):
         vec = v[pos * len(bn_i):(pos + 1) * len(bn_i)]
-        img = {}
-        for coeff, b in zip(vec, bn_i):
-            if field.is_zero(coeff):
-                continue
-            p0 = f.apply({(b[0], 0): coeff})
-            img = m_add(field, img, {(mm, b[1]): cc for (mm, _), cc in p0.items()})
-        imgs0.append(n0.nf(img))
+        imgs0.append(n0.nf(pa.transport_col(f, {
+            b: coeff for coeff, b in zip(vec, bn_i)
+            if not field.is_zero(coeff)})))
     # express through the hom basis b0 by matching generator images
     target = []
     for pos in range(m0.rank):
-        target.append(_coords_in(n0, imgs0[pos], bn0, field))
+        target.append(pa.coordinates(field, imgs0[pos], bn0))
     flat_target = [c for vec in target for c in vec]
     cols = []
     for w in b0:
         cols.append(list(w))
-    sol = _solve_linear(field, cols, flat_target)
+    sol = pa.solve_linear(field, cols, flat_target)
     if sol is None:
         raise AssertionError("restriction misses the hom space")
     return sol
-
-
-def _coords_in(n0, img, bn0, field):
-    out = [field.zero()] * len(bn0)
-    for k, c in n0.nf(img).items():
-        out[bn0.index(k)] = c
-    return out
-
-
-def _solve_linear(field, cols, target):
-    if not cols:
-        return [] if all(field.is_zero(t) for t in target) else None
-    n = len(target)
-    k = len(cols)
-    rows = [[cols[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    piv = []
-    r = 0
-    for c in range(k):
-        sel = None
-        for i in range(r, n):
-            if not field.is_zero(rows[i][c]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i in range(n):
-            if i != r and not field.is_zero(rows[i][c]):
-                fac = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(fac, b))
-                           for a, b in zip(rows[i], rows[r])]
-        piv.append(c)
-        r += 1
-    for i in range(r, n):
-        if not field.is_zero(rows[i][k]):
-            return None
-    out = [field.zero()] * k
-    for i, c in enumerate(piv):
-        out[c] = rows[i][k]
-    return out

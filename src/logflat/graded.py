@@ -304,7 +304,6 @@ def _flat_over_base(m: ModulePresentation, pres: RingPresentation, base,
     ring = pres.ring
     base_names = [ring.names[i] for i in avars]
     base_ring = PolyRing(ring.field, base_names)
-    reindex = {v: i for i, v in enumerate(avars)}
     base_ideal = []
     for g in contraction:
         base_ideal.append({(tuple(mono[v] for v in avars), 0): c
@@ -346,10 +345,8 @@ def flat_over_kt(m: ModulePresentation, t_index):
             out[key] = rf.add(cur, rf.from_poly(coeff_poly))
         return {k: v for k, v in out.items() if not rf.is_zero(v)}
 
-    rels = [transport(c) for c in m.columns]
-    for g in m.over.ideal:
-        for i in range(m.rank):
-            rels.append(transport({(mono, i): c for (mono, _), c in g.items()}))
+    rels = [transport(c)
+            for c in m.columns + pa.ideal_rows(m.over.ideal, m.rank)]
     buchberger(rf, [r for r in rels if r], module_key(pa.degrevlex_key))
     fstar_u = (base.one(),)
     for p in collected:
@@ -469,21 +466,8 @@ def _annihilator(m: ModulePresentation):
         if out is None:
             out = gens
         else:
-            out = _ideal_intersection(over, out, gens)
+            out = pa.ideal_intersection(over, out, gens)
     return out or [over.ring.one()]
-
-
-def _ideal_intersection(over: RingPresentation, gens1, gens2):
-    """I cap J as the kernel of R -> R/I (+) R/J."""
-    field = over.ring.field
-    cols = []
-    col = {}
-    col[(_zero_mono(over), 0)] = field.one()
-    col[(_zero_mono(over), 1)] = field.one()
-    rels = [{(mono, 0): c for (mono, _), c in g.items()} for g in gens1]
-    rels += [{(mono, 1): c for (mono, _), c in g.items()} for g in gens2]
-    ker = pa.kernel_of_matrix(over, [col], 2, rels)
-    return [{(mono, 0): c for (mono, p), c in g.items()} for g in ker]
 
 
 # -- group algebras --------------------------------------------------------------

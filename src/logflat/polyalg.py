@@ -11,7 +11,6 @@ order is degree-reverse-lexicographic with ties by position.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .qcone import clear_denominators
@@ -322,14 +321,6 @@ def block_key(ring_key, cut):
 
 
 # -- module-element arithmetic ---------------------------------------------------
-
-
-def m_zero():
-    return {}
-
-
-def m_is_zero(f):
-    return not f
 
 
 def m_add(field, f, g):
@@ -848,12 +839,7 @@ class ModulePresentation:
         self._lts = None
 
     def _full_relations(self):
-        rels = list(self.columns)
-        nv = self.over.ring.nvars
-        for g in self.over.ideal:
-            for i in range(self.rank):
-                rels.append({(m, i): c for (m, _), c in g.items()})
-        return rels
+        return self.columns + ideal_rows(self.over.ideal, self.rank)
 
     def gb(self):
         if self._gb is None:
@@ -890,6 +876,23 @@ class ModulePresentation:
 # -- kernels, homology, Tor ----------------------------------------------------
 
 
+def ideal_rows(gens, rank):
+    """The relations g e_i of (ideal) R^rank: each generator g in each
+    position i, generator by generator."""
+    return [{(m, i): c for (m, _), c in g.items()}
+            for g in gens for i in range(rank)]
+
+
+def ideal_intersection(over: RingPresentation, gens1, gens2):
+    """Generators of I cap J, as the kernel of R -> R/I (+) R/J."""
+    one = (0,) * over.ring.nvars
+    col = {(one, 0): over.ring.field.one(), (one, 1): over.ring.field.one()}
+    rels = [{(mono, 0): c for (mono, _), c in g.items()} for g in gens1]
+    rels += [{(mono, 1): c for (mono, _), c in g.items()} for g in gens2]
+    ker = kernel_of_matrix(over, [col], 2, rels)
+    return [{(mono, 0): c for (mono, _), c in g.items()} for g in ker]
+
+
 def syzygies_over(over: RingPresentation, cols, rank):
     """Syzygies of the columns over the presented ring (ideal absorbed)."""
     return kernel_of_matrix(over, cols, rank)
@@ -908,13 +911,9 @@ def kernel_of_matrix(over: RingPresentation, cols, out_rank, out_relations=()):
     """Generators of {x in R^k : sum x_i cols_i lies in the span of
     out_relations} (the ideal is always absorbed)."""
     field = over.ring.field
-    nv = over.ring.nvars
-    extra = list(out_relations)
-    for g in over.ideal:
-        for i in range(out_rank):
-            extra.append({(m, i): c for (m, _), c in g.items()})
-    all_cols = list(cols) + extra
-    syz = syzygies(field, all_cols, out_rank, nv, over.ring.key)
+    all_cols = (list(cols) + list(out_relations)
+                + ideal_rows(over.ideal, out_rank))
+    syz = syzygies(field, all_cols, out_rank, over.ring.nvars, over.ring.key)
     k = len(cols)
     out = []
     for s in syz:
@@ -965,37 +964,52 @@ def homology(over: RingPresentation, a_cols, mid_rank, mid_relations,
     return ModulePresentation(over, len(kgens), rels), is_zero
 
 
-def tor1(m: ModulePresentation, j_gens, return_presentation=True):
-    """Tor_1^R(M, R/J) for the presented module M and ideal J of R.
+def tor1_along(rmap: RingMap, cols, rank, n: ModulePresentation):
+    """Tor_1^R(coker(R^a --cols--> R^rank), N) for a module N over
+    S = ``rmap.target``, with R = ``rmap.source``.
 
-    Two syzygy steps: F2 -> F1 -> F0 -> M, tensored with R/J, homology at F1.
+    The cokernel is resolved over R as F2 --d2--> F1 = R^a --cols--> F0 =
+    R^rank, d2 from one syzygy computation.  Both maps are carried along
+    ``rmap`` and tensored with N: F_i (x) N is a sum of copies of N, one
+    block of n.rank positions per basis vector of F_i, presented over S by
+    N's relations in every block, and a column d of a map becomes the block
+    columns d (x) e_u, one per basis vector e_u of N.  Tor_1 is the
+    homology at F1 (x) N; a free cokernel (no columns) has none.
+
+    Returns (presentation over S, is_zero)."""
+    if not cols:
+        return ModulePresentation(rmap.target, 0, []), True
+    r = n.rank
+
+    def tensored(d):
+        return [{(mono, pos * r + u): c
+                 for (mono, pos), c in transport_col(rmap, col).items()}
+                for col in d for u in range(r)]
+
+    def relation_blocks(count):
+        return [{(mono, j * r + pos): c for (mono, pos), c in rel.items()}
+                for j in range(count) for rel in n.columns]
+
+    d2 = syzygies_over(rmap.source, cols, rank)
+    return homology(rmap.target, tensored(d2), len(cols) * r,
+                    relation_blocks(len(cols)), tensored(cols), rank * r,
+                    relation_blocks(rank))
+
+
+def tor1(m: ModulePresentation, j_gens):
+    """Tor_1^R(M, R/J) for the presented module M and ideal J of R: M
+    resolved over R and tensored with R/J along the quotient map.
+
     Returns (presentation over R/J, is_zero)."""
-    over = m.over
-    rq = over.quotient(j_gens)
-    d1 = list(m.columns)  # F1 = R^a -> F0 = R^rank
-    a = len(d1)
-    if a == 0:
-        return ModulePresentation(rq, 0, []), True
-    d2 = syzygies_over(over, d1, m.rank)
-    # over R/J now
-    j_relations = []
-    for g in j_gens:
-        for i in range(m.rank):
-            j_relations.append({(mm, i): c for (mm, _), c in g.items()})
-    mid_rels = []
-    for g in j_gens:
-        for i in range(a):
-            mid_rels.append({(mm, i): c for (mm, _), c in g.items()})
-    return homology(rq, d2, a, mid_rels, d1, m.rank, [])
+    ring = m.over.ring
+    rq = m.over.quotient(j_gens)
+    to_rq = RingMap(m.over, rq, [ring.var(i) for i in range(ring.nvars)],
+                    check=False)
+    return tor1_along(to_rq, m.columns, m.rank, ModulePresentation(rq, 1))
 
 
 def tor1_is_zero(m: ModulePresentation, j_gens):
     return tor1(m, j_gens)[1]
-
-
-def tor1_dim(m: ModulePresentation, j_gens):
-    pres, _ = tor1(m, j_gens)
-    return pres.dim()
 
 
 def tor1_via_resolution(n: ModulePresentation, algebra_map: RingMap):
@@ -1003,16 +1017,8 @@ def tor1_via_resolution(n: ModulePresentation, algebra_map: RingMap):
     computed by resolving N over R and transporting the complex to A.
 
     Returns (presentation over A, is_zero)."""
-    over = n.over
-    d1 = list(n.columns)
-    a = len(d1)
-    if a == 0:
-        target = algebra_map.target
-        return ModulePresentation(target, 0, []), True
-    d2 = syzygies_over(over, d1, n.rank)
-    t_d1 = [transport_col(algebra_map, col) for col in d1]
-    t_d2 = [transport_col(algebra_map, col) for col in d2]
-    return homology(algebra_map.target, t_d2, a, [], t_d1, n.rank, [])
+    return tor1_along(algebra_map, n.columns, n.rank,
+                      ModulePresentation(algebra_map.target, 1))
 
 
 def transport_col(rmap: RingMap, col):
@@ -1088,6 +1094,76 @@ def vector_space_basis(over: RingPresentation, rank, rel_cols):
 def vector_space_dimension(over, rank, rel_cols):
     b = vector_space_basis(over, rank, rel_cols)
     return None if b is None else len(b)
+
+
+# -- linear algebra over the field -----------------------------------------------
+
+
+def coordinates(field, v, basis):
+    """The coefficients of v, a combination of the terms in ``basis`` (a
+    normal form against a standard-monomial basis), in basis order."""
+    idx = {b: i for i, b in enumerate(basis)}
+    out = [field.zero()] * len(basis)
+    for k, c in v.items():
+        out[idx[k]] = c
+    return out
+
+
+def row_reduce(field, rows, ncols):
+    """Gauss-Jordan elimination over ``field``, pivoting in the first
+    ``ncols`` columns only; entries past them (a right-hand side, say) are
+    carried along.
+
+    Returns (rows, pivots): the reduced rows, a new list whose first
+    len(pivots) rows hold a leading 1 in the pivot column of the same index
+    and zeros in every other pivot column, and whose remaining rows are zero
+    in the first ``ncols`` columns."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows))
+                    if not field.is_zero(rows[i][c])), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, v) for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and not field.is_zero(row[c]):
+                f = row[c]
+                rows[i] = [field.sub(a, field.mul(f, b))
+                           for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def solve_linear(field, cols, target):
+    """A solution x of sum_j x_j cols_j = target, with every free unknown
+    zero, or None if there is none."""
+    k = len(cols)
+    rows, pivots = row_reduce(
+        field, [[col[i] for col in cols] + [t] for i, t in enumerate(target)],
+        k)
+    if any(not field.is_zero(row[k]) for row in rows[len(pivots):]):
+        return None
+    x = [field.zero()] * k
+    for row, c in zip(rows, pivots):
+        x[c] = row[k]
+    return x
+
+
+def nullspace(field, rows, ncols):
+    """A basis of {x : rows x = 0}, one vector per non-pivot column."""
+    rows, pivots = row_reduce(field, rows, ncols)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        v = [field.zero()] * ncols
+        v[free] = field.one()
+        for row, c in zip(rows, pivots):
+            v[c] = field.neg(row[free])
+        basis.append(v)
+    return basis
 
 
 def eliminate_ideal(pres: RingPresentation, keep):

@@ -279,6 +279,15 @@ class TestUnits:
         with pytest.raises(Exception):
             certify_unit(ext.aprime, ext.aprime.parse("e"))
 
+    def test_zero_ring_unit(self):
+        # every element of the zero ring k[x]/(1) is a unit, with inverse 0
+        ring = PolyRing(pa.QQ, ["x"])
+        zero_ring = RingPresentation(ring, [ring.one()])
+        u = certify_unit(zero_ring, ring.var(0))
+        assert u.val == ring.var(0)
+        assert u.inv == {}
+        assert zero_ring.eq(ring.mul(u.val, u.inv), ring.one())
+
     def test_nth_root_char0(self):
         ext = eps_extension()
         u = certify_unit(ext.aprime, ext.aprime.parse("1 + e"))
@@ -460,23 +469,53 @@ class TestFreeCertificate:
 # -- the shared chart tower ----------------------------------------------------------
 
 
+def _tensored_homology_is_zero(m: ModulePresentation, a_cols, b_cols):
+    """H1 of  M^s2 -> M^s1 -> M  for the transported complex (b_cols: the s1
+    maps into M; a_cols: the s2 maps into M^s1)."""
+    over = m.over
+    r = m.rank
+    s1 = len(b_cols)
+    big_b = []
+    for j in range(s1):
+        for u in range(r):
+            big_b.append(_kron_block(b_cols[j], u, r))
+    mid_rels = []
+    for j in range(s1):
+        for rel in m.columns:
+            mid_rels.append({(mono, j * r + pos): c
+                             for (mono, pos), c in rel.items()})
+    big_a = []
+    for col in a_cols:
+        for u in range(r):
+            big_a.append(_kron_block(col, u, r))
+    out_rels = list(m.columns)
+    _, is_zero = pa.homology(over, big_a, s1 * r, mid_rels, big_b, r, out_rels)
+    return is_zero
+
+
+def _kron_block(col, u, r):
+    """Tensor a column of ring elements with the u-th basis vector of M."""
+    return {(mono, pos * r + u): c for (mono, pos), c in col.items()}
+
+
 def reference_tower(cr, m, evars, killed=()):
-    """The chart tower without sharing: every ordering of the spawning
-    variables is recomputed, and the top level resolves over B itself."""
+    """The chart tower without sharing, through the earlier Tor code: every
+    ordering of the spawning variables is recomputed, and each Tor test
+    resolves z_e over its level (over B itself at the top), transports the
+    complex to the ring of M and tensors it with M by
+    ``_tensored_homology_is_zero``."""
     ring = cr.pres.ring
     level = cr.pres.quotient([ring.var(k) for k in killed])
     base_ok, base_cert = ch._tower_base(cr, m, level)
     cert = {"base": base_cert, "spawning": []}
     verdict = base_ok
+    to_m = (RingMap(level, m.over, list(cr.to_c.images), check=False)
+            if killed else cr.to_c)
     for e in evars:
         ze = ring.var(e)
-        if killed:
-            tz = ch._tor_against_quotient(cr, m, e, level)
-        else:
-            d2 = pa.syzygies_over(cr.pres, [ze], 1)
-            tz = ch._tensored_homology_is_zero(
-                m, [pa.transport_col(cr.to_c, s) for s in d2],
-                [cr.to_c.apply(ze)])
+        d2 = pa.syzygies_over(to_m.source, [ze], 1)
+        tz = _tensored_homology_is_zero(
+            m, [pa.transport_col(to_m, s) for s in d2], [to_m.apply(ze)])
         sub_m = ModulePresentation(
             m.over.quotient([cr.to_c.apply(ze)]), m.rank, m.columns)
         sub_ok, sub_cert = reference_tower(

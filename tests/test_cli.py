@@ -132,6 +132,25 @@ class TestValidation:
                           "grading": "G"}]}
         cli.validate_file(doc)
 
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    @pytest.mark.parametrize("obj, field, value, message", [
+        # without the checks: an all-true nodal panel with exit 0, a task
+        # error "matrix does not define a map of presented modules" (exit
+        # 1), and an uncaught "unknown variable 'z'" traceback
+        (1, "rank", -1, "rank must be an integer >= 0, not -1"),
+        (1, "relations", [["x", "y"]], "is not a list of at most 1 entries"),
+        (0, "relations", ["x*z"], "unknown variable 'z'"),
+    ])
+    def test_bad_ring_or_module_exits_2(self, tmp_path, command, obj, field,
+                                        value, message):
+        doc = json.loads(json.dumps(NODAL_FILE))
+        doc["objects"][obj][field] = value
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        r = run_cli(command, str(f))
+        assert r.returncode == 2
+        assert message in r.stderr
+
     def test_empty_tasks_exit_0(self, tmp_path):
         doc = {"version": 1, "objects": [], "tasks": []}
         f = tmp_path / "empty.json"

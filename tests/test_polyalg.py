@@ -523,3 +523,144 @@ def test_reduced_basis_matches_sympy(polys):
                       for m, c in sympy.Poly(p, *xs, domain="QQ").terms()})
         for p in sympy.groebner(exprs, *xs, order="grevlex", domain="QQ").exprs)
     assert ours == theirs
+
+
+# -- Tor_1 against the earlier code and by symmetry --------------------------------
+
+
+def _reference_tor1(m, j_gens):
+    """The earlier ``tor1``, kept as the reference for ``tor1_along``: it
+    takes the homology over R/J of the resolution over R as it is, with the
+    J multiples of the middle relations written out."""
+    over = m.over
+    rq = over.quotient(j_gens)
+    d1 = list(m.columns)  # F1 = R^a -> F0 = R^rank
+    a = len(d1)
+    if a == 0:
+        return ModulePresentation(rq, 0, []), True
+    d2 = syzygies_over(over, d1, m.rank)
+    mid_rels = []
+    for g in j_gens:
+        for i in range(a):
+            mid_rels.append({(mm, i): c for (mm, _), c in g.items()})
+    return pa.homology(rq, d2, a, mid_rels, d1, m.rank, [])
+
+
+@st.composite
+def tor_problems(draw):
+    """Two modules of rank 1 or 2 over k[x,y] or k[x,y]/(xy), k = QQ or F_5,
+    with one or two relations each, and one or two generators of an ideal J;
+    every relation and generator is drawn nonzero (one or two terms)."""
+    field = draw(st.sampled_from([QQ, FieldFp(5)]))
+    r = ring(["x", "y"], field)
+    over = RingPresentation(r, draw(st.sampled_from([[], [r.parse("x*y")]])))
+
+    def element(rank):
+        term = st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         st.integers(0, rank - 1),
+                         st.sampled_from([1, 2, -1, -3]))
+        g = {}
+        for mono, pos, c in draw(st.lists(term, min_size=1, max_size=2)):
+            g = pa.m_add(field, g, {(mono, pos): field.of_int(c)})
+        return g
+
+    def elements(rank):
+        return [element(rank) for _ in range(draw(st.integers(1, 2)))]
+
+    def module():
+        rank = draw(st.integers(1, 2))
+        return ModulePresentation(over, rank, elements(rank))
+
+    return module(), module(), elements(1)
+
+
+def _identity(over):
+    return RingMap(over, over,
+                   [over.ring.var(i) for i in range(over.ring.nvars)],
+                   check=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tor_problems())
+def test_tor1_matches_reference(problem):
+    # tor1 tensors with R/J as a free module over R/J; tor1_along over the
+    # identity of R tensors with R/J as the module coker(R --J--> R)
+    m, _, j = problem
+    ref, ref_zero = _reference_tor1(m, j)
+    for pres, is_zero in (
+            tor1(m, j),
+            pa.tor1_along(_identity(m.over), m.columns, m.rank,
+                          ModulePresentation(m.over, 1, j))):
+        assert is_zero == ref_zero
+        assert pres.dim() == ref.dim()
+
+
+@settings(max_examples=60, deadline=None)
+@given(tor_problems())
+def test_tor1_along_is_symmetric(problem):
+    # Tor_1(A, N) and Tor_1(N, A): resolve either module, tensor with the
+    # other
+    a, n, _ = problem
+    ab, ab_zero = pa.tor1_along(_identity(a.over), a.columns, a.rank, n)
+    ba, ba_zero = pa.tor1_along(_identity(a.over), n.columns, n.rank, a)
+    assert ab_zero == ba_zero
+    assert ab.dim() == ba.dim()
+
+
+# -- linear algebra against sympy ------------------------------------------------
+
+
+@st.composite
+def linear_systems(draw):
+    """A small integer matrix, a right-hand side, and QQ or F_5."""
+    field = draw(st.sampled_from([QQ, FieldFp(5)]))
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    entry = st.integers(-3, 3)
+    mat = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                        min_size=nrows, max_size=nrows))
+    return field, mat, ncols, draw(st.lists(entry, min_size=nrows,
+                                            max_size=nrows))
+
+
+def _sympy_rank(field, mat, ncols):
+    """The rank over ``field``, by sympy, of a matrix of rationals (integers
+    for F_p)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    dom = sympy.QQ if field.char == 0 else sympy.GF(field.p)
+
+    def entry(v):
+        v = Fraction(v)
+        return dom.from_sympy(sympy.Rational(v.numerator, v.denominator))
+
+    return DomainMatrix([[entry(v) for v in row] for row in mat],
+                        (len(mat), ncols), dom).rank()
+
+
+def _dot(field, row, x):
+    out = field.zero()
+    for a, b in zip(row, x):
+        out = field.add(out, field.mul(a, b))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_systems())
+def test_nullspace_and_solve_linear_match_sympy(system):
+    field, mat, ncols, target = system
+    rows = [[field.of_int(v) for v in row] for row in mat]
+    b = [field.of_int(t) for t in target]
+    rank = _sympy_rank(field, mat, ncols)
+    null = pa.nullspace(field, rows, ncols)
+    assert len(null) == ncols - rank
+    assert all(field.is_zero(_dot(field, row, v))
+               for v in null for row in rows)
+    assert _sympy_rank(field, null, ncols) == len(null)
+    cols = [[row[j] for row in rows] for j in range(ncols)]
+    x = pa.solve_linear(field, cols, b)
+    grows = _sympy_rank(field, [row + [t] for row, t in zip(mat, target)],
+                        ncols + 1) > rank
+    assert (x is None) == grows
+    if x is not None:
+        assert len(x) == ncols
+        assert all(field.eq(_dot(field, row, x), t) for row, t in zip(rows, b))
