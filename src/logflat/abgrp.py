@@ -7,6 +7,14 @@ torsion coordinates reduced into [0, d_i).
 
 Everything here is built on one primitive: the Smith normal form with its
 unimodular transforms, computed with arbitrary-precision integers.
+
+This module is the integer-lattice layer of the package.  A list of elements
+of a group G is the hom ``GroupHom(FgAbGroup.free(n), G, elements)``, and
+only this module solves its stacked system [elements | relations of G]:
+``preimage`` writes an element over the list, ``kernel_lattice`` gives the
+relations among the list, ``image`` the subgroup it generates, and
+``pushout`` glues two groups along pairs of elements.  Monoids, modules,
+gradings and charts call these and never build the system themselves.
 """
 
 from __future__ import annotations
@@ -224,6 +232,8 @@ def smith_normal_form(m: IntMatrix):
 
 def solve_integer(m: IntMatrix, b):
     """One integer solution x of m*x = b, or None if there is none."""
+    if not m.cols:
+        return () if not any(b) else None
     u, d, v = smith_normal_form(m)
     ub = u.apply(tuple(b))
     y = [0] * m.cols
@@ -248,14 +258,6 @@ def integer_kernel(m: IntMatrix):
         if dj == 0:
             basis.append(v.column(j))
     return basis
-
-
-def lattice_contains(basis_cols, vec):
-    """Whether vec lies in the Z-span of the given columns."""
-    if not basis_cols:
-        return all(x == 0 for x in vec)
-    m = IntMatrix.from_columns(basis_cols)
-    return solve_integer(m, vec) is not None
 
 
 class FgAbGroup:
@@ -403,7 +405,10 @@ class FgAbGroup:
         lift is a section of it (exact on canonical representatives).
         """
         cols = [tuple(c) for c in relation_cols]
-        m = IntMatrix.from_columns(cols, nrows=n) if cols else IntMatrix.zero(n, 0)
+        if not cols:
+            ident = IntMatrix.identity(n)
+            return cls.free(n), ident, ident
+        m = IntMatrix.from_columns(cols, nrows=n)
         u, d, _ = smith_normal_form(m)
         diag = [d[i, i] for i in range(min(n, m.cols))]
         free_pos = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
@@ -449,6 +454,7 @@ class GroupHom:
     def __post_init__(self):
         imgs = tuple(self.target.reduce(v) for v in self.images)
         object.__setattr__(self, "images", imgs)
+        object.__setattr__(self, "_memo", {})  # kernel_lattice and image
         if len(imgs) != self.source.dim:
             raise ValueError("need one image per generator")
         for i, img in enumerate(imgs):
@@ -486,8 +492,7 @@ class GroupHom:
         """Matrix [images | target relations]; solutions mod source give preimages."""
         cols = [list(v) for v in self.images] + \
                [list(c) for c in self.target.relation_columns()]
-        return IntMatrix.from_columns(cols, nrows=self.target.dim) if cols \
-            else IntMatrix.zero(self.target.dim, 0)
+        return IntMatrix.from_columns(cols, nrows=self.target.dim)
 
     def preimage(self, y):
         """Some x with self(x) = y, or None."""
@@ -498,11 +503,37 @@ class GroupHom:
             return None
         return self.source.reduce(sol[:self.source.dim])
 
+    def kernel_lattice(self):
+        """Basis of {a in Z^n : sum a_i images_i = 0 in the target}, n the
+        source dimension: the kernel of the stacked system cut to its first
+        n coordinates, zero vectors dropped.  Computed once per hom."""
+        if "lattice" not in self._memo:
+            n = self.source.dim
+            self._memo["lattice"] = [] if not n else [
+                k[:n] for k in integer_kernel(self._stacked_system()) if any(k[:n])]
+        return self._memo["lattice"]
+
+    def image(self):
+        """(H, inclusion H -> target, lift) for the subgroup H generated by
+        the images of a free source: H = Z^n / kernel_lattice(), and column
+        j of lift writes the j-th canonical generator of H over the images.
+        Computed once per hom."""
+        if "image" not in self._memo:
+            h, _, lift = FgAbGroup.from_relations(self.source.dim,
+                                                  self.kernel_lattice())
+            amb = self.target
+            imgs = []
+            for j in range(h.dim):
+                v = amb.zero()
+                for c, g in zip(lift.column(j), self.images):
+                    v = amb.add(v, amb.scale(c, g))
+                imgs.append(v)
+            self._memo["image"] = (h, GroupHom(h, amb, tuple(imgs)), lift)
+        return self._memo["image"]
+
     def kernel(self):
         """(K, inclusion K -> source)."""
-        m = self._stacked_system()
-        lat = [col[:self.source.dim] for col in integer_kernel(m)]
-        lat = [c for c in lat if any(c)]
+        lat = self.kernel_lattice()
         src_rels = self.source.relation_columns()
         # kernel subgroup = (lattice span) / (source relations)
         gens = lat + [list(c) for c in src_rels]
@@ -596,23 +627,21 @@ def direct_sum(groups):
     return total, injections, projections
 
 
+def pushout(a1: FgAbGroup, a2: FgAbGroup, pairs):
+    """The maps a1 -> E <- a2 into E = (a1 (+) a2) / <j1(x) - j2(y)>, one
+    relation per pair (x, y) of elements of a1 and a2, in order."""
+    total, (j1, j2), _ = direct_sum([a1, a2])
+    rels = tuple(total.sub(j1.apply(x), j2.apply(y)) for x, y in pairs)
+    _, proj = GroupHom(FgAbGroup.free(len(rels)), total, rels).cokernel()
+    return proj.compose(j1), proj.compose(j2)
+
+
 def _chain_from_orders(orders):
     """Rebuild a divisibility chain from arbitrary cyclic orders."""
-    from collections import defaultdict
-    primary = defaultdict(list)
+    primary = {}
     for n in orders:
-        m = n
-        p = 2
-        while p * p <= m:
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                primary[p].append(e)
-            p += 1
-        if m > 1:
-            primary[m].append(1)
+        for p, e in _prime_powers(n).items():
+            primary.setdefault(p, []).append(e)
     for p in primary:
         primary[p].sort(reverse=True)
     chain = []
@@ -651,22 +680,13 @@ def _sum_projections(groups, total, injections):
 
 
 def _project_generator(groups, injections, idx, e):
-    cols = []
-    dims = []
-    for inj in injections:
-        for v in inj.images:
-            cols.append(list(v))
-        dims.append(inj.source.dim)
+    imgs = [v for inj in injections for v in inj.images]
     total = injections[0].target
-    m = IntMatrix.from_columns(cols + [list(c) for c in total.relation_columns()],
-                               nrows=total.dim) if cols else None
-    if m is None:
-        return groups[idx].zero()
-    sol = solve_integer(m, e)
+    sol = GroupHom(FgAbGroup.free(len(imgs)), total, tuple(imgs)).preimage(e)
     if sol is None:
         return None
-    off = sum(dims[:idx])
-    return groups[idx].reduce(sol[off:off + dims[idx]])
+    off = sum(g.dim for g in groups[:idx])
+    return groups[idx].reduce(sol[off:off + groups[idx].dim])
 
 
 # -- Hom, Ext and extensions ----------------------------------------------
@@ -740,12 +760,11 @@ def ext_class_to_extension(a: FgAbGroup, b: FgAbGroup, cocycle):
         col = list(cocycle[i]) + [0] * n
         col[nb + a.rank + i] = -ds[i]
         rels.append(col)
-    e, to_can, _ = FgAbGroup.from_relations(amb, rels)
+    e, to_can, lift = FgAbGroup.from_relations(amb, rels)
     inc_imgs = [e.reduce(to_can.column(i)) for i in range(nb)]
     include_b = GroupHom(b, e, tuple(inc_imgs))
     # E -> A: ambient coordinate nb+j maps to the j-th canonical generator of A;
     # build on canonical generators of E via the lift.
-    _, _, lift = FgAbGroup.from_relations(amb, rels)
     proj_imgs = []
     for j in range(e.dim):
         vec = lift.column(j)

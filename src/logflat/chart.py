@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abgrp import FgAbGroup, GroupHom, IntMatrix, integer_kernel, solve_integer
-from .monoid import FineMonoid, MonoidHom, _span_group, groupification_cokernel
+from .abgrp import FgAbGroup, GroupHom
+from .monoid import FineMonoid, MonoidHom, groupification_cokernel
 from . import polyalg as pa
 from .polyalg import (
     ModulePresentation,
@@ -113,11 +113,11 @@ def build_A_ht(chart: ChartData, field=None):
     order relations.  Returns (A(h,t), C[P^gp], the comparison RingMap).
     """
     field = field or chart.a.ring.field
-    qgp, qincl = _span_group(chart.q)
-    pgp, pincl = _span_group(chart.p)
+    qgp, qincl, _ = chart.q.generator_hom().image()
+    pgp, pincl, _ = chart.p.generator_hom().image()
     aht_names = list(chart.a.ring.names)
     a_idx = list(range(len(aht_names)))
-    q_vars, q_names, q_rels_builder = _group_vars("s", qgp)
+    q_names, q_rels_builder = _group_vars("s", qgp)
     p_names = [f"u{j}" for j in range(len(chart.p.generators))]
     names = aht_names + q_names + p_names
     ring = PolyRing(field, names)
@@ -126,7 +126,7 @@ def build_A_ht(chart: ChartData, field=None):
     rels = [_reindex(g, ring, 0) for g in chart.a.ideal]
     rels += q_rels_builder(ring, q_off)
     toric, _ = pa.toric_ideal(chart.p, field, allow_units=True)
-    rels += [_shift_vars(g, ring, p_off) for g in toric.ideal]
+    rels += [_reindex(g, ring, p_off) for g in toric.ideal]
     # I(h,t): t(q)[q,0] - [0,h(q)] per Q-generator
     for i, qg in enumerate(chart.q.generators):
         coords = qincl.preimage(qg)
@@ -138,7 +138,7 @@ def build_A_ht(chart: ChartData, field=None):
     aht = RingPresentation(ring, rels)
     # C[P^gp]
     cp_names = list(chart.c.ring.names)
-    pg_vars, pg_names, pg_rels_builder = _group_vars("v", pgp)
+    pg_names, pg_rels_builder = _group_vars("v", pgp)
     cring = PolyRing(field, cp_names + pg_names)
     pg_off = len(cp_names)
     crels = [_reindex(g, cring, 0) for g in chart.c.ideal]
@@ -185,7 +185,7 @@ def _group_vars(prefix, g: FgAbGroup):
             out.append(ring.sub(ring.pow(ring.var(base + j), d), ring.one()))
         return out
 
-    return None, names, rels_builder
+    return names, rels_builder
 
 
 def _group_monomial(ring, off, g: FgAbGroup, coords):
@@ -216,11 +216,9 @@ def _reindex(p, ring, offset):
     return out
 
 
-def _shift_vars(p, ring, offset):
-    return _reindex(p, ring, offset)
-
-
 def _monomial_over(ring, off, mon: FineMonoid, element):
+    """The monomial of a monoid element in the monoid variables, which start
+    at index ``off``; ChartInvalid when the element is outside the monoid."""
     mult = mon.nonneg_certificate(element)
     if mult is None:
         raise ChartInvalid("h-image outside the monoid")
@@ -262,7 +260,7 @@ def build_B(chart: ChartData, field=None):
     p_off = len(a_names)
     rels = [_reindex(g, ring, 0) for g in chart.a.ideal]
     toric, _ = pa.toric_ideal(chart.p, field, allow_units=True)
-    rels += [_shift_vars(g, ring, p_off) for g in toric.ideal]
+    rels += [_reindex(g, ring, p_off) for g in toric.ideal]
     for i, qg in enumerate(chart.q.generators):
         t_img = _reindex(chart.t[i], ring, 0)
         mono = _monomial_over(ring, p_off, chart.p, chart.h.images[i])
@@ -527,17 +525,16 @@ def _canonical_chart_map(chart_from, cr_from: ChartRing, chart_to,
     ring_to = cr_to.pres.ring
     images = []
     for i in cr_from.avars:
-        images.append(_reindex_mono_var(ring_to, cr_to.avars[i]))
+        images.append(ring_to.var(cr_to.avars[i]))
     p_off = len(cr_to.avars)
     for j, pg in enumerate(chart_from.p.generators):
         # express the image of pg inside the target monoid P'
         target = _match_in_monoid(chart_from, chart_to, pg)
-        images.append(_monoid_elem_in_chart_ring(chart_to, cr_to, target))
+        try:
+            images.append(_monomial_over(ring_to, p_off, chart_to.p, target))
+        except ChartInvalid:
+            raise ChartsUnrelated("element outside the target monoid") from None
     return RingMap(cr_from.pres, cr_to.pres, images)
-
-
-def _reindex_mono_var(ring, idx):
-    return ring.var(idx)
 
 
 def _match_in_monoid(chart_from, chart_to, pg):
@@ -550,36 +547,21 @@ def _match_in_monoid(chart_from, chart_to, pg):
     return tuple(pg)[:d_to]
 
 
-def _monoid_elem_in_chart_ring(chart: ChartData, cr: ChartRing, element):
-    """[element] in B: the monomial in the monoid variables."""
-    ring = cr.pres.ring
-    p_off = len(cr.avars)
-    mult = chart.p.nonneg_certificate(element)
-    if mult is None:
-        raise ChartsUnrelated("element outside the target monoid")
-    out = ring.one()
-    for j, e in enumerate(mult):
-        for _ in range(e):
-            out = ring.mul(out, ring.var(p_off + j))
-    return out
-
-
 def _degree_iso(cr1: ChartRing, cr2: ChartRing, fwd: RingMap):
     """The induced isomorphism of grading groups, built on generators of G_1
     by expressing them through monoid-variable degrees; None if it fails."""
     g1, g2 = cr1.cokernel, cr2.cokernel
     if g1.dim == 0:
         return GroupHom(g1, g2, ()) if g2.is_trivial() else None
-    degs1 = [cr1.grading.degrees[i] for i in cr1.pvars]
-    cols = [list(d) for d in degs1] + [list(c) for c in g1.relation_columns()]
-    mtx = IntMatrix.from_columns(cols, nrows=g1.dim)
+    degs1 = tuple(cr1.grading.degrees[i] for i in cr1.pvars)
+    deg_hom = GroupHom(FgAbGroup.free(len(degs1)), g1, degs1)
     imgs = []
     for gen in g1.generators():
-        sol = solve_integer(mtx, gen)
+        sol = deg_hom.preimage(gen)
         if sol is None:
             return None
         out = g2.zero()
-        for c, j in zip(sol[:len(cr1.pvars)], range(len(cr1.pvars))):
+        for j, c in enumerate(sol):
             # degree of the image of the j-th monoid variable in B'
             img_poly = fwd.images[cr1.pvars[j]]
             d2 = _degree_of_poly(cr2, img_poly)
@@ -820,22 +802,12 @@ class LogHom:
                       pres=None, check=False)
 
 
-def _span_with_lift(mon: FineMonoid):
-    """(span group, inclusion, lift columns expressing span generators as
-    integer combinations of the monoid generators)."""
-    from .abgrp import FgAbGroup as _G
-    n = len(mon.generators)
-    rels = mon.relation_lattice()
-    g, _, lift = _G.from_relations(n, [list(r) for r in rels])
-    return g, lift
-
-
 def loghom_from_monoid_values(mon: FineMonoid, chart_amb, chart_vals, units,
                               pres=None):
     """Build a LogHom on the span group from per-monoid-generator values.
 
     The values must respect the monoid relations (checked exactly)."""
-    span, lift = _span_with_lift(mon)
+    span, _, lift = mon.generator_hom().image()
     pres = pres if pres is not None else (units[0].pres if units else None)
     for rel in mon.relation_lattice():
         chart = chart_amb.zero()
@@ -859,7 +831,7 @@ def loghom_from_monoid_values(mon: FineMonoid, chart_amb, chart_vals, units,
 
 
 def unithom_from_monoid_values(mon: FineMonoid, units, pres=None):
-    span, lift = _span_with_lift(mon)
+    span, _, lift = mon.generator_hom().image()
     pres = pres if pres is not None else (units[0].pres if units else None)
     for rel in mon.relation_lattice():
         uu = Unit.one(pres) if pres else None
@@ -934,15 +906,13 @@ class _Tower:
         return certify_unit(self.aprime, self.aprime.ring.var(idx))
 
     def promote_prime(self, u: Unit):
+        """A unit of A' or of A, as a unit of the current A'.  Any unit of A
+        lifts to A', since the kernel is nilpotent."""
         return certify_unit(self.aprime, self._pad(u.val, self.aprime.ring))
 
     def to_a(self, u: Unit):
         """Image of an A'-unit in A."""
         return certify_unit(self.a, self._pad(u.val, self.a.ring))
-
-    def lift_unit(self, u: Unit):
-        """Any unit of A lifts to A' (the kernel is nilpotent)."""
-        return certify_unit(self.aprime, self._pad(u.val, self.aprime.ring))
 
 
 @dataclass
@@ -967,7 +937,7 @@ class HomotopyLift:
             self.span_p,
             [a.mul(self.tower.to_a(g))
              for a, g in zip(self.alpha.units, gamma.units)], check=False)
-        qgp_h = _induced_span_hom(self.h, self.span_q, self.span_p)
+        _, _, qgp_h = self.h.groupification_hom()
         tw_beta_units = []
         for j in range(self.span_q.dim):
             img = qgp_h.apply(self.span_q.generators()[j])
@@ -977,11 +947,6 @@ class HomotopyLift:
         return HomotopyLift(self.tower, self.h, self.chart, self.span_q,
                             self.span_p, tw_l, tw_alpha, tw_beta,
                             self.cover_adjoined)
-
-
-def _induced_span_hom(h: MonoidHom, span_q, span_p):
-    _, _, hom = h.groupification_hom()
-    return hom
 
 
 def homotopy_lift(problem: LiftProblem) -> HomotopyLift:
@@ -1002,7 +967,7 @@ def homotopy_lift(problem: LiftProblem) -> HomotopyLift:
     _, eta = unithom_from_monoid_values(
         h.source, [certify_unit(tower.a, u.val) for u in problem.eta_units],
         pres=tower.a)
-    qgp_h = _induced_span_hom(h, span_q, span_p)
+    _, _, qgp_h = h.groupification_hom()
     # homotopy precondition: eta . b h = i a on the span generators
     for j in range(span_q.dim):
         g = span_q.generators()[j]
@@ -1026,7 +991,8 @@ def homotopy_lift(problem: LiftProblem) -> HomotopyLift:
         gen = c_grp.generators()[i]
         free_lifts.append(proj_c.preimage(gen))
     h_gens = h_cols + free_lifts
-    h_grp, h_incl = _subgroup(span_p, h_gens)
+    h_grp, h_incl, _ = GroupHom(FgAbGroup.free(len(h_gens)), span_p,
+                                tuple(h_gens)).image()
 
     # stage 1 (case 1): lift a along the surjection span_q ->> G
     l1, alpha1, beta = _case1(tower, proj_g, b_hom, mono1, a_hom, eta)
@@ -1039,7 +1005,7 @@ def homotopy_lift(problem: LiftProblem) -> HomotopyLift:
     # a cover adjoined in a later stage extends the ring under earlier data
     beta = UnitHom(span_q, [tower.promote_prime(u) for u in beta.units],
                    pres=tower.aprime, check=False)
-    alpha3 = UnitHom(span_p, [tower.to_a(tower.lift_unit(u))
+    alpha3 = UnitHom(span_p, [tower.to_a(tower.promote_prime(u))
                               for u in alpha3.units],
                      pres=tower.a, check=False)
     l3 = _promote_loghom(tower, l3)
@@ -1049,26 +1015,6 @@ def homotopy_lift(problem: LiftProblem) -> HomotopyLift:
     if errs:
         raise HomotopyInvalid(f"constructed lift fails identities: {errs}")
     return lift
-
-
-def _subgroup(amb: FgAbGroup, gen_elems):
-    """(H, inclusion) for the subgroup generated by the given elements."""
-    gens = [list(amb.reduce(x)) for x in gen_elems]
-    cols = gens + [list(c) for c in amb.relation_columns()]
-    if not gens:
-        h = FgAbGroup.zero_group()
-        return h, GroupHom(h, amb, ())
-    m = IntMatrix.from_columns(cols, nrows=amb.dim)
-    ker = [k[:len(gens)] for k in integer_kernel(m)]
-    h, _, lift = FgAbGroup.from_relations(len(gens), [k for k in ker if any(k)])
-    imgs = []
-    for j in range(h.dim):
-        combo = lift.column(j)
-        v = amb.zero()
-        for c, g in zip(combo, gens):
-            v = amb.add(v, amb.scale(c, g))
-        imgs.append(v)
-    return h, GroupHom(h, amb, tuple(imgs))
 
 
 def _restrict_into(h_grp, h_incl, hom):
@@ -1100,7 +1046,7 @@ def _case1(tower, proj_g: GroupHom, b_hom: LogHom, mono1: GroupHom,
             bc, bu = b_hom.apply(mono1.apply(gen))
             if not chart_amb.is_zero(chart_amb.scale(d, bc)):
                 raise HomotopyInvalid("torsion chart part is not torsion")
-            m_lift = tower.lift_unit(bu)
+            m_lift = tower.promote_prime(bu)
             i_j = m_lift.pow(d)  # = 1 + i_j with i_j in the kernel
             root = try_nth_root(tower.aprime, i_j, d)
             if root is None:
@@ -1119,7 +1065,7 @@ def _case1(tower, proj_g: GroupHom, b_hom: LogHom, mono1: GroupHom,
         lc, lu = l1.apply(proj_g.apply(g))
         if ac != lc:
             raise HomotopyInvalid("case 1: chart parts do not cancel in beta")
-        beta_units.append(_promote(tower, au).mul(lu.invert()))
+        beta_units.append(tower.promote_prime(au).mul(lu.invert()))
     beta = UnitHom(span_q, beta_units)
     # alpha1 := (i l1) / (b . mono1)
     alpha_units = []
@@ -1132,10 +1078,6 @@ def _case1(tower, proj_g: GroupHom, b_hom: LogHom, mono1: GroupHom,
         alpha_units.append(tower.to_a(lu).mul(bu.invert()))
     alpha1 = UnitHom(g_grp, alpha_units)
     return l1, alpha1, beta
-
-
-def _promote(tower, u: Unit):
-    return tower.promote_prime(u)
 
 
 def _promote_loghom(tower, lh: LogHom):
@@ -1153,18 +1095,17 @@ def _case2(tower, mono2: GroupHom, h_incl: GroupHom, b_hom: LogHom,
     if cok.torsion:
         raise AssertionError("case 2 expects a free cokernel")
     w_elems = [proj.preimage(cok.generators()[i]) for i in range(cok.rank)]
-    g_cols = [list(mono2.apply(x)) for x in mono2.source.generators()]
-    w_cols = [list(w) for w in w_elems]
-    cols = g_cols + w_cols + [list(c) for c in h_grp.relation_columns()]
-    mtx = IntMatrix.from_columns(cols, nrows=h_grp.dim) if cols else None
+    g_imgs = [mono2.apply(x) for x in mono2.source.generators()]
+    split = GroupHom(FgAbGroup.free(len(g_imgs) + len(w_elems)), h_grp,
+                     tuple(g_imgs + w_elems))
     parts, units, alpha_units = [], [], []
     for i in range(h_grp.dim):
         gen = h_grp.generators()[i]
-        sol = solve_integer(mtx, gen)
+        sol = split.preimage(gen)
         if sol is None:
             raise AssertionError("case 2 splitting failed")
-        gpart = sol[:len(g_cols)]
-        wpart = sol[len(g_cols):len(g_cols) + len(w_cols)]
+        gpart = sol[:len(g_imgs)]
+        wpart = sol[len(g_imgs):]
         chart = chart_amb.zero()
         unit = Unit.one(tower.aprime)
         alpha_u = Unit.one(tower.a)
@@ -1178,7 +1119,7 @@ def _case2(tower, mono2: GroupHom, h_incl: GroupHom, b_hom: LogHom,
         for c, w in zip(wpart, w_elems):
             bc, bu = b_hom.apply(h_incl.apply(w))
             chart = chart_amb.add(chart, chart_amb.scale(c, bc))
-            unit = unit.mul(tower.lift_unit(bu).pow(c))
+            unit = unit.mul(tower.promote_prime(bu).pow(c))
         parts.append(chart)
         units.append(unit)
         alpha_units.append(alpha_u)
@@ -1201,12 +1142,12 @@ def _case3(tower, h_incl: GroupHom, b_hom: LogHom, l_prev: LogHom,
         gen = cok.generators()[j]
         p_j = proj.preimage(gen)
         bc, bu = b_hom.apply(p_j)
-        m_lift = tower.lift_unit(bu)
+        m_lift = tower.promote_prime(bu)
         hm = h_incl.preimage(span_p.scale(n_j, p_j))
         ac, au = l_prev.apply(hm)
         if ac != chart_amb.reduce(chart_amb.scale(n_j, bc)):
             raise HomotopyInvalid("case 3: chart parts disagree")
-        au = _promote(tower, au)
+        au = tower.promote_prime(au)
         m_lift = tower.promote_prime(m_lift)
         u_j = au.mul(m_lift.pow(n_j).invert())
         root = try_nth_root(tower.aprime, u_j, n_j)
@@ -1222,21 +1163,20 @@ def _case3(tower, h_incl: GroupHom, b_hom: LogHom, l_prev: LogHom,
     m_units = [tower.promote_prime(u) for u in m_units]
     l_prev = _promote_loghom(tower, l_prev)
     alpha_prev = UnitHom(alpha_prev.group,
-                         [tower.to_a(tower.lift_unit(u))
+                         [tower.to_a(tower.promote_prime(u))
                           for u in alpha_prev.units], check=False)
     # define on the generators of span_p through  gen = incl(h) + sum c_j p_j
-    h_cols = [list(h_incl.apply(x)) for x in h_incl.source.generators()]
-    p_cols = [list(p) for p in p_elems]
-    cols = h_cols + p_cols + [list(c) for c in span_p.relation_columns()]
-    mtx = IntMatrix.from_columns(cols, nrows=span_p.dim) if cols else None
+    h_imgs = [h_incl.apply(x) for x in h_incl.source.generators()]
+    decomp = GroupHom(FgAbGroup.free(len(h_imgs) + len(p_elems)), span_p,
+                      tuple(h_imgs + p_elems))
     parts, units, alpha_units = [], [], []
     for i in range(span_p.dim):
         gen = span_p.generators()[i]
-        sol = solve_integer(mtx, gen) if mtx else None
+        sol = decomp.preimage(gen)
         if sol is None:
             raise AssertionError("case 3 decomposition failed")
-        hpart = h_incl.source.reduce(tuple(sol[:len(h_cols)]))
-        cpart = sol[len(h_cols):len(h_cols) + len(p_cols)]
+        hpart = h_incl.source.reduce(sol[:len(h_imgs)])
+        cpart = sol[len(h_imgs):]
         c0, u0 = l_prev.apply(hpart)
         chart = c0
         unit = u0
@@ -1271,7 +1211,7 @@ def verify_lift_identities(lift: HomotopyLift, problem: LiftProblem):
     _, b_hom = loghom_from_monoid_values(h.target, chart_amb,
                                          problem.b_chart, b_units)
     _, eta = unithom_from_monoid_values(h.source, eta_units)
-    qgp_h = _induced_span_hom(h, span_q, span_p)
+    _, _, qgp_h = h.groupification_hom()
     errors = []
     for i in range(span_p.dim):
         gen = span_p.generators()[i]
@@ -1325,7 +1265,7 @@ def verify_lift_uniqueness(lift1: HomotopyLift, lift2: HomotopyLift):
         a2 = lift2.alpha.apply(gen)
         if not tower.to_a(gamma.apply(gen)).mul(a2).eq(a1):
             raise LiftsIncompatible("alpha compatibility fails")
-    qgp_h = _induced_span_hom(lift1.h, lift1.span_q, span_p)
+    _, _, qgp_h = lift1.h.groupification_hom()
     for j in range(lift1.span_q.dim):
         gen = lift1.span_q.generators()[j]
         b1 = lift1.beta.apply(gen)

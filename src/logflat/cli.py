@@ -159,7 +159,8 @@ def _check_ring(obj):
 def _check_module(obj, names):
     """A rank >= 0, and relation columns with at most ``rank`` entries, each
     a polynomial in ``names`` (unchecked when ``names`` is None: a module
-    over a gluing, whose variables exist only once the gluing is built)."""
+    over a gluing, whose variables exist only once the gluing is built, so
+    that Workspace checks them)."""
     rank = obj.get("rank")
     if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
         raise ValidationError(
@@ -184,7 +185,9 @@ def _check_polys(obj, texts, names):
 
 
 class Workspace:
-    """Materialized objects of a problem file."""
+    """Materialized objects of a problem file.  An object that cannot be
+    built (a polynomial in unknown variables, an image outside its monoid)
+    raises ValidationError naming it."""
 
     def __init__(self, doc, field, window=8):
         self.doc = doc
@@ -192,7 +195,11 @@ class Workspace:
         self.window = window
         self.objects = {}
         for obj in doc.get("objects", []):
-            self.objects[obj["name"]] = self._build(obj)
+            try:
+                self.objects[obj["name"]] = self._build(obj)
+            except ValueError as e:
+                raise ValidationError(
+                    f"{obj['kind']} {obj['name']!r}: {e}") from e
 
     def get(self, name):
         if name not in self.objects:
@@ -581,7 +588,7 @@ def main(argv=None):
     try:
         if args.command == "validate":
             doc = json.loads(Path(args.file).read_text())
-            validate_file(doc)
+            Workspace(validate_file(doc), parse_field(args.field), args.window)
             emit(json.dumps({"valid": True}, sort_keys=True) + "\n")
             return 0
         if args.command == "list-galleries":

@@ -83,16 +83,12 @@ class GradedRing:
     def monomial_of_degree(self, d):
         """A standard monomial of the given degree, for group-algebra-like
         rings where every degree is populated (used by the shift machinery)."""
-        d = self.group.reduce(d)
         # greedy integer solve over the degree vectors
-        from .abgrp import IntMatrix, solve_integer
-        cols = [list(v) for v in self.degrees] + \
-               [list(c) for c in self.group.relation_columns()]
-        m = IntMatrix.from_columns(cols, nrows=self.group.dim)
-        sol = solve_integer(m, d)
+        sol = GroupHom(FgAbGroup.free(len(self.degrees)), self.group,
+                       self.degrees).preimage(d)
         if sol is None:
             return None
-        exps = list(sol[:len(self.degrees)])
+        exps = list(sol)
         if any(e < 0 for e in exps):
             # shift along inverse-pair relations when available
             exps = self._make_nonneg(exps)
@@ -184,7 +180,7 @@ class MonoidAlgebra:
     def is_prime(self, j) -> bool:
         gens = j.generators if isinstance(j, HomogeneousIdeal) else list(j)
         semi = self.is_semiprime(gens)
-        span, _ = _monoid_span(self.monoid)
+        span, _, _ = self.monoid.generator_hom().image()
         if span.is_torsion_free():
             return semi
         if not semi:
@@ -193,11 +189,6 @@ class MonoidAlgebra:
             # k[G] is a domain iff G is torsion-free
             return span.is_torsion_free()
         raise UnsupportedIdealClass("primeness undecided for this shape")
-
-
-def _monoid_span(p: FineMonoid):
-    from .monoid import _span_group
-    return _span_group(p)
 
 
 # -- graded flatness: shapes and dispatcher ------------------------------------

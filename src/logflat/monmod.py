@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .abgrp import FgAbGroup, lattice_contains
+from .abgrp import FgAbGroup, GroupHom, pushout
 from .monoid import AmbientMismatch, FineMonoid, MonoidHom, _lam_value
 
 FREE = "free"
@@ -56,8 +56,8 @@ class PModule:
             if (g, c) not in gens:
                 gens.append((g, c))
         self._raw_generators = tuple(gens)
-        self.generators = self._canonical_components(gens)
         self._cache = {}
+        self.generators = self._canonical_components(gens)
 
     # -- constructors -------------------------------------------------------
 
@@ -116,14 +116,11 @@ class PModule:
         self._cache["img_mon"] = mon
         return mon
 
-    def _action_span_columns(self):
-        """Columns spanning action(P^gp) inside the module ambient."""
-        if self.action is None:
-            gens = self.owner.generators
-        else:
-            gens = [self.action.apply_gp(g) for g in self.owner.generators]
-        return [list(g) for g in gens] + \
-               [list(c) for c in self.ambient.relation_columns()]
+    def _action_hom(self, indices):
+        """The hom Z^k -> ambient onto the action of the owner generators
+        with the given indices, in order."""
+        imgs = tuple(self.action_apply(self.owner.generators[i]) for i in indices)
+        return GroupHom(FgAbGroup.free(len(imgs)), self.ambient, imgs)
 
     def _canonical_components(self, gens):
         reps = []  # (value, original component) representatives
@@ -139,8 +136,12 @@ class PModule:
         return tuple(out)
 
     def _same_orbit_raw(self, x, y):
-        cols = self._action_span_columns()
-        return lattice_contains(cols, self.ambient.sub(x, y))
+        """Whether x - y lies in action(P^gp)."""
+        if "span_hom" not in self._cache:
+            self._cache["span_hom"] = self._action_hom(
+                range(len(self.owner.generators)))
+        return self._cache["span_hom"].preimage(
+            self.ambient.sub(x, y)) is not None
 
     def components(self):
         return sorted({c for _, c in self.generators})
@@ -344,13 +345,13 @@ def extract_basis(m: PModule, window=8) -> BasisResult:
                     break
         minimal.append((cur, c))
     # one representative per component, up to unit translation
-    unit_cols = _unit_action_columns(m)
+    unit_hom = m._action_hom(sorted(m.owner.unit_indices()))
     basis = []
     for g, c in minimal:
         dup = False
         for b, cb in basis:
             if cb == c:
-                if lattice_contains(unit_cols, amb.sub(g, b)):
+                if unit_hom.preimage(amb.sub(g, b)) is not None:
                     dup = True
                     break
                 return BasisResult(False, witness=(g, b),
@@ -366,14 +367,6 @@ def extract_basis(m: PModule, window=8) -> BasisResult:
 def _localization_is_trivial(m: PModule):
     """S^-1 P = P exactly when every element of S is already invertible."""
     return all(m.owner.member(m.owner.ambient.neg(s)) for s in m.loc_sgens)
-
-
-def _unit_action_columns(m: PModule):
-    cols = []
-    for i in sorted(m.owner.unit_indices()):
-        cols.append(list(m.action_apply(m.owner.generators[i])))
-    cols += [list(c) for c in m.ambient.relation_columns()]
-    return cols
 
 
 def _verify_basis(m: PModule, basis, window):
@@ -480,25 +473,18 @@ def base_change(m: PModule, h: MonoidHom):
     """Extension of scalars along h : Q -> P."""
     if m.owner != h.source:
         raise OwnerMismatch("module is not over the source of the hom")
-    from .abgrp import direct_sum, GroupHom, FgAbGroup as _G
     p = h.target
     if m.kind == FREE:
         return PModule.free(p, [c for _, c in m.generators])
     if m.kind == LOCALIZATION:
         return PModule.localization(p, [h.apply_gp(s) for s in m.loc_sgens])
-    total, (jm, jp), _ = direct_sum([m.ambient, p.ambient])
-    cols = []
-    for qg in m.owner.generators:
-        am = m.action_apply(qg)
-        ap = h.apply_gp(qg)
-        cols.append(total.sub(jm.apply(am), jp.apply(ap)))
-    free_src = _G.free(len(cols)) if cols else _G.zero_group()
-    hom = GroupHom(free_src, total, tuple(cols))
-    _, proj = hom.cokernel()
-    new_amb = proj.target
-    gens = [(proj.apply(jm.apply(g)), c) for g, c in m.generators]
+    jm, jp = pushout(m.ambient, p.ambient,
+                     [(m.action_apply(qg), h.apply_gp(qg))
+                      for qg in m.owner.generators])
+    new_amb = jm.target
+    gens = [(jm.apply(g), c) for g, c in m.generators]
     # action of P on the new ambient, through the second inclusion
-    act_imgs = [proj.apply(jp.apply(g)) for g in p.generators]
+    act_imgs = [jp.apply(g) for g in p.generators]
     act_mon = FineMonoid(new_amb, act_imgs)
     act = MonoidHom(p, act_mon, act_imgs, check=False)
     return PModule(p, EMBEDDED, new_amb, act, gens)

@@ -17,10 +17,8 @@ from .abgrp import (
     GroupHom,
     IntMatrix,
     direct_sum,
-    integer_kernel,
-    lattice_contains,
+    pushout,
     smith_normal_form,
-    solve_integer,
 )
 from . import qcone
 
@@ -63,21 +61,18 @@ class FineMonoid:
 
     # -- relation lattice and units ---------------------------------------
 
+    def generator_hom(self):
+        """The hom Z^n -> ambient sending e_i to the i-th generator.  Its
+        image is the groupification P^gp, its kernel lattice the relations."""
+        if "gen_hom" not in self._cache:
+            self._cache["gen_hom"] = GroupHom(
+                FgAbGroup.free(len(self.generators)), self.ambient,
+                self.generators)
+        return self._cache["gen_hom"]
+
     def relation_lattice(self):
         """Basis of {a in Z^n : sum a_i g_i = 0 in the ambient group}."""
-        if "rel_lattice" in self._cache:
-            return self._cache["rel_lattice"]
-        n = len(self.generators)
-        cols = [list(g) for g in self.generators] + \
-               [list(c) for c in self.ambient.relation_columns()]
-        if not cols:
-            basis = []
-        else:
-            m = IntMatrix.from_columns(cols, nrows=self.ambient.dim)
-            basis = [k[:n] for k in integer_kernel(m)]
-            basis = [b for b in basis if any(b)]
-        self._cache["rel_lattice"] = basis
-        return basis
+        return self.generator_hom().kernel_lattice()
 
     def unit_indices(self):
         """Indices of generators invertible in the monoid."""
@@ -96,35 +91,22 @@ class FineMonoid:
     def is_group(self):
         return all(i in self.unit_indices() for i in range(len(self.generators)))
 
+    def _unit_hom(self):
+        """The hom Z^u -> ambient onto the unit generators, in index order."""
+        ugens = tuple(self.generators[i] for i in sorted(self.unit_indices()))
+        return GroupHom(FgAbGroup.free(len(ugens)), self.ambient, ugens)
+
     def unit_group(self):
         """(U, inclusion U -> ambient) for the unit subgroup P* of the monoid."""
-        ugens = [self.generators[i] for i in sorted(self.unit_indices())]
-        if not ugens:
-            u = FgAbGroup.zero_group()
-            return u, GroupHom(u, self.ambient, ())
-        m = IntMatrix.from_columns(
-            [list(g) for g in ugens] + [list(c) for c in self.ambient.relation_columns()],
-            nrows=self.ambient.dim)
-        rels = [k[:len(ugens)] for k in integer_kernel(m)]
-        u, _, lift = FgAbGroup.from_relations(len(ugens), [r for r in rels if any(r)])
-        imgs = []
-        for j in range(u.dim):
-            combo = lift.column(j)
-            v = self.ambient.zero()
-            for c, g in zip(combo, ugens):
-                v = self.ambient.add(v, self.ambient.scale(c, g))
-            imgs.append(v)
-        return u, GroupHom(u, self.ambient, tuple(imgs))
+        u, incl, _ = self._unit_hom().image()
+        return u, incl
 
     def _sharp_data(self):
         """(projection hom ambient -> sharp ambient, sharp monoid)."""
         if "sharp" in self._cache:
             return self._cache["sharp"]
-        ugens = [self.generators[i] for i in sorted(self.unit_indices())]
-        if ugens:
-            free_src = FgAbGroup.free(len(ugens))
-            incl = GroupHom(free_src, self.ambient, tuple(ugens))
-            _, proj = incl.cokernel()
+        if self.unit_indices():
+            _, proj = self._unit_hom().cokernel()
         else:
             proj = GroupHom.identity(self.ambient)
         sharp = FineMonoid(proj.target, [proj.apply(g) for g in self.generators])
@@ -174,46 +156,12 @@ class FineMonoid:
         proj, sharp = self._sharp_data()
         target = proj.apply(g)
         memo = self._cache.setdefault("member_memo", {})
-        if target in memo:
-            return memo[target]
-        lam = self._integer_functional()
-        gens = sorted(set(sharp.generators))
-        res = self._bounded_search(sharp.ambient, lam, gens, target)
-        memo[target] = res
-        return res
-
-    def _bounded_search(self, amb, lam, gens, target):
-        """Whether the reduced element ``target`` of ``amb`` is an
-        N-combination of ``gens``, taking each generator as often as the
-        functional ``lam`` allows, in order."""
-        sub = amb.reduced_sub()
-        lgs = [_lam_value(lam, g) for g in gens]
-        n = len(gens)
-        memo = {}
-
-        def rec(t, idx):
-            if not any(t):
-                return True
-            if idx == n:
-                return False
-            key = (t, idx)
-            if key in memo:
-                return memo[key]
-            lt = _lam_value(lam, t)
-            res = False
-            if lt >= 0:
-                g, lg = gens[idx], lgs[idx]
-                top = lt // lg if lg > 0 else 0
-                cur = t
-                for k in range(top + 1):
-                    if rec(cur, idx + 1):
-                        res = True
-                        break
-                    cur = sub(cur, g)
-            memo[key] = res
-            return res
-
-        return rec(target, 0)
+        if target not in memo:
+            gens = sorted(set(sharp.generators))
+            memo[target] = _bounded_search(
+                sharp.ambient, self._integer_functional(), gens,
+                target) is not None
+        return memo[target]
 
     def member_with_certificate(self, g):
         """(True, multiplicity vector over the generators) or (False, None).
@@ -222,34 +170,8 @@ class FineMonoid:
         """
         if self.unit_indices():
             raise ValueError("certificates require a sharp monoid")
-        g = self.ambient.reduce(g)
-        n = len(self.generators)
-        if not any(g):
-            return True, (0,) * n
-        lam = self._integer_functional()
-        sub = self.ambient.reduced_sub()
-        gens = self.generators
-        lgs = [_lam_value(lam, gvec) for gvec in gens]
-
-        def rec(t, idx, acc):
-            if not any(t):
-                return acc + (0,) * (n - len(acc))
-            if idx == n:
-                return None
-            lt = _lam_value(lam, t)
-            if lt < 0:
-                return None
-            gvec, lg = gens[idx], lgs[idx]
-            top = lt // lg if lg > 0 else 0
-            cur = t
-            for k in range(top + 1):
-                out = rec(cur, idx + 1, acc + (k,))
-                if out is not None:
-                    return out
-                cur = sub(cur, gvec)
-            return None
-
-        out = rec(g, 0, ())
+        out = _bounded_search(self.ambient, self._integer_functional(),
+                              self.generators, self.ambient.reduce(g))
         return (True, out) if out is not None else (False, None)
 
     def nonneg_certificate(self, g):
@@ -282,15 +204,10 @@ class FineMonoid:
         u = self.ambient.sub(g, acc)
         if not self.ambient.is_zero(u):
             unit_idx = sorted(self.unit_indices())
-            cols = [list(self.generators[i]) for i in unit_idx] + \
-                   [list(c) for c in self.ambient.relation_columns()]
-            if not cols:
-                return None
-            m = IntMatrix.from_columns(cols, nrows=self.ambient.dim)
-            sol = solve_integer(m, u)
+            sol = self._unit_hom().preimage(u)
             if sol is None:
                 return None
-            c = list(sol[:len(unit_idx)])
+            c = list(sol)
             if any(x < 0 for x in c):
                 z = _positive_unit_relation(self)
                 zu = [z[j] for j in unit_idx]
@@ -420,6 +337,37 @@ class MonoidIdeal:
         return any(self == p for p in self.owner.prime_ideals())
 
 
+def _bounded_search(amb, lam, gens, target):
+    """A multiplicity vector over ``gens`` expressing the reduced element
+    ``target`` of ``amb``, or None.  Depth first, each generator in order
+    and taken as often as the functional ``lam`` allows; the first vector
+    found is returned at once, so only failed subsearches are memoized."""
+    sub = amb.reduced_sub()
+    lgs = [_lam_value(lam, g) for g in gens]
+    n = len(gens)
+    failed = set()
+
+    def rec(t, idx):
+        if not any(t):
+            return (0,) * (n - idx)
+        if idx == n or (t, idx) in failed:
+            return None
+        lt = _lam_value(lam, t)
+        if lt >= 0:
+            g, lg = gens[idx], lgs[idx]
+            top = lt // lg if lg > 0 else 0
+            cur = t
+            for k in range(top + 1):
+                rest = rec(cur, idx + 1)
+                if rest is not None:
+                    return (k,) + rest
+                cur = sub(cur, g)
+        failed.add((t, idx))
+        return None
+
+    return rec(target, 0)
+
+
 class MonoidHom:
     """Monoid homomorphism, stored as images of the source generators."""
 
@@ -430,18 +378,16 @@ class MonoidHom:
         self.images = tuple(target.ambient.reduce(v) for v in images)
         self.partition_tag = partition_tag
         self.free_structure = free_structure
+        self._img_hom = None
         if len(self.images) != len(source.generators):
             raise ValueError("need one image per source generator")
         if check:
             for v in self.images:
                 if not target.member(v):
                     raise AmbientMismatch("image outside the target monoid")
-            for a in source.relation_lattice():
-                v = target.ambient.zero()
-                for c, img in zip(a, self.images):
-                    v = target.ambient.add(v, target.ambient.scale(c, img))
-                if not target.ambient.is_zero(v):
-                    raise ValueError("source relations are not respected")
+            if any(any(self._image_hom().apply(a))
+                   for a in source.relation_lattice()):
+                raise ValueError("source relations are not respected")
 
     @classmethod
     def identity(cls, p):
@@ -450,27 +396,20 @@ class MonoidHom:
     def __repr__(self):
         return f"MonoidHom({self.source!r} -> {self.target!r})"
 
-    def _solver_matrix(self):
-        src = self.source
-        cols = [list(g) for g in src.generators] + \
-               [list(c) for c in src.ambient.relation_columns()]
-        return IntMatrix.from_columns(cols, nrows=src.ambient.dim) if cols \
-            else IntMatrix.zero(src.ambient.dim, 0)
+    def _image_hom(self):
+        """The hom Z^n -> target ambient sending e_i to h(g_i)."""
+        if self._img_hom is None:
+            self._img_hom = GroupHom(FgAbGroup.free(len(self.images)),
+                                     self.target.ambient, self.images)
+        return self._img_hom
 
     def apply_gp(self, x):
         """Image of x under the induced map on groupifications.
 
         x must lie in the subgroup generated by the source generators;
         well defined because relations are checked at construction."""
-        x = self.source.ambient.reduce(x)
-        sol = solve_integer(self._solver_matrix(), x)
-        if sol is None:
-            return None
-        n = len(self.source.generators)
-        out = self.target.ambient.zero()
-        for c, img in zip(sol[:n], self.images):
-            out = self.target.ambient.add(out, self.target.ambient.scale(c, img))
-        return out
+        sol = self.source.generator_hom().preimage(x)
+        return None if sol is None else self._image_hom().apply(sol)
 
     def compose(self, inner):
         """self o inner."""
@@ -484,22 +423,16 @@ class MonoidHom:
 
     def kernel_lattice(self):
         """Basis of {a in Z^n : sum a_i h(g_i) = 0}; n = number of source gens."""
-        n = len(self.images)
-        cols = [list(v) for v in self.images] + \
-               [list(c) for c in self.target.ambient.relation_columns()]
-        if not cols:
-            return []
-        m = IntMatrix.from_columns(cols, nrows=self.target.ambient.dim)
-        return [k[:n] for k in integer_kernel(m) if any(k[:n])]
+        return self._image_hom().kernel_lattice()
 
     def is_injective(self):
         """Injectivity of the induced map on groupifications (equivalently, of
         the monoid map itself, since the monoids are integral)."""
         src_rel = self.source.relation_lattice()
-        for a in self.kernel_lattice():
-            if not lattice_contains([list(c) for c in src_rel], a):
-                return False
-        return True
+        rel_span = GroupHom(FgAbGroup.free(len(src_rel)),
+                            FgAbGroup.free(len(self.images)), tuple(src_rel))
+        return all(rel_span.preimage(a) is not None
+                   for a in self.kernel_lattice())
 
     def is_surjective(self):
         img = self.image_monoid()
@@ -508,8 +441,8 @@ class MonoidHom:
     def groupification_hom(self):
         """(Q^gp, P^gp, induced GroupHom) with the groupifications presented
         abstractly from the generator lattices."""
-        qgp, q_incl = _span_group(self.source)
-        pgp, p_incl = _span_group(self.target)
+        qgp, q_incl, _ = self.source.generator_hom().image()
+        pgp, p_incl, _ = self.target.generator_hom().image()
         imgs = []
         for j in range(qgp.dim):
             amb = q_incl.apply(qgp.generators()[j])
@@ -521,33 +454,12 @@ class MonoidHom:
         return qgp, pgp, GroupHom(qgp, pgp, tuple(imgs))
 
 
-def _span_group(p: FineMonoid):
-    """(G, incl) with G the subgroup of the ambient generated by the monoid
-    generators, presented abstractly."""
-    cache = p._cache
-    if "span_group" in cache:
-        return cache["span_group"]
-    n = len(p.generators)
-    rels = p.relation_lattice()
-    g, _, lift = FgAbGroup.from_relations(n, [list(r) for r in rels])
-    imgs = []
-    for j in range(g.dim):
-        combo = lift.column(j)
-        v = p.ambient.zero()
-        for c, gen in zip(combo, p.generators):
-            v = p.ambient.add(v, p.ambient.scale(c, gen))
-        imgs.append(v)
-    incl = GroupHom(g, p.ambient, tuple(imgs))
-    cache["span_group"] = (g, incl)
-    return g, incl
-
-
 def groupification_cokernel(h: MonoidHom):
     """((P/Q)^gp, to_cok) where to_cok maps an ambient element of the target
     groupification to its class in the cokernel."""
     src_gens = [h.apply_gp(g) for g in h.source.generators]
     free_src = FgAbGroup.free(len(src_gens)) if src_gens else FgAbGroup.zero_group()
-    span, incl = _span_group(h.target)
+    span, incl, _ = h.target.generator_hom().image()
     pre = [incl.preimage(v) for v in src_gens]
     hom = GroupHom(free_src, span, tuple(pre))
     cok, proj = hom.cokernel()
@@ -569,26 +481,14 @@ def monoid_pushout(h1: MonoidHom, h2: MonoidHom):
     """
     if h1.source != h2.source:
         raise ValueError("pushout needs a common source")
-    a1, a2 = h1.target.ambient, h2.target.ambient
-    total, (j1, j2), _ = _direct_sum2(a1, a2)
-    q = h1.source
-    cols = []
-    for g in q.generators:
-        v1 = h1.apply_gp(g)
-        v2 = h2.apply_gp(g)
-        cols.append(total.sub(j1.apply(v1), j2.apply(v2)))
-    free_src = FgAbGroup.free(len(cols)) if cols else FgAbGroup.zero_group()
-    hom = GroupHom(free_src, total, tuple(cols))
-    _, proj = hom.cokernel()
-    gens = [proj.apply(j1.apply(g)) for g in h1.target.generators] + \
-           [proj.apply(j2.apply(g)) for g in h2.target.generators]
-    pout = FineMonoid(proj.target, gens)
-    in1 = MonoidHom(h1.target, pout,
-                    [proj.apply(j1.apply(g)) for g in h1.target.generators],
-                    check=False)
-    in2 = MonoidHom(h2.target, pout,
-                    [proj.apply(j2.apply(g)) for g in h2.target.generators],
-                    check=False)
+    j1, j2 = pushout(h1.target.ambient, h2.target.ambient,
+                     [(h1.apply_gp(g), h2.apply_gp(g))
+                      for g in h1.source.generators])
+    gens1 = [j1.apply(g) for g in h1.target.generators]
+    gens2 = [j2.apply(g) for g in h2.target.generators]
+    pout = FineMonoid(j1.target, gens1 + gens2)
+    in1 = MonoidHom(h1.target, pout, gens1, check=False)
+    in2 = MonoidHom(h2.target, pout, gens2, check=False)
     was_integral = None
     for leg in (h1, h2):
         cls = classify_morphism(leg, deep=False)
@@ -596,11 +496,6 @@ def monoid_pushout(h1: MonoidHom, h2: MonoidHom):
             was_integral = True
             break
     return pout, in1, in2, was_integral
-
-
-def _direct_sum2(a1, a2):
-    total, injs, projs = direct_sum([a1, a2])
-    return total, injs, projs
 
 
 # -- free-basis witnesses ----------------------------------------------------
@@ -884,65 +779,19 @@ def _positive_unit_relation(mon: FineMonoid):
 
 
 def _preimage_in_source(hom: MonoidHom, d):
-    """Find q in the source monoid with h(q) = d, or None.
-
-    Works through the image monoid: certificate in its sharp quotient plus an
-    exact expression of the unit part over the unit image generators.
-    """
-    src = hom.source
-    tgt_amb = hom.target.ambient
-    d = tgt_amb.reduce(d)
-    img_mon = FineMonoid(tgt_amb, hom.images)
-    if not img_mon.member(d):
+    """Find q in the source monoid with h(q) = d, or None: a certificate of d
+    over the image monoid, each image generator taken from the first source
+    generator that maps to it."""
+    img_mon = hom.image_monoid()
+    mult = img_mon.nonneg_certificate(d)
+    if mult is None:
         return None
-    proj, sharp = img_mon._sharp_data()
-    ok, mult = sharp.member_with_certificate(proj.apply(d))
-    if not ok:
-        return None
-    q = src.ambient.zero()
-    acc = tgt_amb.zero()
-    for g, k in zip(sharp.generators, mult):
-        if k == 0:
-            continue
-        for i, v in enumerate(hom.images):
-            if proj.apply(v) == g and not tgt_amb.is_zero(v):
-                q = src.ambient.add(q, src.ambient.scale(k, src.generators[i]))
-                acc = tgt_amb.add(acc, tgt_amb.scale(k, v))
-                break
-        else:
-            raise AssertionError("image certificate does not match a generator")
-    u = tgt_amb.sub(d, acc)  # a unit of the image monoid
-    if tgt_amb.is_zero(u):
-        return q
-    unit_vals, unit_src_idx = [], []
-    for j in sorted(img_mon.unit_indices()):
-        v = img_mon.generators[j]
-        unit_vals.append(v)
-        for i, w in enumerate(hom.images):
-            if w == v:
-                unit_src_idx.append(i)
-                break
-    cols = [list(v) for v in unit_vals] + \
-           [list(c) for c in tgt_amb.relation_columns()]
-    if not cols:
-        return None
-    m = IntMatrix.from_columns(cols, nrows=tgt_amb.dim)
-    sol = solve_integer(m, u)
-    if sol is None:
-        return None
-    c = list(sol[:len(unit_vals)])
-    if any(x < 0 for x in c):
-        z = _positive_unit_relation(img_mon)
-        zu = [z[j] for j in sorted(img_mon.unit_indices())]
-        t = 0
-        for x, zv in zip(c, zu):
-            if x < 0:
-                if zv == 0:
-                    return None
-                t = max(t, (-x + zv - 1) // zv)
-        c = [x + t * zv for x, zv in zip(c, zu)]
-    for x, i in zip(c, unit_src_idx):
-        q = src.ambient.add(q, src.ambient.scale(x, src.generators[i]))
+    src = hom.source.ambient
+    q = src.zero()
+    for v, k in zip(img_mon.generators, mult):
+        if k:
+            q = src.add(q, src.scale(
+                k, hom.source.generators[hom.images.index(v)]))
     return q
 
 

@@ -151,6 +151,21 @@ class TestValidation:
         assert r.returncode == 2
         assert message in r.stderr
 
+    @pytest.mark.parametrize("command", ["validate", "check"])
+    def test_bad_module_over_gluing_exits_2(self, tmp_path, command):
+        # the gluing's variables exist only once it is built; without the
+        # build at validation, validate printed {"valid": true} and check
+        # died with an uncaught "unknown variable 'q'" traceback
+        doc = cli.load_gallery("nodal-descent")
+        mod = next(o for o in doc["objects"]
+                   if o["name"] == "node_ring_module")
+        mod["relations"] = [["q"]]
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(doc))
+        r = run_cli(command, str(f))
+        assert r.returncode == 2
+        assert "module 'node_ring_module': unknown variable 'q'" in r.stderr
+
     def test_empty_tasks_exit_0(self, tmp_path):
         doc = {"version": 1, "objects": [], "tasks": []}
         f = tmp_path / "empty.json"
