@@ -21,6 +21,7 @@ from .abgrp import (
     smith_normal_form,
 )
 from . import qcone
+from .polyalg import QQ, row_reduce
 
 
 def _lam_value(lam, x):
@@ -74,16 +75,39 @@ class FineMonoid:
         """Basis of {a in Z^n : sum a_i g_i = 0 in the ambient group}."""
         return self.generator_hom().kernel_lattice()
 
+    def _dual_zero_sets(self):
+        """One bitmask over the generators per extreme ray rho of the cone
+        dual to the rational cone of the monoid: bit i is set when
+        rho . g_i = 0.
+
+        The rays come from ``qcone.dual_rays`` on the free coordinates of
+        the generators, restricted to their pivot columns so that the
+        generators span and the dual cone is pointed; torsion does not
+        change rational cones."""
+        if "dual_zeros" not in self._cache:
+            rank = self.ambient.rank
+            free = [g[:rank] for g in self.generators]
+            _, cols = row_reduce(QQ, [[QQ.of_int(x) for x in v] for v in free],
+                                 rank)
+            rows = [tuple(v[j] for j in cols) for v in free]
+            self._cache["dual_zeros"] = [
+                sum(1 << i for i, v in enumerate(rows)
+                    if not _lam_value(rho, v))
+                for rho in qcone.dual_rays(rows, len(cols))]
+        return self._cache["dual_zeros"]
+
     def unit_indices(self):
-        """Indices of generators invertible in the monoid."""
-        if "unit_idx" in self._cache:
-            return self._cache["unit_idx"]
-        basis = self.relation_lattice()
-        n = len(self.generators)
-        idx = frozenset(i for i in range(n)
-                        if qcone.nonneg_combination_hits(basis, i, n))
-        self._cache["unit_idx"] = idx
-        return idx
+        """Indices of generators invertible in the monoid: those on which
+        every dual ray vanishes.  By Farkas, -g_i lies in the rational cone
+        exactly when g_i is orthogonal to the dual cone, and then a positive
+        multiple of -g_i is an N-combination of the generators."""
+        if "unit_idx" not in self._cache:
+            units = (1 << len(self.generators)) - 1
+            for z in self._dual_zero_sets():
+                units &= z
+            self._cache["unit_idx"] = frozenset(
+                i for i in range(len(self.generators)) if units >> i & 1)
+        return self._cache["unit_idx"]
 
     def is_sharp(self):
         return not self.unit_indices()
@@ -226,25 +250,19 @@ class FineMonoid:
 
     def faces(self):
         """All faces, as sorted tuples of generator indices belonging to the
-        face, ordered by descending dimension then generator mask."""
+        face, ordered by descending dimension then generator tuple.
+
+        Each face is cut out by a functional of the dual cone, so it is the
+        whole monoid or the generators a nonempty set of dual rays all
+        vanish on: the zero sets of the rays closed under intersection."""
         if "faces" in self._cache:
             return self._cache["faces"]
-        proj, sharp = self._sharp_data()
-        units = self.unit_indices()
         n = len(self.generators)
-        nonunit = [i for i in range(n) if i not in units]
-        rank = sharp.ambient.rank
-        vec = {i: proj.apply(self.generators[i])[:rank] for i in nonunit}
-        found = []
-        for mask in range(1 << len(nonunit)):
-            inside = [nonunit[t] for t in range(len(nonunit)) if mask >> t & 1]
-            outside = [i for i in nonunit if i not in inside]
-            lam = qcone.face_functional([vec[i] for i in inside],
-                                        [vec[j] for j in outside], rank)
-            if lam is None:
-                continue
-            members = tuple(sorted(set(inside) | units))
-            found.append(members)
+        masks = {(1 << n) - 1}
+        for z in self._dual_zero_sets():
+            masks |= {m & z for m in masks}
+        found = [tuple(i for i in range(n) if m >> i & 1) for m in masks]
+
         def face_dim(f):
             cols = [list(self.generators[i]) for i in f]
             if not cols:

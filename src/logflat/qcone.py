@@ -1,14 +1,23 @@
-"""Exact rational linear feasibility by Fourier-Motzkin elimination.
+"""Exact rational polyhedral cones over primitive integer rows.
 
-Small systems only (the monoid layer keeps generator counts in single
-digits).  Constraints are pairs (coeffs, rhs) meaning  sum coeffs*x >= rhs,
-with int or Fraction entries.  Each constraint is kept as one primitive
-integer row (a_0, ..., a_{n-1}, b): denominators cleared, then divided by
-the gcd of its entries.  A positive scaling changes neither the half-space
-nor, up to another positive scaling, any row it is combined into, so rows
-that are positive multiples of each other coincide and are dropped, and
-every bound of the back-substitution is the one of the rational system.
-Only the returned point is rational.
+Two routines, for small systems only (the monoid layer keeps generator
+counts in single digits):
+
+- ``feasible_point``: rational linear feasibility by Fourier-Motzkin
+  elimination.  Constraints are pairs (coeffs, rhs) meaning
+  sum coeffs*x >= rhs, with int or Fraction entries.
+- ``dual_rays``: the extreme rays of a cone {lam : row . lam >= 0} by the
+  double description method (Motzkin, Raiffa, Thompson & Thrall 1953;
+  Fukuda & Prodon, "Double description method revisited", 1996).  With
+  the generators of a full-dimensional cone as rows, these are the inner
+  facet normals of that cone.
+
+Each row is kept as one primitive integer row: denominators cleared, then
+divided by the gcd of its entries.  A positive scaling changes neither the
+half-space nor, up to another positive scaling, any row it is combined into,
+so rows that are positive multiples of each other coincide and are dropped,
+and every bound of the back-substitution is the one of the rational system.
+Only the point ``feasible_point`` returns is rational.
 """
 
 from __future__ import annotations
@@ -93,17 +102,6 @@ def positive_functional(vectors, dim):
     return feasible_point(cons, dim)
 
 
-def face_functional(zero_vectors, positive_vectors, dim):
-    """lambda vanishing on the first family, >= 1 on the second, or None."""
-    cons = []
-    for v in zero_vectors:
-        cons.append((v, 0))
-        cons.append((tuple(-x for x in v), 0))
-    for v in positive_vectors:
-        cons.append((v, 1))
-    return feasible_point(cons, dim)
-
-
 def nonneg_combination_system(basis_cols, i, n):
     """Constraints on c, over the k = len(basis_cols) columns of the n-row
     matrix B, saying (B c)_j >= 0 for all j and (B c)_i >= 1."""
@@ -111,11 +109,60 @@ def nonneg_combination_system(basis_cols, i, n):
     return [(row, 0) for row in rows] + [(rows[i], 1)]
 
 
-def nonneg_combination_hits(basis_cols, i, n):
-    """Whether some c has (B c)_j >= 0 for all j and (B c)_i >= 1, for the
-    n-row matrix B given by columns.  Rational feasibility suffices: the
-    column span is a lattice, so solutions scale to integer ones."""
-    if not basis_cols:
-        return False
-    cons = nonneg_combination_system(basis_cols, i, n)
-    return feasible_point(cons, len(basis_cols)) is not None
+def _dot(a, x):
+    return sum(u * v for u, v in zip(a, x))
+
+
+def dual_rays(rows, dim):
+    """The primitive integer extreme rays of {lam in Q^dim : row . lam >= 0
+    for every row}, sorted; rows have int or Fraction entries.
+
+    Double description: start from the whole space, spanned by a lineality
+    basis, and cut by one row at a time.  A row that some lineality vector
+    does not vanish on turns that vector into a ray and is made to vanish
+    on the rest.  Otherwise the new rays are the old ones on the row's
+    side plus one positive combination, on the row's hyperplane, of each
+    pair of adjacent rays on opposite sides.  Two rays are adjacent when no
+    third ray vanishes on every row both vanish on (the combinatorial test;
+    such rows must number at least the pointed dimension minus 2).  When
+    the rows do not span Q^dim the cone contains a line and has no extreme
+    rays, so the result is empty."""
+    rows = [r for r in dict.fromkeys(_primitive(clear_denominators(row))
+                                   for row in rows) if any(r)]
+    lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    rays = []  # (primitive vector, bitmask of the processed rows it zeroes)
+    for k, a in enumerate(rows):
+        bit = 1 << k
+        vals = [_dot(a, v) for v in lineality]
+        t = next((i for i, s in enumerate(vals) if s), None)
+        if t is not None:
+            line, s = lineality.pop(t), vals.pop(t)
+            if s < 0:
+                line, s = tuple(-x for x in line), -s
+            lineality = [_primitive([s * x - u * y for x, y in zip(v, line)])
+                         for v, u in zip(lineality, vals)]
+            rays = [(_primitive([s * x - _dot(a, r) * y
+                                 for x, y in zip(r, line)]), z | bit)
+                    for r, z in rays]
+            rays.append((line, bit - 1))
+            continue
+        need = dim - len(lineality) - 2
+        side = [_dot(a, r) for r, _ in rays]
+        kept = [(r, z | bit if v == 0 else z)
+                for (r, z), v in zip(rays, side) if v >= 0]
+        for i, (p, zp) in enumerate(rays):
+            if side[i] <= 0:
+                continue
+            for j, (q, zq) in enumerate(rays):
+                if side[j] >= 0:
+                    continue
+                common = zp & zq
+                if common.bit_count() < need or any(
+                        z & common == common
+                        for m, (_, z) in enumerate(rays) if m != i and m != j):
+                    continue
+                kept.append((_primitive([side[i] * y - side[j] * x
+                                         for x, y in zip(p, q)]),
+                             common | bit))
+        rays = kept
+    return [] if lineality else sorted(r for r, _ in rays)

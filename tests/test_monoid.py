@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from logflat.abgrp import FgAbGroup
+from logflat import qcone
+from logflat.abgrp import FgAbGroup, IntMatrix, smith_normal_form
 from logflat.monoid import (
     FineMonoid,
     MonoidHom,
@@ -320,3 +322,143 @@ def test_classify_polygon_cones_pinned(tag):
         got = (c.injective, c.surjective, c.strict, c.vertical, c.flat,
                c.free, type(c.basis).__name__, c.witness)
         assert got == _PINNED[name], name
+
+
+# -- units and faces against the Fourier-Motzkin enumeration they replaced ----
+
+
+def _face_functional(zero_vectors, positive_vectors, dim):
+    """lambda vanishing on the first family, >= 1 on the second, or None."""
+    cons = []
+    for v in zero_vectors:
+        cons.append((v, 0))
+        cons.append((tuple(-x for x in v), 0))
+    for v in positive_vectors:
+        cons.append((v, 1))
+    return qcone.feasible_point(cons, dim)
+
+
+def _nonneg_combination_hits(basis_cols, i, n):
+    if not basis_cols:
+        return False
+    cons = qcone.nonneg_combination_system(basis_cols, i, n)
+    return qcone.feasible_point(cons, len(basis_cols)) is not None
+
+
+def reference_unit_indices(self):
+    """One Fourier-Motzkin system per generator: is some nonnegative
+    relation positive on it?"""
+    basis = self.relation_lattice()
+    n = len(self.generators)
+    return frozenset(i for i in range(n)
+                     if _nonneg_combination_hits(basis, i, n))
+
+
+def reference_faces(self):
+    """One Fourier-Motzkin system per subset of the nonunit generators: is
+    there a functional on the sharp quotient vanishing on the subset and
+    positive on the rest?"""
+    proj, sharp = self._sharp_data()
+    units = reference_unit_indices(self)
+    n = len(self.generators)
+    nonunit = [i for i in range(n) if i not in units]
+    rank = sharp.ambient.rank
+    vec = {i: proj.apply(self.generators[i])[:rank] for i in nonunit}
+    found = []
+    for mask in range(1 << len(nonunit)):
+        inside = [nonunit[t] for t in range(len(nonunit)) if mask >> t & 1]
+        outside = [i for i in nonunit if i not in inside]
+        lam = _face_functional([vec[i] for i in inside],
+                               [vec[j] for j in outside], rank)
+        if lam is None:
+            continue
+        members = tuple(sorted(set(inside) | units))
+        found.append(members)
+    def face_dim(f):
+        cols = [list(self.generators[i]) for i in f]
+        if not cols:
+            return 0
+        m = IntMatrix.from_columns(cols, nrows=self.ambient.dim)
+        _, d, _ = smith_normal_form(m)
+        return sum(1 for i in range(min(m.rows, m.cols)) if d[i, i] != 0)
+
+    found.sort(key=lambda f: (-face_dim(f), f))
+    return found
+
+
+@st.composite
+def embedded_monoids(draw):
+    """Monoids in Z^r (+) T, r = 0..4, with zero, repeated and pure-torsion
+    generators and negated ones (units) mixed in at random places."""
+    rank = draw(st.integers(0, 4))
+    torsion = draw(st.sampled_from([(), (2,), (3,), (2, 4)]))
+    elem = st.tuples(*[st.integers(-2, 2)] * rank,
+                     *[st.integers(0, d - 1) for d in torsion])
+    gens = draw(st.lists(elem, max_size=5))
+    extras = [(0,) * (rank + len(torsion))]
+    extras.append(draw(st.tuples(*[st.just(0)] * rank,
+                                 *[st.integers(0, d - 1) for d in torsion])))
+    if gens:
+        g = draw(st.sampled_from(gens))
+        extras += [g, tuple(-x for x in g)]
+    for e in draw(st.lists(st.sampled_from(extras), max_size=3)):
+        gens.insert(draw(st.integers(0, len(gens))), e)
+    return FineMonoid(FgAbGroup(rank, torsion), gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(embedded_monoids())
+@example(FineMonoid(FgAbGroup.free(2), [(1, 0), (-1, 0), (0, 1)]))
+@example(FineMonoid(FgAbGroup(0, (2, 4)), [(1, 0), (0, 3), (1, 3)]))
+@example(FineMonoid(FgAbGroup(1, (2,)), [(1, 1), (-1, 0), (0, 1), (2, 0)]))
+@example(FineMonoid(FgAbGroup.free(3), [(1, 0, 0), (0, 1, 0)]))
+@example(FineMonoid(FgAbGroup.free(0), []))
+def test_units_and_faces_match_reference(p):
+    fresh = FineMonoid(p.ambient, p.generators)
+    assert p.unit_indices() == reference_unit_indices(fresh)
+    faces = reference_faces(fresh)
+    assert p.faces() == faces
+    n = len(p.generators)
+    assert [q.generators for q in p.prime_ideals()] == [
+        tuple(p.generators[i] for i in range(n) if i not in f) for f in faces]
+
+
+OCTAGON_CONE = [(x, y, 1) for x, y in _POLYGONS["8-gon"]]
+
+
+def test_octagon_cone_faces_pinned():
+    p = FineMonoid(FgAbGroup.free(3), OCTAGON_CONE)
+    assert p.faces() == [
+        (0, 1, 2, 3, 4, 5, 6, 7),
+        (0, 1), (0, 7), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
+        (0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,),
+        (),
+    ]
+    assert p.unit_indices() == frozenset()
+
+
+def test_lineality_and_rank_zero_faces_pinned():
+    z_times_n = FineMonoid(FgAbGroup.free(2), [(1, 0), (-1, 0), (0, 1)])
+    assert z_times_n.faces() == [(0, 1, 2), (0, 1)]
+    assert z_times_n.unit_indices() == frozenset({0, 1})
+    finite = FineMonoid(FgAbGroup(0, (2, 4)), [(1, 0), (0, 3)])
+    assert finite.faces() == [(0, 1)]
+    assert finite.unit_indices() == frozenset({0, 1})
+    trivial = FineMonoid(FgAbGroup.free(0), [])
+    assert trivial.faces() == [()]
+    assert trivial.unit_indices() == frozenset()
+
+
+def test_units_and_faces_solve_no_feasibility_system(monkeypatch):
+    calls = []
+    solve = qcone.feasible_point
+
+    def counted(constraints, nvars):
+        calls.append(nvars)
+        return solve(constraints, nvars)
+
+    monkeypatch.setattr(qcone, "feasible_point", counted)
+    p = FineMonoid(FgAbGroup.free(3), OCTAGON_CONE)
+    p.unit_indices()
+    p.faces()
+    assert calls == []

@@ -1,9 +1,11 @@
 """Fourier-Motzkin over primitive integer rows against the Fraction
 elimination it replaced: the same point (or None on both sides) on random
-systems, and a point that satisfies every constraint."""
+systems, and a point that satisfies every constraint.  Double description
+against brute force over the kernels of row subsets."""
 
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -73,8 +75,7 @@ def _reference_solve(cons, nvars):
 @st.composite
 def systems(draw):
     """(constraints, nvars): int and Fraction rows, positive multiples of
-    earlier rows, and equality pairs (v >= 0, -v >= 0) as face_functional
-    writes them."""
+    earlier rows, and equality pairs (v >= 0, -v >= 0)."""
     nvars = draw(st.integers(0, 3))
     entry = st.one_of(st.integers(-3, 3),
                       st.fractions(min_value=-3, max_value=3,
@@ -119,30 +120,92 @@ def test_feasible_point_matches_fraction_reference(system):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
     st.just(d),
-    st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=4),
     st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=4))))
 def test_functionals_match_fraction_reference(case):
-    dim, zero, positive = case
+    dim, positive = case
     cons = [(v, 1) for v in positive]
     assert qcone.positive_functional(positive, dim) == \
         reference_feasible_point(cons, dim)
-    cons = [c for v in zero for c in ((v, 0), (tuple(-x for x in v), 0))] \
-        + cons
-    lam = qcone.face_functional(zero, positive, dim)
-    assert lam == reference_feasible_point(cons, dim)
-    if lam is not None:
-        assert all(sum(l * x for l, x in zip(lam, v)) == 0 for v in zero)
-        assert all(sum(l * x for l, x in zip(lam, v)) >= 1 for v in positive)
 
 
-def test_nonneg_combination_hits():
-    # columns (1, -1) and (-1, 1): (B c)_1 = -(B c)_0, so both are 0
-    assert not qcone.nonneg_combination_hits([(1, -1), (-1, 1)], 0, 2)
-    # columns (1, 1) and (1, 0): B (1, 0) = (1, 1)
-    assert qcone.nonneg_combination_hits([(1, 1), (1, 0)], 1, 2)
-    assert not qcone.nonneg_combination_hits([], 0, 2)
+def test_nonneg_combination_system():
     system = qcone.nonneg_combination_system([(1, 2), (3, 4)], 1, 2)
     assert system == [((1, 3), 0), ((2, 4), 0), ((2, 4), 1)]
+
+
+# -- dual_rays against brute force over (dim - 1)-subsets of rows --------------
+
+
+def _det(m):
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:]
+                                            for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
+
+
+def _primitive(v):
+    g = gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def brute_force_rays(rows, dim):
+    """Every kernel normal of dim - 1 rows, with either sign, that
+    satisfies every row while its negation does not, made primitive.
+
+    A one-dimensional kernel of dim - 1 rows is spanned by their signed
+    maximal minors.  In a pointed cone every such normal lies on an extreme
+    ray, and every extreme ray is cut out by dim - 1 independent rows; when
+    the rows only span a hyperplane the two normals bound a line of the
+    cone, not an extreme ray, and the negation test drops them."""
+    # a positive scaling moves no half-space: work on integer rows
+    rows = [tuple(int(x * lcm(*(Fraction(y).denominator for y in row)))
+                  for x in row) for row in rows]
+    found = set()
+    for sub in combinations(rows, dim - 1) if dim else ():
+        normal = [(-1) ** j * _det([r[:j] + r[j + 1:] for r in sub])
+                  for j in range(dim)]
+        if not any(normal):
+            continue
+        for sign in (1, -1):
+            v = [sign * x for x in normal]
+            if all(sum(a * x for a, x in zip(r, v)) >= 0 for r in rows) and \
+                    not all(sum(a * x for a, x in zip(r, v)) <= 0
+                            for r in rows):
+                found.add(_primitive(v))
+    return found
+
+
+@st.composite
+def cone_rows(draw):
+    """(rows, dim): int and Fraction rows, zero rows, positive multiples and
+    negations of earlier rows."""
+    dim = draw(st.integers(0, 4))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.fractions(min_value=-3, max_value=3,
+                                   max_denominator=3))
+    rows = draw(st.lists(st.tuples(*[entry] * dim), max_size=7))
+    if rows:
+        for row in draw(st.lists(st.sampled_from(rows), max_size=2)):
+            s = draw(st.sampled_from([Fraction(1, 2), 3, -1]))
+            rows.append(tuple(s * x for x in row))
+    return rows, dim
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone_rows())
+@example(([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3))
+@example(([(1, 0, 1), (2, 0, 1), (3, 1, 1), (3, 2, 1), (2, 3, 1), (1, 3, 1),
+           (0, 2, 1), (0, 1, 1)], 3))
+@example(([(1, 0), (-1, 0), (0, 1)], 2))
+@example(([(1, 1, 0), (1, -1, 0)], 3))
+@example(([(1,), (-1,)], 1))
+@example(([], 2))
+def test_dual_rays_match_brute_force(case):
+    rows, dim = case
+    rays = qcone.dual_rays(rows, dim)
+    assert rays == sorted(set(rays))
+    assert set(rays) == brute_force_rays(rows, dim)
 
 
 @given(st.lists(st.one_of(st.integers(-20, 20),
