@@ -260,16 +260,13 @@ def _invert_module_map(phi_cols, m_from: ModulePresentation,
     ring = m_to.over.ring
     # surjectivity with witnesses: lift each basis vector of m_to
     inv_cols = []
-    lift_cols = (phi_cols + m_to.columns
-                 + pa.ideal_rows(m_to.over.ideal, m_to.rank))
+    relations = m_to.columns + pa.ideal_rows(m_to.over.ideal, m_to.rank)
     for i in range(m_to.rank):
-        target = m_to.basis_elem(i)
-        w = pa.lift_through(ring.field, lift_cols, m_to.rank, ring.nvars,
-                            ring.key, target)
+        w = pa.lift_through(ring.field, phi_cols, m_to.rank, ring.nvars,
+                            ring.key, m_to.basis_elem(i), relations)
         if w is None:
             return None
-        inv_cols.append({(mono, pos): c for (mono, pos), c in w.items()
-                         if pos < len(phi_cols)})
+        inv_cols.append(w)
     # injectivity: kernel of phi on m_from is zero
     _, kgens = pa.kernel_of_module_map(phi_cols, m_from, m_to)
     if not all(m_from.is_zero_elem(g) for g in kgens):
@@ -411,12 +408,12 @@ def _canonical_into_descent(glue, m: ModulePresentation, back):
         # the image of e_i is the pair (e_i, e_i): coordinates in C^{r1+r2}
         target = {((0,) * glue.c.ring.nvars, i): field.one()}
         target[( (0,) * glue.c.ring.nvars, r + i)] = field.one()
-        w = pa.lift_through(field, gens + pa.ideal_rows(glue.c.ideal, 2 * r),
-                            2 * r, glue.c.ring.nvars, glue.c.ring.key, target)
+        w = pa.lift_through(field, gens, 2 * r, glue.c.ring.nvars,
+                            glue.c.ring.key, target,
+                            pa.ideal_rows(glue.c.ideal, 2 * r))
         if w is None:
             return None
-        cand.append({(mono, pos): c for (mono, pos), c in w.items()
-                     if pos < len(gens)})
+        cand.append(w)
     return cand
 
 
@@ -493,7 +490,7 @@ def ext1_dimension(m: ModulePresentation, n: ModulePresentation):
     d1 = list(m.columns)
     if not d1:
         return 0
-    d2 = pa.syzygies_over(over, d1, m.rank)
+    d2 = pa.kernel_of_matrix(over, d1, m.rank)
     bn = n.kbasis()
     if bn is None:
         raise NotFiniteDimensional("Ext needs finite dimensional modules")

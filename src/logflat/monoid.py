@@ -15,10 +15,8 @@ from dataclasses import dataclass, field
 from .abgrp import (
     FgAbGroup,
     GroupHom,
-    IntMatrix,
     direct_sum,
     pushout,
-    smith_normal_form,
 )
 from . import qcone
 from .polyalg import QQ, row_reduce
@@ -263,13 +261,13 @@ class FineMonoid:
             masks |= {m & z for m in masks}
         found = [tuple(i for i in range(n) if m >> i & 1) for m in masks]
 
+        rank = self.ambient.rank
+
         def face_dim(f):
-            cols = [list(self.generators[i]) for i in f]
-            if not cols:
-                return 0
-            m = IntMatrix.from_columns(cols, nrows=self.ambient.dim)
-            _, d, _ = smith_normal_form(m)
-            return sum(1 for i in range(min(m.rows, m.cols)) if d[i, i] != 0)
+            # the rational rank of the free coordinates: torsion has none
+            rows = [[QQ.of_int(x) for x in self.generators[i][:rank]]
+                    for i in f]
+            return len(row_reduce(QQ, rows, rank)[1])
 
         found.sort(key=lambda f: (-face_dim(f), f))
         self._cache["faces"] = found

@@ -523,10 +523,12 @@ def buchberger(field, gens, key, ring_mode=False):
     return [basis[t] for t in order]
 
 
-def _augmented_gb(field, vecs, rank, nvars, ring_key):
-    """Groebner basis of {v_i (+) e_(rank+i)} under the block order that
-    eliminates the value block (positions below ``rank``), with its key."""
-    aug = []
+def _augmented_gb(field, vecs, rank, nvars, ring_key, relations=()):
+    """Groebner basis of {v_i (+) e_(rank+i)} together with the untagged
+    {u (+) 0} for u in ``relations`` (elements of S^rank), under the block
+    order that eliminates the value block (positions below ``rank``), with
+    its key.  Only the ``vecs`` get a tag position; the relations get none."""
+    aug = list(relations)
     for i, v in enumerate(vecs):
         g = dict(v)
         g[((0,) * nvars, rank + i)] = field.one()
@@ -535,24 +537,30 @@ def _augmented_gb(field, vecs, rank, nvars, ring_key):
     return buchberger(field, aug, key), key
 
 
-def syzygies(field, vecs, rank, nvars, ring_key):
-    """Generators of the syzygy module of ``vecs`` (elements of S^rank).
+def syzygies(field, vecs, rank, nvars, ring_key, relations=()):
+    """Reduced Groebner basis, in ``module_key(ring_key)`` order, of
+    {x in S^k : sum x_i vecs_i lies in the span U of ``relations``} for
+    elements ``vecs`` and ``relations`` of S^rank (the plain syzygy module
+    when there are no relations).
 
-    Computed from a Groebner basis of {v_i (+) e_i} under a block order that
-    eliminates the value block."""
-    gb, _ = _augmented_gb(field, vecs, rank, nvars, ring_key)
-    out = []
-    for g in gb:
-        if all(p >= rank for (_, p) in g):
-            out.append({(m, p - rank): c for (m, p), c in g.items()})
-    return out
+    The elements of the augmented basis (see ``_augmented_gb``) that lie
+    wholly in the tag positions form it.  The relations are untagged, so
+    the syzygies among them are never computed, and the result depends on
+    U only, not on the generators that span it."""
+    gb, _ = _augmented_gb(field, vecs, rank, nvars, ring_key, relations)
+    return [{(m, p - rank): c for (m, p), c in g.items()}
+            for g in gb if all(p >= rank for (_, p) in g)]
 
 
-def lift_through(field, vecs, rank, nvars, ring_key, target):
-    """Coefficients c with target = sum c_i vecs_i, or None.
+def lift_through(field, vecs, rank, nvars, ring_key, target, relations=()):
+    """Coefficients c with target - sum c_i vecs_i in the span of
+    ``relations``, or None when there are none.
 
-    Same elimination trick as ``syzygies``; also the membership test."""
-    gb, key = _augmented_gb(field, vecs, rank, nvars, ring_key)
+    Same elimination as ``syzygies``, with the relations untagged: the
+    normal form of target against the augmented basis lies wholly in the
+    tag positions exactly when target lies in span(vecs) + span(relations),
+    and then it is -c."""
+    gb, key = _augmented_gb(field, vecs, rank, nvars, ring_key, relations)
     r = m_reduce(field, target, gb, key)
     if any(p < rank for (_, p) in r):
         return None
@@ -893,34 +901,15 @@ def ideal_intersection(over: RingPresentation, gens1, gens2):
     return [{(mono, 0): c for (mono, _), c in g.items()} for g in ker]
 
 
-def syzygies_over(over: RingPresentation, cols, rank):
-    """Syzygies of the columns over the presented ring (ideal absorbed)."""
-    return kernel_of_matrix(over, cols, rank)
-
-
-def _dedupe(field, elems, key):
-    seen = []
-    for e in elems:
-        ce = m_monic(field, e, key)
-        if ce not in seen:
-            seen.append(ce)
-    return seen
-
-
 def kernel_of_matrix(over: RingPresentation, cols, out_rank, out_relations=()):
-    """Generators of {x in R^k : sum x_i cols_i lies in the span of
-    out_relations} (the ideal is always absorbed)."""
-    field = over.ring.field
-    all_cols = (list(cols) + list(out_relations)
-                + ideal_rows(over.ideal, out_rank))
-    syz = syzygies(field, all_cols, out_rank, over.ring.nvars, over.ring.key)
-    k = len(cols)
-    out = []
-    for s in syz:
-        proj = {(m, p): c for (m, p), c in s.items() if p < k}
-        if proj:
-            out.append(proj)
-    return _dedupe(field, out, module_key(over.ring.key))
+    """Reduced Groebner basis of {x in R^k : sum x_i cols_i lies in the span
+    of out_relations} over the presented ring R (the ideal is always
+    absorbed).  One ``syzygies`` call: only the k columns are tagged, and
+    the relations and the rows of the ring's reduced basis go in untagged."""
+    return syzygies(over.ring.field, cols, out_rank, over.ring.nvars,
+                    over.ring.key,
+                    relations=(list(out_relations)
+                               + ideal_rows(over.gb(), out_rank)))
 
 
 def kernel_of_module_map(phi_cols, m: ModulePresentation, n: ModulePresentation):
@@ -990,7 +979,7 @@ def tor1_along(rmap: RingMap, cols, rank, n: ModulePresentation):
         return [{(mono, j * r + pos): c for (mono, pos), c in rel.items()}
                 for j in range(count) for rel in n.columns]
 
-    d2 = syzygies_over(rmap.source, cols, rank)
+    d2 = kernel_of_matrix(rmap.source, cols, rank)
     return homology(rmap.target, tensored(d2), len(cols) * r,
                     relation_blocks(len(cols)), tensored(cols), rank * r,
                     relation_blocks(rank))

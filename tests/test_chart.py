@@ -513,7 +513,7 @@ def reference_tower(cr, m, evars, killed=()):
             if killed else cr.to_c)
     for e in evars:
         ze = ring.var(e)
-        d2 = pa.syzygies_over(to_m.source, [ze], 1)
+        d2 = pa.kernel_of_matrix(to_m.source, [ze], 1)
         tz = _tensored_homology_is_zero(
             m, [pa.transport_col(to_m, s) for s in d2], [to_m.apply(ze)])
         sub_m = ModulePresentation(

@@ -375,10 +375,12 @@ def reference_faces(self):
         members = tuple(sorted(set(inside) | units))
         found.append(members)
     def face_dim(f):
-        cols = [list(self.generators[i]) for i in f]
-        if not cols:
+        # the rank of the free coordinates only: torsion adds no dimension
+        rank = self.ambient.rank
+        cols = [list(self.generators[i][:rank]) for i in f]
+        if not cols or not rank:
             return 0
-        m = IntMatrix.from_columns(cols, nrows=self.ambient.dim)
+        m = IntMatrix.from_columns(cols, nrows=rank)
         _, d, _ = smith_normal_form(m)
         return sum(1 for i in range(min(m.rows, m.cols)) if d[i, i] != 0)
 
@@ -411,6 +413,7 @@ def embedded_monoids(draw):
 @example(FineMonoid(FgAbGroup.free(2), [(1, 0), (-1, 0), (0, 1)]))
 @example(FineMonoid(FgAbGroup(0, (2, 4)), [(1, 0), (0, 3), (1, 3)]))
 @example(FineMonoid(FgAbGroup(1, (2,)), [(1, 1), (-1, 0), (0, 1), (2, 0)]))
+@example(FineMonoid(FgAbGroup(2, (2,)), [(0, 1, 0), (1, 0, 0), (1, 0, 1)]))
 @example(FineMonoid(FgAbGroup.free(3), [(1, 0, 0), (0, 1, 0)]))
 @example(FineMonoid(FgAbGroup.free(0), []))
 def test_units_and_faces_match_reference(p):
@@ -447,6 +450,13 @@ def test_lineality_and_rank_zero_faces_pinned():
     trivial = FineMonoid(FgAbGroup.free(0), [])
     assert trivial.faces() == [()]
     assert trivial.unit_indices() == frozenset()
+
+
+def test_torsion_ambient_faces_sorted_by_rational_dimension():
+    # (1, 0, 1) is (1, 0) plus torsion: the face {1, 2} is a ray, of the
+    # same dimension as {0}, so it sorts after it
+    p = FineMonoid(FgAbGroup(2, (2,)), [(0, 1, 0), (1, 0, 0), (1, 0, 1)])
+    assert p.faces() == [(0, 1, 2), (0,), (1, 2), ()]
 
 
 def test_units_and_faces_solve_no_feasibility_system(monkeypatch):

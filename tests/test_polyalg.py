@@ -17,11 +17,11 @@ from logflat.polyalg import (
     block_key,
     buchberger,
     degrevlex_key,
+    kernel_of_matrix,
     kernel_of_module_map,
     m_sub,
     module_key,
     regular_element_test,
-    syzygies_over,
     toric_ideal,
     tor1,
     tor1_via_resolution,
@@ -97,7 +97,7 @@ class TestSyzygies:
     def test_koszul(self):
         r = ring(["x", "y"])
         rp = RingPresentation(r, [])
-        syz = syzygies_over(rp, [r.parse("x"), r.parse("y")], 1)
+        syz = kernel_of_matrix(rp, [r.parse("x"), r.parse("y")], 1)
         assert len(syz) == 1
         s = syz[0]
         # s = (y, -x) up to sign: check x*s0 + y*s1 = 0
@@ -110,7 +110,7 @@ class TestSyzygies:
     def test_unit_has_no_syzygy(self):
         r = ring(["x"])
         rp = RingPresentation(r, [])
-        assert syzygies_over(rp, [r.parse("1")], 1) == []
+        assert kernel_of_matrix(rp, [r.parse("1")], 1) == []
 
     def test_kernel_of_multiplication(self):
         # kernel of x on k[x]/(x^2) is generated by x
@@ -538,7 +538,7 @@ def _reference_tor1(m, j_gens):
     a = len(d1)
     if a == 0:
         return ModulePresentation(rq, 0, []), True
-    d2 = syzygies_over(over, d1, m.rank)
+    d2 = kernel_of_matrix(over, d1, m.rank)
     mid_rels = []
     for g in j_gens:
         for i in range(a):
@@ -664,3 +664,243 @@ def test_nullspace_and_solve_linear_match_sympy(system):
     if x is not None:
         assert len(x) == ncols
         assert all(field.eq(_dot(field, row, x), t) for row, t in zip(rows, b))
+
+
+# -- kernels and lifts modulo relations against the tagged construction ---------
+
+
+def _tagged_augmented_gb(field, vecs, rank, nvars, ring_key):
+    """The earlier ``_augmented_gb``: every vector gets a tag position."""
+    aug = []
+    for i, v in enumerate(vecs):
+        g = dict(v)
+        g[((0,) * nvars, rank + i)] = field.one()
+        aug.append(g)
+    key = block_key(ring_key, rank)
+    return buchberger(field, aug, key), key
+
+
+def _tagged_syzygies(field, vecs, rank, nvars, ring_key):
+    gb, _ = _tagged_augmented_gb(field, vecs, rank, nvars, ring_key)
+    out = []
+    for g in gb:
+        if all(p >= rank for (_, p) in g):
+            out.append({(m, p - rank): c for (m, p), c in g.items()})
+    return out
+
+
+def _tagged_lift_through(field, vecs, rank, nvars, ring_key, target):
+    """The earlier ``lift_through``, kept as the reference: the relations
+    are passed among ``vecs``, each with its own tag."""
+    gb, key = _tagged_augmented_gb(field, vecs, rank, nvars, ring_key)
+    r = pa.m_reduce(field, target, gb, key)
+    if any(p < rank for (_, p) in r):
+        return None
+    return {(m, p - rank): field.neg(c) for (m, p), c in r.items()}
+
+
+def _dedupe(field, elems, key):
+    seen = []
+    for e in elems:
+        ce = pa.m_monic(field, e, key)
+        if ce not in seen:
+            seen.append(ce)
+    return seen
+
+
+def _tagged_kernel_of_matrix(over, cols, out_rank, out_relations=()):
+    """The earlier ``kernel_of_matrix``, kept as the reference: every
+    column, relation and ideal row gets a tag, and the kernel is the
+    projection of the whole syzygy module onto the columns' tags."""
+    field = over.ring.field
+    all_cols = (list(cols) + list(out_relations)
+                + pa.ideal_rows(over.ideal, out_rank))
+    syz = _tagged_syzygies(field, all_cols, out_rank, over.ring.nvars,
+                           over.ring.key)
+    k = len(cols)
+    out = []
+    for s in syz:
+        proj = {(m, p): c for (m, p), c in s.items() if p < k}
+        if proj:
+            out.append(proj)
+    return _dedupe(field, out, module_key(over.ring.key))
+
+
+def _combine(field, vecs, x):
+    """sum x_i vecs_i for x in S^len(vecs)."""
+    out = {}
+    for (mono, pos), c in x.items():
+        out = pa.m_add(field, out, pa.m_shift(field, c, mono, vecs[pos]))
+    return out
+
+
+@st.composite
+def kernel_problems(draw, fields=(QQ, FieldFp(5), FieldFp(32003)),
+                    with_ideal=True):
+    """A ring R = k[x_1..x_n]/I, n = 1..3, with up to two generators of I;
+    up to three columns and up to two relations in R^rank, rank 1..3; and a
+    target, often a combination of columns and relations."""
+    field = draw(st.sampled_from(fields))
+    nvars = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 3))
+    r = ring(["x", "y", "z"][:nvars], field)
+    ideal = _elements(draw, field, nvars, 1, 2, 2, 2) if with_ideal else []
+    over = RingPresentation(r, ideal)
+    cols = _elements(draw, field, nvars, rank, 3, 3, 2)
+    rels = _elements(draw, field, nvars, rank, 2, 2, 2)
+    target = {}
+    for g in draw(st.lists(st.sampled_from(cols + rels), max_size=3)
+                  if cols + rels else st.just([])):
+        mono = draw(st.tuples(*[st.integers(0, 1)] * nvars))
+        c = field.of_int(draw(st.sampled_from([1, -1, 2])))
+        target = pa.m_add(field, target, pa.m_shift(field, c, mono, g))
+    for extra in _elements(draw, field, nvars, rank, 1, 1, 1):
+        target = pa.m_add(field, target, extra)
+    return over, rank, cols, rels, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_problems())
+def test_kernel_of_matrix_matches_tagged_reference(problem):
+    over, rank, cols, rels, _ = problem
+    field, k = over.ring.field, len(cols)
+    new = kernel_of_matrix(over, cols, rank, rels)
+    ref = _tagged_kernel_of_matrix(over, cols, rank, rels)
+    # every generator maps into U = span(rels) + I R^rank
+    u = ModulePresentation(over, rank, rels)
+    assert all(u.is_zero_elem(_combine(field, cols, g)) for g in new)
+    # the same submodule of R^k, modulo I R^k
+    assert all(ModulePresentation(over, k, ref).is_zero_elem(g) for g in new)
+    assert all(ModulePresentation(over, k, new).is_zero_elem(g) for g in ref)
+    # a reduced basis, and one that depends on U only
+    assert new == buchberger(field, new, module_key(over.ring.key))
+    assert kernel_of_matrix(over, cols, rank, u.gb()) == new
+
+
+@settings(max_examples=40, deadline=None)
+@given(kernel_problems(fields=(QQ,), with_ideal=False))
+def test_kernel_of_matrix_matches_sympy(problem):
+    over, rank, cols, rels, _ = problem
+    sympy = pytest.importorskip("sympy")
+    k = len(cols)
+    if not k:
+        return
+    xs = sympy.symbols(over.ring.names)
+    base = sympy.QQ.old_poly_ring(*xs)
+
+    def to_sympy(elem, size):
+        out = [sympy.Integer(0)] * size
+        for (mono, pos), c in elem.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for x, e in zip(xs, mono):
+                term *= x ** e
+            out[pos] += term
+        return out
+
+    # sympy takes no zero vectors: a zero column is a syzygy of its own
+    vecs = cols + rels
+    live = [i for i, v in enumerate(vecs) if v]
+    gens = [[int(i == j) for j in range(k)] for i in range(k) if not cols[i]]
+    if live:
+        syz = base.free_module(rank).submodule(
+            *[to_sympy(vecs[i], rank) for i in live]).syzygy_module()
+        for s in syz.gens:
+            full = [0] * len(vecs)
+            for i, c in zip(live, s):
+                full[i] = c
+            if any(full[:k]):
+                gens.append(full[:k])
+    theirs = base.free_module(k).submodule(*gens)
+    ours = base.free_module(k).submodule(
+        *[to_sympy(g, k) for g in kernel_of_matrix(over, cols, rank, rels)])
+    assert ours == theirs
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_problems())
+def test_lift_through_matches_tagged_reference(problem):
+    over, rank, cols, rels, target = problem
+    field, r = over.ring.field, over.ring
+    relations = rels + pa.ideal_rows(over.ideal, rank)
+    c = pa.lift_through(field, cols, rank, r.nvars, r.key, target, relations)
+    ref = _tagged_lift_through(field, cols + relations, rank, r.nvars, r.key,
+                               target)
+    assert (c is None) == (ref is None)
+    if c is not None:
+        assert all(p < len(cols) for (_, p) in c)
+        rest = m_sub(field, target, _combine(field, cols, c))
+        assert ModulePresentation(RingPresentation(r), rank,
+                                  relations).is_zero_elem(rest)
+
+
+def _tagged_positions(monkeypatch):
+    """Record, for every module Groebner basis that ``kernel_of_matrix`` or
+    ``lift_through`` asks for, (the function's name, rank, number of
+    columns, the positions of each generator)."""
+    frames, seen = [], []
+    real = pa.buchberger
+
+    def recording(field, gens, key, ring_mode=False):
+        if frames and not ring_mode:
+            seen.append((*frames[-1], [{p for (_, p) in g} for g in gens]))
+        return real(field, gens, key, ring_mode)
+
+    def entering(fn, shape):
+        def wrapped(*args, **kwargs):
+            frames.append((fn.__name__, *shape(*args)))
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                frames.pop()
+        return wrapped
+
+    monkeypatch.setattr(pa, "buchberger", recording)
+    monkeypatch.setattr(pa, "kernel_of_matrix", entering(
+        pa.kernel_of_matrix, lambda over, cols, rank, *rest: (rank, len(cols))))
+    monkeypatch.setattr(pa, "lift_through", entering(
+        pa.lift_through, lambda field, vecs, rank, *rest: (rank, len(vecs))))
+    return seen
+
+
+def _assert_relations_untagged(seen, name):
+    assert any(fn == name for fn, *_ in seen)
+    for _, rank, ncols, positions in seen:
+        assert all(p < rank + ncols for ps in positions for p in ps)
+    # the guard is not vacuous: ``name`` was passed relations, with no tag
+    assert any(ps and max(ps) < rank for fn, rank, _, positions in seen
+               if fn == name for ps in positions)
+
+
+def _gallery_tasks(name, task_names):
+    from logflat import cli
+    doc = cli.load_gallery(name)
+    doc["tasks"] = [t for t in doc["tasks"] if t["name"] in task_names]
+    report, code = cli.run_document(doc)
+    assert code == 0 and len(report["tasks"]) == len(task_names)
+
+
+def test_kernels_tag_only_their_columns(monkeypatch):
+    # the second chart criterion (Tor_1 at each tower level) and a homology
+    # over k[x,y]/(xy) modulo module relations
+    seen = _tagged_positions(monkeypatch)
+    _gallery_tasks("smooth-divisor",
+                   ["defining equation not regular on the origin"])
+    r = ring(["x", "y"])
+    over = RingPresentation(r, [r.parse("x*y")])
+    e = ModulePresentation(over, 2).basis_elem
+    x, y = r.parse("x"), r.parse("y")
+    _, is_zero = pa.homology(
+        over, [pa._ring_mul_vec(over, x, e(0))], 2,
+        [pa._ring_mul_vec(over, y, e(1))],
+        [pa._ring_mul_vec(over, y, e(0)), pa._ring_mul_vec(over, x, e(1))],
+        1, [r.parse("x^2")])
+    assert not is_zero
+    _assert_relations_untagged(seen, "kernel_of_matrix")
+
+
+def test_lifts_tag_only_their_columns(monkeypatch):
+    # the descent datum's inverse clutching and the canonical map into
+    # D(P(M)) of a roundtrip
+    seen = _tagged_positions(monkeypatch)
+    _gallery_tasks("nodal-descent", ["structure module"])
+    _assert_relations_untagged(seen, "lift_through")
