@@ -324,26 +324,6 @@ def second_chart_criterion(chart: ChartData, m: ModulePresentation,
                      "verdict": verdict}
 
 
-def free_certificate(chart: ChartData, cr: ChartRing, window=4):
-    """Spot-certificate that B is a free A-module with basis {[s]}: the basis
-    monomials in a degree window have distinct normal forms and stay
-    A-independent (no homogeneous collision)."""
-    from .monoid import classify_morphism
-    cls = classify_morphism(chart.h)
-    if cls.free is not True or cls.basis is None:
-        return {"free": bool(cls.free), "basis_window": []}
-    ring = cr.pres.ring
-    seen = {}
-    for s in cls.basis.enumerate(window):
-        mono = _monomial_over(ring, len(cr.avars), chart.p, s)
-        nf = tuple(sorted(cr.pres.nf(mono).items()))
-        if nf in seen and seen[nf] != s:
-            return {"free": False, "collision": (seen[nf], s)}
-        seen[nf] = s
-    return {"free": True, "basis_window": sorted(seen.values()),
-            "window": window}
-
-
 def _tower(cr: ChartRing, m: ModulePresentation):
     """Theorem recursion on the C side: flat over the base, and per spawning
     variable Tor vanishing plus the recursive call on the quotient.

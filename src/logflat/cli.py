@@ -114,8 +114,7 @@ def validate_file(doc):
             raise ValidationError(
                 f"units_rank must be an integer >= 0, not {rank!r}")
         for key, val in task.items():
-            if key in refs or key in ("kind", "name", "units_rank", "window",
-                                      "shape"):
+            if key in refs or key in ("kind", "name", "units_rank", "shape"):
                 continue
             if isinstance(val, str) and val not in kinds:
                 raise ValidationError(
@@ -189,10 +188,9 @@ class Workspace:
     built (a polynomial in unknown variables, an image outside its monoid)
     raises ValidationError naming it."""
 
-    def __init__(self, doc, field, window=8):
+    def __init__(self, doc, field):
         self.doc = doc
         self.field = field
-        self.window = window
         self.objects = {}
         for obj in doc.get("objects", []):
             try:
@@ -372,7 +370,7 @@ def _task_flat(ws, task):
 def _task_basis(ws, task):
     m = ws.get(task["module"])
     try:
-        res = monmod.extract_basis(m, window=ws.window)
+        res = monmod.extract_basis(m)
     except monmod.NotFinitelyGenerated as e:
         return {"ok": False, "error": str(e)}
     return {"ok": res.ok, "basis": _jsonable(res.basis),
@@ -477,10 +475,10 @@ def _task_roundtrip(ws, task):
 # -- the report ----------------------------------------------------------------------
 
 
-def run_document(doc, field_spec=None, window=8):
+def run_document(doc, field_spec=None):
     field = parse_field(field_spec)
     doc = validate_file(doc)
-    ws = Workspace(doc, field, window)
+    ws = Workspace(doc, field)
     tasks = []
     any_error = False
     for task in doc.get("tasks", []):
@@ -500,8 +498,11 @@ def run_document(doc, field_spec=None, window=8):
         "engine": {
             "package": f"logflat {__version__}",
             "field": field_spec or "q",
+            # fixed fields of report format 1: degrevlex is the only term
+            # order and no verdict depends on a search window; the two
+            # literals keep format-1 reports byte-stable
             "order": "degrevlex",
-            "window": window,
+            "window": 8,
         },
         "input": doc,
         "tasks": tasks,
@@ -562,9 +563,6 @@ def main(argv=None):
         prog="logflat",
         description="flatness criteria for monoids, graded rings and gluings")
     parser.add_argument("--field", default="q", help="q or fp:<prime>")
-    parser.add_argument("--order", default="degrevlex",
-                        choices=["degrevlex"])
-    parser.add_argument("--window", type=int, default=8)
     parser.add_argument("--out", default=None)
     parser.add_argument("--pretty", action="store_true")
     parser.add_argument("--json", dest="pretty", action="store_false")
@@ -588,7 +586,7 @@ def main(argv=None):
     try:
         if args.command == "validate":
             doc = json.loads(Path(args.file).read_text())
-            Workspace(validate_file(doc), parse_field(args.field), args.window)
+            Workspace(validate_file(doc), parse_field(args.field))
             emit(json.dumps({"valid": True}, sort_keys=True) + "\n")
             return 0
         if args.command == "list-galleries":
@@ -605,7 +603,7 @@ def main(argv=None):
             return code
         if args.command == "check":
             doc = json.loads(Path(args.file).read_text())
-            report, code = run_document(doc, args.field, args.window)
+            report, code = run_document(doc, args.field)
             ms = int((time.monotonic() - t0) * 1000)
             emit(render_report(report, args.pretty, timing_ms=ms))
             return code

@@ -350,14 +350,14 @@ def _module_over_c(glue: GluingDatum, m1, m2):
 def tor_gate(glue: GluingDatum, m: ModulePresentation) -> bool:
     """Tor_1^C(M, C_0) = 0."""
     j = [dict(g) for g in glue.ker_p1 + glue.ker_p2]
-    return pa.tor1_is_zero(m, j)
+    return pa.tor1(m, j)[1]
 
 
 def tor_gate_side(glue: GluingDatum, which, m_i: ModulePresentation) -> bool:
     """Tor_1^{C_i}(M_i, C_0) = 0."""
     f = glue.f1 if which == 1 else glue.f2
     j = kernel_of_ring_map(f)
-    return pa.tor1_is_zero(m_i, j)
+    return pa.tor1(m_i, j)[1]
 
 
 def modules_isomorphic(m: ModulePresentation, n: ModulePresentation,

@@ -250,7 +250,7 @@ def _flat_kp(m: ModulePresentation, shape: KPShape):
     verdict = True
     for prime in alg.monoid.prime_ideals():
         j = alg.to_ring_ideal(prime)
-        zero = pa.tor1_is_zero(m, j.generators)
+        zero = pa.tor1(m, j.generators)[1]
         entries.append({"prime": [list(g) for g in prime.generators],
                         "tor1_zero": zero})
         verdict = verdict and zero
@@ -266,7 +266,7 @@ def _flat_chart(m: ModulePresentation, shape: ChartShape):
     ring = shape.pres.ring
     for e in shape.evars:
         ze = ring.var(e)
-        tz = pa.tor1_is_zero(m, [ze])
+        tz = pa.tor1(m, [ze])[1]
         sub_pres = shape.pres.quotient([ze])
         sub_m = ModulePresentation(sub_pres, m.rank, m.columns)
         sub_shape = ChartShape(sub_pres, shape.grading, shape.avars,
@@ -385,16 +385,16 @@ def nodal_criteria_panel(m: ModulePresentation, shape=None):
         shape = ChartShape(pres, grading, avars=(), evars=(0, 1), base="field")
     panel = {}
     panel["graded_flat"], _ = graded_flat(m, shape)
-    panel["tor_maximal_ideal"] = pa.tor1_is_zero(m, [x, y])
+    panel["tor_maximal_ideal"] = pa.tor1(m, [x, y])[1]
     panel["clutching_injective"] = _nodal_map_injective(m, x, y)
     mx = quotient_module(m, [x])
     my = quotient_module(m, [y])
-    tor_x = pa.tor1_is_zero(m, [x])
-    tor_y = pa.tor1_is_zero(m, [y])
+    tor_x = pa.tor1(m, [x])[1]
+    tor_y = pa.tor1(m, [y])[1]
     y_reg = regular_element_test(y, mx)
     x_reg = regular_element_test(x, my)
-    gf_x = pa.tor1_is_zero(mx, [y])
-    gf_y = pa.tor1_is_zero(my, [x])
+    gf_x = pa.tor1(mx, [y])[1]
+    gf_y = pa.tor1(my, [x])[1]
     panel["tor_both_sides_regular"] = tor_x and y_reg and tor_y and x_reg
     panel["tor_both_sides_graded"] = tor_x and gf_x and tor_y and gf_y
     panel["tor_x_y_regular"] = tor_x and y_reg
@@ -603,89 +603,5 @@ def graded_flat_on_ideal_family(m: ModulePresentation, ideals):
     Complete only relative to the supplied family; used for cross-checks."""
     results = []
     for gens in ideals:
-        results.append(pa.tor1_is_zero(m, list(gens)))
+        results.append(pa.tor1(m, list(gens))[1])
     return all(results), results
-
-
-# -- filtrations by shifted semiprime quotients ----------------------------------
-
-
-def monomial_filtration(alg: MonoidAlgebra, m: ModulePresentation, cap=64):
-    """A filtration of a monomial module with successive quotients
-    (k[P]/k[I_i]){g_i}, I_i prime; returns [(prime MonoidIdeal, shift)].
-
-    The step submodule is generated by a homogeneous element with maximal
-    annihilator among the window candidates."""
-    pres = m.over
-    ring = pres.ring
-    current = [dict(c) for c in m.columns]
-    layers = []
-    for _ in range(cap):
-        if vector_space_dimension(pres, m.rank, current) == 0:
-            return layers
-        cands = _filtration_candidates(alg, m.rank, current)
-        if not cands:
-            raise UnsupportedShape("no homogeneous candidate found")
-        best = max(cands, key=lambda c: (len(c[1].generators), c[0]))
-        (mono, pos), ann_ideal = best[0], best[1]
-        layers.append((ann_ideal, (mono, pos)))
-        current = current + [{(mono, pos): ring.field.one()}]
-    raise UnsupportedShape("filtration did not terminate within the cap")
-
-
-def _filtration_candidates(alg: MonoidAlgebra, rank, cols, window=4):
-    pres = alg.pres
-    ring = pres.ring
-    mp = ModulePresentation(pres, rank, cols)
-    out = []
-    monos = _window_monomials(ring.nvars, window)
-    for pos in range(rank):
-        for mono in monos:
-            elem = {(mono, pos): ring.field.one()}
-            if mp.is_zero_elem(elem):
-                continue
-            ann = _monomial_annihilator(alg, mp, mono, pos, window)
-            if ann is None:
-                continue
-            out.append(((mono, pos), ann))
-    # keep only candidates whose annihilator is a prime monoid ideal
-    out = [c for c in out if c[1].is_prime()]
-    return out
-
-
-def _window_monomials(nvars, window):
-    monos = [(0,) * nvars]
-    frontier = list(monos)
-    for _ in range(window):
-        nxt = []
-        for m in frontier:
-            for v in range(nvars):
-                mm = tuple(e + (1 if i == v else 0) for i, e in enumerate(m))
-                if mm not in monos:
-                    monos.append(mm)
-                    nxt.append(mm)
-        frontier = nxt
-    return monos
-
-
-def _monomial_annihilator(alg: MonoidAlgebra, mp: ModulePresentation,
-                          mono, pos, window):
-    """Ann of a monomial class as a MonoidIdeal, from window monomials."""
-    ring = mp.over.ring
-    gens = []
-    for w in _window_monomials(ring.nvars, window):
-        if all(e == 0 for e in w):
-            continue
-        prod = tuple(a + b for a, b in zip(w, mono))
-        if mp.is_zero_elem({(prod, pos): ring.field.one()}):
-            gens.append(w)
-    minimal = [w for w in gens
-               if not any(w != v and all(a >= b for a, b in zip(w, v))
-                          for v in gens)]
-    elems = []
-    for w in minimal:
-        elt = alg.monoid.ambient.zero()
-        for e, g in zip(w, alg.monoid.generators):
-            elt = alg.monoid.ambient.add(elt, alg.monoid.ambient.scale(e, g))
-        elems.append(elt)
-    return MonoidIdeal(alg.monoid, elems)

@@ -648,10 +648,11 @@ class ComposeFreeBasis(FreeBasis):
         return q, self.g.target.ambient.add(gs, t)
 
     def contains(self, x):
-        try:
-            q, _ = self.decompose(x)
-        except ValueError:
+        target = self.hom.target
+        x = target.ambient.reduce(x)
+        if not target.member(x):
             return False
+        q, _ = self.decompose(x)
         return self.hom.source.ambient.is_zero(
             self.hom.source.ambient.reduce(q))
 
@@ -674,16 +675,13 @@ class PushoutFreeBasis(FreeBasis):
                 yield self.in_target.apply_gp(s)
 
     def contains(self, x):
-        amb = self.hom.target.ambient
-        x = amb.reduce(x)
-        seen = set()
-        for c in self._candidates():
-            if c in seen:
-                continue
-            seen.add(c)
-            if c == x:
-                return True
-        return False
+        """Whether x is a basis element: False off the target, otherwise
+        whether x decomposes as (0, x); raises where ``decompose`` does."""
+        target = self.hom.target
+        x = target.ambient.reduce(x)
+        if not target.member(x):
+            return False
+        return self.decompose(x)[1] == x
 
     def decompose(self, x):
         amb = self.hom.target.ambient
@@ -924,7 +922,7 @@ class Classification:
     witness: dict = field(default_factory=dict)
 
 
-def classify_morphism(h: MonoidHom, deep=True, module_window=24):
+def classify_morphism(h: MonoidHom, deep=True):
     """Classify a morphism of fine monoids.
 
     flat / free use the module machinery when the target is finitely
@@ -966,7 +964,7 @@ def classify_morphism(h: MonoidHom, deep=True, module_window=24):
             basis = rec
         elif deep:
             from . import monmod
-            mod = monmod.module_over_source(h, window=module_window)
+            mod = monmod.module_over_source(h)
             if mod is not None:
                 verdict = monmod.is_flat(mod)
                 flat = verdict.flat

@@ -997,10 +997,6 @@ def tor1(m: ModulePresentation, j_gens):
     return tor1_along(to_rq, m.columns, m.rank, ModulePresentation(rq, 1))
 
 
-def tor1_is_zero(m: ModulePresentation, j_gens):
-    return tor1(m, j_gens)[1]
-
-
 def tor1_via_resolution(n: ModulePresentation, algebra_map: RingMap):
     """Tor_1^R(A, N) for an R-algebra A (given by the ring map R -> A),
     computed by resolving N over R and transporting the complex to A.
@@ -1260,47 +1256,32 @@ def monomial_of(p_monoid, element):
 
 
 def monomial_module_presentation(p_monoid, ring_pres, m_module):
-    """k[M] as a module over k[P] for an embedded module M.
-
-    For a free ambient monoid the pairwise join relations present the module
-    exactly (Taylor relations); otherwise relation pairs are enumerated on a
-    bounded window.
-    """
-    ring = ring_pres.ring
-    field = ring.field
+    """k[M] as a module over k[P] for an embedded module M, when P is the
+    standard free monoid N^n: the pairwise join relations present the module
+    exactly (Taylor relations)."""
+    if not _is_standard_free(p_monoid):
+        raise ValueError("monomial_module_presentation needs P = N^n with "
+                         "the standard generators")
+    field = ring_pres.ring.field
     gens = list(m_module.generators)
     cols = []
-    amb = m_module.ambient
-    free_std = _is_standard_free(p_monoid)
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             (gi, ci), (gj, cj) = gens[i], gens[j]
             if ci != cj:
                 continue
-            if free_std:
-                join = tuple(max(a, b) for a, b in zip(gi, gj))
-                ei = tuple(a - b for a, b in zip(join, gi))
-                ej = tuple(a - b for a, b in zip(join, gj))
-                col = m_add(field, {(ei, i): field.one()},
-                            {(ej, j): field.neg(field.one())})
-                cols.append(col)
-            else:
-                for w in p_monoid.elements_up_to(4):
-                    d = amb.sub(amb.add(w, gi), gj)
-                    ok, mult = p_monoid.member_with_certificate(d) \
-                        if p_monoid.is_sharp() else (False, None)
-                    if ok:
-                        wi = monomial_of(p_monoid, w)
-                        col = m_add(field, {(tuple(wi), i): field.one()},
-                                    {(tuple(mult), j): field.neg(field.one())})
-                        cols.append(col)
+            join = tuple(max(a, b) for a, b in zip(gi, gj))
+            ei = tuple(a - b for a, b in zip(join, gi))
+            ej = tuple(a - b for a, b in zip(join, gj))
+            cols.append(m_add(field, {(ei, i): field.one()},
+                              {(ej, j): field.neg(field.one())}))
     return ModulePresentation(ring_pres, len(gens), cols)
 
 
 def _is_standard_free(p_monoid):
+    """Whether P is N^n generated by e_1, ..., e_n in this order, so that
+    ambient coordinates are exponents of the variables of k[P]."""
     amb = p_monoid.ambient
-    if amb.torsion:
-        return False
-    std = [tuple(1 if j == i else 0 for j in range(amb.rank))
-           for i in range(amb.rank)]
-    return sorted(p_monoid.generators) == sorted(std)
+    std = tuple(tuple(1 if j == i else 0 for j in range(amb.rank))
+                for i in range(amb.rank))
+    return not amb.torsion and p_monoid.generators == std

@@ -148,7 +148,7 @@ def tor_shadow_passes(name, m):
     km = monomial_module_presentation(p, alg.pres, m)
     for prime in p.prime_ideals():
         j = alg.to_ring_ideal(prime)
-        if not pa.tor1_is_zero(km, list(j.generators)):
+        if not pa.tor1(km, list(j.generators))[1]:
             return False
     return True
 

@@ -438,16 +438,6 @@ class TestHomotopyLift:
 
 
 class TestFreeCertificate:
-    def test_nodal_basis_window(self):
-        chart = nodal_chart()
-        cr = build_B(chart)
-        cert = ch.free_certificate(chart, cr)
-        assert cert["free"] is True
-        # the min-zero vectors of the window appear as basis monomials
-        assert (0, 0) in cert["basis_window"]
-        assert (3, 0) in cert["basis_window"]
-        assert (1, 1) not in cert["basis_window"]
-
     def test_non_free_chart_rejected(self):
         # Q = N^2 -> P = N^2 by a non-free injective map: swap-free shape
         q = nat_monoid(2)

@@ -240,6 +240,14 @@ class TestCheck:
         assert set(report["tasks"][0]["result"]["panel"].values()) == {False}
 
 
+@pytest.mark.parametrize("flag, value", [("--window", "8"),
+                                         ("--order", "degrevlex")])
+def test_removed_engine_flags_exit_2(flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag, value, "list-galleries"])
+    assert exc.value.code == 2
+
+
 class TestGalleries:
     def test_list(self):
         r = run_cli("list-galleries")

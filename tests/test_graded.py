@@ -4,7 +4,6 @@ from logflat.abgrp import FgAbGroup, GroupHom
 from logflat.monoid import FineMonoid, MonoidIdeal, nat_monoid
 from logflat import polyalg as pa
 from logflat.polyalg import ModulePresentation, PolyRing, RingPresentation
-from logflat import graded as gr
 from logflat.graded import (
     ChartShape,
     GradedModule,
@@ -20,7 +19,6 @@ from logflat.graded import (
     graded_modules_isomorphic,
     group_algebra,
     is_homogeneous_ideal,
-    monomial_filtration,
     nodal_criteria_panel,
     nodal_ring,
     quotient_module,
@@ -280,39 +278,17 @@ class TestChartTowerFamily:
         assert ok
 
 
-class TestFiltration:
-    def test_kx_mod_x2(self):
-        alg = MonoidAlgebra(nat_monoid(1), names=["x"])
-        r = alg.pres.ring
-        m = ModulePresentation(alg.pres, 1, [r.parse("x^2")])
-        layers = monomial_filtration(alg, m)
-        assert len(layers) == 2
-        for ideal, _shift in layers:
-            assert ideal.is_prime()
-        # dimension check: 2 = 1 + 1
-        assert sum(1 for _ in layers) == m.dim()
-
-    def test_nodal_structure_ring(self):
-        p = nat_monoid(2)
-        alg = MonoidAlgebra(p)
-        r = alg.pres.ring
-        m = ModulePresentation(alg.pres, 1, [r.parse("x*y")])
-        layers = monomial_filtration(alg, m)
-        assert len(layers) >= 2
-        for ideal, _ in layers:
-            assert ideal.is_prime()
-
-
 class TestKPConsistency:
     def test_prime_test_agrees_with_ideal_family(self):
         # over k[N] and k[N^2]: enumerated monomial ideals (several
         # generators, so the maximal ideal is included) vs the per-prime test
-        from itertools import combinations
+        from itertools import combinations, product
         for n, names in ((1, ["x"]), (2, None)):
             alg = MonoidAlgebra(nat_monoid(n), names=names)
             shape = KPShape(alg)
             r = alg.pres.ring
-            monos = [m for m in gr._window_monomials(r.nvars, 2) if any(m)]
+            monos = [m for m in product(range(3), repeat=r.nvars)
+                     if 1 <= sum(m) <= 2]
             family = [[r.monomial(m) for m in c]
                       for k in (1, 2) for c in combinations(monos, k)]
             mods = [[], [r.parse("x - 1")], [r.parse("x")]]

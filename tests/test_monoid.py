@@ -279,6 +279,21 @@ class TestPartitionConstructors:
         qq, s = fs.decompose(out.target.ambient.add(out.images[0], out.images[0]))
         assert qq == (2,) or out.source.ambient.reduce(qq) == (2,)
 
+    def test_boundary_pushout_contains(self):
+        # the basis is N(1, 0); past the search degree contains must raise
+        # like decompose does, not answer False, also through a composite
+        out = pushout_tagged(boundary(), MonoidHom(trivial_monoid(),
+                                                   nat_monoid(1), []))
+        composite = compose_tagged(identity_tagged(out.target), out)
+        for fs in (out.free_structure, composite.free_structure):
+            assert fs.contains((12, 0))
+            assert not fs.contains((0, 1)) and not fs.contains((1, 1))
+            assert not fs.contains((-1, 0))
+            with pytest.raises(ValueError):
+                fs.decompose((13, 0))
+            with pytest.raises(ValueError):
+                fs.contains((13, 0))
+
     def test_decompose_diagonal(self):
         assert decompose_diagonal(3, (3, 1, 2)) == (1, (2, 0, 1))
         assert decompose_diagonal(2, (0, 0)) == (0, (0, 0))
@@ -295,7 +310,8 @@ def test_groupification_cokernel_of_diagonal():
 
 # classify_morphism on cones over a 5-gon and an 8-gon, for the identity, a
 # ray N -> P (1 |-> a vertex) and an interior N -> P (1 |-> the sum of the
-# vertices); the values are those of the window-only module_over_source.
+# vertices).  The cone has rank 3, so module_over_source proves it not finite
+# over N for the ray and the interior, and flat and free stay undecided.
 _POLYGONS = {
     "5-gon": [(0, 0), (2, 0), (3, 1), (2, 2), (0, 1)],
     "8-gon": [(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)],
