@@ -2,9 +2,11 @@
 comparison map to C[P^gp], the second chart criterion, chart-change
 invariance, log flatness over log points, and square-zero homotopy lifting.
 
-Tor groups against B-modules are computed on the C side by resolving over B
-and transporting the complex along B -> C, so no finiteness of C over B is
-ever needed.
+``build_B`` builds B as a ``graded.ChartShape`` with its map to C; the
+second chart criterion and chart-change invariance run the chart tower of
+``graded`` on it.  Tor groups against B-modules are computed on the C side
+by resolving over B and transporting the complex along B -> C, so no
+finiteness of C over B is ever needed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .polyalg import (
     m_scale,
 )
 from . import graded as gd
-from .graded import GradedRing, UnsupportedShape
+from .graded import ChartShape, GradedRing, UnsupportedShape
 
 
 class ChartInvalid(ValueError):
@@ -123,15 +125,15 @@ def build_A_ht(chart: ChartData, field=None):
     ring = PolyRing(field, names)
     q_off = len(aht_names)
     p_off = q_off + len(q_names)
-    rels = [_reindex(g, ring, 0) for g in chart.a.ideal]
+    rels = [pa.embed(g, ring, 0) for g in chart.a.ideal]
     rels += q_rels_builder(ring, q_off)
     toric, _ = pa.toric_ideal(chart.p, field, allow_units=True)
-    rels += [_reindex(g, ring, p_off) for g in toric.ideal]
+    rels += [pa.embed(g, ring, p_off) for g in toric.ideal]
     # I(h,t): t(q)[q,0] - [0,h(q)] per Q-generator
     for i, qg in enumerate(chart.q.generators):
         coords = qincl.preimage(qg)
         mono_q = _group_monomial(ring, q_off, qgp, coords)
-        t_img = _reindex(chart.t[i], ring, 0)
+        t_img = pa.embed(chart.t[i], ring, 0)
         lhs = ring.mul(t_img, mono_q)
         rhs = _monomial_over(ring, p_off, chart.p, chart.h.images[i])
         rels.append(ring.sub(lhs, rhs))
@@ -141,13 +143,13 @@ def build_A_ht(chart: ChartData, field=None):
     pg_names, pg_rels_builder = _group_vars("v", pgp)
     cring = PolyRing(field, cp_names + pg_names)
     pg_off = len(cp_names)
-    crels = [_reindex(g, cring, 0) for g in chart.c.ideal]
+    crels = [pa.embed(g, cring, 0) for g in chart.c.ideal]
     crels += pg_rels_builder(cring, pg_off)
     cpgp = RingPresentation(cring, crels)
     # the comparison map [q,p] |-> b(p) [h(q) + p]
     images = []
     for i in range(len(aht_names)):
-        images.append(_reindex(chart.f.images[i], cring, 0))
+        images.append(pa.embed(chart.f.images[i], cring, 0))
     for j in range(qgp.rank):
         hq = chart.h.apply_gp(qincl.apply(qgp.generators()[j]))
         coords = pincl.preimage(hq)
@@ -160,7 +162,7 @@ def build_A_ht(chart: ChartData, field=None):
     for j, pg in enumerate(chart.p.generators):
         coords = pincl.preimage(pg)
         mono = _group_monomial(cring, pg_off, pgp, coords)
-        images.append(cring.mul(_reindex(chart.b[j], cring, 0), mono))
+        images.append(cring.mul(pa.embed(chart.b[j], cring, 0), mono))
     comparison = RingMap(aht, cpgp, images)
     return aht, cpgp, comparison
 
@@ -205,17 +207,6 @@ def _group_monomial(ring, off, g: FgAbGroup, coords):
     return out
 
 
-def _reindex(p, ring, offset):
-    """Reinterpret a polynomial in a bigger ring, variables shifted by offset."""
-    out = {}
-    for (mono, pos), c in p.items():
-        big = [0] * ring.nvars
-        for i, e in enumerate(mono):
-            big[offset + i] = e
-        out[(tuple(big), pos)] = c
-    return out
-
-
 def _monomial_over(ring, off, mon: FineMonoid, element):
     """The monomial of a monoid element in the monoid variables, which start
     at index ``off``; ChartInvalid when the element is outside the monoid."""
@@ -232,19 +223,6 @@ def _monomial_over(ring, off, mon: FineMonoid, element):
 # -- B = A (x)_{Z[Q]} Z[P] -------------------------------------------------------
 
 
-@dataclass
-class ChartRing:
-    """B with its grading, the map to C, and the data for the tower."""
-
-    pres: RingPresentation
-    grading: GradedRing
-    to_c: RingMap
-    avars: tuple
-    pvars: tuple
-    base: object  # 'field' | ('kt', index in B)
-    cokernel: FgAbGroup
-
-
 def build_B(chart: ChartData, field=None):
     """B = A (x)_{Z[Q]} Z[P], graded by (P/Q)^gp, with the ring map to C."""
     field = field or chart.a.ring.field
@@ -258,11 +236,11 @@ def build_B(chart: ChartData, field=None):
     names = a_names + p_names
     ring = PolyRing(field, names)
     p_off = len(a_names)
-    rels = [_reindex(g, ring, 0) for g in chart.a.ideal]
+    rels = [pa.embed(g, ring, 0) for g in chart.a.ideal]
     toric, _ = pa.toric_ideal(chart.p, field, allow_units=True)
-    rels += [_reindex(g, ring, p_off) for g in toric.ideal]
+    rels += [pa.embed(g, ring, p_off) for g in toric.ideal]
     for i, qg in enumerate(chart.q.generators):
-        t_img = _reindex(chart.t[i], ring, 0)
+        t_img = pa.embed(chart.t[i], ring, 0)
         mono = _monomial_over(ring, p_off, chart.p, chart.h.images[i])
         rels.append(ring.sub(mono, t_img))
     pres = RingPresentation(ring, rels)
@@ -275,8 +253,8 @@ def build_B(chart: ChartData, field=None):
     images += [dict(v) for v in chart.b]
     to_c = RingMap(pres, chart.c, images)
     base = _base_descriptor(chart)
-    return ChartRing(pres, grading, to_c, tuple(range(len(a_names))),
-                     tuple(range(p_off, len(names))), base, cok)
+    return ChartShape(pres, grading, to_c, tuple(range(len(a_names))),
+                      tuple(range(p_off, len(names))), base)
 
 
 def _base_descriptor(chart: ChartData):
@@ -304,8 +282,7 @@ def log_flat_over_point(p_monoid: FineMonoid, m: ModulePresentation,
 # -- the second chart criterion ----------------------------------------------------
 
 
-def second_chart_criterion(chart: ChartData, m: ModulePresentation,
-                           cr: ChartRing | None = None):
+def second_chart_criterion(chart: ChartData, m: ModulePresentation):
     """Log flatness over the chart base: graded flatness of M over (G, B),
     evaluated through the chart tower on the C side.
 
@@ -317,101 +294,9 @@ def second_chart_criterion(chart: ChartData, m: ModulePresentation,
     cls = classify_morphism(chart.h)
     if cls.free is not True:
         raise UnsupportedShape("the chart morphism does not classify as free")
-    if cr is None:
-        cr = build_B(chart)
-    verdict, cert = _tower(cr, m)
+    verdict, cert = gd.graded_flat(m, build_B(chart))
     return verdict, {"criterion": "second chart criterion", "tree": cert,
                      "verdict": verdict}
-
-
-def _tower(cr: ChartRing, m: ModulePresentation):
-    """Theorem recursion on the C side: flat over the base, and per spawning
-    variable Tor vanishing plus the recursive call on the quotient.
-
-    A subtree depends only on the set of killed variables: its spawning
-    variables are ``cr.pvars`` minus that set in their original order, and
-    its module lives over C/(images of the killed variables) in any kill
-    order.  So each set is computed once per call, memoized on
-    ``frozenset(killed)``, and the certificate tree keeps one branch per
-    ordering with the subtrees of equal sets shared.  For n spawning
-    variables that is 2^n computed levels and n*2^(n-1) Tor tests, where
-    the tree has sum_k n!/(n-k)! nodes.  Only a ``bad_locus`` of a k[t]
-    base can depend on the kill order: its f* comes from a Buchberger run
-    over the quotient generators in that order, which ties on equal leading
-    terms can make order dependent.  The memo keeps the f* of the first
-    ordering to reach the set; any such f* certifies the same module."""
-    ring = cr.pres.ring
-    memo = {}
-
-    def level_of(m, evars, killed):
-        key = frozenset(killed)
-        if key in memo:
-            return memo[key]
-        level = cr.pres.quotient([ring.var(k) for k in killed])
-        base_ok, base_cert = _tower_base(cr, m, level)
-        cert = {"base": base_cert, "spawning": []}
-        verdict = base_ok
-        for e in evars:
-            tz = _tor_against_quotient(cr, m, e, level)
-            sub_m = ModulePresentation(
-                m.over.quotient([cr.to_c.apply(ring.var(e))]), m.rank,
-                m.columns)
-            sub_ok, sub_cert = level_of(sub_m, [v for v in evars if v != e],
-                                        killed + (e,))
-            cert["spawning"].append({"variable": ring.names[e],
-                                     "tor1_zero": tz, "quotient": sub_cert})
-            verdict = verdict and tz and sub_ok
-        cert["verdict"] = verdict
-        memo[key] = verdict, cert
-        return memo[key]
-
-    return level_of(m, list(cr.pvars), ())
-
-
-def _tor_against_quotient(cr: ChartRing, m, e, level):
-    """Tor_1^{B_level}(M, B_level/(z_e)) for the level presentation
-    B_level = B/(killed variables), resolving over it and transporting the
-    complex along B_level -> C/(their images), the ring of M."""
-    sub_map = RingMap(level, m.over, list(cr.to_c.images), check=False)
-    return pa.tor1_along(sub_map, [cr.pres.ring.var(e)], 1, m)[1]
-
-
-def _tower_base(cr: ChartRing, m: ModulePresentation, level):
-    """Flatness of M over (the image of) the base A at the tower level
-    ``level`` = B/(killed variables)."""
-    if cr.base == "field" or not cr.avars:
-        return True, {"base": "field", "flat": True}
-    # contraction of the current B-level ideal to the A-variables
-    contraction = pa.eliminate_ideal(level, keep=cr.avars)
-    ring = cr.pres.ring
-    base_ring = PolyRing(ring.field, [ring.names[i] for i in cr.avars])
-    base_ideal = []
-    for g in contraction:
-        base_ideal.append({(tuple(mono[v] for v in cr.avars), 0): c
-                           for (mono, _), c in g.items()})
-    base_pres = RingPresentation(base_ring, base_ideal)
-    if base_pres.contains_one():
-        return True, {"base": "zero ring", "flat": True}
-    if pa.vector_space_dimension(base_pres, 1, []) == 1:
-        return True, {"base": "residue field", "flat": True}
-    if cr.base[0] == "kt" and not base_ideal:
-        t_b = cr.avars[cr.base[1]]
-        t_c = cr.to_c.apply(cr.pres.ring.var(t_b))
-        t_idx = _variable_index(m.over.ring, t_c)
-        if t_idx is None:
-            raise UnsupportedShape("t must map to a variable of C")
-        ok, fstar = gd.flat_over_kt(m, t_idx)
-        return ok, {"base": "k[t]", "flat": ok, "bad_locus": fstar}
-    raise UnsupportedShape("unsupported base at this tower level")
-
-
-def _variable_index(ring, p):
-    if len(p) != 1:
-        return None
-    ((mono, pos), c) = next(iter(p.items()))
-    if pos != 0 or sum(mono) != 1 or c != ring.field.one():
-        return None
-    return mono.index(1)
 
 
 def module_laurent_extension(m: ModulePresentation, cpgp: RingPresentation,
@@ -490,8 +375,8 @@ def chart_change_invariance(chart1: ChartData, chart2: ChartData,
         if not cr1.pres.eq(v, back):
             return False, {"isomorphism": False}
     gamma = _degree_iso(cr1, cr2, fwd)
-    v1, _ = _tower(cr1, m)
-    v2, _ = _tower(cr2, m)
+    v1, _ = gd.graded_flat(m, cr1)
+    v2, _ = gd.graded_flat(m, cr2)
     return v1 == v2 and gamma is not None, {
         "isomorphism": True,
         "grading_iso": gamma is not None,
@@ -499,8 +384,8 @@ def chart_change_invariance(chart1: ChartData, chart2: ChartData,
     }
 
 
-def _canonical_chart_map(chart_from, cr_from: ChartRing, chart_to,
-                         cr_to: ChartRing):
+def _canonical_chart_map(chart_from, cr_from: ChartShape, chart_to,
+                         cr_to: ChartShape):
     """B -> B' sending [p] to [image of p], with A-variables fixed."""
     ring_to = cr_to.pres.ring
     images = []
@@ -527,13 +412,13 @@ def _match_in_monoid(chart_from, chart_to, pg):
     return tuple(pg)[:d_to]
 
 
-def _degree_iso(cr1: ChartRing, cr2: ChartRing, fwd: RingMap):
+def _degree_iso(cr1: ChartShape, cr2: ChartShape, fwd: RingMap):
     """The induced isomorphism of grading groups, built on generators of G_1
     by expressing them through monoid-variable degrees; None if it fails."""
-    g1, g2 = cr1.cokernel, cr2.cokernel
+    g1, g2 = cr1.grading.group, cr2.grading.group
     if g1.dim == 0:
         return GroupHom(g1, g2, ()) if g2.is_trivial() else None
-    degs1 = tuple(cr1.grading.degrees[i] for i in cr1.pvars)
+    degs1 = tuple(cr1.grading.degrees[i] for i in cr1.evars)
     deg_hom = GroupHom(FgAbGroup.free(len(degs1)), g1, degs1)
     imgs = []
     for gen in g1.generators():
@@ -543,7 +428,7 @@ def _degree_iso(cr1: ChartRing, cr2: ChartRing, fwd: RingMap):
         out = g2.zero()
         for j, c in enumerate(sol):
             # degree of the image of the j-th monoid variable in B'
-            img_poly = fwd.images[cr1.pvars[j]]
+            img_poly = fwd.images[cr1.evars[j]]
             d2 = _degree_of_poly(cr2, img_poly)
             if d2 is None:
                 return None
@@ -555,15 +440,15 @@ def _degree_iso(cr1: ChartRing, cr2: ChartRing, fwd: RingMap):
         return None
     if not (gamma.is_injective() and gamma.is_surjective()):
         return None
-    for j in range(len(cr1.pvars)):
-        d1 = cr1.grading.degrees[cr1.pvars[j]]
-        d2 = _degree_of_poly(cr2, fwd.images[cr1.pvars[j]])
+    for j in range(len(cr1.evars)):
+        d1 = cr1.grading.degrees[cr1.evars[j]]
+        d2 = _degree_of_poly(cr2, fwd.images[cr1.evars[j]])
         if d2 is None or gamma.apply(d1) != g2.reduce(d2):
             return None
     return gamma
 
 
-def _degree_of_poly(cr: ChartRing, p):
+def _degree_of_poly(cr: ChartShape, p):
     comps = cr.grading.homogeneous_components(cr.pres.nf(p))
     if len(comps) != 1:
         return None
@@ -862,21 +747,14 @@ class _Tower:
     def _rebuild(self):
         ring = PolyRing(self.field, self.base_names +
                         [nm for nm, _, _ in self.adjoined])
-        ideal = [self._pad(g, ring) for g in self.aprime_ideal]
+        ideal = [pa.embed(g, ring, 0) for g in self.aprime_ideal]
         for t, (nm, n, upoly) in enumerate(self.adjoined):
             idx = len(self.base_names) + t
             ideal.append(ring.sub(ring.pow(ring.var(idx), n),
-                                  self._pad(upoly, ring)))
+                                  pa.embed(upoly, ring, 0)))
         self.aprime = RingPresentation(ring, ideal)
-        self.a = self.aprime.quotient([self._pad(g, self.aprime.ring)
+        self.a = self.aprime.quotient([pa.embed(g, self.aprime.ring, 0)
                                        for g in self.kernel])
-
-    def _pad(self, p, ring):
-        out = {}
-        for (mono, pos), c in p.items():
-            big = list(mono) + [0] * (ring.nvars - len(mono))
-            out[(tuple(big), pos)] = c
-        return out
 
     def adjoin_root(self, n, u_unit):
         name = f"rt{len(self.adjoined)}"
@@ -888,11 +766,12 @@ class _Tower:
     def promote_prime(self, u: Unit):
         """A unit of A' or of A, as a unit of the current A'.  Any unit of A
         lifts to A', since the kernel is nilpotent."""
-        return certify_unit(self.aprime, self._pad(u.val, self.aprime.ring))
+        return certify_unit(self.aprime,
+                            pa.embed(u.val, self.aprime.ring, 0))
 
     def to_a(self, u: Unit):
         """Image of an A'-unit in A."""
-        return certify_unit(self.a, self._pad(u.val, self.a.ring))
+        return certify_unit(self.a, pa.embed(u.val, self.a.ring, 0))
 
 
 @dataclass
@@ -1180,11 +1059,12 @@ def verify_lift_identities(lift: HomotopyLift, problem: LiftProblem):
     h = lift.h
     chart_amb = lift.chart.ambient
     span_q, span_p = lift.span_q, lift.span_p
-    a_units = [certify_unit(tower.aprime, tower._pad(u.val, tower.aprime.ring))
+    a_units = [certify_unit(tower.aprime,
+                            pa.embed(u.val, tower.aprime.ring, 0))
                for u in problem.a_units]
-    b_units = [certify_unit(tower.a, tower._pad(u.val, tower.a.ring))
+    b_units = [certify_unit(tower.a, pa.embed(u.val, tower.a.ring, 0))
                for u in problem.b_units]
-    eta_units = [certify_unit(tower.a, tower._pad(u.val, tower.a.ring))
+    eta_units = [certify_unit(tower.a, pa.embed(u.val, tower.a.ring, 0))
                  for u in problem.eta_units]
     _, a_hom = loghom_from_monoid_values(h.source, chart_amb,
                                          problem.a_chart, a_units)

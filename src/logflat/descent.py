@@ -39,17 +39,17 @@ class NotFiniteDimensional(ValueError):
     pass
 
 
-def kernel_of_ring_map(rmap: RingMap, extra_names=None):
+def kernel_of_ring_map(rmap: RingMap):
     """Generators of ker(source -> target), by eliminating the target
     variables from (target ideal) + (z_i - image_i)."""
     src, tgt = rmap.source, rmap.target
     names = [f"_k{n}" for n in tgt.ring.names] + list(src.ring.names)
     joint = PolyRing(src.ring.field, names)
     off = tgt.ring.nvars
-    rels = [_embed(g, joint, 0) for g in tgt.ideal]
+    rels = [pa.embed(g, joint, 0) for g in tgt.ideal]
     for i in range(src.ring.nvars):
         zi = joint.var(off + i)
-        img = _embed(rmap.images[i], joint, 0)
+        img = pa.embed(rmap.images[i], joint, 0)
         rels.append(joint.sub(zi, img))
     contraction = eliminate_ideal(RingPresentation(joint, rels),
                                   keep=range(off, off + src.ring.nvars))
@@ -59,28 +59,18 @@ def kernel_of_ring_map(rmap: RingMap, extra_names=None):
     return out
 
 
-def _embed(p, ring, offset):
-    out = {}
-    for (mono, pos), c in p.items():
-        big = [0] * ring.nvars
-        for i, e in enumerate(mono):
-            big[offset + i] = e
-        out[(tuple(big), pos)] = c
-    return out
-
-
 def subalgebra_witness(rmap: RingMap, target_elem):
     """A source polynomial mapping onto the target element, or None."""
     src, tgt = rmap.source, rmap.target
     names = [f"_k{n}" for n in tgt.ring.names] + list(src.ring.names)
     joint = PolyRing(src.ring.field, names)
     off = tgt.ring.nvars
-    rels = [_embed(g, joint, 0) for g in tgt.ideal]
+    rels = [pa.embed(g, joint, 0) for g in tgt.ideal]
     for i in range(src.ring.nvars):
         rels.append(joint.sub(joint.var(off + i),
-                              _embed(rmap.images[i], joint, 0)))
+                              pa.embed(rmap.images[i], joint, 0)))
     pres = RingPresentation(joint, rels)
-    nf = pres.nf(_embed(target_elem, joint, 0))
+    nf = pres.nf(pa.embed(target_elem, joint, 0))
     if any(any(mono[i] for i in range(off)) for (mono, _) in nf):
         return None
     return {(mono[off:], 0): c for (mono, _), c in nf.items()}
@@ -114,8 +104,6 @@ class GluingDatum:
         product ring C_1 x C_2 (a single ring with idempotent split is
         avoided by embedding into C_1 (+) C_2 coordinates)."""
         k1 = kernel_of_ring_map(self.f1)
-        if not k1:
-            k1 = []
         # generator pairs
         pairs = []
         for i in range(self.c1.ring.nvars):
@@ -143,42 +131,22 @@ class GluingDatum:
                 seen.append(key)
                 deduped.append((a, b))
         pairs = deduped
-        # present the subring of C_1 x C_2 generated by the pairs: eliminate
-        # the C_1- and C_2-variables from the graph ideal
-        field = self.c1.ring.field
-        n1, n2 = self.c1.ring.nvars, self.c2.ring.nvars
-        znames = [f"g{t}" for t in range(len(pairs))]
-        names = [f"_a{n}" for n in self.c1.ring.names] + \
-                [f"_b{n}" for n in self.c2.ring.names] + znames
-        joint = PolyRing(field, names)
-        rels = [_embed(g, joint, 0) for g in self.c1.ideal]
-        rels += [_embed(g, joint, n1) for g in self.c2.ideal]
-        # the two components of each pair generator must both be matched; use
-        # two disjoint copies: relation z_t - first(pair) on the a-block and
-        # z'_t - second on the b-block would need 2 vars per generator.  The
-        # subring of a product is cut out correctly by intersecting the two
-        # graph ideals instead:
-        i1 = self._graph_ideal([p[0] for p in pairs], self.c1, znames, field)
-        i2 = self._graph_ideal([p[1] for p in pairs], self.c2, znames, field)
-        zring = PolyRing(field, znames)
-        inter = pa.ideal_intersection(RingPresentation(zring, []), i1, i2)
+        # present the subring of C_1 x C_2 generated by the pairs: the
+        # intersection of the two graph ideals, the kernels of the free ring
+        # on the pairs to C_1 and to C_2
+        zring = PolyRing(self.c1.ring.field,
+                         [f"g{t}" for t in range(len(pairs))])
+        free = RingPresentation(zring, [])
+        i1 = kernel_of_ring_map(RingMap(free, self.c1, [p[0] for p in pairs],
+                                        check=False))
+        i2 = kernel_of_ring_map(RingMap(free, self.c2, [p[1] for p in pairs],
+                                        check=False))
+        inter = pa.ideal_intersection(free, i1, i2)
         self.c = RingPresentation(zring, inter)
         self.p1 = RingMap(self.c, self.c1, [p[0] for p in pairs], check=False)
         self.p2 = RingMap(self.c, self.c2, [p[1] for p in pairs], check=False)
         self.ker_p1 = kernel_of_ring_map(self.p1)
         self.ker_p2 = kernel_of_ring_map(self.p2)
-
-    def _graph_ideal(self, images, target, znames, field):
-        names = [f"_t{n}" for n in target.ring.names] + list(znames)
-        joint = PolyRing(field, names)
-        off = target.ring.nvars
-        rels = [_embed(g, joint, 0) for g in target.ideal]
-        for t, img in enumerate(images):
-            rels.append(joint.sub(joint.var(off + t), _embed(img, joint, 0)))
-        contraction = eliminate_ideal(RingPresentation(joint, rels),
-                                      keep=range(off, off + len(znames)))
-        return [{(mono[off:], 0): c for (mono, _), c in g.items()}
-                for g in contraction]
 
     # -- certificates -------------------------------------------------------
 
@@ -226,9 +194,6 @@ class DescentDatum:
     phi: list  # columns over C_0: the image of m1's basis in m2/I2m2
 
     def __post_init__(self):
-        if self.m1.over is not self.glue.c1 or self.m2.over is not self.glue.c2:
-            # allow equal presentations too
-            pass
         self._check_invertible()
 
     def reduction(self, which):
@@ -259,14 +224,12 @@ def _invert_module_map(phi_cols, m_from: ModulePresentation,
     """Columns of an inverse map, or None (kernel and cokernel must vanish)."""
     ring = m_to.over.ring
     # surjectivity with witnesses: lift each basis vector of m_to
-    inv_cols = []
     relations = m_to.columns + pa.ideal_rows(m_to.over.ideal, m_to.rank)
-    for i in range(m_to.rank):
-        w = pa.lift_through(ring.field, phi_cols, m_to.rank, ring.nvars,
-                            ring.key, m_to.basis_elem(i), relations)
-        if w is None:
-            return None
-        inv_cols.append(w)
+    inv_cols = pa.lift_through(
+        ring.field, phi_cols, m_to.rank, ring.nvars, ring.key,
+        [m_to.basis_elem(i) for i in range(m_to.rank)], relations)
+    if any(w is None for w in inv_cols):
+        return None
     # injectivity: kernel of phi on m_from is zero
     _, kgens = pa.kernel_of_module_map(phi_cols, m_from, m_to)
     if not all(m_from.is_zero_elem(g) for g in kgens):
@@ -402,18 +365,16 @@ def _canonical_into_descent(glue, m: ModulePresentation, back):
         return None
     gens = back.descent_generators
     field = glue.c.ring.field
-    cand = []
+    zero = (0,) * glue.c.ring.nvars
     r = m.rank
-    for i in range(m.rank):
-        # the image of e_i is the pair (e_i, e_i): coordinates in C^{r1+r2}
-        target = {((0,) * glue.c.ring.nvars, i): field.one()}
-        target[( (0,) * glue.c.ring.nvars, r + i)] = field.one()
-        w = pa.lift_through(field, gens, 2 * r, glue.c.ring.nvars,
-                            glue.c.ring.key, target,
-                            pa.ideal_rows(glue.c.ideal, 2 * r))
-        if w is None:
-            return None
-        cand.append(w)
+    # the image of e_i is the pair (e_i, e_i): coordinates in C^{r1+r2}
+    targets = [{(zero, i): field.one(), (zero, r + i): field.one()}
+               for i in range(r)]
+    cand = pa.lift_through(field, gens, 2 * r, glue.c.ring.nvars,
+                           glue.c.ring.key, targets,
+                           pa.ideal_rows(glue.c.ideal, 2 * r))
+    if any(w is None for w in cand):
+        return None
     return cand
 
 

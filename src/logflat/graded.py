@@ -4,10 +4,10 @@ monoid-ideal correspondence, and the graded-flatness decision procedures.
 The dispatcher covers the shapes the criteria are proved for:
 
 * monoid algebras k[P] of pointed fine monoids (per-prime Tor vanishing),
-* chart towers A (x)_{Z[Q]} Z[P] with monomial spawning variables, recursing
-  through the quotients B_e (the nodal ring k[x,y]/(xy) is the basic case),
-* group algebras A[G] (reduction to the degree-zero part),
-* trivial gradings (plain flatness over a field or over k[t]).
+* charts B = A (x)_{Z[Q]} Z[P] with monomial spawning variables, through the
+  one chart tower of the library (the nodal ring k[x,y]/(xy) is the basic
+  case; the second chart criterion of ``chart`` runs the same tower),
+* group algebras A[G] (reduction to the degree-zero part).
 
 Base flatness over k[t] is decided exactly: the torsion of a finitely
 presented module is supported on the vanishing locus of the product of every
@@ -26,10 +26,10 @@ from .polyalg import (
     FieldRatFunc,
     ModulePresentation,
     PolyRing,
+    RingMap,
     RingPresentation,
     buchberger,
     module_key,
-    tor1,
     regular_element_test,
     toric_ideal,
     vector_space_dimension,
@@ -116,10 +116,6 @@ class HomogeneousIdeal:
         self.generators = [dict(g) for g in self.generators if g]
 
 
-def homogeneous_components(gr: GradedRing, p):
-    return gr.homogeneous_components(p)
-
-
 def is_homogeneous_ideal(gr: GradedRing, gens):
     """Each component of each generator must lie in the ideal they generate."""
     ideal = RingPresentation(gr.pres.ring, list(gr.pres.ideal) + [dict(g) for g in gens])
@@ -203,16 +199,22 @@ class KPShape:
 
 @dataclass
 class ChartShape:
-    """B = A (x)_{Z[Q]} Z[P] with monomial spawning variables ``evars``.
+    """B = A (x)_{Z[Q]} Z[P] with its map to the ring C of the modules and
+    monomial spawning variables ``evars``.
 
-    * ``pres``: the presented ring (A-variables then monoid variables),
+    * ``pres``: the presented ring B (A-variables then monoid variables),
+    * ``grading``: B graded by (P/Q)^gp,
+    * ``to_c``: the ring map B -> C; the identity of ``pres`` for modules
+      over B itself,
     * ``avars``: indices of the A-variables,
     * ``evars``: indices of the spawning-set variables, quotiented recursively,
-    * ``base``: 'field' or ('kt', t_index) describing A itself.
+    * ``base``: 'field' or ('kt', i), t being the i-th A-variable, describing
+      A itself.
     """
 
     pres: RingPresentation
     grading: GradedRing
+    to_c: RingMap
     avars: tuple
     evars: tuple
     base: object
@@ -224,12 +226,6 @@ class GroupAlgebraShape:
     inverse_pairs: tuple  # (i, j) with u_i u_j = 1
 
 
-@dataclass
-class TrivialShape:
-    pres: RingPresentation
-    base: object  # 'field' or ('kt', t_index)
-
-
 def graded_flat(m: ModulePresentation, shape):
     """Graded-flatness verdict with a certificate tree."""
     if isinstance(shape, KPShape):
@@ -238,9 +234,6 @@ def graded_flat(m: ModulePresentation, shape):
         return _flat_chart(m, shape)
     if isinstance(shape, GroupAlgebraShape):
         return _flat_group_algebra(m, shape)
-    if isinstance(shape, TrivialShape):
-        ok, cert = _flat_over_base(m, shape.pres, shape.base)
-        return ok, {"criterion": "trivial grading", "base": cert, "verdict": ok}
     raise UnsupportedShape(f"no graded-flatness procedure for {shape!r}")
 
 
@@ -259,56 +252,94 @@ def _flat_kp(m: ModulePresentation, shape: KPShape):
 
 
 def _flat_chart(m: ModulePresentation, shape: ChartShape):
-    base_ok, base_cert = _flat_over_base(m, shape.pres, shape.base,
-                                         avars=shape.avars)
-    cert = {"criterion": "chart tower", "base": base_cert, "spawning": []}
-    verdict = base_ok
+    """The chart tower for M over C: flat over the base, and per spawning
+    variable z_e, Tor_1^B(M, B/(z_e)) = 0 plus the same test for M/z_e M over
+    B/(z_e), recursively.
+
+    At a tower level B_level = B/(killed variables), the Tor test resolves
+    B_level/(z_e) over B_level and transports the complex along B_level ->
+    C/(images of the killed variables), the ring of M, so no finiteness of C
+    over B is needed.
+
+    A subtree depends only on the set of killed variables: its spawning
+    variables are ``shape.evars`` minus that set in their original order,
+    and its module lives over C/(images of the killed variables) in any kill
+    order.  So each set is computed once per call, memoized on
+    ``frozenset(killed)``, and the certificate tree keeps one branch per
+    ordering with the subtrees of equal sets shared.  For n spawning
+    variables that is 2^n computed levels and n*2^(n-1) Tor tests, where
+    the tree has sum_k n!/(n-k)! nodes.  Only a ``bad_locus`` of a k[t]
+    base can depend on the kill order: its f* comes from a Buchberger run
+    over the quotient generators in that order, which ties on equal leading
+    terms can make order dependent.  The memo keeps the f* of the first
+    ordering to reach the set; any such f* certifies the same module."""
     ring = shape.pres.ring
-    for e in shape.evars:
-        ze = ring.var(e)
-        tz = pa.tor1(m, [ze])[1]
-        sub_pres = shape.pres.quotient([ze])
-        sub_m = ModulePresentation(sub_pres, m.rank, m.columns)
-        sub_shape = ChartShape(sub_pres, shape.grading, shape.avars,
-                               tuple(v for v in shape.evars if v != e),
-                               shape.base)
-        sub_ok, sub_cert = _flat_chart(sub_m, sub_shape)
-        cert["spawning"].append({"variable": ring.names[e],
-                                 "tor1_zero": tz,
-                                 "quotient": sub_cert})
-        verdict = verdict and tz and sub_ok
-    cert["verdict"] = verdict
-    return verdict, cert
+    memo = {}
+
+    def level_of(m, evars, killed):
+        key = frozenset(killed)
+        if key in memo:
+            return memo[key]
+        level = shape.pres.quotient([ring.var(k) for k in killed])
+        base_ok, base_cert = _base_flat(shape, m, level)
+        cert = {"base": base_cert, "spawning": []}
+        verdict = base_ok
+        to_m = RingMap(level, m.over, shape.to_c.images, check=False)
+        for e in evars:
+            tz = pa.tor1_along(to_m, [ring.var(e)], 1, m)[1]
+            sub_m = ModulePresentation(
+                m.over.quotient([shape.to_c.apply(ring.var(e))]), m.rank,
+                m.columns)
+            sub_ok, sub_cert = level_of(sub_m, [v for v in evars if v != e],
+                                        killed + (e,))
+            cert["spawning"].append({"variable": ring.names[e],
+                                     "tor1_zero": tz, "quotient": sub_cert})
+            verdict = verdict and tz and sub_ok
+        cert["verdict"] = verdict
+        memo[key] = verdict, cert
+        return memo[key]
+
+    return level_of(m, list(shape.evars), ())
 
 
-def _flat_over_base(m: ModulePresentation, pres: RingPresentation, base,
-                    avars=()):
-    """Flatness of M over the image of the base ring A.
+def _base_flat(shape: ChartShape, m: ModulePresentation, level):
+    """Flatness of M over (the image of) the base A at the tower level
+    ``level`` = B/(killed variables).
 
-    The contraction of the ideal to the A-variables is computed by
+    The contraction of the level's ideal to the A-variables is computed by
     elimination; supported leaves are fields (always flat), the zero ring,
-    and k[t] (torsion-freeness via the k(t)-trace kernel test).
-    """
-    if base == "field" or not avars:
+    and k[t] (torsion-freeness via the k(t)-trace kernel test)."""
+    if shape.base == "field" or not shape.avars:
         return True, {"base": "field", "flat": True}
-    contraction = pa.eliminate_ideal(pres, keep=avars)
-    ring = pres.ring
-    base_names = [ring.names[i] for i in avars]
-    base_ring = PolyRing(ring.field, base_names)
+    contraction = pa.eliminate_ideal(level, keep=shape.avars)
+    ring = shape.pres.ring
+    base_ring = PolyRing(ring.field, [ring.names[i] for i in shape.avars])
     base_ideal = []
     for g in contraction:
-        base_ideal.append({(tuple(mono[v] for v in avars), 0): c
+        base_ideal.append({(tuple(mono[v] for v in shape.avars), 0): c
                            for (mono, _), c in g.items()})
     base_pres = RingPresentation(base_ring, base_ideal)
     if base_pres.contains_one():
         return True, {"base": "zero ring", "flat": True}
-    dim = vector_space_dimension(base_pres, 1, [])
-    if dim == 1:
+    if vector_space_dimension(base_pres, 1, []) == 1:
         return True, {"base": "residue field", "flat": True}
-    if isinstance(base, tuple) and base[0] == "kt" and not base_ideal:
-        ok, fstar = flat_over_kt(m, base[1])
+    if shape.base[0] == "kt" and not base_ideal:
+        t_b = ring.var(shape.avars[shape.base[1]])
+        t_idx = _variable_index(m.over.ring, shape.to_c.apply(t_b))
+        if t_idx is None:
+            raise UnsupportedShape("t must map to a variable of C")
+        ok, fstar = flat_over_kt(m, t_idx)
         return ok, {"base": "k[t]", "flat": ok, "bad_locus": fstar}
     raise UnsupportedShape("base ring is neither a field nor k[t]")
+
+
+def _variable_index(ring, p):
+    if len(p) != 1:
+        return None
+    ((mono, pos), c) = next(iter(p.items()))
+    if pos != 0 or sum(mono) != 1 or c != ring.field.one():
+        return None
+    return mono.index(1)
 
 
 def flat_over_kt(m: ModulePresentation, t_index):
@@ -360,11 +391,16 @@ def flat_over_kt(m: ModulePresentation, t_index):
 def nodal_ring(field=pa.QQ):
     """B = k[x,y]/(xy) graded by Z with |x| = 1, |y| = -1, as a chart shape."""
     ring = PolyRing(field, ["x", "y"])
-    pres = RingPresentation(ring, [ring.parse("x*y")])
-    z = FgAbGroup.free(1)
-    grading = GradedRing(z, pres, [(1,), (-1,)])
-    shape = ChartShape(pres, grading, avars=(), evars=(0, 1), base="field")
-    return pres, grading, shape
+    shape = _nodal_shape(RingPresentation(ring, [ring.parse("x*y")]))
+    return shape.pres, shape.grading, shape
+
+
+def _nodal_shape(pres):
+    """The chart shape of the nodal ring presented by ``pres``, over the
+    identity of ``pres``."""
+    grading = GradedRing(FgAbGroup.free(1), pres, [(1,), (-1,)])
+    return ChartShape(pres, grading, RingMap.identity(pres), avars=(),
+                      evars=(0, 1), base="field")
 
 
 def quotient_module(m: ModulePresentation, extra_ring_gens):
@@ -380,9 +416,7 @@ def nodal_criteria_panel(m: ModulePresentation, shape=None):
     ring = pres.ring
     x, y = ring.var("x"), ring.var("y")
     if shape is None:
-        z = FgAbGroup.free(1)
-        grading = GradedRing(z, pres, [(1,), (-1,)])
-        shape = ChartShape(pres, grading, avars=(), evars=(0, 1), base="field")
+        shape = _nodal_shape(pres)
     panel = {}
     panel["graded_flat"], _ = graded_flat(m, shape)
     panel["tor_maximal_ideal"] = pa.tor1(m, [x, y])[1]
@@ -401,7 +435,9 @@ def nodal_criteria_panel(m: ModulePresentation, shape=None):
     panel["tor_x_graded"] = tor_x and gf_x
     panel["tor_y_x_regular"] = tor_y and x_reg
     panel["tor_y_graded"] = tor_y and gf_y
-    panel["localized"] = _localized_tor_vanishes(m, x, y)
+    # Tor_1(M, B/m) is a B/m-module, so localizing it at m = (x, y) changes
+    # nothing: the localized condition is the maximal-ideal one
+    panel["localized"] = panel["tor_maximal_ideal"]
     return panel
 
 
@@ -430,35 +466,6 @@ def _nodal_map_injective(m: ModulePresentation, x, y):
 
 def _zero_mono(pres):
     return (0,) * pres.ring.nvars
-
-
-def _localized_tor_vanishes(m: ModulePresentation, x, y):
-    """The Tor_1(M, B/m) condition after localizing at m = (x, y): the Tor
-    module is m-torsion, so it localizes to zero iff its annihilator is not
-    contained in m."""
-    pres_tor, zero = tor1(m, [x, y])
-    if zero:
-        return True
-    ann = _annihilator(pres_tor)
-    ring = pres_tor.over.ring
-    probe = RingPresentation(ring, list(pres_tor.over.ideal) + ann +
-                             [ring.var("x"), ring.var("y")])
-    return probe.contains_one()
-
-
-def _annihilator(m: ModulePresentation):
-    """Generators of Ann(M) for a presented module."""
-    over = m.over
-    out = None
-    for i in range(m.rank):
-        # (relations : e_i) = {f : f e_i in span}
-        quot = pa.kernel_of_matrix(over, [m.basis_elem(i)], m.rank, m.columns)
-        gens = [{(mono, 0): c for (mono, p), c in g.items()} for g in quot]
-        if out is None:
-            out = gens
-        else:
-            out = pa.ideal_intersection(over, out, gens)
-    return out or [over.ring.one()]
 
 
 # -- group algebras --------------------------------------------------------------

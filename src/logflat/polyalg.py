@@ -552,19 +552,34 @@ def syzygies(field, vecs, rank, nvars, ring_key, relations=()):
             for g in gb if all(p >= rank for (_, p) in g)]
 
 
-def lift_through(field, vecs, rank, nvars, ring_key, target, relations=()):
-    """Coefficients c with target - sum c_i vecs_i in the span of
-    ``relations``, or None when there are none.
+def lift_through(field, vecs, rank, nvars, ring_key, targets, relations=()):
+    """For each of the ``targets``, coefficients c with target - sum c_i
+    vecs_i in the span of ``relations``, or None when there are none.
 
-    Same elimination as ``syzygies``, with the relations untagged: the
-    normal form of target against the augmented basis lies wholly in the
-    tag positions exactly when target lies in span(vecs) + span(relations),
-    and then it is -c."""
+    Same elimination as ``syzygies``, with the relations untagged and one
+    augmented basis for all targets: the normal form of a target against it
+    lies wholly in the tag positions exactly when the target lies in
+    span(vecs) + span(relations), and then it is -c."""
     gb, key = _augmented_gb(field, vecs, rank, nvars, ring_key, relations)
-    r = m_reduce(field, target, gb, key)
-    if any(p < rank for (_, p) in r):
-        return None
-    return {(m, p - rank): field.neg(c) for (m, p), c in r.items()}
+    lts = [m_lt(g, key) for g in gb]
+    out = []
+    for target in targets:
+        r = m_reduce(field, target, gb, key, lts)
+        out.append(None if any(p < rank for (_, p) in r) else
+                   {(m, p - rank): field.neg(c) for (m, p), c in r.items()})
+    return out
+
+
+def embed(p, ring, offset):
+    """A polynomial or module element in the bigger ``ring``, variable i
+    becoming variable offset + i."""
+    out = {}
+    for (mono, pos), c in p.items():
+        big = [0] * ring.nvars
+        for i, e in enumerate(mono):
+            big[offset + i] = e
+        out[(tuple(big), pos)] = c
+    return out
 
 
 # -- polynomial rings and presentations ---------------------------------------
@@ -820,6 +835,11 @@ class RingMap:
                 if not target.is_zero(self.apply(g)):
                     raise ValueError("ring map does not kill the ideal")
 
+    @classmethod
+    def identity(cls, pres: RingPresentation):
+        return cls(pres, pres, [pres.ring.var(i)
+                                for i in range(pres.ring.nvars)], check=False)
+
     def apply(self, p):
         tring = self.target.ring
         out = tring.zero()
@@ -943,14 +963,16 @@ def homology(over: RingPresentation, a_cols, mid_rank, mid_relations,
        R^s --A--> R^mid_rank --B--> R^out_rank
     where the outer terms carry the given relation columns.
 
-    Returns (presentation over ``over``, is_zero).
+    Returns (presentation over ``over``, is_zero); a zero homology is
+    presented as the module of rank 0.
     """
     kgens = kernel_of_matrix(over, b_cols, out_rank, out_relations)
     denom = list(a_cols) + list(mid_relations)
     mid = ModulePresentation(over, mid_rank, denom)
-    is_zero = all(mid.is_zero_elem(k) for k in kgens)
+    if all(mid.is_zero_elem(k) for k in kgens):
+        return ModulePresentation(over, 0, []), True
     rels = kernel_of_matrix(over, kgens, mid_rank, denom)
-    return ModulePresentation(over, len(kgens), rels), is_zero
+    return ModulePresentation(over, len(kgens), rels), False
 
 
 def tor1_along(rmap: RingMap, cols, rank, n: ModulePresentation):
@@ -995,15 +1017,6 @@ def tor1(m: ModulePresentation, j_gens):
     to_rq = RingMap(m.over, rq, [ring.var(i) for i in range(ring.nvars)],
                     check=False)
     return tor1_along(to_rq, m.columns, m.rank, ModulePresentation(rq, 1))
-
-
-def tor1_via_resolution(n: ModulePresentation, algebra_map: RingMap):
-    """Tor_1^R(A, N) for an R-algebra A (given by the ring map R -> A),
-    computed by resolving N over R and transporting the complex to A.
-
-    Returns (presentation over A, is_zero)."""
-    return tor1_along(algebra_map, n.columns, n.rank,
-                      ModulePresentation(algebra_map.target, 1))
 
 
 def transport_col(rmap: RingMap, col):

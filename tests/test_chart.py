@@ -5,6 +5,7 @@ from logflat.monoid import FineMonoid, MonoidHom, diagonal, nat_monoid, trivial_
 from logflat import polyalg as pa
 from logflat.polyalg import ModulePresentation, PolyRing, RingMap, RingPresentation
 from logflat import chart as ch
+from logflat import graded as gd
 from logflat.chart import (
     ChartData,
     ChartInvalid,
@@ -119,15 +120,15 @@ class TestBuildB:
         assert cr.pres.is_zero(r.parse("x*y"))
         assert not cr.pres.is_zero(r.parse("x"))
         # grading: Z with degrees +-1
-        assert cr.cokernel == FgAbGroup.free(1)
-        degs = {cr.grading.degrees[i] for i in cr.pvars}
+        assert cr.grading.group == FgAbGroup.free(1)
+        degs = {cr.grading.degrees[i] for i in cr.evars}
         assert degs == {(1,), (-1,)}
 
     def test_trivial_q_gives_kx(self):
         chart = smooth_divisor_chart()
         cr = build_B(chart)
         assert cr.pres.ideal == []
-        assert cr.cokernel == FgAbGroup.free(1)
+        assert cr.grading.group == FgAbGroup.free(1)
 
     def test_family_chart(self):
         # A = k[t], t(1) = t: B = k[t,x,y]/(xy - t)
@@ -496,7 +497,7 @@ def reference_tower(cr, m, evars, killed=()):
     ``_tensored_homology_is_zero``."""
     ring = cr.pres.ring
     level = cr.pres.quotient([ring.var(k) for k in killed])
-    base_ok, base_cert = ch._tower_base(cr, m, level)
+    base_ok, base_cert = gd._base_flat(cr, m, level)
     cert = {"base": base_cert, "spawning": []}
     verdict = base_ok
     to_m = (RingMap(level, m.over, list(cr.to_c.images), check=False)
@@ -558,27 +559,42 @@ class TestSharedTower:
     def test_matches_reference(self, source, which):
         chart, m = tower_case(source, which)
         cr = build_B(chart)
-        assert ch._tower(cr, m) == \
-            reference_tower(cr, m, list(cr.pvars))
+        assert gd._flat_chart(m, cr) == \
+            reference_tower(cr, m, list(cr.evars))
 
     def test_one_tor_test_per_killed_set_and_variable(self, monkeypatch):
+        # one base test per killed set and one Tor test per killed set and
+        # variable: on the C side (the nodal chart at units_rank 1, four
+        # spawning variables) and on the B side (the nodal ring over the
+        # identity, two)
+        levels, tors = [], []
+        base, tor = gd._base_flat, pa.tor1_along
+
+        def killed(level):
+            return frozenset(next(iter(g))[0] for g in level.ideal[n_ideal:])
+
+        def recording_base(shape, m, level):
+            levels.append(killed(level))
+            return base(shape, m, level)
+
+        def recording_tor(rmap, cols, rank, n):
+            tors.append((killed(rmap.source), tuple(map(str, cols))))
+            return tor(rmap, cols, rank, n)
+
+        monkeypatch.setattr(gd, "_base_flat", recording_base)
+        monkeypatch.setattr(pa, "tor1_along", recording_tor)
         chart = unit_extension_chart(nodal_chart())
-        cr = build_B(chart)
-        n_ideal = len(cr.pres.ideal)
-        calls = []
-        tor = ch._tor_against_quotient
-
-        def recording(cr, m, e, level):
-            killed = frozenset(next(iter(g))[0]
-                               for g in level.ideal[n_ideal:])
-            calls.append((killed, e))
-            return tor(cr, m, e, level)
-
-        monkeypatch.setattr(ch, "_tor_against_quotient", recording)
-        ch._tower(cr, ModulePresentation(chart.c, 1, []))
-        n = len(cr.pvars)
-        assert n == 4
-        assert len(calls) == len(set(calls)) == n * 2 ** (n - 1) == 32
+        _, _, nodal = gd.nodal_ring()
+        for shape, m, n in (
+                (build_B(chart), ModulePresentation(chart.c, 1, []), 4),
+                (nodal, ModulePresentation(nodal.pres, 1, []), 2)):
+            levels.clear()
+            tors.clear()
+            n_ideal = len(shape.pres.ideal)
+            gd.graded_flat(m, shape)
+            assert len(shape.evars) == n
+            assert len(levels) == len(set(levels)) == 2 ** n
+            assert len(tors) == len(set(tors)) == n * 2 ** (n - 1)
 
     def test_free_module_units_rank_2(self):
         from logflat import cli

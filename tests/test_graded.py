@@ -1,9 +1,13 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logflat.abgrp import FgAbGroup, GroupHom
 from logflat.monoid import FineMonoid, MonoidIdeal, nat_monoid
+from logflat import graded as gd
 from logflat import polyalg as pa
-from logflat.polyalg import ModulePresentation, PolyRing, RingPresentation
+from logflat.polyalg import (
+    ModulePresentation, PolyRing, RingMap, RingPresentation,
+)
 from logflat.graded import (
     ChartShape,
     GradedModule,
@@ -257,8 +261,9 @@ class TestChartTowerFamily:
         self.pres = RingPresentation(ring, [ring.parse("x*y - t")])
         grading = GradedRing(FgAbGroup.free(1), self.pres,
                              [(0,), (1,), (-1,)])
-        self.shape = ChartShape(self.pres, grading, avars=(0,), evars=(1, 2),
-                                base=("kt", 0))
+        self.shape = ChartShape(self.pres, grading,
+                                RingMap.identity(self.pres), avars=(0,),
+                                evars=(1, 2), base=("kt", 0))
 
     def test_structure_flat(self):
         m = ModulePresentation(self.pres, 1, [])
@@ -299,3 +304,173 @@ class TestKPConsistency:
                 per_prime = graded_flat(m, shape)[0]
                 fam, _ = graded_flat_on_ideal_family(m, family)
                 assert per_prime == fam
+
+
+# -- the B-side tower and the localized panel entry, kept as references ------------
+
+
+def _reference_flat_chart(m: ModulePresentation, shape: ChartShape):
+    """The earlier B-side chart tower, kept as the reference for the one
+    chart tower: no memo, and M resolved over B at every level."""
+    base_ok, base_cert = _reference_flat_over_base(m, shape.pres, shape.base,
+                                                   avars=shape.avars)
+    cert = {"criterion": "chart tower", "base": base_cert, "spawning": []}
+    verdict = base_ok
+    ring = shape.pres.ring
+    for e in shape.evars:
+        ze = ring.var(e)
+        tz = pa.tor1(m, [ze])[1]
+        sub_pres = shape.pres.quotient([ze])
+        sub_m = ModulePresentation(sub_pres, m.rank, m.columns)
+        sub_shape = ChartShape(sub_pres, shape.grading,
+                               RingMap.identity(sub_pres), shape.avars,
+                               tuple(v for v in shape.evars if v != e),
+                               shape.base)
+        sub_ok, sub_cert = _reference_flat_chart(sub_m, sub_shape)
+        cert["spawning"].append({"variable": ring.names[e],
+                                 "tor1_zero": tz,
+                                 "quotient": sub_cert})
+        verdict = verdict and tz and sub_ok
+    cert["verdict"] = verdict
+    return verdict, cert
+
+
+def _reference_flat_over_base(m: ModulePresentation, pres: RingPresentation,
+                              base, avars=()):
+    """Flatness of M over the image of the base ring A.
+
+    The contraction of the ideal to the A-variables is computed by
+    elimination; supported leaves are fields (always flat), the zero ring,
+    and k[t] (torsion-freeness via the k(t)-trace kernel test).
+    """
+    if base == "field" or not avars:
+        return True, {"base": "field", "flat": True}
+    contraction = pa.eliminate_ideal(pres, keep=avars)
+    ring = pres.ring
+    base_names = [ring.names[i] for i in avars]
+    base_ring = PolyRing(ring.field, base_names)
+    base_ideal = []
+    for g in contraction:
+        base_ideal.append({(tuple(mono[v] for v in avars), 0): c
+                           for (mono, _), c in g.items()})
+    base_pres = RingPresentation(base_ring, base_ideal)
+    if base_pres.contains_one():
+        return True, {"base": "zero ring", "flat": True}
+    dim = pa.vector_space_dimension(base_pres, 1, [])
+    if dim == 1:
+        return True, {"base": "residue field", "flat": True}
+    if isinstance(base, tuple) and base[0] == "kt" and not base_ideal:
+        ok, fstar = flat_over_kt(m, base[1])
+        return ok, {"base": "k[t]", "flat": ok, "bad_locus": fstar}
+    raise gd.UnsupportedShape("base ring is neither a field nor k[t]")
+
+
+def _reference_localized(m: ModulePresentation, x, y):
+    """The earlier ``localized`` panel entry, kept as the reference: the
+    Tor_1(M, B/m) condition after localizing at m = (x, y), through the
+    annihilator of the Tor module."""
+    pres_tor, zero = pa.tor1(m, [x, y])
+    if zero:
+        return True
+    ann = _reference_annihilator(pres_tor)
+    ring = pres_tor.over.ring
+    probe = RingPresentation(ring, list(pres_tor.over.ideal) + ann +
+                             [ring.var("x"), ring.var("y")])
+    return probe.contains_one()
+
+
+def _reference_annihilator(m: ModulePresentation):
+    """Generators of Ann(M) for a presented module."""
+    over = m.over
+    out = None
+    for i in range(m.rank):
+        # (relations : e_i) = {f : f e_i in span}
+        quot = pa.kernel_of_matrix(over, [m.basis_elem(i)], m.rank, m.columns)
+        gens = [{(mono, 0): c for (mono, p), c in g.items()} for g in quot]
+        if out is None:
+            out = gens
+        else:
+            out = pa.ideal_intersection(over, out, gens)
+    return out or [over.ring.one()]
+
+
+def _family_shape():
+    """B = k[t,x,y]/(xy - t) over the base k[t], graded by Z."""
+    ring = PolyRing(pa.QQ, ["t", "x", "y"])
+    pres = RingPresentation(ring, [ring.parse("x*y - t")])
+    grading = GradedRing(FgAbGroup.free(1), pres, [(0,), (1,), (-1,)])
+    return ChartShape(pres, grading, RingMap.identity(pres), avars=(0,),
+                      evars=(1, 2), base=("kt", 0))
+
+
+@st.composite
+def chart_modules(draw, shape, max_exp):
+    """A module of rank 1 or 2 over the ring of ``shape`` with up to two
+    relations of one or two terms each, exponents up to ``max_exp``."""
+    field = pa.QQ
+    nvars = shape.pres.ring.nvars
+    rank = draw(st.integers(1, 2))
+    term = st.tuples(st.tuples(*[st.integers(0, max_exp)] * nvars),
+                     st.integers(0, rank - 1), st.sampled_from([1, -1, 2]))
+    cols = []
+    for _ in range(draw(st.integers(0, 2))):
+        g = {}
+        for mono, pos, c in draw(st.lists(term, min_size=1, max_size=2)):
+            g = pa.m_add(field, g, {(mono, pos): field.of_int(c)})
+        cols.append(g)
+    return ModulePresentation(shape.pres, rank, cols)
+
+
+def _verdict(flat, m, shape):
+    try:
+        return flat(m, shape)[0]
+    except gd.UnsupportedShape:
+        return "unsupported"
+
+
+def _corpora():
+    from test_acceptance import family_modules, nodal_corpus
+    _, _, nodal = nodal_ring()
+    _, family, fmods = family_modules()
+    return ([(m, nodal) for m in nodal_corpus(nodal.pres).values()]
+            + [(m, family) for m in fmods.values()])
+
+
+def test_chart_tower_matches_b_side_reference_on_corpora():
+    for m, shape in _corpora():
+        assert graded_flat(m, shape)[0] == _reference_flat_chart(m, shape)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(chart_modules(nodal_ring()[2], 2))
+def test_chart_tower_matches_b_side_reference_on_nodal_modules(m):
+    _, _, shape = nodal_ring()
+    assert _verdict(graded_flat, m, shape) == \
+        _verdict(_reference_flat_chart, m, shape)
+
+
+@settings(max_examples=30, deadline=None)
+@given(chart_modules(_family_shape(), 1))
+def test_chart_tower_matches_b_side_reference_on_kt_family(m):
+    shape = _family_shape()
+    assert _verdict(graded_flat, m, shape) == \
+        _verdict(_reference_flat_chart, m, shape)
+
+
+def test_localized_matches_reference_on_nodal_corpus():
+    from test_acceptance import nodal_corpus
+    pres, _, shape = nodal_ring()
+    r = pres.ring
+    for m in nodal_corpus(pres).values():
+        panel = nodal_criteria_panel(m, shape)
+        assert panel["localized"] == _reference_localized(
+            m, r.var("x"), r.var("y"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(chart_modules(nodal_ring()[2], 2))
+def test_localized_matches_reference_on_nodal_modules(m):
+    r = m.over.ring
+    panel = nodal_criteria_panel(m)
+    assert panel["localized"] == _reference_localized(
+        m, r.var("x"), r.var("y"))

@@ -344,3 +344,45 @@ def test_no_window_parameters():
     assert any(name == "degree" for _, name in params)  # the walk sees them
     offenders = [p for p in params if p[1] in WINDOW_PARAMETERS]
     assert not offenders, offenders
+
+
+MIN_BODY_NODES = 10  # below this, bodies like ``return a == b`` may repeat
+
+
+def _function_bodies(name, source):
+    """(module.function, dump of its body without the docstring) for every
+    function whose body has at least MIN_BODY_NODES syntax nodes."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                body = body[1:]
+            if sum(1 for stmt in body for _ in ast.walk(stmt)) >= \
+                    MIN_BODY_NODES:
+                out.append((f"{name}.{node.name}",
+                            ast.dump(ast.Module(body=body, type_ignores=[]))))
+    return out
+
+
+def _duplicates(bodies):
+    groups = {}
+    for name, dump in bodies:
+        groups.setdefault(dump, []).append(name)
+    return [names for names in groups.values() if len(names) > 1]
+
+
+def test_no_two_functions_share_a_body():
+    # the check sees a copied body, whatever the docstring and the name
+    copy = ('def f(p, n):\n    "One."\n    out = [q * n for q in p]\n'
+            '    return sorted(out)\n\n\n'
+            'def g(p, n):\n    out = [q * n for q in p]\n'
+            '    return sorted(out)\n')
+    assert _duplicates(_function_bodies("m", copy)) == [["m.f", "m.g"]]
+    src = Path(monmod.__file__).parent
+    bodies = [b for path in sorted(src.glob("*.py"))
+              for b in _function_bodies(path.stem, path.read_text())]
+    assert len(bodies) > 100  # the walk sees the library's functions
+    assert not _duplicates(bodies), _duplicates(bodies)

@@ -24,7 +24,6 @@ from logflat.polyalg import (
     regular_element_test,
     toric_ideal,
     tor1,
-    tor1_via_resolution,
     vector_space_dimension,
 )
 
@@ -194,7 +193,8 @@ class TestTor:
         rp = RingPresentation(r, [])
         n = ModulePresentation(rp, 1, [r.parse("x")])
         ident = RingMap(rp, rp, [r.var(0)], check=False)
-        pres, is_zero = tor1_via_resolution(n, ident)
+        pres, is_zero = pa.tor1_along(ident, n.columns, n.rank,
+                                      ModulePresentation(rp, 1))
         # Tor_1(R, R/x) = 0
         assert is_zero
 
@@ -206,7 +206,8 @@ class TestTor:
         rloc_ring = ring(["x", "w"])
         rloc = RingPresentation(rloc_ring, [rloc_ring.parse("x*w - 1")])
         incl = RingMap(rp, rloc, [rloc_ring.var(0)], check=False)
-        pres, is_zero = tor1_via_resolution(n, incl)
+        pres, is_zero = pa.tor1_along(incl, n.columns, n.rank,
+                                      ModulePresentation(rloc, 1))
         assert is_zero
 
 
@@ -574,12 +575,6 @@ def tor_problems(draw):
     return module(), module(), elements(1)
 
 
-def _identity(over):
-    return RingMap(over, over,
-                   [over.ring.var(i) for i in range(over.ring.nvars)],
-                   check=False)
-
-
 @settings(max_examples=60, deadline=None)
 @given(tor_problems())
 def test_tor1_matches_reference(problem):
@@ -589,7 +584,7 @@ def test_tor1_matches_reference(problem):
     ref, ref_zero = _reference_tor1(m, j)
     for pres, is_zero in (
             tor1(m, j),
-            pa.tor1_along(_identity(m.over), m.columns, m.rank,
+            pa.tor1_along(RingMap.identity(m.over), m.columns, m.rank,
                           ModulePresentation(m.over, 1, j))):
         assert is_zero == ref_zero
         assert pres.dim() == ref.dim()
@@ -601,8 +596,8 @@ def test_tor1_along_is_symmetric(problem):
     # Tor_1(A, N) and Tor_1(N, A): resolve either module, tensor with the
     # other
     a, n, _ = problem
-    ab, ab_zero = pa.tor1_along(_identity(a.over), a.columns, a.rank, n)
-    ba, ba_zero = pa.tor1_along(_identity(a.over), n.columns, n.rank, a)
+    ab, ab_zero = pa.tor1_along(RingMap.identity(a.over), a.columns, a.rank, n)
+    ba, ba_zero = pa.tor1_along(RingMap.identity(a.over), n.columns, n.rank, a)
     assert ab_zero == ba_zero
     assert ab.dim() == ba.dim()
 
@@ -819,18 +814,25 @@ def test_kernel_of_matrix_matches_sympy(problem):
 @settings(max_examples=150, deadline=None)
 @given(kernel_problems())
 def test_lift_through_matches_tagged_reference(problem):
+    # one augmented basis for several targets: the drawn target, each
+    # column, a relation and the first basis vector
     over, rank, cols, rels, target = problem
     field, r = over.ring.field, over.ring
     relations = rels + pa.ideal_rows(over.ideal, rank)
-    c = pa.lift_through(field, cols, rank, r.nvars, r.key, target, relations)
-    ref = _tagged_lift_through(field, cols + relations, rank, r.nvars, r.key,
-                               target)
-    assert (c is None) == (ref is None)
-    if c is not None:
-        assert all(p < len(cols) for (_, p) in c)
-        rest = m_sub(field, target, _combine(field, cols, c))
-        assert ModulePresentation(RingPresentation(r), rank,
-                                  relations).is_zero_elem(rest)
+    e0 = ModulePresentation(over, rank).basis_elem(0)
+    targets = [target] + cols + rels[:1] + [e0]
+    lifts = pa.lift_through(field, cols, rank, r.nvars, r.key, targets,
+                            relations)
+    assert len(lifts) == len(targets)
+    for t, c in zip(targets, lifts):
+        ref = _tagged_lift_through(field, cols + relations, rank, r.nvars,
+                                   r.key, t)
+        assert (c is None) == (ref is None)
+        if c is not None:
+            assert all(p < len(cols) for (_, p) in c)
+            rest = m_sub(field, t, _combine(field, cols, c))
+            assert ModulePresentation(RingPresentation(r), rank,
+                                      relations).is_zero_elem(rest)
 
 
 def _tagged_positions(monkeypatch):
