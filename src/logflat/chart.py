@@ -299,21 +299,6 @@ def second_chart_criterion(chart: ChartData, m: ModulePresentation):
                      "verdict": verdict}
 
 
-def module_laurent_extension(m: ModulePresentation, cpgp: RingPresentation,
-                             c_vars):
-    """M[P^gp] = M (x)_C C[P^gp]: the same columns over the bigger ring."""
-    cols = []
-    for col in m.columns:
-        out = {}
-        for (mono, pos), c in col.items():
-            big = [0] * cpgp.ring.nvars
-            for i, e in enumerate(mono):
-                big[c_vars[i]] = e
-            out[(tuple(big), pos)] = c
-        cols.append(out)
-    return ModulePresentation(cpgp, m.rank, cols)
-
-
 def first_chart_criterion_instances(chart: ChartData, m: ModulePresentation,
                                     ideal_lists, field=None):
     """Instance checks of the first criterion: Tor_1^{A(h,t)}(M[P^gp], -)
@@ -323,7 +308,9 @@ def first_chart_criterion_instances(chart: ChartData, m: ModulePresentation,
     Tor vanishing computed by resolving over A(h,t) and transporting along
     the comparison map."""
     _, cpgp, comparison = build_A_ht(chart, field)
-    mp = module_laurent_extension(m, cpgp, list(range(m.over.ring.nvars)))
+    # M[P^gp] = M (x)_C C[P^gp]: the same columns over the bigger ring
+    mp = ModulePresentation(cpgp, m.rank,
+                            [pa.embed(col, cpgp.ring, 0) for col in m.columns])
     return [pa.tor1_along(comparison, list(gens), 1, mp)[1]
             for gens in ideal_lists]
 

@@ -17,7 +17,6 @@ from .polyalg import (
     PolyRing,
     RingMap,
     RingPresentation,
-    eliminate_ideal,
     m_add,
     m_neg,
 )
@@ -40,38 +39,22 @@ class NotFiniteDimensional(ValueError):
 
 
 def kernel_of_ring_map(rmap: RingMap):
-    """Generators of ker(source -> target), by eliminating the target
-    variables from (target ideal) + (z_i - image_i)."""
-    src, tgt = rmap.source, rmap.target
-    names = [f"_k{n}" for n in tgt.ring.names] + list(src.ring.names)
-    joint = PolyRing(src.ring.field, names)
-    off = tgt.ring.nvars
-    rels = [pa.embed(g, joint, 0) for g in tgt.ideal]
-    for i in range(src.ring.nvars):
-        zi = joint.var(off + i)
-        img = pa.embed(rmap.images[i], joint, 0)
-        rels.append(joint.sub(zi, img))
-    contraction = eliminate_ideal(RingPresentation(joint, rels),
-                                  keep=range(off, off + src.ring.nvars))
-    out = []
-    for g in contraction:
-        out.append({(mono[off:], 0): c for (mono, _), c in g.items()})
-    return out
+    """Generators of ker(source -> target): the elements of the map's graph
+    basis that are free of the target variables."""
+    _, _, gb, _ = rmap.graph_basis()
+    off = rmap.target.ring.nvars
+    return [{(mono[off:], 0): c for (mono, _), c in g.items()}
+            for g in gb if not any(any(mono[:off]) for (mono, _) in g)]
 
 
 def subalgebra_witness(rmap: RingMap, target_elem):
-    """A source polynomial mapping onto the target element, or None."""
-    src, tgt = rmap.source, rmap.target
-    names = [f"_k{n}" for n in tgt.ring.names] + list(src.ring.names)
-    joint = PolyRing(src.ring.field, names)
-    off = tgt.ring.nvars
-    rels = [pa.embed(g, joint, 0) for g in tgt.ideal]
-    for i in range(src.ring.nvars):
-        rels.append(joint.sub(joint.var(off + i),
-                              pa.embed(rmap.images[i], joint, 0)))
-    pres = RingPresentation(joint, rels)
-    nf = pres.nf(pa.embed(target_elem, joint, 0))
-    if any(any(mono[i] for i in range(off)) for (mono, _) in nf):
+    """A source polynomial mapping onto the target element, or None: its
+    normal form against the map's graph basis."""
+    joint, key, gb, lts = rmap.graph_basis()
+    off = rmap.target.ring.nvars
+    nf = pa.m_reduce(joint.field, pa.embed(target_elem, joint, 0), gb, key,
+                     lts)
+    if any(any(mono[:off]) for (mono, _) in nf):
         return None
     return {(mono[off:], 0): c for (mono, _), c in nf.items()}
 
@@ -147,12 +130,14 @@ class GluingDatum:
         self.p2 = RingMap(self.c, self.c2, [p[1] for p in pairs], check=False)
         self.ker_p1 = kernel_of_ring_map(self.p1)
         self.ker_p2 = kernel_of_ring_map(self.p2)
+        self._to_c0 = self.f1.compose(self.p1)
 
     # -- certificates -------------------------------------------------------
 
     def to_c0(self):
-        """The composite C -> C0 (both routes agree)."""
-        return self.f1.compose(self.p1)
+        """The composite C -> C0 (both routes agree), built once so that its
+        graph basis is too."""
+        return self._to_c0
 
     def cocartesian_certificate(self):
         """C_1 (x)_C C_2 = C_0: the ideal of C_1 generated by p_1(ker p_2)

@@ -9,10 +9,10 @@ The dispatcher covers the shapes the criteria are proved for:
   case; the second chart criterion of ``chart`` runs the same tower),
 * group algebras A[G] (reduction to the degree-zero part).
 
-Base flatness over k[t] is decided exactly: the torsion of a finitely
-presented module is supported on the vanishing locus of the product of every
-leading coefficient inverted while running the module Groebner basis over
-k(t), so torsion-freeness reduces to one kernel computation.
+Base flatness over k[t] is decided exactly, over the base field: under an
+order that compares t last, the leading coefficients in k[t] of one module
+Groebner basis multiply to f*, the torsion is killed by a power of f*, and
+torsion-freeness reduces to one kernel computation.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from .abgrp import FgAbGroup, GroupHom
 from .monoid import FineMonoid, MonoidIdeal
 from . import polyalg as pa
 from .polyalg import (
-    FieldRatFunc,
     ModulePresentation,
     PolyRing,
     RingMap,
     RingPresentation,
     buchberger,
-    module_key,
     regular_element_test,
     toric_ideal,
     vector_space_dimension,
@@ -268,11 +266,7 @@ def _flat_chart(m: ModulePresentation, shape: ChartShape):
     ``frozenset(killed)``, and the certificate tree keeps one branch per
     ordering with the subtrees of equal sets shared.  For n spawning
     variables that is 2^n computed levels and n*2^(n-1) Tor tests, where
-    the tree has sum_k n!/(n-k)! nodes.  Only a ``bad_locus`` of a k[t]
-    base can depend on the kill order: its f* comes from a Buchberger run
-    over the quotient generators in that order, which ties on equal leading
-    terms can make order dependent.  The memo keeps the f* of the first
-    ordering to reach the set; any such f* certifies the same module."""
+    the tree has sum_k n!/(n-k)! nodes."""
     ring = shape.pres.ring
     memo = {}
 
@@ -308,7 +302,8 @@ def _base_flat(shape: ChartShape, m: ModulePresentation, level):
 
     The contraction of the level's ideal to the A-variables is computed by
     elimination; supported leaves are fields (always flat), the zero ring,
-    and k[t] (torsion-freeness via the k(t)-trace kernel test)."""
+    and k[t] (torsion-freeness by ``flat_over_kt``, whose ``bad_locus`` f*
+    depends on the module only)."""
     if shape.base == "field" or not shape.avars:
         return True, {"base": "field", "flat": True}
     contraction = pa.eliminate_ideal(level, keep=shape.avars)
@@ -345,44 +340,41 @@ def _variable_index(ring, p):
 def flat_over_kt(m: ModulePresentation, t_index):
     """Exact flatness of a finitely presented module over the subring k[t].
 
-    Runs the module Groebner basis over k(t), collecting every inverted
-    leading coefficient; the torsion is supported on the product f*, so the
-    module is flat over k[t] iff multiplication by f* is injective.
+    One module Groebner basis of the relations over k, under an order that
+    compares the other variables, then the position, before t.  By generic
+    freeness (Eisenbud, Commutative Algebra, Thm 14.4) it is also a basis
+    over k(t): for f in N k(t)[x], some d(t) f lies in N, and its leading
+    term is a t-power times lt_x(f).  The leading coefficient of a basis
+    element, the sum of its terms that share the leading x-part and
+    position, lies in k[t]; over k[t] with f*, the product of the distinct
+    non-constant ones, inverted, M is free on the standard monomials.  So
+    the torsion is killed by a power of f*, and M is flat over k[t] iff
+    multiplication by f* is injective, that is, by each of its factors,
+    which are tested one by one since a low degree test is far cheaper.
+    The basis is reduced, so f* depends on the module only.
     """
     ring = m.over.ring
-    base = ring.field
-    rf = FieldRatFunc(base)
-    collected = []
-    rf.collector = collected
     other = [i for i in range(ring.nvars) if i != t_index]
-    new_ring = PolyRing(rf, [ring.names[i] for i in other])
 
-    def transport(col):
-        out = {}
-        for (mono, pos), c in col.items():
-            t_exp = mono[t_index]
-            coeff_poly = tuple([base.zero()] * t_exp + [c])
-            key = (tuple(mono[i] for i in other), pos)
-            cur = out.get(key, rf.zero())
-            out[key] = rf.add(cur, rf.from_poly(coeff_poly))
-        return {k: v for k, v in out.items() if not rf.is_zero(v)}
+    def head(term):
+        mono, pos = term
+        return pa.degrevlex_key(tuple(mono[i] for i in other)), -pos
 
-    rels = [transport(c)
-            for c in m.columns + pa.ideal_rows(m.over.ideal, m.rank)]
-    buchberger(rf, [r for r in rels if r], module_key(pa.degrevlex_key))
-    fstar_u = (base.one(),)
-    for p in collected:
-        fstar_u = pa.u_mul(base, fstar_u, pa.u_monic(base, p))
-    if len(fstar_u) <= 1:
-        return True, "1"
-    fstar = {}
-    for e, c in enumerate(fstar_u):
-        if not base.is_zero(c):
-            mono = [0] * ring.nvars
-            mono[t_index] = e
-            fstar[(tuple(mono), 0)] = c
-    ok = regular_element_test(fstar, m)
-    return ok, ring.to_str(fstar)
+    def key(term):
+        return head(term) + (term[0][t_index],)
+
+    gb = buchberger(ring.field, m.columns + pa.ideal_rows(m.over.ideal, m.rank),
+                    key)
+    lcs = []
+    for g in gb:
+        lead = head(pa.m_lt(g, key))
+        lc = {(tuple(e if i == t_index else 0 for i, e in enumerate(mono)),
+               0): c for (mono, pos), c in g.items()
+              if head((mono, pos)) == lead}
+        if lc != ring.one() and lc not in lcs:
+            lcs.append(lc)
+    return (all(regular_element_test(lc, m) for lc in lcs),
+            ring.to_str(ring.mul(*lcs)))
 
 
 # -- the nodal ring and its criteria panel --------------------------------------

@@ -137,156 +137,6 @@ class FieldFp:
 QQ = FieldQ()
 
 
-# -- dense univariate polynomials (for the rational function field) ------------
-
-
-def _u_trim(c):
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return tuple(c)
-
-
-def u_add(base, a, b):
-    n = max(len(a), len(b))
-    return _u_trim([base.add(a[i] if i < len(a) else base.zero(),
-                             b[i] if i < len(b) else base.zero())
-                    for i in range(n)])
-
-
-def u_neg(base, a):
-    return tuple(base.neg(x) for x in a)
-
-
-def u_mul(base, a, b):
-    if not a or not b:
-        return ()
-    out = [base.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = base.add(out[i + j], base.mul(x, y))
-    return _u_trim(out)
-
-
-def u_divmod(base, a, b):
-    if not b:
-        raise ZeroDivisionError
-    a = list(a)
-    q = [base.zero()] * max(0, len(a) - len(b) + 1)
-    inv_lead = base.inv(b[-1])
-    while len(a) >= len(b):
-        c = base.mul(a[-1], inv_lead)
-        d = len(a) - len(b)
-        q[d] = c
-        for i in range(len(b)):
-            a[d + i] = base.sub(a[d + i], base.mul(c, b[i]))
-        while a and base.is_zero(a[-1]):
-            a.pop()
-    return _u_trim(q), _u_trim(a)
-
-
-def u_gcd(base, a, b):
-    a, b = _u_trim(a), _u_trim(b)
-    while b:
-        _, r = u_divmod(base, a, b)
-        a, b = b, r
-    if a:
-        inv = base.inv(a[-1])
-        a = tuple(base.mul(x, inv) for x in a)
-    return a
-
-
-def u_monic(base, a):
-    if not a:
-        return a
-    inv = base.inv(a[-1])
-    return tuple(base.mul(x, inv) for x in a)
-
-
-class FieldRatFunc:
-    """Rational functions k(t) over a base field, reduced and monic-denominator.
-
-    ``collector``, when set, receives every univariate polynomial that gets
-    inverted (used to assemble the bad locus for the k[t]-flatness leaf).
-    """
-
-    def __init__(self, base, name="t"):
-        self.base = base
-        self.name = name
-        self.char = base.char
-        self.collector = None
-
-    def _make(self, num, den):
-        base = self.base
-        num, den = _u_trim(num), _u_trim(den)
-        if not den:
-            raise ZeroDivisionError
-        if not num:
-            return ((), (base.one(),))
-        g = u_gcd(base, num, den)
-        if len(g) > 1 or not base.eq(g[0], base.one()):
-            num = u_divmod(base, num, g)[0]
-            den = u_divmod(base, den, g)[0]
-        lead = den[-1]
-        if not base.eq(lead, base.one()):
-            inv = base.inv(lead)
-            num = tuple(base.mul(x, inv) for x in num)
-            den = tuple(base.mul(x, inv) for x in den)
-        return (num, den)
-
-    def from_poly(self, coeffs):
-        return self._make(coeffs, (self.base.one(),))
-
-    def zero(self):
-        return ((), (self.base.one(),))
-
-    def one(self):
-        return ((self.base.one(),), (self.base.one(),))
-
-    def of_int(self, n):
-        return self._make((self.base.of_int(n),), (self.base.one(),))
-
-    def add(self, a, b):
-        base = self.base
-        return self._make(u_add(base, u_mul(base, a[0], b[1]),
-                                u_mul(base, b[0], a[1])),
-                          u_mul(base, a[1], b[1]))
-
-    def sub(self, a, b):
-        return self.add(a, (u_neg(self.base, b[0]), b[1]))
-
-    def mul(self, a, b):
-        return self._make(u_mul(self.base, a[0], b[0]),
-                          u_mul(self.base, a[1], b[1]))
-
-    def neg(self, a):
-        return (u_neg(self.base, a[0]), a[1])
-
-    def inv(self, a):
-        if not a[0]:
-            raise ZeroDivisionError
-        if self.collector is not None:
-            self.collector.append(a[0])
-        return self._make(a[1], a[0])
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def is_zero(self, a):
-        return not a[0]
-
-    def eq(self, a, b):
-        return a == b
-
-    def to_str(self, a):
-        return f"({a[0]})/({a[1]})"
-
-    def __eq__(self, other):
-        return isinstance(other, FieldRatFunc) and self.base == other.base
-
-    def __hash__(self):
-        return hash(("RatFunc", self.base))
-
-
 # -- monomial orders -----------------------------------------------------------
 
 
@@ -828,6 +678,7 @@ class RingMap:
         self.source = source
         self.target = target
         self.images = [dict(v) for v in images]
+        self._graph = None
         if len(self.images) != source.ring.nvars:
             raise ValueError("need one image per source variable")
         if check:
@@ -854,6 +705,30 @@ class RingMap:
     def compose(self, inner):
         return RingMap(inner.source, self.target,
                        [self.apply(v) for v in inner.images], check=False)
+
+    def graph_basis(self):
+        """The graph ideal (target ideal) + (z_i - image_i) in the ring of
+        the target variables followed by the source variables z_i, and its
+        reduced basis under the order that eliminates the target variables.
+
+        Returns (ring, key, basis, leading terms), computed once per map.
+        The basis elements free of target variables generate the kernel;
+        an element of the target lies in the image exactly when its normal
+        form is free of them, and the normal form is then a preimage (Cox,
+        Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 7 Sec. 3)."""
+        if self._graph is None:
+            src, tgt = self.source, self.target
+            joint = PolyRing(src.ring.field,
+                             [f"_k{n}" for n in tgt.ring.names]
+                             + list(src.ring.names))
+            off = tgt.ring.nvars
+            rels = [embed(g, joint, 0) for g in tgt.ideal]
+            rels += [joint.sub(joint.var(off + i), embed(img, joint, 0))
+                     for i, img in enumerate(self.images)]
+            key = module_key(elimination_key(range(off)))
+            gb = buchberger(joint.field, rels, key, ring_mode=True)
+            self._graph = joint, key, gb, [m_lt(g, key) for g in gb]
+        return self._graph
 
 
 class ModulePresentation:
@@ -1164,16 +1039,21 @@ def nullspace(field, rows, ncols):
     return basis
 
 
+def elimination_key(elim):
+    """The ring order that eliminates the variables ``elim``: their total
+    degree first, then degrevlex, so every monomial in them is larger than
+    every monomial free of them."""
+    def key(mono):
+        return (sum(mono[i] for i in elim), degrevlex_key(mono))
+    return key
+
+
 def eliminate_ideal(pres: RingPresentation, keep):
     """Generators of the contraction of the ideal to the kept variables,
     via a block elimination order."""
     ring = pres.ring
     elim = [i for i in range(ring.nvars) if i not in keep]
-
-    def elim_key(mono):
-        return (sum(mono[i] for i in elim), degrevlex_key(mono))
-
-    gb = buchberger(ring.field, pres.ideal, module_key(elim_key),
+    gb = buchberger(ring.field, pres.ideal, module_key(elimination_key(elim)),
                     ring_mode=True)
     return [g for g in gb
             if all(all(mono[i] == 0 for i in elim) for (mono, _) in g)]

@@ -15,6 +15,7 @@ from logflat.descent import (
     kernel_of_ring_map,
     pullback_P,
     roundtrip_check,
+    subalgebra_witness,
     tor_gate,
     tor_gate_side,
 )
@@ -248,3 +249,49 @@ def test_kernel_of_ring_map():
     pres = RingPresentation(r1, ker)
     assert pres.is_zero(r1.var(0))
     assert not pres.is_zero(r1.one())
+
+
+def _shear():
+    """The isomorphism k[z1,z2] -> k[x,y], z1 |-> x + y^2, z2 |-> y."""
+    src = RingPresentation(PolyRing(pa.QQ, ["z1", "z2"]), [])
+    kxy = PolyRing(pa.QQ, ["x", "y"])
+    return src, kxy, [kxy.parse("x + y^2"), kxy.parse("y")]
+
+
+def test_subalgebra_witness_under_elimination_order():
+    src, kxy, images = _shear()
+    f = RingMap(src, RingPresentation(kxy, []), images)
+    z = src.ring
+    assert subalgebra_witness(f, kxy.parse("x")) == z.parse("z1 - z2^2")
+    assert subalgebra_witness(f, kxy.parse("y^2")) == z.parse("z2^2")
+    assert subalgebra_witness(f, kxy.parse("x*y")) == \
+        z.parse("z1*z2 - z2^3")
+    # k[x^2] misses x
+    sq = RingMap(RingPresentation(PolyRing(pa.QQ, ["w"]), []),
+                 RingPresentation(kxy, []), [kxy.parse("x^2")])
+    assert subalgebra_witness(sq, kxy.parse("x")) is None
+
+
+def test_gluing_along_a_shear_builds():
+    c1, kxy, images = _shear()
+    c0 = RingPresentation(kxy, [kxy.parse("x^2")])
+    c2 = RingPresentation(PolyRing(pa.QQ, ["u", "v"]), [])
+    glue = GluingDatum(c1, c2, c0, RingMap(c1, c0, images),
+                       RingMap(c2, c0, [kxy.parse("x"), kxy.parse("y")]))
+    assert glue.cocartesian_certificate()
+    assert glue.exact_sequence_certificate()
+
+
+def test_kernel_and_witness_share_one_graph_basis(monkeypatch):
+    src, kxy, images = _shear()
+    c0 = RingPresentation(kxy, [kxy.parse("x^2")])
+    f = RingMap(src, c0, images)
+    calls = []
+    real = pa.buchberger
+    monkeypatch.setattr(pa, "buchberger",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    ker = kernel_of_ring_map(f)
+    assert subalgebra_witness(f, kxy.parse("x")) is not None
+    assert kernel_of_ring_map(f) == ker
+    assert len(calls) == 1
+

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.solvers.simplex import linprog
 
 from logflat.abgrp import FgAbGroup
 from logflat.monoid import FineMonoid, MonoidHom, MonoidIdeal, diagonal, nat_monoid
@@ -213,7 +214,7 @@ class TestModuleOverSource:
 
 
 
-# -- module_over_source against the window-only search --------------------------
+# -- module_over_source against the window search and an exact LP ---------------
 
 
 def reference_module_over_source(h, window=24):
@@ -241,16 +242,34 @@ def reference_module_over_source(h, window=24):
     return PModule.over_hom(h, [(t, 0) for t in reps])
 
 
+def in_rational_cone(x, gens, rank):
+    """Whether the free coordinates of x, the first ``rank``, are a
+    nonnegative rational combination of those of ``gens``: an exact LP.
+
+    With s_i the sign of x_i, maximize sum_i s_i (H lam)_i subject to
+    s_i (H lam)_i <= |x_i| and lam >= 0, H having the gens as columns.
+    lam = 0 is feasible, so the simplex needs no first phase, and an optimal
+    lam meets every bound exactly when x = H lam has a solution."""
+    sign = [1 if v >= 0 else -1 for v in x[:rank]]
+    a = [[sign[i] * g[i] for g in gens] for i in range(rank)]
+    _, lam = linprog([-sum(row[j] for row in a) for j in range(len(gens))],
+                     a, [abs(v) for v in x[:rank]])
+    return all(sum(v * g[i] for v, g in zip(lam, gens)) == x[i]
+               for i in range(rank))
+
+
 def _agrees_with_reference(h, window=24):
     """The exact search finishes wherever the window search does, with the
-    same generators; and where it proves P not finite, a window of 64 runs
-    out too."""
+    same generators; and it gives None exactly when some generator of P
+    lies outside the rational cone of h(Q)."""
     got = monmod.module_over_source(h)
     want = reference_module_over_source(h, window=window)
     if want is not None:
         assert got is not None and got.generators == want.generators
-    if got is None:
-        assert reference_module_over_source(h, window=64) is None
+    rank = h.target.ambient.rank
+    finite = all(in_rational_cone(g, h.images, rank)
+                 for g in h.target.generators)
+    assert (got is not None) == finite
     return got
 
 
@@ -344,6 +363,18 @@ def test_no_window_parameters():
     assert any(name == "degree" for _, name in params)  # the walk sees them
     offenders = [p for p in params if p[1] in WINDOW_PARAMETERS]
     assert not offenders, offenders
+
+
+def test_only_two_coefficient_fields():
+    # a field is a class with ``inv``; the engine runs over Q and F_p only
+    src = Path(monmod.__file__).parent
+    fields = sorted(
+        node.name for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "inv"
+                for f in node.body))
+    assert fields == ["FieldFp", "FieldQ"]
 
 
 MIN_BODY_NODES = 10  # below this, bodies like ``return a == b`` may repeat
