@@ -39,18 +39,17 @@ class NotFiniteDimensional(ValueError):
 
 
 def kernel_of_ring_map(rmap: RingMap):
-    """Generators of ker(source -> target): the elements of the map's graph
-    basis that are free of the target variables."""
-    _, _, gb, _ = rmap.graph_basis()
+    """Generators of ker(source -> target): the contraction of the map's
+    graph basis, restricted to the source variables."""
     off = rmap.target.ring.nvars
     return [{(mono[off:], 0): c for (mono, _), c in g.items()}
-            for g in gb if not any(any(mono[:off]) for (mono, _) in g)]
+            for g in rmap.graph_basis()[4]]
 
 
 def subalgebra_witness(rmap: RingMap, target_elem):
     """A source polynomial mapping onto the target element, or None: its
     normal form against the map's graph basis."""
-    joint, key, gb, lts = rmap.graph_basis()
+    joint, key, gb, lts, _ = rmap.graph_basis()
     off = rmap.target.ring.nvars
     nf = pa.m_reduce(joint.field, pa.embed(target_elem, joint, 0), gb, key,
                      lts)

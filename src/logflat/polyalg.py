@@ -711,11 +711,12 @@ class RingMap:
         the target variables followed by the source variables z_i, and its
         reduced basis under the order that eliminates the target variables.
 
-        Returns (ring, key, basis, leading terms), computed once per map.
-        The basis elements free of target variables generate the kernel;
-        an element of the target lies in the image exactly when its normal
-        form is free of them, and the normal form is then a preimage (Cox,
-        Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 7 Sec. 3)."""
+        Returns (ring, key, basis, leading terms, contraction), computed
+        once per map.  The contraction, the basis elements free of target
+        variables, generates the kernel; an element of the target lies in
+        the image exactly when its normal form is free of them, and the
+        normal form is then a preimage (Cox, Little & O'Shea, Ideals,
+        Varieties, and Algorithms, ch. 7 Sec. 3)."""
         if self._graph is None:
             src, tgt = self.source, self.target
             joint = PolyRing(src.ring.field,
@@ -725,9 +726,10 @@ class RingMap:
             rels = [embed(g, joint, 0) for g in tgt.ideal]
             rels += [joint.sub(joint.var(off + i), embed(img, joint, 0))
                      for i, img in enumerate(self.images)]
-            key = module_key(elimination_key(range(off)))
-            gb = buchberger(joint.field, rels, key, ring_mode=True)
-            self._graph = joint, key, gb, [m_lt(g, key) for g in gb]
+            key, gb, contraction = elimination_basis(joint.field, rels,
+                                                     range(off))
+            self._graph = (joint, key, gb, [m_lt(g, key) for g in gb],
+                           contraction)
         return self._graph
 
 
@@ -1039,24 +1041,25 @@ def nullspace(field, rows, ncols):
     return basis
 
 
-def elimination_key(elim):
-    """The ring order that eliminates the variables ``elim``: their total
-    degree first, then degrevlex, so every monomial in them is larger than
-    every monomial free of them."""
-    def key(mono):
-        return (sum(mono[i] for i in elim), degrevlex_key(mono))
-    return key
+def elimination_basis(field, gens, elim):
+    """The reduced basis of the ideal generated by ``gens`` under the order
+    that eliminates the variables ``elim`` (their total degree first, then
+    degrevlex, so every monomial in them is larger than every monomial free
+    of them), as (key, basis, contraction): the basis elements free of
+    ``elim`` are a basis of the ideal's contraction to the other
+    variables."""
+    key = module_key(lambda mono: (sum(mono[i] for i in elim),
+                                   degrevlex_key(mono)))
+    gb = buchberger(field, gens, key, ring_mode=True)
+    return key, gb, [g for g in gb if all(all(mono[i] == 0 for i in elim)
+                                          for (mono, _) in g)]
 
 
 def eliminate_ideal(pres: RingPresentation, keep):
-    """Generators of the contraction of the ideal to the kept variables,
-    via a block elimination order."""
+    """Generators of the contraction of the ideal to the kept variables."""
     ring = pres.ring
     elim = [i for i in range(ring.nvars) if i not in keep]
-    gb = buchberger(ring.field, pres.ideal, module_key(elimination_key(elim)),
-                    ring_mode=True)
-    return [g for g in gb
-            if all(all(mono[i] == 0 for i in elim) for (mono, _) in g)]
+    return elimination_basis(ring.field, pres.ideal, elim)[2]
 
 
 # -- toric ideals ---------------------------------------------------------------
