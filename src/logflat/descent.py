@@ -215,7 +215,7 @@ def _invert_module_map(phi_cols, m_from: ModulePresentation,
     if any(w is None for w in inv_cols):
         return None
     # injectivity: kernel of phi on m_from is zero
-    _, kgens = pa.kernel_of_module_map(phi_cols, m_from, m_to)
+    kgens = pa.kernel_of_module_map(phi_cols, m_from, m_to)
     if not all(m_from.is_zero_elem(g) for g in kgens):
         return None
     return inv_cols
@@ -274,7 +274,9 @@ def descend_D(d: DescentDatum) -> ModulePresentation:
     for i in range(r1):
         phi_cols.append(lift_coefficients(glue, d.phi[i], to0))
     map_cols = phi_cols + [m_neg(field, m0c.basis_elem(j)) for j in range(r2)]
-    k, gens = pa.kernel_of_module_map(map_cols, dom, m0c)
+    gens = pa.kernel_of_module_map(map_cols, dom, m0c)
+    k = ModulePresentation(c, len(gens), pa.kernel_of_matrix(
+        c, gens, dom.rank, dom.columns))
     k.descent_generators = gens
     return k
 

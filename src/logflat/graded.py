@@ -454,7 +454,7 @@ def _nodal_map_injective(m: ModulePresentation, x, y):
         phi.append(pa._ring_mul_vec(pres, x, {(_zero_mono(pres), i): field.one()}))
     for i in range(r):
         phi.append(pa._ring_mul_vec(pres, y, {(_zero_mono(pres), i): field.one()}))
-    _, kgens = pa.kernel_of_module_map(phi, domain, m)
+    kgens = pa.kernel_of_module_map(phi, domain, m)
     return all(domain.is_zero_elem(g) for g in kgens)
 
 

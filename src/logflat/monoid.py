@@ -10,6 +10,7 @@ a strictly positive rational functional on the sharp generators.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .abgrp import (
@@ -24,7 +25,7 @@ from .polyalg import QQ, row_reduce
 
 def _lam_value(lam, x):
     """lam . x over the free coordinates (lam has one entry per free rank)."""
-    return sum(l * v for l, v in zip(lam, x))
+    return sum(map(operator.mul, lam, x))
 
 
 class AmbientMismatch(ValueError):
@@ -73,25 +74,33 @@ class FineMonoid:
         """Basis of {a in Z^n : sum a_i g_i = 0 in the ambient group}."""
         return self.generator_hom().kernel_lattice()
 
+    def _suffix_cones(self, gens, rank):
+        """For each i, (lineality, rays) of the cone dual to the rational
+        cone of ``gens[i:]`` over the first ``rank`` coordinates, which
+        holds the free part of an element: one ``qcone.dual_states`` run
+        over ``gens`` in reverse order, cached per generator order."""
+        cones = self._cache.setdefault("suffix_cones", {})
+        if gens not in cones:
+            rows = [g[:rank] for g in reversed(gens)]
+            cones[gens] = list(qcone.dual_states(rows, rank))[::-1]
+        return cones[gens]
+
     def _dual_zero_sets(self):
         """One bitmask over the generators per extreme ray rho of the cone
         dual to the rational cone of the monoid: bit i is set when
         rho . g_i = 0.
 
-        The rays come from ``qcone.dual_rays`` on the free coordinates of
-        the generators, restricted to their pivot columns so that the
-        generators span and the dual cone is pointed; torsion does not
-        change rational cones."""
+        The rays are those of the dual cone of all the generators on their
+        free coordinates; torsion does not change rational cones.  A ray is
+        extreme modulo the lineality, which every generator is orthogonal
+        to, so its zero set does not depend on the representative."""
         if "dual_zeros" not in self._cache:
-            rank = self.ambient.rank
-            free = [g[:rank] for g in self.generators]
-            _, cols = row_reduce(QQ, [[QQ.of_int(x) for x in v] for v in free],
-                                 rank)
-            rows = [tuple(v[j] for j in cols) for v in free]
+            cones = self._suffix_cones(self.generators, self.ambient.rank)
+            rays = cones[0][1] if cones else []
             self._cache["dual_zeros"] = [
-                sum(1 << i for i, v in enumerate(rows)
-                    if not _lam_value(rho, v))
-                for rho in qcone.dual_rays(rows, len(cols))]
+                sum(1 << i for i, g in enumerate(self.generators)
+                    if not _lam_value(rho, g))
+                for rho in rays]
         return self._cache["dual_zeros"]
 
     def unit_indices(self):
@@ -179,10 +188,9 @@ class FineMonoid:
         target = proj.apply(g)
         memo = self._cache.setdefault("member_memo", {})
         if target not in memo:
-            gens = sorted(set(sharp.generators))
-            memo[target] = _bounded_search(
-                sharp.ambient, self._integer_functional(), gens,
-                target) is not None
+            gens = tuple(sorted(set(sharp.generators)))
+            memo[target] = self._search(sharp.ambient, gens,
+                                        target) is not None
         return memo[target]
 
     def member_with_certificate(self, g):
@@ -192,9 +200,16 @@ class FineMonoid:
         """
         if self.unit_indices():
             raise ValueError("certificates require a sharp monoid")
-        out = _bounded_search(self.ambient, self._integer_functional(),
-                              self.generators, self.ambient.reduce(g))
+        out = self._search(self.ambient, self.generators,
+                           self.ambient.reduce(g))
         return (True, out) if out is not None else (False, None)
+
+    def _search(self, amb, gens, target):
+        """``_bounded_search`` over the sharp generators ``gens`` in
+        ``amb``, bounded by the integer functional and pruned by the dual
+        cones of the suffixes of ``gens``."""
+        return _bounded_search(amb, self._integer_functional(), gens, target,
+                               self._suffix_cones(gens, amb.rank))
 
     def nonneg_certificate(self, g):
         """A multiplicity vector over the generators expressing g, or None.
@@ -353,11 +368,17 @@ class MonoidIdeal:
         return any(self == p for p in self.owner.prime_ideals())
 
 
-def _bounded_search(amb, lam, gens, target):
+def _bounded_search(amb, lam, gens, target, cones):
     """A multiplicity vector over ``gens`` expressing the reduced element
     ``target`` of ``amb``, or None.  Depth first, each generator in order
     and taken as often as the functional ``lam`` allows; the first vector
-    found is returned at once, so only failed subsearches are memoized."""
+    found is returned at once, so only failed subsearches are memoized.
+
+    ``cones[idx]`` is (lineality, rays) of the cone dual to the rational
+    cone of ``gens[idx:]``.  A remainder outside that cone, on which some
+    lineality vector does not vanish or some ray is negative, is no
+    N-combination of ``gens[idx:]``, so its subsearch is cut without
+    changing the order of the others or the vector found."""
     sub = amb.reduced_sub()
     lgs = [_lam_value(lam, g) for g in gens]
     n = len(gens)
@@ -368,10 +389,12 @@ def _bounded_search(amb, lam, gens, target):
             return (0,) * (n - idx)
         if idx == n or (t, idx) in failed:
             return None
-        lt = _lam_value(lam, t)
-        if lt >= 0:
+        lineality, rays = cones[idx]
+        # inside the cone lam >= 0, since lam is positive on every generator
+        if not any(_lam_value(v, t) for v in lineality) and all(
+                _lam_value(r, t) >= 0 for r in rays):
             g, lg = gens[idx], lgs[idx]
-            top = lt // lg if lg > 0 else 0
+            top = _lam_value(lam, t) // lg if lg > 0 else 0
             cur = t
             for k in range(top + 1):
                 rest = rec(cur, idx + 1)

@@ -810,9 +810,10 @@ def kernel_of_matrix(over: RingPresentation, cols, out_rank, out_relations=()):
 
 
 def kernel_of_module_map(phi_cols, m: ModulePresentation, n: ModulePresentation):
-    """Kernel of the induced map M -> N given by columns phi_cols (images of
-    M's basis in R^n.rank).  Returns (K, gens) with K presented and gens the
-    inclusion K -> M as columns in R^m.rank."""
+    """Generators of the kernel of the induced map M -> N given by columns
+    phi_cols (images of M's basis in R^n.rank), as columns in R^m.rank.
+    Their relations, when a caller needs K presented, are
+    ``kernel_of_matrix(m.over, gens, m.rank, m.columns)``."""
     over = m.over
     # well-definedness: each M-relation must map into N's relation span
     field = over.ring.field
@@ -820,9 +821,7 @@ def kernel_of_module_map(phi_cols, m: ModulePresentation, n: ModulePresentation)
         img = _apply_cols(field, phi_cols, col, over)
         if not n.is_zero_elem(img):
             raise ValueError("matrix does not define a map of presented modules")
-    kgens = kernel_of_matrix(over, phi_cols, n.rank, n.columns)
-    rels = kernel_of_matrix(over, kgens, m.rank, m.columns)
-    return ModulePresentation(over, len(kgens), rels), kgens
+    return kernel_of_matrix(over, phi_cols, n.rank, n.columns)
 
 
 def _apply_cols(field, cols, vec, over):
@@ -909,7 +908,7 @@ def transport_col(rmap: RingMap, col):
 def regular_element_test(f, m: ModulePresentation):
     """Whether multiplication by f is injective on M."""
     phi = [_ring_mul_vec(m.over, f, m.basis_elem(i)) for i in range(m.rank)]
-    _, kgens = kernel_of_module_map(phi, m, m)
+    kgens = kernel_of_module_map(phi, m, m)
     return all(m.is_zero_elem(g) for g in kgens)
 
 

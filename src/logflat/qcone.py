@@ -1,16 +1,17 @@
 """Exact rational polyhedral cones over primitive integer rows.
 
-Two routines, for small systems only (the monoid layer keeps generator
+Three routines, for small systems only (the monoid layer keeps generator
 counts in single digits):
 
 - ``feasible_point``: rational linear feasibility by Fourier-Motzkin
   elimination.  Constraints are pairs (coeffs, rhs) meaning
   sum coeffs*x >= rhs, with int or Fraction entries.
-- ``dual_rays``: the extreme rays of a cone {lam : row . lam >= 0} by the
-  double description method (Motzkin, Raiffa, Thompson & Thrall 1953;
-  Fukuda & Prodon, "Double description method revisited", 1996).  With
-  the generators of a full-dimensional cone as rows, these are the inner
-  facet normals of that cone.
+- ``dual_states``: the cone {lam : row . lam >= 0} after each row, as
+  lineality and rays, by the double description method (Motzkin, Raiffa,
+  Thompson & Thrall 1953; Fukuda & Prodon, "Double description method
+  revisited", 1996); ``dual_rays`` is its last state when that is pointed.
+  With the generators of a full-dimensional cone as rows, these rays are
+  the inner facet normals of that cone.
 
 Each row is kept as one primitive integer row: denominators cleared, then
 divided by the gcd of its entries.  A positive scaling changes neither the
@@ -113,9 +114,14 @@ def _dot(a, x):
     return sum(u * v for u, v in zip(a, x))
 
 
-def dual_rays(rows, dim):
-    """The primitive integer extreme rays of {lam in Q^dim : row . lam >= 0
-    for every row}, sorted; rows have int or Fraction entries.
+def dual_states(rows, dim):
+    """The cone {lam in Q^dim : row . lam >= 0 for every row seen so far},
+    yielded once per input row as (lineality, rays): the cone is the span
+    of the lineality vectors plus the cone of the primitive integer rays,
+    which are extreme modulo the lineality.  Rows have int or Fraction
+    entries; a zero row, or a positive multiple of an earlier one, repeats
+    the previous state.  Fed the generators of a cone in reverse order, the
+    k-th state is the dual cone of the last k generators.
 
     Double description: start from the whole space, spanned by a lineality
     basis, and cut by one row at a time.  A row that some lineality vector
@@ -124,45 +130,61 @@ def dual_rays(rows, dim):
     side plus one positive combination, on the row's hyperplane, of each
     pair of adjacent rays on opposite sides.  Two rays are adjacent when no
     third ray vanishes on every row both vanish on (the combinatorial test;
-    such rows must number at least the pointed dimension minus 2).  When
-    the rows do not span Q^dim the cone contains a line and has no extreme
-    rays, so the result is empty."""
-    rows = [r for r in dict.fromkeys(_primitive(clear_denominators(row))
-                                   for row in rows) if any(r)]
+    such rows must number at least the pointed dimension minus 2)."""
     lineality = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays = []  # (primitive vector, bitmask of the processed rows it zeroes)
-    for k, a in enumerate(rows):
-        bit = 1 << k
-        vals = [_dot(a, v) for v in lineality]
-        t = next((i for i, s in enumerate(vals) if s), None)
-        if t is not None:
-            line, s = lineality.pop(t), vals.pop(t)
-            if s < 0:
-                line, s = tuple(-x for x in line), -s
-            lineality = [_primitive([s * x - u * y for x, y in zip(v, line)])
-                         for v, u in zip(lineality, vals)]
-            rays = [(_primitive([s * x - _dot(a, r) * y
-                                 for x, y in zip(r, line)]), z | bit)
-                    for r, z in rays]
-            rays.append((line, bit - 1))
+    seen = set()
+    for row in rows:
+        a = _primitive(clear_denominators(row))
+        if any(a) and a not in seen:
+            bit = 1 << len(seen)
+            seen.add(a)
+            lineality, rays = _cut(a, bit, dim, lineality, rays)
+        yield tuple(lineality), [r for r, _ in rays]
+
+
+def _cut(a, bit, dim, lineality, rays):
+    """One double-description step: the state cut by the row a >= 0."""
+    vals = [_dot(a, v) for v in lineality]
+    t = next((i for i, s in enumerate(vals) if s), None)
+    if t is not None:
+        line, s = lineality.pop(t), vals.pop(t)
+        if s < 0:
+            line, s = tuple(-x for x in line), -s
+        lineality = [_primitive([s * x - u * y for x, y in zip(v, line)])
+                     for v, u in zip(lineality, vals)]
+        rays = [(_primitive([s * x - _dot(a, r) * y
+                             for x, y in zip(r, line)]), z | bit)
+                for r, z in rays]
+        rays.append((line, bit - 1))
+        return lineality, rays
+    need = dim - len(lineality) - 2
+    side = [_dot(a, r) for r, _ in rays]
+    kept = [(r, z | bit if v == 0 else z)
+            for (r, z), v in zip(rays, side) if v >= 0]
+    for i, (p, zp) in enumerate(rays):
+        if side[i] <= 0:
             continue
-        need = dim - len(lineality) - 2
-        side = [_dot(a, r) for r, _ in rays]
-        kept = [(r, z | bit if v == 0 else z)
-                for (r, z), v in zip(rays, side) if v >= 0]
-        for i, (p, zp) in enumerate(rays):
-            if side[i] <= 0:
+        for j, (q, zq) in enumerate(rays):
+            if side[j] >= 0:
                 continue
-            for j, (q, zq) in enumerate(rays):
-                if side[j] >= 0:
-                    continue
-                common = zp & zq
-                if common.bit_count() < need or any(
-                        z & common == common
-                        for m, (_, z) in enumerate(rays) if m != i and m != j):
-                    continue
-                kept.append((_primitive([side[i] * y - side[j] * x
-                                         for x, y in zip(p, q)]),
-                             common | bit))
-        rays = kept
-    return [] if lineality else sorted(r for r, _ in rays)
+            common = zp & zq
+            if common.bit_count() < need or any(
+                    z & common == common
+                    for m, (_, z) in enumerate(rays) if m != i and m != j):
+                continue
+            kept.append((_primitive([side[i] * y - side[j] * x
+                                     for x, y in zip(p, q)]),
+                         common | bit))
+    return lineality, kept
+
+
+def dual_rays(rows, dim):
+    """The primitive integer extreme rays of {lam in Q^dim : row . lam >= 0
+    for every row}, sorted: the rays of the last ``dual_states`` state.
+    When the rows do not span Q^dim the cone contains a line and has no
+    extreme rays, so the result is empty."""
+    pointed, rays = dim == 0, []  # before any row: the whole space
+    for lineality, rays in dual_states(rows, dim):
+        pointed = not lineality
+    return sorted(rays) if pointed else []

@@ -1,12 +1,15 @@
 """Membership searches over the integer multiple of the positive functional,
 against copies of the searches over the Fraction functional they replaced,
-and against brute-force enumeration of the monoid."""
+against a copy of the search before it was pruned by the dual cones of the
+generator suffixes, and against brute-force enumeration of the monoid."""
+
+import sys
 
 from hypothesis import assume, given, settings, strategies as st
 
-from logflat import monmod
+from logflat import monmod, monoid
 from logflat.abgrp import FgAbGroup
-from logflat.monoid import FineMonoid
+from logflat.monoid import FineMonoid, _lam_value
 
 
 # -- the Fraction-functional searches, kept as references ----------------------
@@ -118,19 +121,74 @@ def reference_common_lower_bound(m, t1, t2, comp):
     return None
 
 
+# -- the search before the suffix-cone cut, kept as a reference ----------------
+
+
+def unpruned_bounded_search(amb, lam, gens, target):
+    """A multiplicity vector over ``gens`` expressing the reduced element
+    ``target`` of ``amb``, or None.  Depth first, each generator in order
+    and taken as often as the functional ``lam`` allows; the first vector
+    found is returned at once, so only failed subsearches are memoized."""
+    sub = amb.reduced_sub()
+    lgs = [_lam_value(lam, g) for g in gens]
+    n = len(gens)
+    failed = set()
+
+    def rec(t, idx):
+        if not any(t):
+            return (0,) * (n - idx)
+        if idx == n or (t, idx) in failed:
+            return None
+        lt = _lam_value(lam, t)
+        if lt >= 0:
+            g, lg = gens[idx], lgs[idx]
+            top = lt // lg if lg > 0 else 0
+            cur = t
+            for k in range(top + 1):
+                rest = rec(cur, idx + 1)
+                if rest is not None:
+                    return (k,) + rest
+                cur = sub(cur, g)
+        failed.add((t, idx))
+        return None
+
+    return rec(target, 0)
+
+
+def unpruned_member(mon, g):
+    g = mon.ambient.reduce(g)
+    if not any(g):
+        return True
+    proj, sharp = mon._sharp_data()
+    gens = sorted(set(sharp.generators))
+    return unpruned_bounded_search(sharp.ambient, mon._integer_functional(),
+                                   gens, proj.apply(g)) is not None
+
+
+def unpruned_certificate(mon, g):
+    out = unpruned_bounded_search(mon.ambient, mon._integer_functional(),
+                                  mon.generators, mon.ambient.reduce(g))
+    return (True, out) if out is not None else (False, None)
+
+
 # -- random small monoids -----------------------------------------------------
 
 
 @st.composite
 def monoids(draw):
     """Monoids in Z^rank (+) torsion: some sharp, some with units (a generator
-    and its negative), some with torsion in the ambient group."""
-    rank = draw(st.integers(1, 2))
+    and its negative), some with torsion in the ambient group, some with a
+    generator repeated or repeated up to a positive multiple.  In rank 3
+    the cones of the generator suffixes are proper."""
+    rank = draw(st.integers(1, 3))
     torsion = draw(st.sampled_from([(), (2,), (3,), (2, 4)]))
     amb = FgAbGroup(rank, torsion)
     vec = st.tuples(*[st.integers(-2, 3)] * rank,
                     *[st.integers(0, d - 1) for d in torsion])
     gens = draw(st.lists(vec, min_size=1, max_size=4))
+    for scale in draw(st.lists(st.sampled_from([1, 2]), max_size=2)):
+        gens.insert(draw(st.integers(0, len(gens))),
+                    tuple(scale * x for x in draw(st.sampled_from(gens))))
     if draw(st.booleans()):
         gens.append(tuple(-x for x in draw(st.sampled_from(gens))))
     return FineMonoid(amb, gens)
@@ -165,6 +223,21 @@ def test_certificate_matches_fraction_reference(mon, data):
             assert total == t
 
 
+@settings(max_examples=80, deadline=None)
+@given(monoids(), st.data())
+def test_member_matches_unpruned_search(mon, data):
+    for t in _targets(data.draw, mon, 8):
+        assert mon.member(t) == unpruned_member(mon, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(monoids(), st.data())
+def test_certificate_matches_unpruned_search(mon, data):
+    assume(mon.is_sharp())
+    for t in _targets(data.draw, mon, 8):
+        assert mon.member_with_certificate(t) == unpruned_certificate(mon, t)
+
+
 @settings(max_examples=60, deadline=None)
 @given(monoids(), st.data())
 def test_common_lower_bound_matches_fraction_reference(mon, data):
@@ -192,3 +265,49 @@ def test_member_matches_enumeration(mon, data):
     elements = set(mon.elements_up_to(depth))
     for t in bounded:
         assert mon.member(t) == (t in elements)
+
+
+# -- the cut at work: search calls on the cone over the benchmark 8-gon --------
+
+
+OCTAGON = [(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)]
+
+
+def _count_rec_calls(fn):
+    """(fn(), number of calls of the search's inner ``rec``)."""
+    calls = 0
+    code_file = monoid.__file__
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "rec" and \
+                frame.f_code.co_filename == code_file:
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        out = fn()
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+def test_octagon_membership_search_calls():
+    """Every point of the box the benchmark draws its 8-gon membership
+    targets from: 7 x 7 points around the centre of each degree 1..5.  The
+    unpruned search made 62,919 ``rec`` calls here and the pruned one
+    3,001; the bound leaves a third of headroom."""
+    n = len(OCTAGON)
+    cx = sum(x for x, _ in OCTAGON) / n
+    cy = sum(y for _, y in OCTAGON) / n
+    targets = [(round(d * cx) + dx, round(d * cy) + dy, d)
+               for d in range(1, 6)
+               for dx in range(-3, 4) for dy in range(-3, 4)]
+    level = [{(0, 0)}]
+    for _ in range(5):
+        level.append({(s[0] + x, s[1] + y) for s in level[-1]
+                      for x, y in OCTAGON})
+    p = FineMonoid(FgAbGroup.free(3), [(x, y, 1) for x, y in OCTAGON])
+    verdicts, calls = _count_rec_calls(lambda: [p.member(t) for t in targets])
+    assert verdicts == [(x, y) in level[d] for x, y, d in targets]
+    assert calls <= 4000

@@ -117,7 +117,9 @@ class TestSyzygies:
         rp = RingPresentation(r, [r.parse("x^2")])
         m = ModulePresentation(rp, 1, [])
         phi = [pa._ring_mul_vec(rp, r.parse("x"), m.basis_elem(0))]
-        ker, gens = kernel_of_module_map(phi, m, m)
+        gens = kernel_of_module_map(phi, m, m)
+        ker = ModulePresentation(rp, len(gens),
+                                 kernel_of_matrix(rp, gens, m.rank, m.columns))
         assert len(gens) == 1
         assert ker.dim() == 1
 

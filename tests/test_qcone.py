@@ -208,6 +208,77 @@ def test_dual_rays_match_brute_force(case):
     assert set(rays) == brute_force_rays(rows, dim)
 
 
+def _rank(vectors):
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _dot(a, x):
+    return sum(u * v for u, v in zip(a, x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone_rows())
+@example(([(1, 0, 1), (2, 0, 1), (3, 1, 1), (3, 2, 1), (2, 3, 1), (1, 3, 1),
+           (0, 2, 1), (0, 1, 1)], 3))
+@example(([(0, 0, 0), (1, 1, 0), (2, 2, 0), (1, -1, 0)], 3))
+@example(([(1,), (-1,)], 1))
+def test_dual_states_match_brute_force(case):
+    """After k rows the state is the cone C = {lam : rows[:k] . lam >= 0}:
+    the lineality vectors form a basis of the orthogonal complement of the
+    rows, the rays lie in C, and modulo the lineality they are the extreme
+    rays of C, one each.  An extreme ray of C modulo its lineality L is the
+    ray of C cap L^perp that has the same zero set on the rows, so the zero
+    sets are compared with the brute-force rays of that pointed cone.  A
+    zero row or a positive multiple of an earlier row repeats the state."""
+    rows, dim = case
+    states = list(qcone.dual_states(rows, dim))
+    assert len(states) == len(rows)
+    seen = set()
+    previous = (tuple(tuple(int(i == j) for j in range(dim))
+                      for i in range(dim)), [])  # the whole space
+    for k, (lineality, rays) in enumerate(states):
+        prefix = rows[:k + 1]
+        key = _primitive(qcone.clear_denominators(rows[k])) if any(rows[k]) \
+            else None
+        if key is None or key in seen:
+            assert (lineality, rays) == previous
+        seen.add(key)
+        previous = (lineality, rays)
+        assert all(_dot(r, v) == 0 for r in prefix for v in lineality)
+        assert _rank(lineality) == len(lineality)
+        assert _rank(list(prefix) + list(lineality)) == dim
+        assert all(_dot(r, v) >= 0 for r in prefix for v in rays)
+        pointed = brute_force_rays(
+            list(prefix) + list(lineality)
+            + [tuple(-x for x in v) for v in lineality], dim)
+
+        def zeros(v):
+            return frozenset(i for i, r in enumerate(prefix) if not _dot(r, v))
+
+        assert len(rays) == len(pointed)
+        assert {zeros(v) for v in rays} == {zeros(v) for v in pointed}
+        if not lineality:
+            assert set(rays) == pointed
+    want = qcone.dual_rays(rows, dim)
+    if states and not states[-1][0]:
+        assert sorted(states[-1][1]) == want
+    elif dim:
+        assert want == []
+
+
 @given(st.lists(st.one_of(st.integers(-20, 20),
                           st.fractions(max_denominator=12)), max_size=6))
 def test_clear_denominators(values):
