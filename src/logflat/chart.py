@@ -11,7 +11,7 @@ finiteness of C over B is ever needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .abgrp import FgAbGroup, GroupHom
 from .monoid import FineMonoid, MonoidHom, groupification_cokernel
@@ -556,26 +556,22 @@ def try_nth_root(pres: RingPresentation, u: Unit, n):
                                  m_scale(field, field.inv(ninv), i_part))
             x = pres.ring.mul(x0u.val, corr)
             xu = certify_unit(pres, x)
-            if pres.eq(pres.nf(_ring_pow(pres, x, n)), pres.nf(u.val)):
+            if pres.eq(pres.nf(pres.ring.pow(x, n)), pres.nf(u.val)):
                 return xu
     return None
 
 
 def _int_nth_root(m, n):
-    if m == 0:
-        return 0
-    r = round(m ** (1.0 / n))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c ** n == m:
-            return c
-    return None
-
-
-def _ring_pow(pres, p, n):
-    out = pres.ring.one()
-    for _ in range(n):
-        out = pres.ring.mul(out, p)
-    return out
+    """The integer r >= 0 with r ** n == m, or None.  Exact at any size: a
+    bisection for the least r with r ** n >= m, below 2 ** (bits(m) / n + 1)."""
+    lo, hi = 0, 1 << (m.bit_length() // n + 1)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid ** n < m:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo ** n == m else None
 
 
 # -- homotopy lifting ---------------------------------------------------------------
@@ -598,11 +594,6 @@ class UnitHom:
                 if d and not u.pow(d).is_one():
                     raise HomotopyInvalid("unit order does not match torsion")
 
-    @classmethod
-    def trivial(cls, group, pres):
-        return cls(group, [Unit.one(pres) for _ in range(group.dim)],
-                   pres=pres, check=False)
-
     def apply(self, coords):
         coords = self.group.reduce(coords)
         out = None
@@ -611,94 +602,29 @@ class UnitHom:
             out = term if out is None else out.mul(term)
         return out if out is not None else Unit.one(self.pres)
 
-    def promote(self, promote_unit):
-        return UnitHom(self.group, [promote_unit(u) for u in self.units],
-                       pres=None, check=False)
 
-
-class LogHom:
-    """A homomorphism from a canonical-form group into R^gp (+) units: a chart
-    part in the ambient of the chart monoid plus a certified unit, per
-    generator."""
-
-    def __init__(self, group: FgAbGroup, chart_amb: FgAbGroup, chart_parts,
-                 units, pres=None, check=True):
-        self.group = group
-        self.chart_amb = chart_amb
-        self.chart_parts = [chart_amb.reduce(x) for x in chart_parts]
-        self.units = list(units)
-        self.pres = pres if pres is not None else \
-            (self.units[0].pres if self.units else None)
-        if check:
-            for i in range(group.dim):
-                d = group.generator_order(i)
-                if d:
-                    if not chart_amb.is_zero(chart_amb.scale(d, self.chart_parts[i])):
-                        raise HomotopyInvalid("chart part violates torsion")
-                    if not self.units[i].pow(d).is_one():
-                        raise HomotopyInvalid("unit part violates torsion")
-
-    def apply(self, coords):
-        coords = self.group.reduce(coords)
-        chart = self.chart_amb.zero()
-        unit = None
-        for c, (x, u) in zip(coords, zip(self.chart_parts, self.units)):
-            chart = self.chart_amb.add(chart, self.chart_amb.scale(c, x))
-            term = u.pow(c)
-            unit = term if unit is None else unit.mul(term)
-        return chart, (unit if unit is not None else Unit.one(self.pres))
-
-    def promote(self, promote_unit):
-        return LogHom(self.group, self.chart_amb, self.chart_parts,
-                      [promote_unit(u) for u in self.units],
-                      pres=None, check=False)
-
-
-def loghom_from_monoid_values(mon: FineMonoid, chart_amb, chart_vals, units,
-                              pres=None):
-    """Build a LogHom on the span group from per-monoid-generator values.
-
-    The values must respect the monoid relations (checked exactly)."""
+def _span_homs(mon: FineMonoid, chart_amb: FgAbGroup, chart_vals, units,
+               pres):
+    """(span group S = mon^gp, chart hom S -> chart_amb, unit hom S -> pres^*)
+    from one chart value and one unit per generator of mon.  The values must
+    respect the monoid relations (checked exactly)."""
     span, _, lift = mon.generator_hom().image()
-    pres = pres if pres is not None else (units[0].pres if units else None)
-    for rel in mon.relation_lattice():
-        chart = chart_amb.zero()
-        uu = Unit.one(pres) if pres else None
-        for c, x, u in zip(rel, chart_vals, units):
-            chart = chart_amb.add(chart, chart_amb.scale(c, x))
-            uu = uu.mul(u.pow(c)) if uu else None
-        if not chart_amb.is_zero(chart) or (uu and not uu.is_one()):
-            raise HomotopyInvalid("log data does not respect monoid relations")
-    parts, us = [], []
-    for j in range(span.dim):
-        combo = lift.column(j)
-        chart = chart_amb.zero()
-        uu = Unit.one(pres) if pres else None
-        for c, x, u in zip(combo, chart_vals, units):
-            chart = chart_amb.add(chart, chart_amb.scale(c, x))
-            uu = uu.mul(u.pow(c)) if uu else None
-        parts.append(chart)
-        us.append(uu)
-    return span, LogHom(span, chart_amb, parts, us, pres=pres)
+    chart = GroupHom(FgAbGroup.free(len(mon.generators)), chart_amb,
+                     tuple(chart_vals))
 
-
-def unithom_from_monoid_values(mon: FineMonoid, units, pres=None):
-    span, _, lift = mon.generator_hom().image()
-    pres = pres if pres is not None else (units[0].pres if units else None)
-    for rel in mon.relation_lattice():
-        uu = Unit.one(pres) if pres else None
-        for c, u in zip(rel, units):
-            uu = uu.mul(u.pow(c)) if uu else None
-        if uu and not uu.is_one():
-            raise HomotopyInvalid("eta does not respect monoid relations")
-    us = []
-    for j in range(span.dim):
-        combo = lift.column(j)
-        uu = Unit.one(pres) if pres else None
+    def unit_at(combo):
+        out = Unit.one(pres)
         for c, u in zip(combo, units):
-            uu = uu.mul(u.pow(c)) if uu else None
-        us.append(uu)
-    return span, UnitHom(span, us, pres=pres, check=False)
+            out = out.mul(u.pow(c))
+        return out
+
+    for rel in mon.relation_lattice():
+        if not chart_amb.is_zero(chart.apply(rel)) or not unit_at(rel).is_one():
+            raise HomotopyInvalid("values do not respect the monoid relations")
+    combos = [lift.column(j) for j in range(span.dim)]
+    return (span,
+            GroupHom(span, chart_amb, tuple(chart.apply(c) for c in combos)),
+            UnitHom(span, [unit_at(c) for c in combos], pres=pres, check=False))
 
 
 @dataclass
@@ -718,6 +644,23 @@ class LiftProblem:
     b_chart: list
     b_units: list  # Units over ext.a
     eta_units: list  # Units over ext.a, per Q-generator
+
+    def homs(self, tower):
+        """((Q^gp, chart of a, a), (P^gp, chart of b, b), eta) on the span
+        groups, every unit certified in the current A' (a) or A (b, eta) of
+        the tower."""
+        amb = self.chart.ambient
+        q, p = self.h.source, self.h.target
+        a = _span_homs(q, amb, self.a_chart,
+                       [tower.promote_prime(u) for u in self.a_units],
+                       tower.aprime)
+        b = _span_homs(p, amb, self.b_chart,
+                       [tower.to_a(u) for u in self.b_units], tower.a)
+        # eta has no chart part
+        _, _, eta = _span_homs(q, amb, [amb.zero()] * len(q.generators),
+                               [tower.to_a(u) for u in self.eta_units],
+                               tower.a)
+        return a, b, eta
 
 
 class _Tower:
@@ -760,15 +703,26 @@ class _Tower:
         """Image of an A'-unit in A."""
         return certify_unit(self.a, pa.embed(u.val, self.a.ring, 0))
 
+    def promote(self, hom: UnitHom):
+        """hom with every unit certified in the current A', or in the current
+        A when hom is valued in an A (the kernel vanishes in its ring): a
+        root adjoined after hom was built extends the ring under it."""
+        on_a = all(hom.pres.is_zero(pa.embed(g, hom.pres.ring, 0))
+                   for g in self.kernel)
+        cert, pres = (self.to_a, self.a) if on_a else \
+            (self.promote_prime, self.aprime)
+        return UnitHom(hom.group, [cert(u) for u in hom.units], pres=pres,
+                       check=False)
+
 
 @dataclass
 class HomotopyLift:
     tower: object
     h: MonoidHom
-    chart: FineMonoid
     span_q: FgAbGroup
     span_p: FgAbGroup
-    l: LogHom      # span_p -> R (+) (A')^*
+    l_chart: GroupHom  # span_p -> R^gp, the chart part of b
+    l: UnitHom      # span_p -> (A')^*, the unit part
     alpha: UnitHom  # span_p -> A^*
     beta: UnitHom   # span_q -> (A')^*
     cover_adjoined: tuple
@@ -776,52 +730,40 @@ class HomotopyLift:
     def twist(self, gamma: UnitHom):
         """The lift (gamma l, i gamma alpha, beta gamma h) for a unit-valued
         gamma on P^gp: another valid lift of the same problem."""
-        tw_l = LogHom(self.span_p, self.l.chart_amb, self.l.chart_parts,
-                      [u.mul(g) for u, g in zip(self.l.units, gamma.units)],
-                      check=False)
+        tw_l = UnitHom(self.span_p,
+                       [u.mul(g) for u, g in zip(self.l.units, gamma.units)],
+                       pres=self.l.pres, check=False)
         tw_alpha = UnitHom(
             self.span_p,
             [a.mul(self.tower.to_a(g))
-             for a, g in zip(self.alpha.units, gamma.units)], check=False)
+             for a, g in zip(self.alpha.units, gamma.units)],
+            pres=self.alpha.pres, check=False)
         _, _, qgp_h = self.h.groupification_hom()
-        tw_beta_units = []
-        for j in range(self.span_q.dim):
-            img = qgp_h.apply(self.span_q.generators()[j])
-            tw_beta_units.append(self.beta.units[j].mul(
-                gamma.apply(img).invert()))
-        tw_beta = UnitHom(self.span_q, tw_beta_units, check=False)
-        return HomotopyLift(self.tower, self.h, self.chart, self.span_q,
-                            self.span_p, tw_l, tw_alpha, tw_beta,
-                            self.cover_adjoined)
+        tw_beta = UnitHom(
+            self.span_q,
+            [b.mul(gamma.apply(qgp_h.apply(g)).invert())
+             for b, g in zip(self.beta.units, self.span_q.generators())],
+            pres=self.beta.pres, check=False)
+        return replace(self, l=tw_l, alpha=tw_alpha, beta=tw_beta)
 
 
 def homotopy_lift(problem: LiftProblem) -> HomotopyLift:
     """Construct a lift up to homotopy (l, alpha, beta), following the
     surjective / torsion-free / torsion factorization of the groupification;
-    roots that do not exist are adjoined as a finite faithfully flat cover."""
+    roots that do not exist are adjoined as a finite faithfully flat cover.
+
+    Only the unit half of l is built.  alpha is unit-valued, so alpha b = i l
+    forces the chart part of l to be that of b; with chart(b h) = chart(a)
+    checked here, every chart identity then holds."""
     tower = _Tower(problem.ext)
-    h = problem.h
-    chart_amb = problem.chart.ambient
-    span_q, a_hom = loghom_from_monoid_values(
-        h.source, chart_amb, problem.a_chart,
-        [certify_unit(tower.aprime, u.val) for u in problem.a_units],
-        pres=tower.aprime)
-    span_p, b_hom = loghom_from_monoid_values(
-        h.target, chart_amb, problem.b_chart,
-        [certify_unit(tower.a, u.val) for u in problem.b_units],
-        pres=tower.a)
-    _, eta = unithom_from_monoid_values(
-        h.source, [certify_unit(tower.a, u.val) for u in problem.eta_units],
-        pres=tower.a)
-    _, _, qgp_h = h.groupification_hom()
+    (span_q, a_chart, a), (span_p, b_chart, b), eta = problem.homs(tower)
+    _, _, qgp_h = problem.h.groupification_hom()
+    if b_chart.compose(qgp_h).images != a_chart.images:
+        raise HomotopyInvalid("chart(b h) != chart(a)")
     # homotopy precondition: eta . b h = i a on the span generators
-    for j in range(span_q.dim):
-        g = span_q.generators()[j]
-        bc, bu = b_hom.apply(qgp_h.apply(g))
-        ac, au = a_hom.apply(g)
-        if bc != ac:
-            raise HomotopyInvalid("homotopy fails on chart parts")
-        if not eta.apply(g).mul(bu).eq(tower.to_a(au)):
+    for g in span_q.generators():
+        if not eta.apply(g).mul(b.apply(qgp_h.apply(g))).eq(
+                tower.to_a(a.apply(g))):
             raise HomotopyInvalid("eta . b h != i a")
 
     # factor span_q -> G -> H -> span_p
@@ -841,22 +783,18 @@ def homotopy_lift(problem: LiftProblem) -> HomotopyLift:
                                 tuple(h_gens)).image()
 
     # stage 1 (case 1): lift a along the surjection span_q ->> G
-    l1, alpha1, beta = _case1(tower, proj_g, b_hom, mono1, a_hom, eta)
+    l1, alpha1, beta = _case1(tower, proj_g, mono1, a, b)
     # stage 2 (case 2): extend along G -> H, torsion-free cokernel
     mono2 = _restrict_into(h_grp, h_incl, mono1)
-    l2, alpha2 = _case2(tower, mono2, h_incl, b_hom, l1, alpha1)
+    l2, alpha2 = _case2(tower, mono2, h_incl, b, l1, alpha1)
     # stage 3 (case 3): extend along H -> span_p, torsion cokernel
-    l3, alpha3 = _case3(tower, h_incl, b_hom, l2, alpha2)
+    l3, alpha3 = _case3(tower, h_incl, b, l2, alpha2)
 
     # a cover adjoined in a later stage extends the ring under earlier data
-    beta = UnitHom(span_q, [tower.promote_prime(u) for u in beta.units],
-                   pres=tower.aprime, check=False)
-    alpha3 = UnitHom(span_p, [tower.to_a(tower.promote_prime(u))
-                              for u in alpha3.units],
-                     pres=tower.a, check=False)
-    l3 = _promote_loghom(tower, l3)
-    lift = HomotopyLift(tower, h, problem.chart, span_q, span_p, l3, alpha3,
-                        beta, tuple(nm for nm, _, _ in tower.adjoined))
+    lift = HomotopyLift(tower, problem.h, span_q, span_p, b_chart,
+                        tower.promote(l3), tower.promote(alpha3),
+                        tower.promote(beta),
+                        tuple(nm for nm, _, _ in tower.adjoined))
     errs = verify_lift_identities(lift, problem)
     if errs:
         raise HomotopyInvalid(f"constructed lift fails identities: {errs}")
@@ -874,69 +812,41 @@ def _restrict_into(h_grp, h_incl, hom):
     return GroupHom(hom.source, h_grp, tuple(imgs))
 
 
-def _case1(tower, proj_g: GroupHom, b_hom: LogHom, mono1: GroupHom,
-           a_hom: LogHom, eta: UnitHom):
+def _case1(tower, proj_g: GroupHom, mono1: GroupHom, a: UnitHom,
+           b: UnitHom):
     """h surjective onto G: lift generator-wise, beta = a / (l h)."""
     g_grp = proj_g.target
-    chart_amb = b_hom.chart_amb
-    parts, units = [], []
-    for i in range(g_grp.dim):
-        gen = g_grp.generators()[i]
+    units = []
+    for i, gen in enumerate(g_grp.generators()):
         d = g_grp.generator_order(i)
-        r = proj_g.preimage(gen)
         if d == 0:
-            c, u = a_hom.apply(r)
-            parts.append(c)
-            units.append(u)
+            units.append(a.apply(proj_g.preimage(gen)))
         else:
-            bc, bu = b_hom.apply(mono1.apply(gen))
-            if not chart_amb.is_zero(chart_amb.scale(d, bc)):
-                raise HomotopyInvalid("torsion chart part is not torsion")
-            m_lift = tower.promote_prime(bu)
+            m_lift = tower.promote_prime(b.apply(mono1.apply(gen)))
             i_j = m_lift.pow(d)  # = 1 + i_j with i_j in the kernel
             root = try_nth_root(tower.aprime, i_j, d)
             if root is None:
                 root = tower.adjoin_root(d, i_j)
                 m_lift = tower.promote_prime(m_lift)
-            parts.append(bc)
             units.append(m_lift.mul(root.invert()))
-    l1 = _promote_loghom(tower, LogHom(g_grp, chart_amb, parts, units,
-                                       check=False))
+    l1 = tower.promote(UnitHom(g_grp, units, pres=tower.aprime, check=False))
     # beta := a / (l1 . proj_g), must be unit-valued
-    beta_units = []
     span_q = proj_g.source
-    for j in range(span_q.dim):
-        g = span_q.generators()[j]
-        ac, au = a_hom.apply(g)
-        lc, lu = l1.apply(proj_g.apply(g))
-        if ac != lc:
-            raise HomotopyInvalid("case 1: chart parts do not cancel in beta")
-        beta_units.append(tower.promote_prime(au).mul(lu.invert()))
-    beta = UnitHom(span_q, beta_units)
+    beta = UnitHom(span_q, [
+        tower.promote_prime(a.apply(g)).mul(l1.apply(proj_g.apply(g)).invert())
+        for g in span_q.generators()], pres=tower.aprime)
     # alpha1 := (i l1) / (b . mono1)
-    alpha_units = []
-    for i in range(g_grp.dim):
-        gen = g_grp.generators()[i]
-        lc, lu = l1.apply(gen)
-        bc, bu = b_hom.apply(mono1.apply(gen))
-        if lc != bc:
-            raise HomotopyInvalid("case 1: chart parts do not cancel in alpha")
-        alpha_units.append(tower.to_a(lu).mul(bu.invert()))
-    alpha1 = UnitHom(g_grp, alpha_units)
+    alpha1 = UnitHom(g_grp, [
+        tower.to_a(l1.apply(gen)).mul(b.apply(mono1.apply(gen)).invert())
+        for gen in g_grp.generators()], pres=tower.a)
     return l1, alpha1, beta
 
 
-def _promote_loghom(tower, lh: LogHom):
-    return LogHom(lh.group, lh.chart_amb, lh.chart_parts,
-                  [tower.promote_prime(u) for u in lh.units], check=False)
-
-
-def _case2(tower, mono2: GroupHom, h_incl: GroupHom, b_hom: LogHom,
-           l_prev: LogHom, alpha_prev: UnitHom):
+def _case2(tower, mono2: GroupHom, h_incl: GroupHom, b: UnitHom,
+           l_prev: UnitHom, alpha_prev: UnitHom):
     """G -> H injective with torsion-free (free) cokernel: split and lift the
     complement through b."""
     h_grp = mono2.target
-    chart_amb = b_hom.chart_amb
     cok, proj = mono2.cokernel()
     if cok.torsion:
         raise AssertionError("case 2 expects a free cokernel")
@@ -944,57 +854,36 @@ def _case2(tower, mono2: GroupHom, h_incl: GroupHom, b_hom: LogHom,
     g_imgs = [mono2.apply(x) for x in mono2.source.generators()]
     split = GroupHom(FgAbGroup.free(len(g_imgs) + len(w_elems)), h_grp,
                      tuple(g_imgs + w_elems))
-    parts, units, alpha_units = [], [], []
-    for i in range(h_grp.dim):
-        gen = h_grp.generators()[i]
+    units, alpha_units = [], []
+    for gen in h_grp.generators():
         sol = split.preimage(gen)
         if sol is None:
             raise AssertionError("case 2 splitting failed")
-        gpart = sol[:len(g_imgs)]
-        wpart = sol[len(g_imgs):]
-        chart = chart_amb.zero()
-        unit = Unit.one(tower.aprime)
-        alpha_u = Unit.one(tower.a)
         # the G-part goes through the previous lift
-        gl = mono2.source.reduce(tuple(gpart))
-        c0, u0 = l_prev.apply(gl)
-        chart = chart_amb.add(chart, c0)
-        unit = unit.mul(u0)
-        alpha_u = alpha_u.mul(alpha_prev.apply(gl))
+        gl = mono2.source.reduce(tuple(sol[:len(g_imgs)]))
+        unit = Unit.one(tower.aprime).mul(l_prev.apply(gl))
+        alpha_units.append(Unit.one(tower.a).mul(alpha_prev.apply(gl)))
         # the complement goes through a lift of b
-        for c, w in zip(wpart, w_elems):
-            bc, bu = b_hom.apply(h_incl.apply(w))
-            chart = chart_amb.add(chart, chart_amb.scale(c, bc))
-            unit = unit.mul(tower.promote_prime(bu).pow(c))
-        parts.append(chart)
+        for c, w in zip(sol[len(g_imgs):], w_elems):
+            unit = unit.mul(tower.promote_prime(b.apply(h_incl.apply(w))).pow(c))
         units.append(unit)
-        alpha_units.append(alpha_u)
-    l2 = LogHom(h_grp, chart_amb, parts, units)
-    alpha2 = UnitHom(h_grp, alpha_units)
-    return l2, alpha2
+    return (UnitHom(h_grp, units, pres=tower.aprime),
+            UnitHom(h_grp, alpha_units, pres=tower.a))
 
 
-def _case3(tower, h_incl: GroupHom, b_hom: LogHom, l_prev: LogHom,
+def _case3(tower, h_incl: GroupHom, b: UnitHom, l_prev: UnitHom,
            alpha_prev: UnitHom):
     """H -> span_p injective with torsion cokernel: adjoin roots as needed."""
     span_p = h_incl.target
-    chart_amb = b_hom.chart_amb
     cok, proj = h_incl.cokernel()
     if cok.rank:
         raise AssertionError("case 3 expects a torsion cokernel")
-    p_elems, x_units, m_units, m_charts = [], [], [], []
-    for j in range(len(cok.torsion)):
-        n_j = cok.torsion[j]
-        gen = cok.generators()[j]
+    p_elems, x_units, m_units = [], [], []
+    for n_j, gen in zip(cok.torsion, cok.generators()):
         p_j = proj.preimage(gen)
-        bc, bu = b_hom.apply(p_j)
-        m_lift = tower.promote_prime(bu)
-        hm = h_incl.preimage(span_p.scale(n_j, p_j))
-        ac, au = l_prev.apply(hm)
-        if ac != chart_amb.reduce(chart_amb.scale(n_j, bc)):
-            raise HomotopyInvalid("case 3: chart parts disagree")
-        au = tower.promote_prime(au)
-        m_lift = tower.promote_prime(m_lift)
+        m_lift = tower.promote_prime(b.apply(p_j))
+        au = tower.promote_prime(
+            l_prev.apply(h_incl.preimage(span_p.scale(n_j, p_j))))
         u_j = au.mul(m_lift.pow(n_j).invert())
         root = try_nth_root(tower.aprime, u_j, n_j)
         if root is None:
@@ -1003,83 +892,52 @@ def _case3(tower, h_incl: GroupHom, b_hom: LogHom, l_prev: LogHom,
         p_elems.append(p_j)
         x_units.append(root)
         m_units.append(m_lift)
-        m_charts.append(bc)
     # later adjunctions may have extended the ring; re-promote everything
     x_units = [tower.promote_prime(u) for u in x_units]
     m_units = [tower.promote_prime(u) for u in m_units]
-    l_prev = _promote_loghom(tower, l_prev)
-    alpha_prev = UnitHom(alpha_prev.group,
-                         [tower.to_a(tower.promote_prime(u))
-                          for u in alpha_prev.units], check=False)
+    l_prev, alpha_prev = tower.promote(l_prev), tower.promote(alpha_prev)
     # define on the generators of span_p through  gen = incl(h) + sum c_j p_j
     h_imgs = [h_incl.apply(x) for x in h_incl.source.generators()]
     decomp = GroupHom(FgAbGroup.free(len(h_imgs) + len(p_elems)), span_p,
                       tuple(h_imgs + p_elems))
-    parts, units, alpha_units = [], [], []
-    for i in range(span_p.dim):
-        gen = span_p.generators()[i]
+    units, alpha_units = [], []
+    for gen in span_p.generators():
         sol = decomp.preimage(gen)
         if sol is None:
             raise AssertionError("case 3 decomposition failed")
         hpart = h_incl.source.reduce(sol[:len(h_imgs)])
-        cpart = sol[len(h_imgs):]
-        c0, u0 = l_prev.apply(hpart)
-        chart = c0
-        unit = u0
+        unit = l_prev.apply(hpart)
         alpha_u = alpha_prev.apply(hpart)
-        for c, (pc, xu, mu) in zip(cpart, zip(m_charts, x_units, m_units)):
-            chart = chart_amb.add(chart, chart_amb.scale(c, pc))
+        for c, xu, mu in zip(sol[len(h_imgs):], x_units, m_units):
             unit = unit.mul(xu.pow(c)).mul(mu.pow(c))
             alpha_u = alpha_u.mul(tower.to_a(xu).pow(c))
-        parts.append(chart)
         units.append(unit)
         alpha_units.append(alpha_u)
-    l3 = LogHom(span_p, chart_amb, parts, units)
-    alpha3 = UnitHom(span_p, alpha_units)
-    return l3, alpha3
+    return (UnitHom(span_p, units, pres=tower.aprime),
+            UnitHom(span_p, alpha_units, pres=tower.a))
 
 
 def verify_lift_identities(lift: HomotopyLift, problem: LiftProblem):
     """Check the three identities exactly on the span generators; returns a
     list of failures (empty when the lift is valid)."""
     tower = lift.tower
-    h = lift.h
-    chart_amb = lift.chart.ambient
-    span_q, span_p = lift.span_q, lift.span_p
-    a_units = [certify_unit(tower.aprime,
-                            pa.embed(u.val, tower.aprime.ring, 0))
-               for u in problem.a_units]
-    b_units = [certify_unit(tower.a, pa.embed(u.val, tower.a.ring, 0))
-               for u in problem.b_units]
-    eta_units = [certify_unit(tower.a, pa.embed(u.val, tower.a.ring, 0))
-                 for u in problem.eta_units]
-    _, a_hom = loghom_from_monoid_values(h.source, chart_amb,
-                                         problem.a_chart, a_units)
-    _, b_hom = loghom_from_monoid_values(h.target, chart_amb,
-                                         problem.b_chart, b_units)
-    _, eta = unithom_from_monoid_values(h.source, eta_units)
-    _, _, qgp_h = h.groupification_hom()
+    (_, a_chart, a), (_, b_chart, b), eta = problem.homs(tower)
+    _, _, qgp_h = lift.h.groupification_hom()
     errors = []
-    for i in range(span_p.dim):
-        gen = span_p.generators()[i]
-        bc, bu = b_hom.apply(gen)
-        lc, lu = lift.l.apply(gen)
-        if bc != lc:
+    for i, gen in enumerate(lift.span_p.generators()):
+        if b_chart.apply(gen) != lift.l_chart.apply(gen):
             errors.append(f"alpha.b=il chart mismatch at p-generator {i}")
-        elif not lift.alpha.apply(gen).mul(bu).eq(tower.to_a(lu)):
+        elif not lift.alpha.apply(gen).mul(b.apply(gen)).eq(
+                tower.to_a(lift.l.apply(gen))):
             errors.append(f"alpha.b=il unit mismatch at p-generator {i}")
-    for j in range(span_q.dim):
-        gen = span_q.generators()[j]
-        ac, au = a_hom.apply(gen)
-        lc, lu = lift.l.apply(qgp_h.apply(gen))
-        if ac != lc:
+    for j, gen in enumerate(lift.span_q.generators()):
+        hg = qgp_h.apply(gen)
+        if a_chart.apply(gen) != lift.l_chart.apply(hg):
             errors.append(f"beta.lh=a chart mismatch at q-generator {j}")
-        elif not lift.beta.apply(gen).mul(lu).eq(au):
+        elif not lift.beta.apply(gen).mul(lift.l.apply(hg)).eq(a.apply(gen)):
             errors.append(f"beta.lh=a unit mismatch at q-generator {j}")
-        lhs = eta.apply(gen)
-        rhs = tower.to_a(lift.beta.apply(gen)).mul(
-            lift.alpha.apply(qgp_h.apply(gen)))
-        if not lhs.eq(rhs):
+        rhs = tower.to_a(lift.beta.apply(gen)).mul(lift.alpha.apply(hg))
+        if not eta.apply(gen).eq(rhs):
             errors.append(f"eta=i(beta).alpha(h) mismatch at q-generator {j}")
     return errors
 
@@ -1094,27 +952,22 @@ def verify_lift_uniqueness(lift1: HomotopyLift, lift2: HomotopyLift):
     tower = lift1.tower
     span_p = lift1.span_p
     units = []
-    for i in range(span_p.dim):
-        gen = span_p.generators()[i]
-        c1, u1 = lift1.l.apply(gen)
-        c2, u2 = lift2.l.apply(gen)
-        if c1 != c2:
+    for gen in span_p.generators():
+        if lift1.l_chart.apply(gen) != lift2.l_chart.apply(gen):
             raise LiftsIncompatible("chart parts differ; no homotopy exists")
-        units.append(u1.mul(u2.invert()))
+        units.append(lift1.l.apply(gen).mul(lift2.l.apply(gen).invert()))
     try:
         gamma = UnitHom(span_p, units)
     except HomotopyInvalid as e:
         raise LiftsIncompatible(str(e))
     # verify the remaining compatibilities
-    for i in range(span_p.dim):
-        gen = span_p.generators()[i]
+    for gen in span_p.generators():
         a1 = lift1.alpha.apply(gen)
         a2 = lift2.alpha.apply(gen)
         if not tower.to_a(gamma.apply(gen)).mul(a2).eq(a1):
             raise LiftsIncompatible("alpha compatibility fails")
     _, _, qgp_h = lift1.h.groupification_hom()
-    for j in range(lift1.span_q.dim):
-        gen = lift1.span_q.generators()[j]
+    for gen in lift1.span_q.generators():
         b1 = lift1.beta.apply(gen)
         b2 = lift2.beta.apply(gen)
         # beta_2 = beta_1 . gamma(h(-)) when gamma l_2 = l_1

@@ -30,7 +30,8 @@ from . import descent as de
 
 # Every object and task kind, with the object kinds each of its reference
 # fields accepts.  A module's ring may name a gluing, which stands for the
-# glued ring C.
+# glued ring C; a lift problem's chart is the chart monoid R of its log
+# structures R (+) units.
 OBJECT_REFS = {
     "monoid": {},
     "monoid_hom": {"source": ("monoid",), "target": ("monoid",)},
@@ -44,7 +45,7 @@ OBJECT_REFS = {
     "descent_datum": {"gluing": ("gluing",), "m1": ("module",),
                       "m2": ("module",)},
     "lift_problem": {"aprime": ("ring",), "h": ("monoid_hom",),
-                     "chart": ("chart",)},
+                     "chart": ("monoid",)},
 }
 TASK_REFS = {
     "classify": {"hom": ("monoid_hom",)},
@@ -183,6 +184,20 @@ def _check_polys(obj, texts, names):
                                   f"polynomial {text!r}: {e}")
 
 
+def _parse_columns(ring, cols):
+    """Module columns from lists of polynomial strings, one per position."""
+    out = []
+    for col in cols:
+        vec = {}
+        for pos, entry in enumerate(col):
+            if not entry or entry == "0":
+                continue
+            for (mono, _), c in ring.parse(entry).items():
+                vec[(mono, pos)] = c
+        out.append(vec)
+    return out
+
+
 class Workspace:
     """Materialized objects of a problem file.  An object that cannot be
     built (a polynomial in unknown variables, an image outside its monoid)
@@ -243,18 +258,9 @@ class Workspace:
         over = self.get(obj["ring"])
         if isinstance(over, de.GluingDatum):
             over = over.c
-        rank = obj["rank"]
-        cols = []
-        for col in obj.get("relations", []):
-            out = {}
-            for pos, entry in enumerate(col):
-                if not entry or entry == "0":
-                    continue
-                p = over.ring.parse(entry)
-                for (mono, _), c in p.items():
-                    out[(mono, pos)] = c
-            cols.append(out)
-        return ModulePresentation(over, rank, cols)
+        return ModulePresentation(over, obj["rank"],
+                                  _parse_columns(over.ring,
+                                                 obj.get("relations", [])))
 
     def _build_grading(self, obj):
         over = self.get(obj["ring"])
@@ -286,17 +292,8 @@ class Workspace:
         glue = self.get(obj["gluing"])
         m1 = self.get(obj["m1"])
         m2 = self.get(obj["m2"])
-        phi = []
-        for col in obj["phi"]:
-            out = {}
-            for pos, entry in enumerate(col):
-                if not entry or entry == "0":
-                    continue
-                p = glue.c0.ring.parse(entry)
-                for (mono, _), c in p.items():
-                    out[(mono, pos)] = c
-            phi.append(out)
-        return de.DescentDatum(glue, m1, m2, phi)
+        return de.DescentDatum(glue, m1, m2,
+                               _parse_columns(glue.c0.ring, obj["phi"]))
 
     def _build_lift_problem(self, obj):
         aprime = self.get(obj["aprime"])

@@ -339,7 +339,7 @@ def roundtrip_check(glue: GluingDatum, m: ModulePresentation):
         "dp_dims": (m.dim(), back.dim()),
         "dp_isomorphic": iso,
         "note": note,
-        "pd_certified": _pd_certificate(glue, d),
+        "pd_certified": _pd_certificate(glue, d, back),
     }
     report["consistent"] = not (gate and iso is not True)
     return report
@@ -364,10 +364,9 @@ def _canonical_into_descent(glue, m: ModulePresentation, back):
     return cand
 
 
-def _pd_certificate(glue, d: DescentDatum):
-    """PD(d) = d: the natural projections of D onto M_1 and M_2 are
-    isomorphisms (kernel and cokernel vanish)."""
-    back = descend_D(d)
+def _pd_certificate(glue, d: DescentDatum, back):
+    """PD(d) = d for back = D(d): the natural projections of D onto M_1 and
+    M_2 are isomorphisms (kernel and cokernel vanish)."""
     gens = back.descent_generators
     r1 = d.m1.rank
     proj1_cols = [pa.transport_col(glue.p1, {
@@ -384,11 +383,7 @@ def _pd_certificate(glue, d: DescentDatum):
 def _restrict_presentation(glue, which, back, proj_cols, target):
     """Whether the projections define an isomorphism D (x)_C C_i -> M_i."""
     source = _base_change(glue.p1 if which == 1 else glue.p2, back)
-    try:
-        inv = _invert_module_map(proj_cols, source, target)
-    except Exception:
-        return False
-    return inv is not None
+    return _invert_module_map(proj_cols, source, target) is not None
 
 
 # -- Hom and Ext fiber products --------------------------------------------------------

@@ -78,12 +78,12 @@ class FineMonoid:
         """For each i, (lineality, rays) of the cone dual to the rational
         cone of ``gens[i:]`` over the first ``rank`` coordinates, which
         holds the free part of an element: one ``qcone.dual_states`` run
-        over ``gens`` in reverse order, cached per generator order."""
+        over ``gens`` in reverse order, cached per generator order and rank."""
         cones = self._cache.setdefault("suffix_cones", {})
-        if gens not in cones:
+        if (gens, rank) not in cones:
             rows = [g[:rank] for g in reversed(gens)]
-            cones[gens] = list(qcone.dual_states(rows, rank))[::-1]
-        return cones[gens]
+            cones[gens, rank] = list(qcone.dual_states(rows, rank))[::-1]
+        return cones[gens, rank]
 
     def _dual_zero_sets(self):
         """One bitmask over the generators per extreme ray rho of the cone
@@ -93,9 +93,12 @@ class FineMonoid:
         The rays are those of the dual cone of all the generators on their
         free coordinates; torsion does not change rational cones.  A ray is
         extreme modulo the lineality, which every generator is orthogonal
-        to, so its zero set does not depend on the representative."""
+        to, so its zero set does not depend on the representative.  Neither
+        depends on the order of the generators, so the cones are those
+        ``member`` searches a sharp monoid with."""
         if "dual_zeros" not in self._cache:
-            cones = self._suffix_cones(self.generators, self.ambient.rank)
+            cones = self._suffix_cones(tuple(sorted(self.generators)),
+                                       self.ambient.rank)
             rays = cones[0][1] if cones else []
             self._cache["dual_zeros"] = [
                 sum(1 << i for i, g in enumerate(self.generators)

@@ -358,7 +358,7 @@ def test_criterion_7_descent():
     glue = nodal_glue()
     data = descent_data_corpus(glue)
     assert len(data) >= 20
-    ok = all(de._pd_certificate(glue, d) for d in data)
+    ok = all(de._pd_certificate(glue, d, de.descend_D(d)) for d in data)
     # the gate forces DP = Id; the ungated line through the node fails it
     # (the ungated origin skyscraper happens to satisfy DP(k) = k, which the
     # category equivalence does not forbid)
@@ -587,6 +587,31 @@ def test_criterion_11_homotopy_lifting():
     report(11, "five lifting instances satisfy all three identities exactly; "
                "uniqueness gamma recovered for twisted lifts; F5 cover seen",
            ok and cover_seen)
+
+
+# The unit values (raw polynomials, as the lift task prints them) of each
+# instance: (cover_adjoined, l, alpha, beta).
+LIFT_UNITS = {
+    "identity with zero kernel": ([], ["1"], ["1"], ["1"]),
+    "diagonal, torsion-free cokernel":
+        ([], ["1", "e + 1"], ["1", "e + 1"], ["-e^2 + 1"]),
+    "surjective addition": ([], ["1"], ["1"], ["1", "e + 1"]),
+    "index two, root exists":
+        ([], ["1/2*e + 1"], ["1/2*e + 1"], ["-e^2 + 1"]),
+    "index five over F5, cover required":
+        (["rt0"], ["rt0"], ["rt0"], ["4*e^2 + 1"]),
+}
+
+
+def test_lift_unit_values_pinned():
+    for name, prob in lift_instances():
+        lift = ch.homotopy_lift(prob)
+        t = lift.tower
+        got = (list(lift.cover_adjoined),
+               [t.aprime.ring.to_str(u.val) for u in lift.l.units],
+               [t.a.ring.to_str(u.val) for u in lift.alpha.units],
+               [t.aprime.ring.to_str(u.val) for u in lift.beta.units])
+        assert got == LIFT_UNITS[name], name
 
 
 # -- 12. family shadow ---------------------------------------------------------------------------

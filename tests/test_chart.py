@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from logflat.abgrp import FgAbGroup
 from logflat.monoid import FineMonoid, MonoidHom, diagonal, nat_monoid, trivial_monoid
@@ -10,7 +11,7 @@ from logflat.chart import (
     ChartData,
     ChartInvalid,
     ChartsUnrelated,
-    HomotopyLift,
+    HomotopyInvalid,
     LiftProblem,
     LiftsIncompatible,
     NotInjectiveH,
@@ -307,6 +308,23 @@ class TestUnits:
         u = certify_unit(ext.aprime, ext.aprime.parse("1 + e"))
         assert try_nth_root(ext.aprime, u, 5) is None
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10 ** 80), st.integers(2, 12))
+    def test_int_nth_root_exact(self, k, n):
+        assert ch._int_nth_root(k ** n, n) == k
+        assert ch._int_nth_root(k ** n + 1, n) is None
+
+    @pytest.mark.parametrize("const", [4 * (10 ** 20 + 39) ** 2, 7 ** 400])
+    def test_nth_root_of_large_constant(self, const):
+        # past float precision (and float range for 7^400): the square root
+        # exists, so no cover is needed
+        ext = eps_extension()
+        ring = ext.aprime.ring
+        u = certify_unit(ext.aprime, ring.add(ring.const(const), ring.var(0)))
+        r = try_nth_root(ext.aprime, u, 2)
+        assert r is not None
+        assert ext.aprime.eq(ring.mul(r.val, r.val), u.val)
+
 
 def taut_problem(ext, h, a_units=None, b_units=None, eta_units=None):
     """Tautological chart parts: a = chart inclusion, b = chart of h-image."""
@@ -347,18 +365,20 @@ class TestHomotopyLift:
         lift = homotopy_lift(taut_problem(ext, h))
         assert lift.cover_adjoined == ()
 
-    def test_case2_diagonal(self):
-        # Q = N --diag--> P = N^2 over k[e]/(e^2) -> k: torsion-free cokernel
+    def diagonal_problem(self, b_chart=((1,), (0,)), eta="1"):
+        """Q = N --diag--> P = N^2 over k[e]/(e^2) -> k, a = 1 + e; by
+        default b charts e1 |-> 1 in Q, e2 |-> 0, so that bh = a on charts."""
         ext = eps_extension()
         h = diagonal(2)
-        q = h.source
-        # b charts: e1 |-> 1 in Q, e2 |-> 0 (so that bh = a on charts)
-        prob = LiftProblem(
-            ext, h, q,
-            [q.generators[0]], [certify_unit(ext.aprime, ext.aprime.parse("1 + e"))],
-            [(1,), (0,)], [Unit.one(ext.a), Unit.one(ext.a)],
-            [Unit.one(ext.a)])
-        lift = homotopy_lift(prob)
+        return LiftProblem(
+            ext, h, h.source,
+            [(1,)], [certify_unit(ext.aprime, ext.aprime.parse("1 + e"))],
+            list(b_chart), [Unit.one(ext.a), Unit.one(ext.a)],
+            [certify_unit(ext.a, ext.a.parse(eta))])
+
+    def test_case2_diagonal(self):
+        # torsion-free cokernel
+        lift = homotopy_lift(self.diagonal_problem())
         assert lift.cover_adjoined == ()
         # beta = 1 since h is injective
         for u in lift.beta.units:
@@ -410,15 +430,7 @@ class TestHomotopyLift:
         assert rt.startswith("rt")
 
     def test_uniqueness_gamma(self):
-        ext = eps_extension()
-        h = diagonal(2)
-        q = h.source
-        prob = LiftProblem(
-            ext, h, q,
-            [q.generators[0]], [certify_unit(ext.aprime, ext.aprime.parse("1 + e"))],
-            [(1,), (0,)], [Unit.one(ext.a), Unit.one(ext.a)],
-            [Unit.one(ext.a)])
-        lift1 = homotopy_lift(prob)
+        lift1 = homotopy_lift(self.diagonal_problem())
         # twist by a nontrivial unit-valued gamma on P^gp
         g0 = certify_unit(lift1.tower.aprime, lift1.tower.aprime.parse("1 + e"))
         gamma0 = UnitHom(lift1.span_p,
@@ -429,6 +441,42 @@ class TestHomotopyLift:
         gamma = verify_lift_uniqueness(lift1, lift2)
         # gamma l2 = l1 forces gamma = gamma0^{-1}
         assert gamma.apply(lift1.span_p.generators()[0]).eq(g0.invert())
+
+    def test_units_breaking_a_relation_rejected(self):
+        # Q = <1, 2> in Z has 2 g1 = g2, but a(g1)^2 = 1 + 2e != 1 = a(g2)
+        ext = eps_extension()
+        q = FineMonoid(FgAbGroup(1, ()), [(1,), (2,)])
+        u = certify_unit(ext.aprime, ext.aprime.parse("1 + e"))
+        prob = taut_problem(ext, MonoidHom.identity(q),
+                            a_units=[u, Unit.one(ext.aprime)])
+        with pytest.raises(HomotopyInvalid):
+            homotopy_lift(prob)
+
+    def test_eta_not_a_homotopy_rejected(self):
+        # eta . b h = 2 but i a = 1
+        with pytest.raises(HomotopyInvalid):
+            homotopy_lift(self.diagonal_problem(eta="2"))
+
+    def test_chart_mismatch_rejected(self):
+        # chart(b h) = 2 but chart(a) = 1
+        with pytest.raises(HomotopyInvalid):
+            homotopy_lift(self.diagonal_problem(b_chart=((1,), (1,))))
+
+    def test_lifts_over_different_covers_incompatible(self):
+        ext = eps_extension(pa.FieldFp(5))
+        p = nat_monoid(1)
+        h = MonoidHom(p, p, [(5,)])
+
+        def lift_of(a_unit):
+            return homotopy_lift(LiftProblem(
+                ext, h, p, [(5,)], [certify_unit(ext.aprime, a_unit)],
+                [(1,)], [Unit.one(ext.a)], [Unit.one(ext.a)]))
+
+        covered = lift_of(ext.aprime.parse("1 + e"))
+        plain = lift_of(ext.aprime.parse("1"))
+        assert covered.cover_adjoined and not plain.cover_adjoined
+        with pytest.raises(LiftsIncompatible):
+            verify_lift_uniqueness(covered, plain)
 
     def test_self_uniqueness_trivial(self):
         ext = eps_extension()

@@ -26,6 +26,52 @@ NODAL_FILE = {
 }
 
 
+def lift_file(h_images, b_chart, b_units):
+    """A lift problem over k[e]/(e^2) -> k with a(g) = 1 + e on N, chart
+    R = N, and a lift task."""
+    n = len(b_chart)
+    return {
+        "version": 1,
+        "objects": [
+            {"name": "Q", "kind": "monoid", "ambient_rank": 1,
+             "generators": [[1]]},
+            {"name": "P", "kind": "monoid", "ambient_rank": n,
+             "generators": [[int(i == j) for j in range(n)]
+                            for i in range(n)]},
+            {"name": "h", "kind": "monoid_hom", "source": "Q", "target": "P",
+             "images": [h_images]},
+            {"name": "A1", "kind": "ring", "variables": ["e"],
+             "relations": ["e^2"]},
+            {"name": "L", "kind": "lift_problem", "aprime": "A1",
+             "kernel": ["e"], "h": "h", "chart": "Q",
+             "a_chart": [[h_images[0]]], "a_units": ["1 + e"],
+             "b_chart": b_chart, "b_units": b_units, "eta_units": ["1"]},
+        ],
+        "tasks": [{"kind": "lift", "problem": "L"}],
+    }
+
+
+class TestLift:
+    @pytest.mark.parametrize("field, doc, expected", [
+        # the fifth root of 1 + e does not exist over F5: one cover
+        ("fp:5", lift_file([5], [[1]], ["1"]),
+         {"cover_adjoined": ["rt0"], "l_units": ["rt0"],
+          "alpha_units": ["rt0"], "beta_units": ["4*e^2 + 1"]}),
+        # the diagonal N -> N^2, torsion-free cokernel
+        ("q", lift_file([1, 1], [[1], [0]], ["1", "1"]),
+         {"cover_adjoined": [], "l_units": ["1", "e + 1"],
+          "alpha_units": ["1", "e + 1"], "beta_units": ["-e^2 + 1"]}),
+    ])
+    def test_lift_task(self, tmp_path, field, doc, expected):
+        f = tmp_path / "lift.json"
+        f.write_text(json.dumps(doc))
+        r = run_cli("--field", field, "check", str(f))
+        assert r.returncode == 0, r.stdout + r.stderr
+        (task,) = json.loads(r.stdout)["tasks"]
+        assert task["status"] == "ok"
+        assert task["result"] == dict(expected, identities_verified=True)
+
+
 class TestValidation:
     def test_unknown_kind_exits_2(self, tmp_path):
         bad = {"version": 1, "objects": [{"name": "a", "kind": "nonsense"}],

@@ -207,7 +207,21 @@ class TestRoundtrip:
     def test_pd_identity_always(self):
         for name in ("structure", "antidiag", "unit_shift", "skyscraper"):
             d = pullback_P(self.glue, self.mods[name])
-            assert de._pd_certificate(self.glue, d)
+            assert de._pd_certificate(self.glue, d, de.descend_D(d))
+
+    def test_fault_in_pd_certificate_raises(self, monkeypatch):
+        # a fault inside the certificate is an error, not "pd_certified:
+        # false"; only its inversions land in a module over C_1 or C_2
+        real = de._invert_module_map
+
+        def broken(cols, m_from, m_to):
+            if m_to.over in (self.glue.c1, self.glue.c2):
+                raise RuntimeError("injected")
+            return real(cols, m_from, m_to)
+
+        monkeypatch.setattr(de, "_invert_module_map", broken)
+        with pytest.raises(RuntimeError, match="injected"):
+            roundtrip_check(self.glue, self.mods["unit_shift"])
 
 
 class TestHomExt:

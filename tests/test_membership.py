@@ -7,7 +7,7 @@ import sys
 
 from hypothesis import assume, given, settings, strategies as st
 
-from logflat import monmod, monoid
+from logflat import monmod, monoid, qcone
 from logflat.abgrp import FgAbGroup
 from logflat.monoid import FineMonoid, _lam_value
 
@@ -311,3 +311,23 @@ def test_octagon_membership_search_calls():
     verdicts, calls = _count_rec_calls(lambda: [p.member(t) for t in targets])
     assert verdicts == [(x, y) in level[d] for x, y, d in targets]
     assert calls <= 4000
+
+
+def test_one_double_description_run_per_sharp_monoid(monkeypatch):
+    """Units, faces and the membership search of a sharp monoid whose
+    generators are out of sorted order all read one dual cone run."""
+    runs = []
+    real = qcone.dual_states
+
+    def counted(rows, rank):
+        runs.append(rows)
+        return real(rows, rank)
+
+    monkeypatch.setattr(qcone, "dual_states", counted)
+    p = FineMonoid(FgAbGroup.free(3), [(x, y, 1) for x, y in OCTAGON[::-1]])
+    assert p.is_sharp()
+    assert len(p.faces()) == 2 * len(OCTAGON) + 2
+    assert p.member((3, 3, 2)) == ((3, 3) in {(a[0] + b[0], a[1] + b[1])
+                                              for a in OCTAGON
+                                              for b in OCTAGON})
+    assert len(runs) == 1
