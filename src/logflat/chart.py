@@ -473,6 +473,9 @@ class Unit:
 
     def mul(self, other):
         r = self.pres.ring
+        if r.names != other.pres.ring.names:
+            # PolyRing.mul would pair exponent tuples of different lengths
+            raise ValueError("units over rings with different variables")
         return Unit(self.pres, r.mul(self.val, other.val),
                     r.mul(self.inv, other.inv))
 
@@ -481,11 +484,8 @@ class Unit:
 
     def pow(self, n):
         r = self.pres.ring
-        out = Unit.one(self.pres)
-        base = self if n >= 0 else self.invert()
-        for _ in range(abs(n)):
-            out = out.mul(base)
-        return out
+        val, inv = (self.val, self.inv) if n >= 0 else (self.inv, self.val)
+        return Unit(self.pres, r.pow(val, abs(n)), r.pow(inv, abs(n)))
 
     def eq(self, other):
         return self.pres.eq(self.val, other.val)
@@ -828,6 +828,7 @@ def _case1(tower, proj_g: GroupHom, mono1: GroupHom, a: UnitHom,
             if root is None:
                 root = tower.adjoin_root(d, i_j)
                 m_lift = tower.promote_prime(m_lift)
+                b = tower.promote(b)
             units.append(m_lift.mul(root.invert()))
     l1 = tower.promote(UnitHom(g_grp, units, pres=tower.aprime, check=False))
     # beta := a / (l1 . proj_g), must be unit-valued

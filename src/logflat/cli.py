@@ -496,7 +496,7 @@ def run_document(doc, field_spec=None):
             "package": f"logflat {__version__}",
             "field": field_spec or "q",
             # fixed fields of report format 1: degrevlex is the only term
-            # order and no verdict depends on a search window; the two
+            # order and no verdict depends on a window; the two
             # literals keep format-1 reports byte-stable
             "order": "degrevlex",
             "window": 8,

@@ -455,10 +455,11 @@ def hom_ext_fiber_product(glue: GluingDatum, m: ModulePresentation,
     m0 = dm.reduction(2)
     n0 = dn.reduction(2)
     hom_c = hom_dimension(m, n)
-    h1 = hom_dimension(dm.m1, dn.m1)
-    h2 = hom_dimension(dm.m2, dn.m2)
-    h0 = hom_dimension(m0, n0)
-    fiber = _fiber_dimension(glue, dm, dn, h1, h2, h0)
+    s1 = _hom_space(dm.m1, dn.m1)
+    s2 = _hom_space(dm.m2, dn.m2)
+    s0 = _hom_space(m0, n0)
+    h1, h2, h0 = len(s1[0]), len(s2[0]), len(s0[0])
+    fiber = _fiber_dimension(glue, dm, dn, s1, s2, s0)
     ext_c = ext1_dimension(m, n)
     e1 = ext1_dimension(dm.m1, dn.m1)
     e2 = ext1_dimension(dm.m2, dn.m2)
@@ -476,14 +477,12 @@ def hom_ext_fiber_product(glue: GluingDatum, m: ModulePresentation,
     return report
 
 
-def _fiber_dimension(glue, dm, dn, h1, h2, h0):
-    """dim(H_1 x_{H_0} H_2) by computing the restriction maps in bases."""
+def _fiber_dimension(glue, dm, dn, s1, s2, s0):
+    """dim(H_1 x_{H_0} H_2) by computing the restriction maps in bases;
+    s1, s2, s0 are the ``_hom_space`` results of the two sides and the
+    overlap."""
     field = glue.c0.ring.field
-    m0 = dm.reduction(2)
-    n0 = dn.reduction(2)
-    b1, bn1 = _hom_space(dm.m1, dn.m1)
-    b2, bn2 = _hom_space(dm.m2, dn.m2)
-    b0, bn0 = _hom_space(m0, n0)
+    (b1, bn1), (b2, bn2), (b0, bn0) = s1, s2, s0
     if not b0:
         return len(b1) + len(b2)
     # coordinates of the restriction of each basis hom to C0

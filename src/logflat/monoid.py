@@ -319,19 +319,6 @@ class FineMonoid:
         hom = MonoidHom(self, loc, self.generators)
         return loc, hom
 
-    def elements_up_to(self, degree):
-        """All N-combinations of the generators with total multiplicity <= degree."""
-        out = {self.ambient.zero()}
-        frontier = {self.ambient.zero()}
-        for _ in range(degree):
-            nxt = set()
-            for x in frontier:
-                for g in self.generators:
-                    nxt.add(self.ambient.add(x, g))
-            frontier = nxt - out
-            out |= nxt
-        return sorted(out)
-
 
 class MonoidIdeal:
     """Ideal I = union of (g + P) over the finite generator list."""
@@ -414,12 +401,13 @@ class MonoidHom:
     """Monoid homomorphism, stored as images of the source generators."""
 
     def __init__(self, source: FineMonoid, target: FineMonoid, images,
-                 partition_tag=None, free_structure=None, check=True):
+                 check=True):
         self.source = source
         self.target = target
         self.images = tuple(target.ambient.reduce(v) for v in images)
-        self.partition_tag = partition_tag
-        self.free_structure = free_structure
+        # set by the tagged builders (diagonal, boundary, pushout_tagged, ...)
+        self.partition_tag = None
+        self.free_structure = None
         self._img_hom = None
         if len(self.images) != len(source.generators):
             raise ValueError("need one image per source generator")
@@ -518,8 +506,8 @@ def groupification_cokernel(h: MonoidHom):
 def monoid_pushout(h1: MonoidHom, h2: MonoidHom):
     """Integral pushout P1 (+)_Q P2 (image in the pushout of groupifications).
 
-    Returns (P, in1, in2, was_integral) where was_integral is True when the
-    set-level pushout is known to be integral already (a flat leg), else None.
+    Returns (P, in1, in2); P is generated by in1(P1-generators) followed by
+    in2(P2-generators).
     """
     if h1.source != h2.source:
         raise ValueError("pushout needs a common source")
@@ -531,13 +519,7 @@ def monoid_pushout(h1: MonoidHom, h2: MonoidHom):
     pout = FineMonoid(j1.target, gens1 + gens2)
     in1 = MonoidHom(h1.target, pout, gens1, check=False)
     in2 = MonoidHom(h2.target, pout, gens2, check=False)
-    was_integral = None
-    for leg in (h1, h2):
-        cls = classify_morphism(leg, deep=False)
-        if cls.flat:
-            was_integral = True
-            break
-    return pout, in1, in2, was_integral
+    return pout, in1, in2
 
 
 # -- free-basis witnesses ----------------------------------------------------
@@ -548,15 +530,14 @@ class FreeBasis:
     decompose(p) = (q, s) such that p = h(q) + s, plus structure maps."""
 
     def contains(self, x):
-        raise NotImplementedError
+        """Whether x is a basis element: x lies in P and decomposes as
+        (0, x), the decomposition being unique because h is free."""
+        target = self.hom.target
+        x = target.ambient.reduce(x)
+        return target.member(x) and self.decompose(x)[1] == x
 
     def decompose(self, x):
         raise NotImplementedError
-
-    def enumerate(self, degree):
-        """Basis elements among all P-elements of generator-degree <= degree."""
-        return [x for x in self.hom.target.elements_up_to(degree)
-                if self.contains(x)]
 
     def alpha_beta(self, s, t):
         """Structure maps: s + t = alpha(s,t) + h(beta(s,t))."""
@@ -571,9 +552,6 @@ class ListFreeBasis(FreeBasis):
     def __init__(self, hom, elements):
         self.hom = hom
         self.elements = tuple(hom.target.ambient.reduce(e) for e in elements)
-
-    def contains(self, x):
-        return self.hom.target.ambient.reduce(x) in self.elements
 
     def decompose(self, x):
         amb = self.hom.target.ambient
@@ -594,9 +572,6 @@ class AllFreeBasis(FreeBasis):
     def __init__(self, hom):
         self.hom = hom
 
-    def contains(self, x):
-        return self.hom.target.member(x)
-
     def decompose(self, x):
         return self.hom.source.ambient.zero(), self.hom.target.ambient.reduce(x)
 
@@ -611,10 +586,6 @@ class MinFreeBasis(FreeBasis):
 
     def _q(self, x):
         return min(x[i] // self.v[i] for i in range(len(x)) if self.v[i] > 0)
-
-    def contains(self, x):
-        x = self.hom.target.ambient.reduce(x)
-        return all(c >= 0 for c in x) and self._q(x) == 0
 
     def decompose(self, x):
         amb = self.hom.target.ambient
@@ -637,9 +608,6 @@ class ProductFreeBasis(FreeBasis):
 
     def _split(self, x):
         return [p.apply(x) for p in self.tgt_projs]
-
-    def contains(self, x):
-        return all(f.contains(xi) for f, xi in zip(self.factors, self._split(x)))
 
     def decompose(self, x):
         qs, ss = [], []
@@ -673,57 +641,44 @@ class ComposeFreeBasis(FreeBasis):
         gs = self.g.apply_gp(s)
         return q, self.g.target.ambient.add(gs, t)
 
-    def contains(self, x):
-        target = self.hom.target
-        x = target.ambient.reduce(x)
-        if not target.member(x):
-            return False
-        q, _ = self.decompose(x)
-        return self.hom.source.ambient.is_zero(
-            self.hom.source.ambient.reduce(q))
-
 
 class PushoutFreeBasis(FreeBasis):
-    """Basis of a pushout of a free morphism: the image of the original basis.
+    """Basis of a pushout Q' -> P' = P (+)_Q Q' of a free morphism h : Q -> P
+    along f : Q -> Q': the image j1(S) of the original basis.
 
-    Decomposition searches basis elements by degree and certifies the
-    remainder lies in the image of the new source."""
+    P' is generated by j1(P-generators) and j2(Q'-generators), so one
+    certificate of x splits it as j1(p) + j2(q').  With p = h(q) + s over S
+    and j1 h = j2 f, x = j2(f(q) + q') + j1(s), and that decomposition is
+    the only one because free morphisms are stable under pushout."""
 
-    def __init__(self, hom, orig_basis, in_target, search_degree=12):
-        self.hom = hom          # Q' -> P'
+    def __init__(self, hom, orig_basis, in_target, along):
+        self.hom = hom          # Q' -> P', which is j2
         self.orig = orig_basis  # basis of Q -> P
-        self.in_target = in_target  # P -> P'
-        self.search_degree = search_degree
-
-    def _candidates(self):
-        for d in range(self.search_degree + 1):
-            for s in self.orig.enumerate(d):
-                yield self.in_target.apply_gp(s)
-
-    def contains(self, x):
-        """Whether x is a basis element: False off the target, otherwise
-        whether x decomposes as (0, x); raises where ``decompose`` does."""
-        target = self.hom.target
-        x = target.ambient.reduce(x)
-        if not target.member(x):
-            return False
-        return self.decompose(x)[1] == x
+        self.in_target = in_target  # j1 : P -> P'
+        self.along = along      # f : Q -> Q'
 
     def decompose(self, x):
-        amb = self.hom.target.ambient
-        x = amb.reduce(x)
-        img = self.hom.image_monoid()
-        seen = set()
-        for s in self._candidates():
-            if s in seen:
+        target = self.hom.target
+        x = target.ambient.reduce(x)
+        mult = target.nonneg_certificate(x)
+        if mult is None:
+            raise ValueError("element not in the target monoid")
+        p_amb, q2_amb = self.in_target.source.ambient, self.hom.source.ambient
+        p, q2 = p_amb.zero(), q2_amb.zero()
+        for g, k in zip(target.generators, mult):
+            if not k:
                 continue
-            seen.add(s)
-            d = amb.sub(x, s)
-            if img.member(d):
-                q = _preimage_in_source(self.hom, d)
-                if q is not None:
-                    return q, s
-        raise ValueError("pushout decomposition not found within search window")
+            if g in self.in_target.images:
+                i = self.in_target.images.index(g)
+                p = p_amb.add(p, p_amb.scale(
+                    k, self.in_target.source.generators[i]))
+            else:
+                i = self.hom.images.index(g)
+                q2 = q2_amb.add(q2, q2_amb.scale(
+                    k, self.hom.source.generators[i]))
+        q, s = self.orig.decompose(p)
+        return (q2_amb.add(self.along.apply_gp(q), q2),
+                self.in_target.apply_gp(s))
 
 
 class CosetFreeBasis(FreeBasis):
@@ -789,15 +744,6 @@ class CosetFreeBasis(FreeBasis):
         q = src_amb.add(q0, src_u_incl.apply(qu))
         s = self.up_incl.apply(rep)
         return q, s
-
-    def contains(self, x):
-        try:
-            q, _ = self.decompose(x)
-        except ValueError:
-            return False
-        # basis elements are exactly those decomposing with q a unit part 0
-        amb = self.hom.source.ambient
-        return amb.is_zero(q)
 
 
 def _positive_unit_relation(mon: FineMonoid):
@@ -915,22 +861,12 @@ def pushout_tagged(h: MonoidHom, f: MonoidHom):
 
     Returns the morphism Q' -> P (+)_Q Q' with tag and basis propagated.
     """
-    pout, in_p, in_q2, _ = monoid_pushout(h, f)
+    pout, in_p, in_q2 = monoid_pushout(h, f)
     out = MonoidHom(f.target, pout, in_q2.images, check=False)
     out.partition_tag = h.partition_tag
     if h.free_structure is not None:
-        out.free_structure = PushoutFreeBasis(out, h.free_structure, in_p)
+        out.free_structure = PushoutFreeBasis(out, h.free_structure, in_p, f)
     return out
-
-
-def decompose_diagonal(m, p):
-    """p in N^m as Delta(q) + s with s having a zero coordinate (q = min p_i)."""
-    p = tuple(int(x) for x in p)
-    if len(p) != m or any(x < 0 for x in p):
-        raise ValueError("element outside N^m")
-    q = min(p)
-    s = tuple(x - q for x in p)
-    return q, s
 
 
 # -- the morphism classifier --------------------------------------------------
@@ -948,7 +884,7 @@ class Classification:
     witness: dict = field(default_factory=dict)
 
 
-def classify_morphism(h: MonoidHom, deep=True):
+def classify_morphism(h: MonoidHom):
     """Classify a morphism of fine monoids.
 
     flat / free use the module machinery when the target is finitely
@@ -988,7 +924,7 @@ def classify_morphism(h: MonoidHom, deep=True):
             free = True
             flat = True
             basis = rec
-        elif deep:
+        else:
             from . import monmod
             mod = monmod.module_over_source(h)
             if mod is not None:

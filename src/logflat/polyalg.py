@@ -502,9 +502,14 @@ class PolyRing:
         return out
 
     def pow(self, p, n):
+        """p^n by repeated squaring."""
         out = self.one()
-        for _ in range(n):
-            out = self.mul(out, p)
+        while n:
+            if n & 1:
+                out = self.mul(out, p)
+            n >>= 1
+            if n:
+                p = self.mul(p, p)
         return out
 
     def scale(self, c, p):

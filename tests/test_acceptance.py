@@ -31,6 +31,8 @@ from logflat import chart as ch
 from logflat import descent as de
 from logflat.descent import DescentDatum, GluingDatum, descend_D, pullback_P
 
+from brute_force import elements_up_to
+
 
 def report(num, label, ok):
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {label}")
@@ -43,7 +45,7 @@ def report(num, label, ok):
 def brute_force_faces(p, window=4):
     """Independent oracle: subsets of generators whose span satisfies the
     face property on a window of monoid elements."""
-    elems = p.elements_up_to(window)
+    elems = elements_up_to(p, window)
     faces = set()
     n = len(p.generators)
     for mask in range(1 << n):

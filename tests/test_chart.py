@@ -400,6 +400,35 @@ class TestHomotopyLift:
         # beta is nontrivial on some direction of Q^gp
         assert not all(bu.is_one() for bu in lift.beta.units)
 
+    def test_case1_torsion_image_adjoins_a_root(self):
+        # h: N^2 onto <(1,0), (1,1)> in Z + Z/3 has a Z/3 in the image of
+        # Q^gp; (1 + x)^3 = 1 + x^3 has no cube root in F3[x]/(x^4), so case 1
+        # adjoins one, and b must be promoted into the extended A before
+        # alpha is built from it
+        ring = PolyRing(pa.FieldFp(3), ["x"])
+        aprime = RingPresentation(ring, [ring.parse("x^4")])
+        ext = SquareZeroExtension(aprime, [ring.parse("x^2")])
+        p = FineMonoid(FgAbGroup(1, (3,)), [(1, 0), (1, 1)])
+        h = MonoidHom(nat_monoid(2), p, p.generators)
+        r = trivial_monoid()
+        zeros = [r.ambient.zero()] * 2
+        prob = LiftProblem(
+            ext, h, r,
+            zeros, [Unit.one(ext.aprime),
+                    certify_unit(ext.aprime, ext.aprime.parse("1 + x"))],
+            zeros, [Unit.one(ext.a),
+                    certify_unit(ext.a, ext.a.parse("1 + x"))],
+            [Unit.one(ext.a)] * 2)
+        lift = homotopy_lift(prob)
+        assert lift.cover_adjoined == ("rt0",)
+        assert ch.verify_lift_identities(lift, prob) == []
+
+    def test_units_over_different_rings_rejected(self):
+        ext = eps_extension()
+        bigger = RingPresentation(PolyRing(pa.QQ, ["e", "rt0"]), [])
+        with pytest.raises(ValueError):
+            Unit.one(ext.aprime).mul(Unit.one(bigger))
+
     def test_case3_mult2_no_cover_in_char0(self):
         ext = eps_extension()
         p = nat_monoid(1)

@@ -8,10 +8,10 @@ from logflat.monoid import (
     MonoidHom,
     MonoidIdeal,
     NotSubmonoid,
+    _preimage_in_source,
     boundary,
     classify_morphism,
     compose_tagged,
-    decompose_diagonal,
     diagonal,
     groupification_cokernel,
     identity_tagged,
@@ -21,6 +21,8 @@ from logflat.monoid import (
     pushout_tagged,
     trivial_monoid,
 )
+
+from brute_force import basis_up_to, elements_up_to
 
 
 def antidiag_monoid():
@@ -107,8 +109,8 @@ class TestPrimes:
         # complements of faces: a+b in I implies a in I or b in I
         p = antidiag_monoid()
         for prime in p.prime_ideals():
-            for a in p.elements_up_to(3):
-                for b in p.elements_up_to(3):
+            for a in elements_up_to(p, 3):
+                for b in elements_up_to(p, 3):
                     s = p.ambient.add(a, b)
                     if not prime.contains(s):
                         assert not prime.contains(a)
@@ -156,7 +158,7 @@ class TestPushout:
     def test_id_id(self):
         p = nat_monoid(1)
         h = MonoidHom.identity(p)
-        out, _, _, _ = monoid_pushout(h, h)
+        out, _, _ = monoid_pushout(h, h)
         assert len(out.generators) == 1
         assert out.ambient.rank == 1
 
@@ -165,7 +167,7 @@ class TestPushout:
         p1, p2 = nat_monoid(1), nat_monoid(2)
         h1 = MonoidHom(t, p1, [])
         h2 = MonoidHom(t, p2, [])
-        out, i1, i2, _ = monoid_pushout(h1, h2)
+        out, i1, i2 = monoid_pushout(h1, h2)
         assert out.ambient.rank == 3
         assert len(out.generators) == 3
 
@@ -174,10 +176,9 @@ class TestPushout:
         q = nat_monoid(1)
         h1 = diagonal(2)
         h2 = MonoidHom.identity(q)
-        out, i1, i2, integral = monoid_pushout(h1, h2)
+        out, i1, i2 = monoid_pushout(h1, h2)
         # pushout is N^2 again (identity leg)
         assert out.ambient.rank == 2
-        assert integral is True
 
 
 class TestClassify:
@@ -238,7 +239,7 @@ class TestPartitionConstructors:
     def test_diagonal_basis_and_alpha_beta(self):
         h = diagonal(2)
         fs = h.free_structure
-        basis4 = fs.enumerate(4)
+        basis4 = basis_up_to(fs, 4)
         assert ((0, 0) in basis4) and ((3, 0) in basis4) and ((0, 2) in basis4)
         assert (1, 1) not in basis4
         for s in basis4[:6]:
@@ -280,24 +281,94 @@ class TestPartitionConstructors:
         assert qq == (2,) or out.source.ambient.reduce(qq) == (2,)
 
     def test_boundary_pushout_contains(self):
-        # the basis is N(1, 0); past the search degree contains must raise
-        # like decompose does, not answer False, also through a composite
+        # the basis is N(1, 0); the decomposition is exact at every degree,
+        # directly and through a composite
         out = pushout_tagged(boundary(), MonoidHom(trivial_monoid(),
                                                    nat_monoid(1), []))
         composite = compose_tagged(identity_tagged(out.target), out)
         for fs in (out.free_structure, composite.free_structure):
-            assert fs.contains((12, 0))
+            assert fs.contains((12, 0)) and fs.contains((13, 0))
+            assert fs.contains((500, 0))
             assert not fs.contains((0, 1)) and not fs.contains((1, 1))
-            assert not fs.contains((-1, 0))
-            with pytest.raises(ValueError):
-                fs.decompose((13, 0))
-            with pytest.raises(ValueError):
-                fs.contains((13, 0))
+            assert not fs.contains((-1, 0)) and not fs.contains((500, 7))
+            assert fs.decompose((13, 0)) == ((0,), (13, 0))
+            assert fs.decompose((500, 7)) == ((7,), (500, 0))
 
     def test_decompose_diagonal(self):
-        assert decompose_diagonal(3, (3, 1, 2)) == (1, (2, 0, 1))
-        assert decompose_diagonal(2, (0, 0)) == (0, (0, 0))
-        assert decompose_diagonal(2, (5, 5)) == (5, (0, 0))
+        assert diagonal(3).free_structure.decompose((3, 1, 2)) == \
+            ((1,), (2, 0, 1))
+        assert diagonal(2).free_structure.decompose((0, 0)) == ((0,), (0, 0))
+        assert diagonal(2).free_structure.decompose((5, 5)) == ((5,), (0, 0))
+
+
+# -- exact pushout bases against the windowed search they replaced ------------
+
+
+def windowed_candidates(fs, search_degree):
+    """The images j1(s) of the basis elements of the original morphism, in
+    the order the windowed search tried them: degree by degree up to
+    ``search_degree``, each once."""
+    out = []
+    for d in range(search_degree + 1):
+        for s in basis_up_to(fs.orig, d):
+            s = fs.in_target.apply_gp(s)
+            if s not in out:
+                out.append(s)
+    return out
+
+
+def windowed_decompose(fs, img, candidates, x):
+    """The search ``PushoutFreeBasis.decompose`` used to run: the first
+    candidate s with x - s in ``img``, the image monoid of Q', and a
+    preimage of x - s in Q'; None when no candidate in the window fits."""
+    amb = fs.hom.target.ambient
+    x = amb.reduce(x)
+    for s in candidates:
+        rest = amb.sub(x, s)
+        if img.member(rest):
+            q = _preimage_in_source(fs.hom, rest)
+            if q is not None:
+                return q, s
+    return None
+
+
+@st.composite
+def tagged_pushouts(draw):
+    """pushout_tagged of diagonal(2), diagonal(3) or boundary() along a
+    random map into a monoid Q' in Z^r (+) T, units allowed."""
+    h = draw(st.sampled_from([lambda: diagonal(2), lambda: diagonal(3),
+                              boundary]))()
+    rank = draw(st.integers(1, 2))
+    torsion = draw(st.sampled_from([(), (2,), (3,)]))
+    elem = st.tuples(*[st.integers(-1, 2)] * rank,
+                     *[st.integers(0, d - 1) for d in torsion])
+    q2 = FineMonoid(FgAbGroup(rank, torsion),
+                    draw(st.lists(elem, min_size=1, max_size=3)))
+    images = []
+    if h.source.generators:
+        mult = draw(st.lists(st.integers(0, 2), min_size=len(q2.generators),
+                             max_size=len(q2.generators)))
+        amb = q2.ambient
+        image = amb.zero()
+        for k, g in zip(mult, q2.generators):
+            image = amb.add(image, amb.scale(k, g))
+        images.append(image)
+    return pushout_tagged(h, MonoidHom(h.source, q2, images))
+
+
+@settings(max_examples=25, deadline=None)
+@given(tagged_pushouts())
+def test_pushout_decomposition_matches_window(out):
+    fs = out.free_structure
+    amb = out.target.ambient
+    img = out.image_monoid()
+    candidates = windowed_candidates(fs, 6)
+    for x in elements_up_to(out.target, 3):
+        q, s = fs.decompose(x)
+        assert amb.add(out.apply_gp(q), s) == x
+        windowed = windowed_decompose(fs, img, candidates, x)
+        if windowed is not None:
+            assert (q, s) == windowed
 
 
 def test_groupification_cokernel_of_diagonal():
