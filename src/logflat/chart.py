@@ -79,17 +79,13 @@ class ChartData:
 
 def _check_monoid_map_to_ring(mon, images, pres):
     """Relations of the monoid must hold between the ring images."""
+    ring = pres.ring
     for rel in mon.relation_lattice():
-        plus = pres.ring.one()
-        minus = pres.ring.one()
-        for c, img in zip(rel, images):
-            if c > 0:
-                for _ in range(c):
-                    plus = pres.ring.mul(plus, img)
-            elif c < 0:
-                for _ in range(-c):
-                    minus = pres.ring.mul(minus, img)
-        if not pres.is_zero(pres.ring.sub(plus, minus)):
+        plus = ring.mul(*(ring.pow(img, c) for c, img in zip(rel, images)
+                          if c > 0))
+        minus = ring.mul(*(ring.pow(img, -c) for c, img in zip(rel, images)
+                           if c < 0))
+        if not pres.is_zero(ring.sub(plus, minus)):
             raise ChartInvalid("monoid relations are not respected in the ring")
 
 
@@ -98,11 +94,8 @@ def _monoid_elem_in_ring(mon, images, pres, element):
     mult = mon.nonneg_certificate(element)
     if mult is None:
         raise ChartInvalid("element outside the monoid")
-    out = pres.ring.one()
-    for k, img in zip(mult, images):
-        for _ in range(k):
-            out = pres.ring.mul(out, img)
-    return out
+    return pres.ring.mul(*(pres.ring.pow(img, k)
+                           for k, img in zip(mult, images) if k))
 
 
 # -- A(h,t) ----------------------------------------------------------------------
@@ -193,18 +186,14 @@ def _group_vars(prefix, g: FgAbGroup):
 def _group_monomial(ring, off, g: FgAbGroup, coords):
     """The Laurent monomial of a group element in the _group_vars layout."""
     coords = g.reduce(coords)
-    out = ring.one()
+    exps = [0] * ring.nvars
     for i in range(g.rank):
         e = coords[i]
-        v = ring.var(off + 2 * i) if e >= 0 else ring.var(off + 2 * i + 1)
-        for _ in range(abs(e)):
-            out = ring.mul(out, v)
+        exps[off + 2 * i + (0 if e >= 0 else 1)] = abs(e)
     base = off + 2 * g.rank
     for j in range(len(g.torsion)):
-        e = coords[g.rank + j]
-        for _ in range(e):
-            out = ring.mul(out, ring.var(base + j))
-    return out
+        exps[base + j] = coords[g.rank + j]
+    return ring.monomial(exps)
 
 
 def _monomial_over(ring, off, mon: FineMonoid, element):
@@ -213,11 +202,9 @@ def _monomial_over(ring, off, mon: FineMonoid, element):
     mult = mon.nonneg_certificate(element)
     if mult is None:
         raise ChartInvalid("h-image outside the monoid")
-    out = ring.one()
-    for j, e in enumerate(mult):
-        for _ in range(e):
-            out = ring.mul(out, ring.var(off + j))
-    return out
+    exps = [0] * ring.nvars
+    exps[off:off + len(mult)] = mult
+    return ring.monomial(exps)
 
 
 # -- B = A (x)_{Z[Q]} Z[P] -------------------------------------------------------

@@ -170,7 +170,10 @@ def _same_quotient(a: RingPresentation, b: RingPresentation):
 
 @dataclass
 class DescentDatum:
-    """(M_1, M_2, phi) with phi an isomorphism of the reductions over C_0."""
+    """(M_1, M_2, phi) with phi an isomorphism of the reductions over C_0.
+
+    The reductions ``r1``, ``r2`` and the inverse columns ``phi_inv`` are
+    built at construction; ValueError when phi is not an isomorphism."""
 
     glue: GluingDatum
     m1: ModulePresentation
@@ -178,47 +181,17 @@ class DescentDatum:
     phi: list  # columns over C_0: the image of m1's basis in m2/I2m2
 
     def __post_init__(self):
-        self._check_invertible()
-
-    def reduction(self, which):
-        """M_i / I_i M_i as a module over C_0."""
-        return _base_change(self.glue.f1 if which == 1 else self.glue.f2,
-                            self.m1 if which == 1 else self.m2)
-
-    def _check_invertible(self):
-        r1 = self.reduction(1)
-        r2 = self.reduction(2)
-        if r1.rank != len(self.phi):
+        self.r1 = _base_change(self.glue.f1, self.m1)
+        self.r2 = _base_change(self.glue.f2, self.m2)
+        if self.r1.rank != len(self.phi):
             raise ValueError("phi needs one column per generator of M1")
-        # well-defined and bijective: the matrix maps relations into
-        # relations and has an inverse found by lifting
-        phi_cols = [dict(c) for c in self.phi]
-        for col in r1.columns:
-            img = pa._apply_cols(self.glue.c0.ring.field, phi_cols, col,
-                                 self.glue.c0)
-            if not r2.is_zero_elem(img):
-                raise ValueError("phi does not respect relations")
-        self.phi_inv = _invert_module_map(phi_cols, r1, r2)
+        self.phi_inv = pa.module_map_inverse(self.phi, self.r1, self.r2)
         if self.phi_inv is None:
             raise ValueError("phi is not invertible over C0")
 
-
-def _invert_module_map(phi_cols, m_from: ModulePresentation,
-                       m_to: ModulePresentation):
-    """Columns of an inverse map, or None (kernel and cokernel must vanish)."""
-    ring = m_to.over.ring
-    # surjectivity with witnesses: lift each basis vector of m_to
-    relations = m_to.columns + pa.ideal_rows(m_to.over.ideal, m_to.rank)
-    inv_cols = pa.lift_through(
-        ring.field, phi_cols, m_to.rank, ring.nvars, ring.key,
-        [m_to.basis_elem(i) for i in range(m_to.rank)], relations)
-    if any(w is None for w in inv_cols):
-        return None
-    # injectivity: kernel of phi on m_from is zero
-    kgens = pa.kernel_of_module_map(phi_cols, m_from, m_to)
-    if not all(m_from.is_zero_elem(g) for g in kgens):
-        return None
-    return inv_cols
+    def reduction(self, which):
+        """M_i / I_i M_i as a module over C_0, built once."""
+        return self.r1 if which == 1 else self.r2
 
 
 # -- the functors P and D ------------------------------------------------------------
@@ -318,7 +291,7 @@ def modules_isomorphic(m: ModulePresentation, n: ModulePresentation,
         return False, "dimension mismatch"
     if candidate is None:
         return None, "no candidate map supplied"
-    inv = _invert_module_map(candidate, m, n)
+    inv = pa.module_map_inverse(candidate, m, n)
     return (inv is not None), "certified" if inv is not None else "not invertible"
 
 
@@ -347,26 +320,22 @@ def roundtrip_check(glue: GluingDatum, m: ModulePresentation):
 
 def _canonical_into_descent(glue, m: ModulePresentation, back):
     """Matrix of M -> D(P(M)) on generators, through the descent generators."""
-    if not hasattr(back, "descent_generators"):
-        return None
-    gens = back.descent_generators
     field = glue.c.ring.field
     zero = (0,) * glue.c.ring.nvars
     r = m.rank
     # the image of e_i is the pair (e_i, e_i): coordinates in C^{r1+r2}
     targets = [{(zero, i): field.one(), (zero, r + i): field.one()}
                for i in range(r)]
-    cand = pa.lift_through(field, gens, 2 * r, glue.c.ring.nvars,
-                           glue.c.ring.key, targets,
-                           pa.ideal_rows(glue.c.ideal, 2 * r))
+    cand = pa.lift_through(back.descent_generators,
+                           ModulePresentation(glue.c, 2 * r), targets)
     if any(w is None for w in cand):
         return None
     return cand
 
 
 def _pd_certificate(glue, d: DescentDatum, back):
-    """PD(d) = d for back = D(d): the natural projections of D onto M_1 and
-    M_2 are isomorphisms (kernel and cokernel vanish)."""
+    """PD(d) = d for back = D(d): the natural projections D (x)_C C_i -> M_i
+    are isomorphisms (kernel and cokernel vanish)."""
     gens = back.descent_generators
     r1 = d.m1.rank
     proj1_cols = [pa.transport_col(glue.p1, {
@@ -375,15 +344,10 @@ def _pd_certificate(glue, d: DescentDatum, back):
     proj2_cols = [pa.transport_col(glue.p2, {
         (mono, pos - r1): c for (mono, pos), c in g.items() if pos >= r1})
         for g in gens]
-    m1_back = _restrict_presentation(glue, 1, back, proj1_cols, d.m1)
-    m2_back = _restrict_presentation(glue, 2, back, proj2_cols, d.m2)
-    return m1_back and m2_back
-
-
-def _restrict_presentation(glue, which, back, proj_cols, target):
-    """Whether the projections define an isomorphism D (x)_C C_i -> M_i."""
-    source = _base_change(glue.p1 if which == 1 else glue.p2, back)
-    return _invert_module_map(proj_cols, source, target) is not None
+    return all(
+        pa.module_map_inverse(cols, _base_change(p, back), m_i) is not None
+        for p, cols, m_i in ((glue.p1, proj1_cols, d.m1),
+                             (glue.p2, proj2_cols, d.m2)))
 
 
 # -- Hom and Ext fiber products --------------------------------------------------------

@@ -281,9 +281,7 @@ def _flat_chart(m: ModulePresentation, shape: ChartShape):
         to_m = RingMap(level, m.over, shape.to_c.images, check=False)
         for e in evars:
             tz = pa.tor1_along(to_m, [ring.var(e)], 1, m)[1]
-            sub_m = ModulePresentation(
-                m.over.quotient([shape.to_c.apply(ring.var(e))]), m.rank,
-                m.columns)
+            sub_m = quotient_module(m, [shape.to_c.apply(ring.var(e))])
             sub_ok, sub_cert = level_of(sub_m, [v for v in evars if v != e],
                                         killed + (e,))
             cert["spawning"].append({"variable": ring.names[e],
@@ -365,8 +363,7 @@ def flat_over_kt(m: ModulePresentation, t_index):
     def key(term):
         return head(term) + (term[0][t_index],)
 
-    gb = buchberger(ring.field, m.columns + pa.ideal_rows(m.over.ideal, m.rank),
-                    key)
+    gb = buchberger(ring.field, m.relations(), key)
     lcs = []
     for g in gb:
         lead = head(pa.m_lt(g, key))
@@ -437,29 +434,13 @@ def nodal_criteria_panel(m: ModulePresentation, shape=None):
 
 def _nodal_map_injective(m: ModulePresentation, x, y):
     """Injectivity of M/yM (+) M/xM -> M, (a, b) |-> xa + yb."""
-    pres = m.over
-    field = pres.ring.field
     r = m.rank
-    # domain: rank 2r with relations from M in both blocks plus y (resp. x)
-    cols = []
-    for c in m.columns:
-        cols.append(dict(c))
-        cols.append({(mono, pos + r): v for (mono, pos), v in c.items()})
-    for i in range(r):
-        cols.append(pa._ring_mul_vec(pres, y, {(_zero_mono(pres), i): field.one()}))
-        cols.append(pa._ring_mul_vec(pres, x, {(_zero_mono(pres), i + r): field.one()}))
-    domain = ModulePresentation(pres, 2 * r, cols)
-    phi = []
-    for i in range(r):
-        phi.append(pa._ring_mul_vec(pres, x, {(_zero_mono(pres), i): field.one()}))
-    for i in range(r):
-        phi.append(pa._ring_mul_vec(pres, y, {(_zero_mono(pres), i): field.one()}))
-    kgens = pa.kernel_of_module_map(phi, domain, m)
-    return all(domain.is_zero_elem(g) for g in kgens)
-
-
-def _zero_mono(pres):
-    return (0,) * pres.ring.nvars
+    second = [{(mono, pos + r): v for (mono, pos), v in c.items()}
+              for c in m.columns + pa.ideal_rows([x], r)]
+    domain = ModulePresentation(m.over, 2 * r,
+                                m.columns + pa.ideal_rows([y], r) + second)
+    return pa.is_injective(pa.ideal_rows([x], r) + pa.ideal_rows([y], r),
+                           domain, m)
 
 
 # -- group algebras --------------------------------------------------------------

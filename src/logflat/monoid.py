@@ -698,6 +698,11 @@ class CosetFreeBasis(FreeBasis):
         self.up_incl = up_incl
         self.w, self.w_proj = self.unit_hom.cokernel()
         self._reps = {}
+        # proj o h : Q -> P-bar
+        self.proj, sharp_t = hom.target._sharp_data()
+        self.sharp_hom = MonoidHom(hom.source, sharp_t,
+                                   [self.proj.apply(v) for v in hom.images],
+                                   check=False)
 
     def _rep(self, cls):
         if cls not in self._reps:
@@ -709,30 +714,11 @@ class CosetFreeBasis(FreeBasis):
         hom = self.hom
         amb = hom.target.ambient
         x = amb.reduce(x)
-        # sharp part comes from the source through the sharpened isomorphism
-        _, sharp_t, proj_t = hom.target.sharpening()
-        _, sharp_s, proj_s = hom.source.sharpening()
-        xb = proj_t.target.ambient.reduce(
-            hom.target._sharp_data()[0].apply(x))
-        ok, mult = sharp_t.member_with_certificate(xb)
-        if not ok:
+        # sharp part comes from the source through the sharpened isomorphism:
+        # a certificate of the sharp class of x over the sharp images
+        q0 = _preimage_in_source(self.sharp_hom, self.proj.apply(x))
+        if q0 is None:
             raise ValueError("element not in the target monoid")
-        # pull the multiplicities back along the matching of generators
-        src_amb = hom.source.ambient
-        q0 = src_amb.zero()
-        sharp_imgs = [hom.target._sharp_data()[0].apply(v) for v in hom.images]
-        remaining = dict(zip(sharp_t.generators, [0] * len(sharp_t.generators)))
-        for g, k in zip(sharp_t.generators, mult):
-            if k == 0:
-                continue
-            found = False
-            for i, si in enumerate(sharp_imgs):
-                if si == g:
-                    q0 = src_amb.add(q0, src_amb.scale(k, hom.source.generators[i]))
-                    found = True
-                    break
-            if not found:
-                raise AssertionError("strict basis: generator matching failed")
         u = amb.sub(x, hom.apply_gp(q0))
         # u is a unit of P; split off the canonical coset representative
         upre = self.up_incl.preimage(u)
@@ -741,7 +727,7 @@ class CosetFreeBasis(FreeBasis):
         diff = self.up_incl.source.sub(upre, rep)
         qu = self.unit_hom.preimage(diff)
         src_u, src_u_incl = hom.source.unit_group()
-        q = src_amb.add(q0, src_u_incl.apply(qu))
+        q = hom.source.ambient.add(q0, src_u_incl.apply(qu))
         s = self.up_incl.apply(rep)
         return q, s
 

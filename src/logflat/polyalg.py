@@ -402,24 +402,6 @@ def syzygies(field, vecs, rank, nvars, ring_key, relations=()):
             for g in gb if all(p >= rank for (_, p) in g)]
 
 
-def lift_through(field, vecs, rank, nvars, ring_key, targets, relations=()):
-    """For each of the ``targets``, coefficients c with target - sum c_i
-    vecs_i in the span of ``relations``, or None when there are none.
-
-    Same elimination as ``syzygies``, with the relations untagged and one
-    augmented basis for all targets: the normal form of a target against it
-    lies wholly in the tag positions exactly when the target lies in
-    span(vecs) + span(relations), and then it is -c."""
-    gb, key = _augmented_gb(field, vecs, rank, nvars, ring_key, relations)
-    lts = [m_lt(g, key) for g in gb]
-    out = []
-    for target in targets:
-        r = m_reduce(field, target, gb, key, lts)
-        out.append(None if any(p < rank for (_, p) in r) else
-                   {(m, p - rank): field.neg(c) for (m, p), c in r.items()})
-    return out
-
-
 def embed(p, ring, offset):
     """A polynomial or module element in the bigger ``ring``, variable i
     becoming variable offset + i."""
@@ -738,6 +720,9 @@ class RingMap:
         return self._graph
 
 
+_UNSET = object()
+
+
 class ModulePresentation:
     """coker( R^k --columns--> R^rank ) over a presented ring R."""
 
@@ -747,15 +732,17 @@ class ModulePresentation:
         self.columns = [dict(c) for c in columns if c]
         self._gb = None
         self._lts = None
+        self._kbasis = _UNSET
 
-    def _full_relations(self):
+    def relations(self):
+        """The relations of M in R^rank over the ambient polynomial ring:
+        the columns, then the ring's ideal in every position."""
         return self.columns + ideal_rows(self.over.ideal, self.rank)
 
     def gb(self):
         if self._gb is None:
             key = self.over.ring.mkey()
-            self._gb = buchberger(self.over.ring.field, self._full_relations(),
-                                  key)
+            self._gb = buchberger(self.over.ring.field, self.relations(), key)
             self._lts = [m_lt(g, key) for g in self._gb]
         return self._gb
 
@@ -774,10 +761,16 @@ class ModulePresentation:
         return {((0,) * self.over.ring.nvars, i): self.over.ring.field.one()}
 
     def dim(self):
-        return vector_space_dimension(self.over, self.rank, self.columns)
+        basis = self.kbasis()
+        return None if basis is None else len(basis)
 
     def kbasis(self):
-        return vector_space_basis(self.over, self.rank, self.columns)
+        """The standard monomials of M, or None if M is infinite dimensional;
+        computed once."""
+        if self._kbasis is _UNSET:
+            self._kbasis = vector_space_basis(self.over, self.rank,
+                                              self.columns)
+        return self._kbasis
 
     def __repr__(self):
         return f"ModulePresentation(rank={self.rank}, nrels={len(self.columns)})"
@@ -818,24 +811,60 @@ def kernel_of_module_map(phi_cols, m: ModulePresentation, n: ModulePresentation)
     """Generators of the kernel of the induced map M -> N given by columns
     phi_cols (images of M's basis in R^n.rank), as columns in R^m.rank.
     Their relations, when a caller needs K presented, are
-    ``kernel_of_matrix(m.over, gens, m.rank, m.columns)``."""
-    over = m.over
-    # well-definedness: each M-relation must map into N's relation span
-    field = over.ring.field
+    ``kernel_of_matrix(m.over, gens, m.rank, m.columns)``.  ValueError when
+    the columns do not define a map of presented modules."""
+    field = m.over.ring.field
     for col in m.columns:
-        img = _apply_cols(field, phi_cols, col, over)
-        if not n.is_zero_elem(img):
+        if not n.is_zero_elem(_apply_cols(field, phi_cols, col)):
             raise ValueError("matrix does not define a map of presented modules")
-    return kernel_of_matrix(over, phi_cols, n.rank, n.columns)
+    return kernel_of_matrix(m.over, phi_cols, n.rank, n.columns)
 
 
-def _apply_cols(field, cols, vec, over):
+def _apply_cols(field, cols, vec):
     """Apply the matrix with the given columns to a vector (module element)."""
     out = {}
     for (mono, pos), c in vec.items():
-        col = cols[pos]
-        out = m_add(field, out, m_shift(field, c, mono, col))
+        out = m_add(field, out, m_shift(field, c, mono, cols[pos]))
     return out
+
+
+def is_injective(phi_cols, m: ModulePresentation, n: ModulePresentation):
+    """Whether the map M -> N given by the columns phi_cols is injective:
+    every generator of its kernel is zero in M."""
+    return all(m.is_zero_elem(g)
+               for g in kernel_of_module_map(phi_cols, m, n))
+
+
+def lift_through(vecs, n: ModulePresentation, targets):
+    """For each of the ``targets`` in R^n.rank, coefficients c with target -
+    sum c_i vecs_i zero in N, or None when there are none.
+
+    Same elimination as ``syzygies``, with N's relations untagged and one
+    augmented basis for all targets: the normal form of a target against it
+    lies wholly in the tag positions exactly when the target lies in
+    span(vecs) + span(relations), and then it is -c."""
+    ring = n.over.ring
+    field, rank = ring.field, n.rank
+    gb, key = _augmented_gb(field, vecs, rank, ring.nvars, ring.key,
+                            n.relations())
+    lts = [m_lt(g, key) for g in gb]
+    out = []
+    for target in targets:
+        r = m_reduce(field, target, gb, key, lts)
+        out.append(None if any(p < rank for (_, p) in r) else
+                   {(m, p - rank): field.neg(c) for (m, p), c in r.items()})
+    return out
+
+
+def module_map_inverse(phi_cols, m: ModulePresentation, n: ModulePresentation):
+    """Columns over R^m.rank of the inverse of the map M -> N given by the
+    columns phi_cols, or None when the map is not bijective: the kernel must
+    vanish, and every basis vector of N must lift through phi_cols.
+    ValueError when the columns do not define a map of presented modules."""
+    if not is_injective(phi_cols, m, n):
+        return None
+    inv = lift_through(phi_cols, n, [n.basis_elem(i) for i in range(n.rank)])
+    return None if any(w is None for w in inv) else inv
 
 
 def homology(over: RingPresentation, a_cols, mid_rank, mid_relations,
@@ -912,23 +941,7 @@ def transport_col(rmap: RingMap, col):
 
 def regular_element_test(f, m: ModulePresentation):
     """Whether multiplication by f is injective on M."""
-    phi = [_ring_mul_vec(m.over, f, m.basis_elem(i)) for i in range(m.rank)]
-    kgens = kernel_of_module_map(phi, m, m)
-    return all(m.is_zero_elem(g) for g in kgens)
-
-
-def _ring_mul_vec(over, f, vec):
-    field = over.ring.field
-    out = {}
-    for (m1, _), c1 in f.items():
-        for (m2, p), c2 in vec.items():
-            k = (tuple(a + b for a, b in zip(m1, m2)), p)
-            s = field.add(out.get(k, field.zero()), field.mul(c1, c2))
-            if field.is_zero(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return out
+    return is_injective(ideal_rows([f], m.rank), m, m)
 
 
 # -- vector space structure ----------------------------------------------------

@@ -155,6 +155,55 @@ class TestPullbackDescend:
         assert rep["gate"] and rep["dp_isomorphic"] and rep["consistent"]
 
 
+class TestDescentDatum:
+    def setup_method(self):
+        self.glue = nodal_glue()
+        c1, c2 = self.glue.c1, self.glue.c2
+        # M_1 = k[x] e_0 and M_2 = k[y] e_1: both reductions are k
+        self.m1 = ModulePresentation(c1, 2, [{((0,), 1): pa.QQ.one()}])
+        self.m2 = ModulePresentation(c2, 2, [{((0,), 0): pa.QQ.one()}])
+
+    def test_inverse_composes_to_identity(self):
+        # the clutching swaps the two surviving generators, scaled by 2
+        two = pa.QQ.of_int(2)
+        d = DescentDatum(self.glue, self.m1, self.m2,
+                         [{((), 1): two}, {((), 0): two}])
+        r1, r2 = d.reduction(1), d.reduction(2)
+        field = self.glue.c0.ring.field
+        for i in range(2):
+            assert r2.eq(pa._apply_cols(field, d.phi, d.phi_inv[i]),
+                         r2.basis_elem(i))
+            assert r1.eq(pa._apply_cols(field, d.phi_inv, d.phi[i]),
+                         r1.basis_elem(i))
+
+    def test_phi_not_well_defined_raises(self):
+        # the identity sends the relation e_1 of M_1 to e_1, alive in M_2
+        phi = [{((), 0): pa.QQ.one()}, {((), 1): pa.QQ.one()}]
+        with pytest.raises(ValueError, match="does not define a map"):
+            DescentDatum(self.glue, self.m1, self.m2, phi)
+
+    def test_reduction_built_once(self):
+        d = pullback_P(self.glue, nodal_modules(self.glue)["antidiag"])
+        assert d.reduction(1) is d.reduction(1)
+        assert d.reduction(2) is d.reduction(2)
+        assert d.reduction(1) is not d.reduction(2)
+
+    def test_roundtrip_finds_each_basis_once(self, monkeypatch):
+        # dim() of M and of DP(M) is asked twice each; the k-basis is
+        # computed once per presentation
+        calls = []
+        real = pa.vector_space_basis
+
+        def counting(over, rank, rel_cols):
+            calls.append(id(rel_cols))
+            return real(over, rank, rel_cols)
+
+        monkeypatch.setattr(pa, "vector_space_basis", counting)
+        rep = roundtrip_check(self.glue, nodal_modules(self.glue)["antidiag"])
+        assert rep["dp_dims"] == (2, 1)
+        assert len(calls) == 2 and len(set(calls)) == 2
+
+
 class TestGates:
     def setup_method(self):
         self.glue = nodal_glue()
@@ -212,14 +261,14 @@ class TestRoundtrip:
     def test_fault_in_pd_certificate_raises(self, monkeypatch):
         # a fault inside the certificate is an error, not "pd_certified:
         # false"; only its inversions land in a module over C_1 or C_2
-        real = de._invert_module_map
+        real = pa.module_map_inverse
 
         def broken(cols, m_from, m_to):
             if m_to.over in (self.glue.c1, self.glue.c2):
                 raise RuntimeError("injected")
             return real(cols, m_from, m_to)
 
-        monkeypatch.setattr(de, "_invert_module_map", broken)
+        monkeypatch.setattr(pa, "module_map_inverse", broken)
         with pytest.raises(RuntimeError, match="injected"):
             roundtrip_check(self.glue, self.mods["unit_shift"])
 

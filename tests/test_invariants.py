@@ -109,7 +109,7 @@ class TestTorMechanism:
         for rels in ([], [r.parse("x + y")], [r.parse("x - 1")]):
             m = ModulePresentation(rp, 1, rels)
             pres, zero = tor1(m, [f])
-            phi = [pa._ring_mul_vec(rp, f, m.basis_elem(0))]
+            phi = pa.ideal_rows([f], 1)
             kgens = pa.kernel_of_module_map(phi, m, m)
             ker_zero = all(m.is_zero_elem(g) for g in kgens)
             assert zero == ker_zero
@@ -178,7 +178,7 @@ class TestGateClosure:
         # kernel of multiplication by a gate-preserving element on C
         c = self.glue.c
         m = ModulePresentation(c, 1, [])
-        phi = [pa._ring_mul_vec(c, c.ring.parse("g0 - 1"), m.basis_elem(0))]
+        phi = pa.ideal_rows([c.ring.parse("g0 - 1")], 1)
         kgens = pa.kernel_of_module_map(phi, m, m)
         # here the kernel is zero, which is trivially gated
         assert all(m.is_zero_elem(g) for g in kgens)

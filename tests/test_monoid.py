@@ -301,6 +301,39 @@ class TestPartitionConstructors:
         assert diagonal(2).free_structure.decompose((5, 5)) == ((5,), (0, 0))
 
 
+# strict isomorphisms onto targets with generators that are no source images:
+# N^2 onto N^2 with (1,1) and (2,1) added, and N (+) 2Z inside N (+) Z with
+# (1,1) added (two unit cosets)
+_STRICT = {
+    "extra generators": ([(1, 0), (0, 1)],
+                         [(1, 0), (0, 1), (1, 1), (2, 1)], [(1, 0), (0, 1)]),
+    "unit cosets": ([(1, 0), (0, 1), (0, -1)],
+                    [(1, 0), (0, 1), (0, -1), (1, 1)],
+                    [(1, 0), (0, 2), (0, -2)]),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(_STRICT))
+def test_strict_basis_decomposes_every_point(tag):
+    src, tgt, images = _STRICT[tag]
+    q = FineMonoid(FgAbGroup.free(2), src)
+    p = FineMonoid(FgAbGroup.free(2), tgt)
+    h = MonoidHom(q, p, images)
+    basis = classify_morphism(h).basis
+    assert type(basis).__name__ == "CosetFreeBasis"
+    amb = p.ambient
+    negated = [amb.neg(g) for g in p.generators]
+    for x in elements_up_to(p, 4) + negated:
+        if not p.member(x):
+            with pytest.raises(ValueError):
+                basis.decompose(x)
+            assert not basis.contains(x)
+            continue
+        q_x, s = basis.decompose(x)
+        assert amb.add(h.apply_gp(q_x), s) == x
+        assert basis.contains(x) == (s == x)
+
+
 # -- exact pushout bases against the windowed search they replaced ------------
 
 

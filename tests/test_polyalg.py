@@ -1,4 +1,6 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -100,11 +102,7 @@ class TestSyzygies:
         assert len(syz) == 1
         s = syz[0]
         # s = (y, -x) up to sign: check x*s0 + y*s1 = 0
-        total = pa.m_add(QQ, pa._ring_mul_vec(rp, r.parse("x"),
-                                              {k: v for k, v in s.items() if k[1] == 0}),
-                         pa._ring_mul_vec(rp, r.parse("y"),
-                                          {((m), 0): v for (m, p), v in s.items() if p == 1}))
-        assert not total
+        assert not pa._apply_cols(QQ, [r.parse("x"), r.parse("y")], s)
 
     def test_unit_has_no_syzygy(self):
         r = ring(["x"])
@@ -116,7 +114,7 @@ class TestSyzygies:
         r = ring(["x"])
         rp = RingPresentation(r, [r.parse("x^2")])
         m = ModulePresentation(rp, 1, [])
-        phi = [pa._ring_mul_vec(rp, r.parse("x"), m.basis_elem(0))]
+        phi = pa.ideal_rows([r.parse("x")], 1)
         gens = kernel_of_module_map(phi, m, m)
         ker = ModulePresentation(rp, len(gens),
                                  kernel_of_matrix(rp, gens, m.rank, m.columns))
@@ -231,6 +229,47 @@ class TestRegular:
         rp = RingPresentation(r, [r.parse("x*y")])
         m = ModulePresentation(rp, 1, [])
         assert not regular_element_test(r.parse("x"), m)
+
+
+class TestModuleMapInverse:
+    def test_not_injective(self):
+        # x on k[x]/(x^2) kills x
+        r = ring(["x"])
+        m = ModulePresentation(RingPresentation(r, [r.parse("x^2")]), 1)
+        assert pa.module_map_inverse(pa.ideal_rows([r.parse("x")], 1),
+                                     m, m) is None
+
+    def test_not_surjective(self):
+        # x on k[x] is injective and misses 1
+        r = ring(["x"])
+        m = ModulePresentation(RingPresentation(r), 1)
+        phi = pa.ideal_rows([r.parse("x")], 1)
+        assert pa.is_injective(phi, m, m)
+        assert pa.module_map_inverse(phi, m, m) is None
+
+    def test_inverse_composes_to_identity(self):
+        # x - 1 is a unit of k[x]/(x^2); on R^2 modulo (x e_0) it is
+        # composed with the swap of the two summands
+        r = ring(["x"])
+        over = RingPresentation(r, [r.parse("x^2")])
+        m = ModulePresentation(over, 2, [{((1,), 0): QQ.one()}])
+        n = ModulePresentation(over, 2, [{((1,), 1): QQ.one()}])
+        u = pa.ideal_rows([r.parse("x - 1")], 2)
+        phi = [u[1], u[0]]
+        inv = pa.module_map_inverse(phi, m, n)
+        assert inv is not None
+        for i in range(2):
+            assert n.eq(pa._apply_cols(QQ, phi, inv[i]), n.basis_elem(i))
+            assert m.eq(pa._apply_cols(QQ, inv, phi[i]), m.basis_elem(i))
+
+    def test_not_well_defined(self):
+        # e_0 |-> e_0 sends the relation x e_0 of M to x e_0, not zero in N
+        r = ring(["x"])
+        over = RingPresentation(r)
+        m = ModulePresentation(over, 1, [r.parse("x")])
+        n = ModulePresentation(over, 1)
+        with pytest.raises(ValueError, match="does not define a map"):
+            pa.module_map_inverse([n.basis_elem(0)], m, n)
 
 
 class TestToric:
@@ -820,11 +859,10 @@ def test_lift_through_matches_tagged_reference(problem):
     # column, a relation and the first basis vector
     over, rank, cols, rels, target = problem
     field, r = over.ring.field, over.ring
-    relations = rels + pa.ideal_rows(over.ideal, rank)
-    e0 = ModulePresentation(over, rank).basis_elem(0)
-    targets = [target] + cols + rels[:1] + [e0]
-    lifts = pa.lift_through(field, cols, rank, r.nvars, r.key, targets,
-                            relations)
+    n = ModulePresentation(over, rank, rels)
+    relations = n.relations()
+    targets = [target] + cols + rels[:1] + [n.basis_elem(0)]
+    lifts = pa.lift_through(cols, n, targets)
     assert len(lifts) == len(targets)
     for t, c in zip(targets, lifts):
         ref = _tagged_lift_through(field, cols + relations, rank, r.nvars,
@@ -862,7 +900,7 @@ def _tagged_positions(monkeypatch):
     monkeypatch.setattr(pa, "kernel_of_matrix", entering(
         pa.kernel_of_matrix, lambda over, cols, rank, *rest: (rank, len(cols))))
     monkeypatch.setattr(pa, "lift_through", entering(
-        pa.lift_through, lambda field, vecs, rank, *rest: (rank, len(vecs))))
+        pa.lift_through, lambda vecs, n, *rest: (n.rank, len(vecs))))
     return seen
 
 
@@ -891,13 +929,9 @@ def test_kernels_tag_only_their_columns(monkeypatch):
                    ["defining equation not regular on the origin"])
     r = ring(["x", "y"])
     over = RingPresentation(r, [r.parse("x*y")])
-    e = ModulePresentation(over, 2).basis_elem
-    x, y = r.parse("x"), r.parse("y")
-    _, is_zero = pa.homology(
-        over, [pa._ring_mul_vec(over, x, e(0))], 2,
-        [pa._ring_mul_vec(over, y, e(1))],
-        [pa._ring_mul_vec(over, y, e(0)), pa._ring_mul_vec(over, x, e(1))],
-        1, [r.parse("x^2")])
+    xe, ye = pa.ideal_rows([r.parse("x")], 2), pa.ideal_rows([r.parse("y")], 2)
+    _, is_zero = pa.homology(over, [xe[0]], 2, [ye[1]], [ye[0], xe[1]], 1,
+                             [r.parse("x^2")])
     assert not is_zero
     _assert_relations_untagged(seen, "kernel_of_matrix")
 
@@ -908,3 +942,35 @@ def test_lifts_tag_only_their_columns(monkeypatch):
     seen = _tagged_positions(monkeypatch)
     _gallery_tasks("nodal-descent", ["structure module"])
     _assert_relations_untagged(seen, "lift_through")
+
+
+def _private_polyalg_reads(path):
+    """``name`` of every read of a ``_``-prefixed attribute of polyalg in
+    the module at ``path``: ``pa._name``, or ``from .polyalg import _name``."""
+    tree = ast.parse(path.read_text())
+    aliases = {a.asname or a.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               and not node.module for a in node.names if a.name == "polyalg"}
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            out.append(f"{path.name}:{node.lineno} {node.attr}")
+        if isinstance(node, ast.ImportFrom) and node.module == "polyalg":
+            out += [f"{path.name}:{node.lineno} {a.name}"
+                    for a in node.names if a.name.startswith("_")]
+    return out
+
+
+def test_only_polyalg_reads_its_private_names(tmp_path):
+    src = Path(pa.__file__).parent
+    probe = tmp_path / "probe.py"
+    probe.write_text("from . import polyalg as pa\n"
+                     "from .polyalg import _apply_cols\n"
+                     "pa._augmented_gb\n")
+    assert len(_private_polyalg_reads(probe)) == 2  # the walk sees them
+    offenders = [r for path in sorted(src.glob("*.py"))
+                 if path.name != "polyalg.py"
+                 for r in _private_polyalg_reads(path)]
+    assert not offenders, offenders
