@@ -6,7 +6,11 @@ integers: the first ``rank`` coordinates are free, the remaining ones are
 torsion coordinates reduced into [0, d_i).
 
 Everything here is built on one primitive: the Smith normal form with its
-unimodular transforms, computed with arbitrary-precision integers.
+unimodular transforms, computed with arbitrary-precision integers.  Every
+group that is built, a quotient, kernel, image, direct sum, pushout,
+Hom, Ext^1 or extension, comes from ``FgAbGroup.from_relations``: the one
+Smith form of its relations gives the canonical form and both coordinate
+maps.
 
 This module is the integer-lattice layer of the package.  A list of elements
 of a group G is the hom ``GroupHom(FgAbGroup.free(n), G, elements)``, and
@@ -47,12 +51,17 @@ class IntMatrix:
 
     @classmethod
     def from_columns(cls, cols_list, nrows=None):
-        cols_list = [list(c) for c in cols_list]
-        if cols_list:
+        """The nrows x len(cols_list) matrix with these columns; nrows may be
+        left out when there is a column, and may be 0."""
+        cols_list = [tuple(c) for c in cols_list]
+        if nrows is None:
+            if not cols_list:
+                raise ValueError("need nrows for empty column list")
             nrows = len(cols_list[0])
-        elif nrows is None:
-            raise ValueError("need nrows for empty column list")
-        return cls.from_rows([[c[i] for c in cols_list] for i in range(nrows)])
+        if any(len(c) != nrows for c in cols_list):
+            raise ValueError("ragged columns")
+        return cls(nrows, len(cols_list),
+                   [c[i] for i in range(nrows) for c in cols_list])
 
     @classmethod
     def identity(cls, n):
@@ -266,9 +275,9 @@ class FgAbGroup:
     Elements are integer tuples of length rank + k, free coordinates first.
     """
 
-    __slots__ = ("rank", "torsion", "presentation")
+    __slots__ = ("rank", "torsion")
 
-    def __init__(self, rank, torsion=(), presentation=None):
+    def __init__(self, rank, torsion=()):
         torsion = tuple(int(d) for d in torsion)
         if any(d < 2 for d in torsion):
             raise ValueError("torsion orders must be >= 2")
@@ -277,7 +286,6 @@ class FgAbGroup:
                 raise ValueError("divisibility chain violated")
         self.rank = rank
         self.torsion = torsion
-        self.presentation = presentation  # optional (relations, U, V) provenance
 
     # -- basic structure -------------------------------------------------
 
@@ -420,8 +428,7 @@ class FgAbGroup:
             else IntMatrix.zero(0, n)
         # section: invert u exactly, keep the corresponding columns
         uinv = _unimodular_inverse(u)
-        lift = IntMatrix.from_columns([uinv.column(i) for i in keep], nrows=n) if keep \
-            else IntMatrix.zero(n, 0)
+        lift = IntMatrix.from_columns([uinv.column(i) for i in keep], nrows=n)
         return group, to_canonical, lift
 
 
@@ -537,9 +544,6 @@ class GroupHom:
         src_rels = self.source.relation_columns()
         # kernel subgroup = (lattice span) / (source relations)
         gens = lat + [list(c) for c in src_rels]
-        if not gens:
-            k = FgAbGroup.zero_group()
-            return k, GroupHom(k, self.source, ())
         gen_m = IntMatrix.from_columns(gens, nrows=self.source.dim)
         rel_in_gens = [solve_integer(gen_m, tuple(c)) for c in src_rels]
         rel_in_gens += integer_kernel(gen_m)  # redundancies among the generators
@@ -571,59 +575,37 @@ class GroupHom:
         return c.is_trivial()
 
 
-def _prime_powers(n):
-    """Prime power factorization as a dict p -> e."""
-    out = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out[p] = e
-        p += 1
-    if m > 1:
-        out[m] = 1
-    return out
-
-
 def direct_sum(groups):
     """(G_1 (+) ... (+) G_n, injections, projections).
 
-    The sum is reassembled into canonical form (all free coordinates first,
-    torsion merged into one divisibility chain), so the injections do the
-    bookkeeping.
+    The free coordinates of the summands come first, block by block, and
+    carry no relations.  The torsion coordinates, modulo the diagonal
+    relations d * e of the summands, are put in canonical form by one Smith
+    form (``from_relations``): injection i sends a torsion generator of G_i
+    to a column of ``to_canonical``, and projection i reads the block of G_i
+    in each ``lift`` column.
     """
     rank = sum(g.rank for g in groups)
-    torsion = _chain_from_orders([d for g in groups for d in g.torsion])
-    total = FgAbGroup(rank, torsion)
-    # per slot and prime, the available exponent; the chain was built from
-    # exactly the prime-power components of the inputs, so exact matches exist
-    avail = [dict(_prime_powers(d)) for d in torsion]
-    free_off = 0
-    injections = []
+    orders = [d for g in groups for d in g.torsion]
+    k = len(orders)
+    tors, to_can, lift = FgAbGroup.from_relations(
+        k, [tuple(d if i == j else 0 for i in range(k))
+            for j, d in enumerate(orders)])
+    total = FgAbGroup(rank, tors.torsion)
+    free_gens = total.generators()[:rank]
+    injections, projections = [], []
+    f = t = 0  # where the free and the torsion coordinates of g start
     for g in groups:
-        imgs = []
-        for i in range(g.dim):
-            vec = [0] * total.dim
-            if i < g.rank:
-                vec[free_off + i] = 1
-            else:
-                d = g.torsion[i - g.rank]
-                for p, e in _prime_powers(d).items():
-                    for t, dt in enumerate(torsion):
-                        if avail[t].get(p, 0) == e:
-                            del avail[t][p]
-                            vec[rank + t] += dt // p ** e
-                            break
-                    else:
-                        raise AssertionError("torsion placement failed")
-            imgs.append(total.reduce(vec))
-        injections.append(GroupHom(g, total, tuple(imgs)))
-        free_off += g.rank
-    projections = _sum_projections(groups, total, injections)
+        nt = len(g.torsion)
+        g_free = g.generators()[:g.rank]
+        inj = tuple(free_gens[f:f + g.rank]) + tuple(
+            (0,) * rank + to_can.column(t + i) for i in range(nt))
+        proj = tuple(g_free[j - f] if f <= j < f + g.rank else g.zero()
+                     for j in range(rank)) + tuple(
+            (0,) * g.rank + lift.column(j)[t:t + nt] for j in range(tors.dim))
+        injections.append(GroupHom(g, total, inj))
+        projections.append(GroupHom(total, g, proj))
+        f, t = f + g.rank, t + nt
     return total, injections, projections
 
 
@@ -636,108 +618,31 @@ def pushout(a1: FgAbGroup, a2: FgAbGroup, pairs):
     return proj.compose(j1), proj.compose(j2)
 
 
-def _chain_from_orders(orders):
-    """Rebuild a divisibility chain from arbitrary cyclic orders."""
-    primary = {}
-    for n in orders:
-        for p, e in _prime_powers(n).items():
-            primary.setdefault(p, []).append(e)
-    for p in primary:
-        primary[p].sort(reverse=True)
-    chain = []
-    i = 0
-    while True:
-        factor = 1
-        for p, es in primary.items():
-            if i < len(es):
-                factor *= p ** es[i]
-        if factor == 1:
-            break
-        chain.append(factor)
-        i += 1
-    chain.reverse()
-    return tuple(chain)
-
-
-def _sum_projections(groups, total, injections):
-    """Projections are only well defined when the greedy torsion placement is
-    diagonal; they are used for free-heavy sums in practice, so solve exactly
-    per generator and fail loudly otherwise."""
-    projections = []
-    for idx, g in enumerate(groups):
-        imgs = []
-        ok = True
-        for j in range(total.dim):
-            e = total.reduce(tuple(1 if t == j else 0 for t in range(total.dim)))
-            # find the unique expression of e through the injections, if any
-            comp = _project_generator(groups, injections, idx, e)
-            if comp is None:
-                ok = False
-                break
-            imgs.append(comp)
-        projections.append(GroupHom(total, g, tuple(imgs)) if ok else None)
-    return projections
-
-
-def _project_generator(groups, injections, idx, e):
-    imgs = [v for inj in injections for v in inj.images]
-    total = injections[0].target
-    sol = GroupHom(FgAbGroup.free(len(imgs)), total, tuple(imgs)).preimage(e)
-    if sol is None:
-        return None
-    off = sum(g.dim for g in groups[:idx])
-    return groups[idx].reduce(sol[off:off + groups[idx].dim])
-
-
 # -- Hom, Ext and extensions ----------------------------------------------
 
-def _resolution(a: FgAbGroup):
-    """Canonical free resolution 0 -> Z^k -> Z^(rank+k) -> A -> 0.
-
-    Returns (n, k, d) where d maps e_i of Z^k to d_i * e_(rank+i).
-    """
-    n = a.dim
-    k = len(a.torsion)
-    return n, k, list(a.torsion)
-
-
-def _power_hom(b: FgAbGroup, n: int):
-    """(B^n, injections, projections-as-coordinates)."""
-    return direct_sum([b] * n) if n else (FgAbGroup.zero_group(), [], [])
-
-
 def _resolution_map(a: FgAbGroup, b: FgAbGroup):
-    """The map B^n -> B^k, psi |-> psi o d, for the canonical resolution of A."""
-    n, k, ds = _resolution(a)
-    bn, inj_n, proj_n = _power_hom(b, n)
-    bk, inj_k, _ = _power_hom(b, k)
+    """The map B^dim -> B^k, psi |-> psi o d, for the canonical resolution
+    0 -> Z^k -d-> Z^dim -> A -> 0 of A, d(e_i) = d_i * e_(rank+i)."""
+    bn, _, proj_n = direct_sum([b] * a.dim)
+    bk, inj_k, _ = direct_sum([b] * len(a.torsion))
     imgs = []
     for gen in bn.generators():
         out = bk.zero()
-        for i in range(k):
+        for i, d in enumerate(a.torsion):
             comp = proj_n[a.rank + i].apply(gen)
-            out = bk.add(out, inj_k[i].apply(b.scale(ds[i], comp)))
+            out = bk.add(out, inj_k[i].apply(b.scale(d, comp)))
         imgs.append(out)
-    return GroupHom(bn, bk, tuple(imgs)), bn, bk, inj_n, inj_k
+    return GroupHom(bn, bk, tuple(imgs))
 
 
 def hom_group(a: FgAbGroup, b: FgAbGroup):
-    """Hom(A, B) computed from the canonical resolution of A."""
-    if len(a.torsion) == 0:
-        total, _, _ = _power_hom(b, a.dim)
-        return total
-    phi, _, _, _, _ = _resolution_map(a, b)
-    k, _ = phi.kernel()
-    return k
+    """Hom(A, B): the kernel of the resolution map."""
+    return _resolution_map(a, b).kernel()[0]
 
 
 def ext1(a: FgAbGroup, b: FgAbGroup):
-    """Ext^1(A, B) from the canonical resolution of A."""
-    if len(a.torsion) == 0:
-        return FgAbGroup.zero_group()
-    phi, _, _, _, _ = _resolution_map(a, b)
-    c, _ = phi.cokernel()
-    return c
+    """Ext^1(A, B): the cokernel of the resolution map."""
+    return _resolution_map(a, b).cokernel()[0]
 
 
 def ext_class_to_extension(a: FgAbGroup, b: FgAbGroup, cocycle):
@@ -746,21 +651,19 @@ def ext_class_to_extension(a: FgAbGroup, b: FgAbGroup, cocycle):
 
     Returns (E, include_b, project_a).
     """
-    n, k, ds = _resolution(a)
+    n, nb = a.dim, b.dim
     cocycle = [b.reduce(v) for v in cocycle]
-    if len(cocycle) != k:
+    if len(cocycle) != len(a.torsion):
         raise ValueError("need one cocycle entry per torsion generator")
-    nb = b.dim
     # ambient Z^(nb + n); relations: B's relations, and (cocycle_i, -d_i e_(rank+i))
-    amb = nb + n
     rels = []
     for c in b.relation_columns():
         rels.append(list(c) + [0] * n)
-    for i in range(k):
+    for i, d in enumerate(a.torsion):
         col = list(cocycle[i]) + [0] * n
-        col[nb + a.rank + i] = -ds[i]
+        col[nb + a.rank + i] = -d
         rels.append(col)
-    e, to_can, lift = FgAbGroup.from_relations(amb, rels)
+    e, to_can, lift = FgAbGroup.from_relations(nb + n, rels)
     inc_imgs = [e.reduce(to_can.column(i)) for i in range(nb)]
     include_b = GroupHom(b, e, tuple(inc_imgs))
     # E -> A: ambient coordinate nb+j maps to the j-th canonical generator of A;
@@ -778,37 +681,26 @@ class NotSurjective(ValueError):
 
 
 def split_surjection(h: GroupHom):
-    """A section s with h o s = id, or None when the surjection does not split."""
+    """A section s with h o s = id, or None when the surjection does not split.
+
+    For a target generator e of order d, s(e) is a preimage of j_T(e) under
+    x |-> j_T(h(x)) + j_S(d * x) into T (+) S: an x with h(x) = e and d*x = 0.
+    """
     if not h.is_surjective():
         raise NotSurjective("homomorphism is not surjective")
     src, tgt = h.source, h.target
+    total, (jt, js), _ = direct_sum([tgt, src])
+    h_imgs = [jt.apply(v) for v in h.images]
     imgs = []
     for i, gen in enumerate(tgt.generators()):
         d = tgt.generator_order(i)
-        # solve h(x) = gen with d*x = 0 in the source
-        img_cols = [list(v) for v in h.images]
-        relt = [list(c) for c in tgt.relation_columns()]
-        rels = [list(c) for c in src.relation_columns()]
-        ns, nt = src.dim, tgt.dim
-        width = ns + len(relt) + (len(rels) if d else 0)
-        rows = []
-        for r in range(nt):
-            row = [img_cols[j][r] for j in range(ns)]
-            row += [relt[j][r] for j in range(len(relt))]
-            row += [0] * (len(rels) if d else 0)
-            rows.append(row)
-        if d:
-            for r in range(ns):
-                row = [d if j == r else 0 for j in range(ns)]
-                row += [0] * len(relt)
-                row += [rels[j][r] for j in range(len(rels))]
-                rows.append(row)
-        m = IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, width)
-        b = list(tgt.reduce(gen)) + ([0] * ns if d else [])
-        sol = solve_integer(m, b)
-        if sol is None:
+        system = GroupHom(src, total, tuple(
+            total.add(v, js.apply(src.scale(d, e)))
+            for v, e in zip(h_imgs, src.generators())))
+        x = system.preimage(jt.apply(gen))
+        if x is None:
             return None
-        imgs.append(src.reduce(sol[:ns]))
+        imgs.append(x)
     s = GroupHom(tgt, src, tuple(imgs))
     for gen in tgt.generators():
         if h.apply(s.apply(gen)) != tgt.reduce(gen):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .abgrp import FgAbGroup, GroupHom
+from .abgrp import FgAbGroup, GroupHom, direct_sum
 from .monoid import FineMonoid, MonoidHom, groupification_cokernel
 from . import polyalg as pa
 from .polyalg import (
@@ -307,7 +307,6 @@ def first_chart_criterion_instances(chart: ChartData, m: ModulePresentation,
 
 def unit_extension_chart(chart: ChartData, units_rank=1):
     """The chart with Q' = Q (+) Z^r, P' = P (+) Z^r, trivial unit images."""
-    from .abgrp import direct_sum
     r = units_rank
     zgens = []
     for i in range(r):
@@ -366,9 +365,10 @@ def _canonical_chart_map(chart_from, cr_from: ChartShape, chart_to,
     for i in cr_from.avars:
         images.append(ring_to.var(cr_to.avars[i]))
     p_off = len(cr_to.avars)
-    for j, pg in enumerate(chart_from.p.generators):
+    to_ambient = _match_in_monoid(chart_from, chart_to)
+    for pg in chart_from.p.generators:
         # express the image of pg inside the target monoid P'
-        target = _match_in_monoid(chart_from, chart_to, pg)
+        target = to_ambient.apply(pg)
         try:
             images.append(_monomial_over(ring_to, p_off, chart_to.p, target))
         except ChartInvalid:
@@ -376,14 +376,19 @@ def _canonical_chart_map(chart_from, cr_from: ChartShape, chart_to,
     return RingMap(cr_from.pres, cr_to.pres, images)
 
 
-def _match_in_monoid(chart_from, chart_to, pg):
-    """Ambient element of P' corresponding to a generator of P, for the
-    unit-extension relation (coordinates extend by zero)."""
-    d_from = chart_from.p.ambient.dim
-    d_to = chart_to.p.ambient.dim
-    if d_to >= d_from:
-        return tuple(pg) + (0,) * (d_to - d_from)
-    return tuple(pg)[:d_to]
+def _match_in_monoid(chart_from, chart_to):
+    """The map of P-ambients behind the unit-extension relation: the
+    injection of P^amb into P^amb (+) Z^r, the sum ``unit_extension_chart``
+    builds, or the projection back from it.  ChartsUnrelated when the larger
+    ambient is not that sum."""
+    a_from, a_to = chart_from.p.ambient, chart_to.p.ambient
+    up = a_to.dim >= a_from.dim
+    small, big = (a_from, a_to) if up else (a_to, a_from)
+    r = max(big.rank - small.rank, 0)
+    total, (inj, _), (proj, _) = direct_sum([small, FgAbGroup.free(r)])
+    if total != big:  # also when the larger ambient has the smaller rank
+        raise ChartsUnrelated("the P ambients differ by more than units")
+    return inj if up else proj
 
 
 def _degree_iso(cr1: ChartShape, cr2: ChartShape, fwd: RingMap):

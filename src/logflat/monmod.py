@@ -10,8 +10,9 @@ A module is one of:
 
 Components are canonicalized so that two generators share a component exactly
 when they differ by an element of the groupification of the acting monoid;
-comparability then reduces to a finite generator-pair check with a bounded
-search certified by the positive functional of the image monoid.
+comparability then reduces to a finite generator-pair check, decided by
+membership alone: a pair has a common lower bound exactly when some generator
+of its component is one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .abgrp import FgAbGroup, GroupHom, pushout
-from .monoid import AmbientMismatch, FineMonoid, MonoidHom, _lam_value
+from .monoid import AmbientMismatch, FineMonoid, MonoidHom
 
 FREE = "free"
 EMBEDDED = "embedded"
@@ -172,8 +173,8 @@ def is_flat(m: PModule) -> FlatVerdict:
     """Exact flatness: torsion-free and comparable.
 
     Torsion-freeness is the injectivity of the action on the groupification;
-    comparability is decided by the generator-pair reduction with a bounded
-    search (budgeted by the positive functional of the image monoid).
+    comparability is decided by the generator-pair reduction, one membership
+    test per generator of the component.
     """
     if m.kind not in (FREE, EMBEDDED, IDEAL, LOCALIZATION):
         raise UnsupportedModuleClass(m.kind)
@@ -225,56 +226,18 @@ def _comparable_localization(m: PModule):
 
 
 def _common_lower_bound(m: PModule, t1, t2, comp):
-    """x in the module with t_i - x in action(P), or None.
+    """x in the module with t_i - x in action(P), or None: the first
+    generator g of the component with t_1 - g and t_2 - g both in action(P).
 
-    Complete: any lower bound can be replaced by one of the enumerated form
-    g + w with w a sharp-class representative of the image monoid, since
-    units of the image monoid are absorbed by membership.
+    Complete: every module element is x = g + w with w in action(P), and if
+    x is a lower bound then so is g, since t_i - g = (t_i - x) + w.
     """
     amb = m.ambient
     mon = m.action_image_monoid()
-    proj, _ = mon._sharp_data()
-    lam = mon._integer_functional()
-
-    def lam_of(y):
-        return _lam_value(lam, proj.apply(y))
-
-    units = mon.unit_indices()
-    nonunit = [(ng, lam_of(ng)) for i, ng in enumerate(mon.generators)
-               if i not in units]
-    sub = amb.reduced_sub()
     for g, c in m.generators:
-        if c != comp:
-            continue
-        d1, d2 = amb.sub(t1, g), amb.sub(t2, g)
-        budget = min(lam_of(d1), lam_of(d2))
-        if budget < 0:
-            continue
-        found = _search_lower(mon, sub, nonunit, budget, d1, d2)
-        if found is not None:
-            return amb.sub(t1, found)
-    return None
-
-
-def _search_lower(mon, sub, nonunit, budget, d1, d2):
-    """Depth-first search over w in the image monoid with lam(w) <= budget
-    for d_i - w both in it; returns d1 - w for the first such w, or None.
-
-    The search runs on d1 - w and d2 - w, which determine w; lam(w) is
-    carried along, since lam is additive on the free coordinates."""
-    seen = set()
-    stack = [(d1, d2, 0)]
-    while stack:
-        e1, e2, lw = stack.pop()
-        if e1 in seen:
-            continue
-        seen.add(e1)
-        if mon.member(e1) and mon.member(e2):
-            return e1
-        for ng, lg in nonunit:
-            f1 = sub(e1, ng)
-            if f1 not in seen and lw + lg <= budget:
-                stack.append((f1, sub(e2, ng), lw + lg))
+        if c == comp and mon.member(amb.sub(t1, g)) and \
+                mon.member(amb.sub(t2, g)):
+            return g
     return None
 
 

@@ -931,7 +931,6 @@ def classify_morphism(h: MonoidHom):
 def _is_strict(h: MonoidHom):
     proj_s, sharp_s = h.source._sharp_data()
     proj_t, sharp_t = h.target._sharp_data()
-    imgs = [proj_t.apply(v) for v in h.images]
     induced = MonoidHom(sharp_s, sharp_t,
                         _match_sharp_images(h, proj_s, proj_t, sharp_s),
                         check=False)

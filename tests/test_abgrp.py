@@ -1,3 +1,5 @@
+from math import gcd, prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -232,3 +234,93 @@ def test_reduced_sub_matches_sub(rank, torsion, data):
     for _ in range(6):
         x, y = data.draw(vec), data.draw(vec)
         assert sub(x, y) == g.sub(x, y)
+
+
+# -- direct sums, sections and Hom from the one Smith form ----------------------
+
+CHAINS = [(), (2,), (3,), (4,), (2, 2), (2, 6), (3, 9), (2, 4, 12)]
+groups = st.builds(FgAbGroup, st.integers(0, 2), st.sampled_from(CHAINS))
+# prime powers, so that quotients by random elements often do not split
+finite_groups = st.builds(FgAbGroup, st.just(0), st.sampled_from(
+    [(4,), (8,), (2, 4), (4, 8), (2, 6), (3, 9)]))
+
+
+def test_from_columns_keeps_the_shape():
+    m = IntMatrix.from_columns([(), ()], nrows=0)
+    assert (m.rows, m.cols) == (0, 2)
+    assert IntMatrix.from_columns([], nrows=3).cols == 0
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 2), (3,)])
+    with pytest.raises(ValueError):
+        IntMatrix.from_columns([(1, 2)], nrows=3)
+
+
+def test_kernel_into_the_zero_group_is_everything():
+    # a system with no rows keeps its columns, so the kernel is all of Z^2
+    h = GroupHom(FgAbGroup.free(2), FgAbGroup.zero_group(), ((), ()))
+    assert h.kernel_lattice() == [(1, 0), (0, 1)]
+    assert h.kernel()[0] == FgAbGroup.free(2)
+    assert not h.is_injective()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(groups, max_size=4))
+def test_direct_sum_injections_and_projections(gs):
+    total, injs, projs = direct_sum(gs)
+    assert total.rank == sum(g.rank for g in gs)
+    if not total.rank:
+        assert total.order() == prod(g.order() for g in gs)
+    for i, (g, p) in enumerate(zip(gs, projs)):
+        for j, (h, inj) in enumerate(zip(gs, injs)):
+            comp = p.compose(inj)
+            expect = h.generators() if i == j else [g.zero()] * h.dim
+            assert list(comp.images) == expect
+    for e in total.generators():
+        back = total.zero()
+        for inj, p in zip(injs, projs):
+            back = total.add(back, inj.apply(p.apply(e)))
+        assert back == e
+
+
+def test_direct_sum_of_nothing_is_zero():
+    assert direct_sum([]) == (FgAbGroup.zero_group(), [], [])
+
+
+def test_direct_sum_keeps_free_coordinates_in_blocks():
+    # the free coordinates stay block by block; only torsion is rearranged
+    total, (j1, j2), _ = direct_sum([FgAbGroup(1, (4,)), FgAbGroup(2, (2, 6))])
+    assert total == FgAbGroup(3, (2, 2, 12))
+    assert j1.images[0] == (1, 0, 0, 0, 0, 0)
+    assert [v[:3] for v in j2.images[:2]] == [(0, 1, 0), (0, 0, 1)]
+    g = FgAbGroup(2, (2,))
+    assert direct_sum([g])[1][0] == GroupHom.identity(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(finite_groups, st.data())
+def test_split_surjection_matches_brute_force(src, data):
+    # h is the quotient of src by one or two random elements, so it is onto
+    elem = st.tuples(*[st.integers(0, d - 1) for d in src.torsion])
+    rels = data.draw(st.lists(elem, min_size=1, max_size=2))
+    tgt, h = GroupHom(FgAbGroup.free(len(rels)), src, tuple(rels)).cokernel()
+    splits = all(
+        any(h.apply(x) == e and src.is_zero(src.scale(tgt.generator_order(i), x))
+            for x in src.elements())
+        for i, e in enumerate(tgt.generators()))
+    s = split_surjection(h)
+    assert (s is not None) == splits
+    if s is not None:
+        assert h.compose(s) == GroupHom.identity(tgt)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 9])
+@pytest.mark.parametrize("n", [2, 4, 6, 12])
+def test_hom_cyclic_order(m, n):
+    assert hom_group(FgAbGroup(0, (m,)), FgAbGroup(0, (n,))).order() == gcd(m, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), groups)
+def test_hom_from_free_is_a_power(a, b):
+    assert hom_group(FgAbGroup.free(a), b) == direct_sum([b] * a)[0]
+    assert ext1(FgAbGroup.free(a), b).is_trivial()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -243,6 +245,41 @@ class TestChartInvariance:
         m = ModulePresentation(chart.c, 1, [])
         ok, _ = chart_change_invariance(chart, chart, m)
         assert ok
+
+    def test_unit_extension_over_a_torsion_ambient(self):
+        # in P' = P (+) Z the unit Z comes before the torsion coordinate of
+        # P^gp = Z + Z/2, so the generator (1, 1) goes to (1, 0, 1)
+        from logflat import cli
+        doc = {"version": 1, "objects": [
+            {"name": "C", "kind": "ring", "variables": ["x", "y"],
+             "relations": ["x^2 - y^2"]},
+            {"name": "M", "kind": "module", "ring": "C", "rank": 1,
+             "relations": []},
+            {"name": "Q", "kind": "monoid", "ambient_rank": 0,
+             "generators": []},
+            {"name": "P", "kind": "monoid", "ambient_rank": 1,
+             "ambient_torsion": [2], "generators": [[1, 0], [1, 1]]},
+            {"name": "h", "kind": "monoid_hom", "source": "Q", "target": "P",
+             "images": []},
+            {"name": "A", "kind": "ring", "variables": [], "relations": []},
+            {"name": "ch", "kind": "chart", "q": "Q", "p": "P", "h": "h",
+             "a": "A", "c": "C", "t": [], "b": ["x", "y"], "f": []}],
+            "tasks": [{"kind": "chart_invariance", "chart": "ch",
+                       "module": "M", "units_rank": 1}]}
+        report, code = cli.run_document(doc)
+        assert code == 0
+        assert report["tasks"][0]["result"]["invariant"] is True
+
+    def test_unrelated_ambients_guard(self):
+        # Z^2 + Z/2 is not Z^2 (+) Z^r for any r
+        chart = nodal_chart()
+        p2 = FineMonoid(FgAbGroup(2, (2,)),
+                        [v + (0,) for v in chart.p.generators])
+        wider = replace(chart, p=p2, h=MonoidHom(
+            chart.q, p2, [v + (0,) for v in chart.h.images]))
+        with pytest.raises(ChartsUnrelated):
+            chart_change_invariance(chart, wider,
+                                    ModulePresentation(chart.c, 1, []))
 
     def test_different_c_guard(self):
         with pytest.raises(ChartsUnrelated):

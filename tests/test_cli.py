@@ -276,6 +276,22 @@ class TestCheck:
         report = json.loads(r.stdout)
         assert report["tasks"][0]["status"] == "error"
 
+    def test_classify_map_to_zero(self):
+        # N -> 0 kills the generator: not injective, flat or free
+        doc = {"version": 1, "objects": [
+            {"name": "N", "kind": "monoid", "ambient_rank": 1,
+             "generators": [[1]]},
+            {"name": "O", "kind": "monoid", "ambient_rank": 0,
+             "generators": []},
+            {"name": "h", "kind": "monoid_hom", "source": "N", "target": "O",
+             "images": [[]]}],
+            "tasks": [{"kind": "classify", "hom": "h"}]}
+        report, code = cli.run_document(doc)
+        assert code == 0
+        result = report["tasks"][0]["result"]
+        assert result["injective"] is False
+        assert result["flat"] is False and result["free"] is False
+
     def test_fp_field_flag(self, tmp_path):
         f = tmp_path / "nodal.json"
         f.write_text(json.dumps(NODAL_FILE))

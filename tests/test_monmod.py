@@ -338,7 +338,8 @@ def test_extract_basis_enumerates_no_window():
     assert res.certificate == {"basis": [(gens[0], 0)], "verified": True}
 
 
-WINDOW_PARAMETERS = {"window", "cap", "module_window", "search_degree"}
+WINDOW_PARAMETERS = {"window", "cap", "module_window", "search_degree",
+                     "budget"}
 
 
 def _parameters(path):

@@ -227,6 +227,14 @@ class TestClassify:
         assert c.free and c.flat
         assert c.vertical  # cokernel monoid is Z/2
 
+    def test_map_to_the_zero_monoid_is_not_injective(self):
+        # N -> 0 kills the generator, so it is neither injective nor flat
+        h = MonoidHom(nat_monoid(1), trivial_monoid(), [()])
+        assert not h.is_injective()
+        c = classify_morphism(h)
+        assert not c.injective
+        assert c.flat is False and c.free is False
+
     def test_undecidable_is_honest(self):
         # N -> N^2, 1 |-> e1: not vertical, free via recognizer
         h = MonoidHom(nat_monoid(1), nat_monoid(2), [(1, 0)])
