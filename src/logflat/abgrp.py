@@ -6,11 +6,11 @@ integers: the first ``rank`` coordinates are free, the remaining ones are
 torsion coordinates reduced into [0, d_i).
 
 Everything here is built on one primitive: the Smith normal form with its
-unimodular transforms, computed with arbitrary-precision integers.  Every
-group that is built, a quotient, kernel, image, direct sum, pushout,
-Hom, Ext^1 or extension, comes from ``FgAbGroup.from_relations``: the one
-Smith form of its relations gives the canonical form and both coordinate
-maps.
+unimodular transforms and the inverse of the row transform, computed with
+arbitrary-precision integers.  Every group that is built, a quotient,
+kernel, image, direct sum, pushout, Hom, Ext^1 or extension, comes from
+``FgAbGroup.from_relations``: the one Smith form of its relations gives the
+canonical form and both coordinate maps.
 
 This module is the integer-lattice layer of the package.  A list of elements
 of a group G is the hom ``GroupHom(FgAbGroup.free(n), G, elements)``, and
@@ -19,6 +19,7 @@ only this module solves its stacked system [elements | relations of G]:
 relations among the list, ``image`` the subgroup it generates, and
 ``pushout`` glues two groups along pairs of elements.  Monoids, modules,
 gradings and charts call these and never build the system themselves.
+``lll_reduce`` shortens a lattice basis; toric ideals start from it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries):
-        entries = tuple(int(e) for e in entries)
+        entries = tuple(map(int, entries))
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
         self.rows = rows
@@ -83,10 +84,6 @@ class IntMatrix:
 
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self):
-        return IntMatrix(self.cols, self.rows,
-                         [self[i, j] for j in range(self.cols) for i in range(self.rows)])
 
     def mul(self, other):
         if self.cols != other.rows:
@@ -142,21 +139,30 @@ class IntMatrix:
 
 
 def smith_normal_form(m: IntMatrix):
-    """Return (U, D, V) with U*m*V = D diagonal, d_1 | d_2 | ..., U, V unimodular.
+    """Return (U, D, V, W) with U*m*V = D diagonal, d_1 | d_2 | ..., U, V
+    unimodular and W = U^-1.
 
-    Pivot choice: smallest absolute nonzero value, ties broken by lowest
-    (row, col), which makes the result deterministic for a fixed input.
+    Each row operation on U is matched by the inverse column operation on
+    W (row_i -= q*row_j by col_j += q*col_i; a swap or a negation by the
+    same on columns), so the inverse costs no more than U itself; W is kept
+    as its list of columns.  Pivot choice: smallest absolute nonzero value,
+    ties broken by lowest (row, col), which makes the result deterministic
+    for a fixed input.
     """
     r, c = m.rows, m.cols
     a = m.to_rows()
-    u = IntMatrix.identity(r).to_rows()
-    v = IntMatrix.identity(c).to_rows()
+
+    def eye(n):
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+
+    u, w, v = eye(r), eye(r), eye(c)  # w holds the columns of W
 
     def row_add(i, j, q):  # row_i -= q * row_j
         for t in range(c):
             a[i][t] -= q * a[j][t]
         for t in range(r):
             u[i][t] -= q * u[j][t]
+        w[j] = [x + q * y for x, y in zip(w[j], w[i])]
 
     def col_add(i, j, q):  # col_i -= q * col_j
         for t in range(r):
@@ -167,6 +173,7 @@ def smith_normal_form(m: IntMatrix):
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
+        w[i], w[j] = w[j], w[i]
 
     def col_swap(i, j):
         for t in range(r):
@@ -179,6 +186,7 @@ def smith_normal_form(m: IntMatrix):
             a[i][t] = -a[i][t]
         for t in range(r):
             u[i][t] = -u[i][t]
+        w[i] = [-x for x in w[i]]
 
     t = 0
     while t < r and t < c:
@@ -236,18 +244,20 @@ def smith_normal_form(m: IntMatrix):
             row_neg(t)
         t += 1
 
-    return (IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v))
+    return (IntMatrix(r, r, [e for row in u for e in row]),
+            IntMatrix(r, c, [e for row in a for e in row]),
+            IntMatrix(c, c, [e for row in v for e in row]),
+            IntMatrix(r, r, [col[i] for i in range(r) for col in w]))
 
 
-def solve_integer(m: IntMatrix, b):
-    """One integer solution x of m*x = b, or None if there is none."""
-    if not m.cols:
-        return () if not any(b) else None
-    u, d, v = smith_normal_form(m)
+def _solve_smith(snf, b):
+    """One integer solution x of m*x = b, or None, from the Smith form
+    (U, D, V, W) of m."""
+    u, d, v, _ = snf
     ub = u.apply(tuple(b))
-    y = [0] * m.cols
-    for i in range(m.rows):
-        di = d[i, i] if i < m.cols else 0
+    y = [0] * v.rows
+    for i in range(u.rows):
+        di = d[i, i] if i < v.rows else 0
         if di == 0:
             if ub[i] != 0:
                 return None
@@ -258,15 +268,88 @@ def solve_integer(m: IntMatrix, b):
     return v.apply(tuple(y))
 
 
+def _kernel_smith(snf):
+    """Basis (list of columns) of {x : m*x = 0} from the Smith form of m."""
+    u, d, v, _ = snf
+    return [v.column(j) for j in range(v.rows)
+            if j >= u.rows or d[j, j] == 0]
+
+
+def solve_integer(m: IntMatrix, b):
+    """One integer solution x of m*x = b, or None if there is none."""
+    if not m.cols:
+        return () if not any(b) else None
+    return _solve_smith(smith_normal_form(m), b)
+
+
 def integer_kernel(m: IntMatrix):
     """Basis (list of columns) of {x : m*x = 0}."""
-    _, d, v = smith_normal_form(m)
-    basis = []
-    for j in range(m.cols):
-        dj = d[j, j] if j < m.rows else 0
-        if dj == 0:
-            basis.append(v.column(j))
-    return basis
+    return _kernel_smith(smith_normal_form(m))
+
+
+def lll_reduce(vectors):
+    """An LLL-reduced basis (delta = 3/4) of the lattice spanned by linearly
+    independent integer vectors.
+
+    Cohen's integral algorithm (A Course in Computational Algebraic Number
+    Theory, 1993, Alg. 2.6.7): d[i] is the Gram determinant of the first i
+    vectors and lam[k][j] = d[j+1] * mu_kj, both integers, and every
+    division is exact.  Raises ValueError when the vectors are dependent
+    (a Gram determinant vanishes).
+    """
+    b = [tuple(x) for x in vectors]
+    n = len(b)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+
+    def dot(x, y):
+        return sum(map(operator.mul, x, y))
+
+    def red(k, l):  # size-reduce b[k] against b[l]
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = tuple(x - q * y for x, y in zip(b[k], b[l]))
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k, kmax):  # exchange b[k-1] and b[k]
+        b[k - 1], b[k] = b[k], b[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        lk = lam[k][k - 1]
+        new_d = (d[k - 1] * d[k + 1] + lk * lk) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lk * t) // d[k]
+            lam[i][k - 1] = (new_d * t + lk * lam[i][k]) // d[k + 1]
+        d[k] = new_d
+
+    k, kmax = 0, -1
+    while k < n:
+        if k > kmax:  # Gram-Schmidt of the new vector
+            kmax = k
+            for j in range(k + 1):
+                x = dot(b[k], b[j])
+                for i in range(j):
+                    x = (d[i + 1] * x - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = x
+                elif x == 0:
+                    raise ValueError("lll_reduce needs linearly independent "
+                                     "vectors")
+                else:
+                    d[k + 1] = x
+        if k:
+            red(k, k - 1)
+            if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
+                swap(k, kmax)  # Lovasz's condition fails
+                k = max(1, k - 1)
+                continue
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+        k += 1
+    return b
 
 
 class FgAbGroup:
@@ -417,7 +500,7 @@ class FgAbGroup:
             ident = IntMatrix.identity(n)
             return cls.free(n), ident, ident
         m = IntMatrix.from_columns(cols, nrows=n)
-        u, d, _ = smith_normal_form(m)
+        u, d, _, uinv = smith_normal_form(m)
         diag = [d[i, i] for i in range(min(n, m.cols))]
         free_pos = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
         tors_pos = [i for i in range(len(diag)) if diag[i] >= 2]
@@ -426,28 +509,8 @@ class FgAbGroup:
         keep = free_pos + tors_pos
         to_canonical = IntMatrix.from_rows([u.row(i) for i in keep]) if keep \
             else IntMatrix.zero(0, n)
-        # section: invert u exactly, keep the corresponding columns
-        uinv = _unimodular_inverse(u)
         lift = IntMatrix.from_columns([uinv.column(i) for i in keep], nrows=n)
         return group, to_canonical, lift
-
-
-def _unimodular_inverse(u: IntMatrix):
-    """Exact inverse of a unimodular integer matrix via adjugate/Bareiss."""
-    n = u.rows
-    det = u.determinant()
-    if det not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    cof = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = IntMatrix.from_rows(
-                [[u[a, b] for b in range(n) if b != j] for a in range(n) if a != i])
-            row.append((-1) ** (i + j) * minor.determinant())
-        cof.append(row)
-    adj = IntMatrix.from_rows(cof).transpose()
-    return IntMatrix(n, n, [e * det for e in adj.entries])
 
 
 @dataclass(frozen=True)
@@ -544,9 +607,10 @@ class GroupHom:
         src_rels = self.source.relation_columns()
         # kernel subgroup = (lattice span) / (source relations)
         gens = lat + [list(c) for c in src_rels]
-        gen_m = IntMatrix.from_columns(gens, nrows=self.source.dim)
-        rel_in_gens = [solve_integer(gen_m, tuple(c)) for c in src_rels]
-        rel_in_gens += integer_kernel(gen_m)  # redundancies among the generators
+        snf = smith_normal_form(
+            IntMatrix.from_columns(gens, nrows=self.source.dim))
+        rel_in_gens = [_solve_smith(snf, c) for c in src_rels]
+        rel_in_gens += _kernel_smith(snf)  # redundancies among the generators
         k, to_can, lift = FgAbGroup.from_relations(len(gens), rel_in_gens)
         imgs = []
         for j in range(k.dim):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
+from . import abgrp
 from .qcone import clear_denominators
 
 
@@ -766,10 +767,9 @@ class ModulePresentation:
 
     def kbasis(self):
         """The standard monomials of M, or None if M is infinite dimensional;
-        computed once."""
+        computed once, from ``gb()``."""
         if self._kbasis is _UNSET:
-            self._kbasis = vector_space_basis(self.over, self.rank,
-                                              self.columns)
+            self._kbasis = standard_monomials(self)
         return self._kbasis
 
     def __repr__(self):
@@ -947,18 +947,17 @@ def regular_element_test(f, m: ModulePresentation):
 # -- vector space structure ----------------------------------------------------
 
 
-def vector_space_basis(over: RingPresentation, rank, rel_cols):
-    """Standard monomials (mono, pos) of the quotient, or None if infinite.
+def standard_monomials(mp: ModulePresentation):
+    """Standard monomials (mono, pos) of M against its own Groebner basis,
+    sorted, or None if M is infinite dimensional.
 
     Finiteness is decided from the leading terms before any monomial is
     enumerated, so the enumeration of a finite quotient always ends."""
-    mp = ModulePresentation(over, rank, rel_cols)
-    gb = mp.gb()
-    key = over.ring.mkey()
-    leads = [m_lt(g, key) for g in gb]
-    nv = over.ring.nvars
+    mp.gb()
+    leads = mp._lts
+    nv = mp.over.ring.nvars
     basis = []
-    for pos in range(rank):
+    for pos in range(mp.rank):
         pos_leads = [m for (m, p) in leads if p == pos]
         if (0,) * nv in pos_leads:
             continue  # the whole position dies
@@ -980,7 +979,12 @@ def vector_space_basis(over: RingPresentation, rank, rel_cols):
             for v in range(nv):
                 nxt = tuple(e + (1 if i == v else 0) for i, e in enumerate(mono))
                 stack.append(nxt)
-    return sorted(basis, key=key)
+    return sorted(basis, key=mp.over.ring.mkey())
+
+
+def vector_space_basis(over: RingPresentation, rank, rel_cols):
+    """Standard monomials (mono, pos) of the quotient, or None if infinite."""
+    return ModulePresentation(over, rank, rel_cols).kbasis()
 
 
 def vector_space_dimension(over, rank, rel_cols):
@@ -1088,19 +1092,23 @@ class NotPointed(ValueError):
 
 def toric_ideal(p_monoid, field=QQ, names=None, allow_units=False):
     """k[P] presented by the kernel of z_i |-> [g_i]: the lattice ideal of the
-    relation lattice saturated at every variable.
+    relation lattice saturated at every variable (Sturmfels, Groebner Bases
+    and Convex Polytopes, ch. 12).
 
+    The binomials come from an LLL-reduced basis of the relation lattice:
+    short vectors keep the saturations' Groebner bases small, and the
+    saturated ideal, hence its reduced basis, does not depend on the basis.
     For a pointed monoid the saturation is revlex division by each variable
-    (the lattice ideal is positively graded); for a group none is needed; in
-    the mixed case (reachable only with allow_units, for the chart layer) the
-    saturation falls back to Rabinowitsch elimination.
+    (the lattice ideal is positively graded).  With units it is Rabinowitsch
+    elimination: for a group, whose lattice ideal of a basis need not be
+    saturated either (Z on 3, 2, -2), and in the mixed case, reachable only
+    with allow_units, for the chart layer.
 
     Returns (RingPresentation, degrees), degrees the ambient element per
     variable.
     """
-    group_case = p_monoid.is_group() and p_monoid.generators
-    mixed_case = bool(p_monoid.unit_indices()) and not group_case
-    if mixed_case and not allow_units:
+    has_units = bool(p_monoid.unit_indices())
+    if has_units and not allow_units and not p_monoid.is_group():
         raise NotPointed("toric presentation needs a pointed monoid "
                          "(split units off first)")
     gens = p_monoid.generators
@@ -1112,17 +1120,12 @@ def toric_ideal(p_monoid, field=QQ, names=None, allow_units=False):
         if n == 3:
             names = ["z1", "z2", "z3"]
     ring = PolyRing(field, names)
-    lattice = p_monoid.relation_lattice()
     binomials = []
-    for a in lattice:
+    for a in abgrp.lll_reduce(p_monoid.relation_lattice()):
         plus = tuple(max(x, 0) for x in a)
         minus = tuple(max(-x, 0) for x in a)
         binomials.append(ring.sub(ring.monomial(plus), ring.monomial(minus)))
-    if group_case:
-        # every variable is a unit modulo the lattice ideal, so it is
-        # already saturated
-        current = binomials
-    elif mixed_case:
+    if has_units:
         # saturate at the product of all variables by elimination
         wring = PolyRing(field, list(names) + ["_w"])
         lifted = []

@@ -1,8 +1,10 @@
+from fractions import Fraction
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from logflat import abgrp
 from logflat.abgrp import (
     FgAbGroup,
     GroupHom,
@@ -12,6 +14,7 @@ from logflat.abgrp import (
     ext_class_to_extension,
     hom_group,
     integer_kernel,
+    lll_reduce,
     NotSurjective,
     smith_normal_form,
     solve_integer,
@@ -20,13 +23,13 @@ from logflat.abgrp import (
 
 
 def snf_diag(m):
-    _, d, _ = smith_normal_form(m)
+    _, d, _, _ = smith_normal_form(m)
     return [d[i, i] for i in range(min(m.rows, m.cols))]
 
 
 def test_snf_reference_example():
     m = IntMatrix.from_rows([[2, 4], [6, 8]])
-    u, d, v = smith_normal_form(m)
+    u, d, v, _ = smith_normal_form(m)
     assert snf_diag(m) == [2, 4]
     assert u.mul(m).mul(v) == d
     assert u.determinant() in (1, -1)
@@ -43,8 +46,9 @@ def test_snf_identity_and_zero():
                 min_size=2, max_size=4))
 def test_snf_transform_identity(rows):
     m = IntMatrix.from_rows(rows)
-    u, d, v = smith_normal_form(m)
+    u, d, v, w = smith_normal_form(m)
     assert u.mul(m).mul(v) == d
+    assert u.mul(w) == IntMatrix.identity(m.rows)
     assert u.determinant() in (1, -1)
     assert v.determinant() in (1, -1)
     diag = [d[i, i] for i in range(min(m.rows, m.cols))]
@@ -57,6 +61,37 @@ def test_snf_transform_identity(rows):
         for j in range(m.cols):
             if i != j:
                 assert d[i, j] == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_from_relations_section_and_inverse(n, data):
+    cols = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n,
+                                       max_size=n), max_size=n))
+    g, to_can, lift = FgAbGroup.from_relations(n, cols)
+    assert to_can.mul(lift) == IntMatrix.identity(g.dim)
+    if cols:
+        u, _, _, w = smith_normal_form(IntMatrix.from_columns(cols, nrows=n))
+        assert u.mul(w) == IntMatrix.identity(n)
+        assert w.mul(u) == IntMatrix.identity(n)
+
+
+def test_kernel_takes_one_smith_form_of_its_generators(monkeypatch):
+    hom = abgrp._resolution_map(FgAbGroup(0, (2, 4, 12)), FgAbGroup(1, (6,)))
+    calls = []
+    real = abgrp.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(abgrp, "smith_normal_form", counting)
+    k, incl = hom.kernel()
+    # the stacked system, the generators of the kernel, its presentation
+    assert len(calls) == 3
+    assert k.order() == 2 * 2 * 6  # Hom(Z/2 + Z/4 + Z/12, Z/6)
+    assert all(hom.target.is_zero(hom.apply(incl.apply(x)))
+               for x in k.generators())
 
 
 def test_solve_and_kernel():
@@ -324,3 +359,69 @@ def test_hom_cyclic_order(m, n):
 def test_hom_from_free_is_a_power(a, b):
     assert hom_group(FgAbGroup.free(a), b) == direct_sum([b] * a)[0]
     assert ext1(FgAbGroup.free(a), b).is_trivial()
+
+
+# -- LLL reduction --------------------------------------------------------------
+
+
+def _lattice_rank(vectors, dim):
+    if not vectors:
+        return 0
+    return sum(1 for x in snf_diag(IntMatrix.from_columns(vectors, nrows=dim))
+               if x)
+
+
+def _gram_schmidt(vectors):
+    """(|b*_k|^2, mu) over the rationals."""
+    stars, norms, mu = [], [], []
+    for k, b in enumerate(vectors):
+        row = [Fraction(0)] * k
+        star = [Fraction(x) for x in b]
+        for j in range(k):
+            row[j] = sum(Fraction(x) * y for x, y in zip(b, stars[j])) / norms[j]
+            star = [x - row[j] * y for x, y in zip(star, stars[j])]
+        stars.append(star)
+        norms.append(sum(x * x for x in star))
+        mu.append(row)
+    return norms, mu
+
+
+@st.composite
+def independent_vectors(draw):
+    dim = draw(st.integers(1, 7))
+    r = draw(st.integers(0, min(5, dim)))
+    vecs = draw(st.lists(st.tuples(*[st.integers(-20, 20)] * dim),
+                         min_size=r, max_size=r))
+    assume(_lattice_rank(vecs, dim) == r)
+    return dim, vecs
+
+
+@settings(max_examples=150, deadline=None)
+@given(independent_vectors())
+def test_lll_reduce_is_a_reduced_basis_of_the_same_lattice(case):
+    dim, vecs = case
+    out = lll_reduce(vecs)
+    assert len(out) == len(vecs)
+    if vecs:
+        old_m = IntMatrix.from_columns(vecs, nrows=dim)
+        new_m = IntMatrix.from_columns(out, nrows=dim)
+        assert all(solve_integer(old_m, v) is not None for v in out)
+        assert all(solve_integer(new_m, v) is not None for v in vecs)
+    norms, mu = _gram_schmidt(out)
+    for k in range(len(out)):
+        assert all(abs(m) <= Fraction(1, 2) for m in mu[k])
+        if k:
+            assert norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(independent_vectors(), st.data())
+def test_lll_reduce_rejects_dependent_vectors(case, data):
+    dim, vecs = case
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(vecs),
+                                max_size=len(vecs)))
+    combo = tuple(sum(c * v[i] for c, v in zip(coeffs, vecs))
+                  for i in range(dim))
+    vecs.insert(data.draw(st.integers(0, len(vecs))), combo)
+    with pytest.raises(ValueError):
+        lll_reduce(vecs)

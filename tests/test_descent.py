@@ -192,13 +192,13 @@ class TestDescentDatum:
         # dim() of M and of DP(M) is asked twice each; the k-basis is
         # computed once per presentation
         calls = []
-        real = pa.vector_space_basis
+        real = pa.standard_monomials
 
-        def counting(over, rank, rel_cols):
-            calls.append(id(rel_cols))
-            return real(over, rank, rel_cols)
+        def counting(mp):
+            calls.append(id(mp))
+            return real(mp)
 
-        monkeypatch.setattr(pa, "vector_space_basis", counting)
+        monkeypatch.setattr(pa, "standard_monomials", counting)
         rep = roundtrip_check(self.glue, nodal_modules(self.glue)["antidiag"])
         assert rep["dp_dims"] == (2, 1)
         assert len(calls) == 2 and len(set(calls)) == 2

@@ -395,7 +395,7 @@ def test_empty_systems_match_the_smith_form_path():
     """``from_relations`` and ``solve_integer`` answer a system with no
     columns without a Smith normal form; the answers are the ones it gave."""
     for n in range(4):
-        u, _, _ = smith_normal_form(IntMatrix.zero(n, 0))
+        u, _, _, _ = smith_normal_form(IntMatrix.zero(n, 0))
         assert u == IntMatrix.identity(n)
         assert FgAbGroup.from_relations(n, []) == \
             (FgAbGroup.free(n), u, u)

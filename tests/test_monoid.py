@@ -509,7 +509,7 @@ def reference_faces(self):
         if not cols or not rank:
             return 0
         m = IntMatrix.from_columns(cols, nrows=rank)
-        _, d, _ = smith_normal_form(m)
+        _, d, _, _ = smith_normal_form(m)
         return sum(1 for i in range(min(m.rows, m.cols)) if d[i, i] != 0)
 
     found.sort(key=lambda f: (-face_dim(f), f))

@@ -1,10 +1,12 @@
 import ast
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+from logflat import abgrp
 from logflat.abgrp import FgAbGroup
 from logflat.monoid import FineMonoid, nat_monoid
 from logflat import polyalg as pa
@@ -307,6 +309,20 @@ class TestToric:
         r = rp.ring
         f = r.sub(r.mul(r.var(0), r.var(2)), r.pow(r.var(1), 2))
         assert rp.is_zero(f)
+
+    def test_group_ideal_is_saturated(self, monkeypatch):
+        # Z on 3, 2, -2 from the Smith form basis {(-2, 3, 0), (2, -2, 1)}:
+        # both binomials vanish at z1 = z2 = 0, so their ideal misses
+        # z2*z3 - 1, which holds in k[Z]
+        p = FineMonoid(FgAbGroup.free(1), [(3,), (2,), (-2,)])
+        assert p.relation_lattice() == [(-2, 3, 0), (2, -2, 1)]
+        monkeypatch.setattr(abgrp, "lll_reduce", list)
+        rp, _ = toric_ideal(p)
+        r = rp.ring
+        assert rp.is_zero(r.sub(r.mul(r.var(1), r.var(2)), r.one()))
+        assert rp.is_zero(r.sub(r.mul(r.pow(r.var(0), 2), r.pow(r.var(2), 3)),
+                                r.one()))
+        assert not rp.contains_one()
 
     def test_nodal_pushforward(self):
         # k tensor_{Z[N]} Z[N^2] = k[x,y]/(xy) comes from the chart layer, but
@@ -974,3 +990,90 @@ def test_only_polyalg_reads_its_private_names(tmp_path):
                  if path.name != "polyalg.py"
                  for r in _private_polyalg_reads(path)]
     assert not offenders, offenders
+
+
+# -- toric ideals from an LLL-reduced lattice ------------------------------------
+
+
+def _ideal_digest(pres):
+    r = repr([sorted(g.items()) for g in pres.ideal])
+    return hashlib.sha256(r.encode()).hexdigest()
+
+
+def _sheared(basis):
+    """Another basis of the same lattice: b_i + b_(i+1), last one kept,
+    in reverse order."""
+    out = [tuple(x + y for x, y in zip(a, b)) for a, b in zip(basis, basis[1:])]
+    return (out + basis[-1:])[::-1]
+
+
+@st.composite
+def toric_monoids(draw):
+    """Pointed monoids (the first coordinate is a positive functional) and
+    groups (the negated sum of the generators is one more generator) in
+    Z^r (+) T."""
+    rank = draw(st.integers(1, 3))
+    torsion = draw(st.sampled_from([(), (), (2,), (3,)]))
+    elem = st.tuples(st.integers(1, 3), *[st.integers(-3, 3)] * (rank - 1),
+                     *[st.integers(0, d - 1) for d in torsion])
+    gens = draw(st.lists(elem, min_size=1, max_size=4))
+    amb = FgAbGroup(rank, torsion)
+    if draw(st.booleans()):
+        gens.append(amb.neg(tuple(map(sum, zip(*gens)))))
+    return FineMonoid(amb, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(toric_monoids())
+def test_toric_ideal_does_not_depend_on_the_lattice_basis(p):
+    # A pointed monoid is also run on the Smith form basis, the route
+    # before LLL.  Elimination, which saturates a group's lattice ideal,
+    # takes seconds to minutes on that basis, so a group is run on a
+    # sheared reduced basis instead.
+    real = abgrp.lll_reduce
+    other = (lambda vs: _sheared(real(vs))) if p.is_group() else list
+    pres, degrees = toric_ideal(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(abgrp, "lll_reduce", other)
+        old, old_degrees = toric_ideal(p)
+    assert pres.ideal == old.ideal
+    assert degrees == old_degrees
+
+
+# Cones over the 7- and 8-gon of the monoid_cones benchmark, with the size and
+# sha256 of ``repr([sorted(g.items()) for g in pres.ideal])`` that the Smith
+# form basis gave.
+POLYGON_IDEALS = [
+    ([(0, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 1)], 20,
+     "3406a14514031d966b5bcf0bb15d87b1797e3e019c43e903502002b79503800e"),
+    ([(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)], 31,
+     "b9369fd1217e477318ce76ff6ba3a457b01d6ba1545144d10f73e8a8bd9a02be"),
+]
+
+
+@pytest.mark.parametrize("verts,size,digest", POLYGON_IDEALS,
+                         ids=["7-gon", "8-gon"])
+def test_polygon_toric_ideals_pinned(verts, size, digest):
+    pres, _ = toric_ideal(FineMonoid(FgAbGroup.free(3),
+                                     [(x, y, 1) for x, y in verts]))
+    assert len(pres.ideal) == size
+    assert _ideal_digest(pres) == digest
+
+
+def test_kbasis_reads_the_presentations_own_basis(monkeypatch):
+    r = ring(["x", "y"])
+    rp = RingPresentation(r, [r.parse("x^2"), r.parse("y^3")])
+    x = r.var(0)
+    col = {(m, 1): c for (m, _), c in x.items()}  # x e_1 = 0
+    mp = ModulePresentation(rp, 2, [col])
+    calls = []
+    real = pa.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pa, "buchberger", counting)
+    assert mp.is_zero_elem(col)
+    assert len(mp.kbasis()) == 6 + 3
+    assert len(calls) == 1
