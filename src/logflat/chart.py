@@ -101,13 +101,13 @@ def _monoid_elem_in_ring(mon, images, pres, element):
 # -- A(h,t) ----------------------------------------------------------------------
 
 
-def build_A_ht(chart: ChartData, field=None):
+def build_A_ht(chart: ChartData):
     """A(h,t) = A[Q^gp (+) P]/I(h,t) with the comparison map to C[P^gp].
 
     Laurent directions are Rabinowitsch pairs; torsion generators carry their
     order relations.  Returns (A(h,t), C[P^gp], the comparison RingMap).
     """
-    field = field or chart.a.ring.field
+    field = chart.a.ring.field
     qgp, qincl, _ = chart.q.generator_hom().image()
     pgp, pincl, _ = chart.p.generator_hom().image()
     aht_names = list(chart.a.ring.names)
@@ -210,9 +210,9 @@ def _monomial_over(ring, off, mon: FineMonoid, element):
 # -- B = A (x)_{Z[Q]} Z[P] -------------------------------------------------------
 
 
-def build_B(chart: ChartData, field=None):
+def build_B(chart: ChartData):
     """B = A (x)_{Z[Q]} Z[P], graded by (P/Q)^gp, with the ring map to C."""
-    field = field or chart.a.ring.field
+    field = chart.a.ring.field
     a_names = list(chart.a.ring.names)
     p_names = [f"u{j}" for j in range(len(chart.p.generators))]
     # reuse x, y style names for small monoid ranks when free of clashes
@@ -287,14 +287,14 @@ def second_chart_criterion(chart: ChartData, m: ModulePresentation):
 
 
 def first_chart_criterion_instances(chart: ChartData, m: ModulePresentation,
-                                    ideal_lists, field=None):
+                                    ideal_lists):
     """Instance checks of the first criterion: Tor_1^{A(h,t)}(M[P^gp], -)
     against each supplied finite ideal of A(h,t).
 
     Not a decision procedure for flatness over A(h,t); each entry is an exact
     Tor vanishing computed by resolving over A(h,t) and transporting along
     the comparison map."""
-    _, cpgp, comparison = build_A_ht(chart, field)
+    _, cpgp, comparison = build_A_ht(chart)
     # M[P^gp] = M (x)_C C[P^gp]: the same columns over the bigger ring
     mp = ModulePresentation(cpgp, m.rank,
                             [pa.embed(col, cpgp.ring, 0) for col in m.columns])
@@ -487,23 +487,16 @@ class Unit:
 
 
 def certify_unit(pres: RingPresentation, p):
-    """Find the inverse by solving a linear system over the k-basis of the
-    (finite dimensional) presented ring."""
-    basis = pa.vector_space_basis(pres, 1, [])
-    if basis is None:
-        raise UnsupportedShape("unit certification needs a finite dimensional ring")
-    field = pres.ring.field
-    cols = [pa.coordinates(
-        field, pres.nf(pres.ring.mul(p, pres.ring.monomial(mono))), basis)
-        for mono, _ in basis]
-    target = pa.coordinates(field, pres.nf(pres.ring.one()), basis)
-    sol = pa.solve_linear(field, cols, target)
-    if sol is None:
+    """p as a certified unit of the presented ring R, or HomotopyInvalid.
+
+    The inverse is one ``lift_through`` of 1 through p in R as a module of
+    rank 1: exact over any R, finite dimensional or not.  Its tag part is
+    reduced against the augmented basis, whose tag-only elements are the
+    reduced basis of R's ideal when p is a unit, so the inverse is the
+    normal form of p^-1."""
+    inv, = pa.lift_through([p], ModulePresentation(pres, 1), [pres.ring.one()])
+    if inv is None:
         raise HomotopyInvalid("element is not a unit")
-    inv = pres.ring.zero()
-    for c, (mono, _) in zip(sol, basis):
-        if not field.is_zero(c):
-            inv = pres.ring.add(inv, pres.ring.monomial(mono, c))
     return Unit(pres, p, inv)
 
 

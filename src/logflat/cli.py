@@ -204,7 +204,6 @@ class Workspace:
     raises ValidationError naming it."""
 
     def __init__(self, doc, field):
-        self.doc = doc
         self.field = field
         self.objects = {}
         for obj in doc.get("objects", []):

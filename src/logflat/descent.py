@@ -127,8 +127,10 @@ class GluingDatum:
         self.c = RingPresentation(zring, inter)
         self.p1 = RingMap(self.c, self.c1, [p[0] for p in pairs], check=False)
         self.p2 = RingMap(self.c, self.c2, [p[1] for p in pairs], check=False)
-        self.ker_p1 = kernel_of_ring_map(self.p1)
-        self.ker_p2 = kernel_of_ring_map(self.p2)
+        # C = F/(i1 cap i2) for the free ring F on the pairs, so ker p_i is
+        # i_i/(i1 cap i2), generated by i_i: the graph basis of p_i would be
+        # that of F -> C_i again, which reads only C_i's ideal and the images
+        self.ker_p1, self.ker_p2 = i1, i2
         self._to_c0 = self.f1.compose(self.p1)
 
     # -- certificates -------------------------------------------------------
@@ -372,41 +374,37 @@ def _precomposition(cols, rank, n: ModulePresentation, bn):
     return mat
 
 
-def _hom_space(m: ModulePresentation, n: ModulePresentation):
-    """Basis of Hom(M, N) as a k-space (finite dimensional target only).
+def _hom_ext(m: ModulePresentation, n: ModulePresentation):
+    """(basis of Hom(M, N), the k-basis of N it is written in, dim_k
+    Ext^1(M, N)) for a finite dimensional target N.
 
-    Unknowns are the images of the M-generators in the standard-monomial
-    basis of N; the constraints say each relation column maps to zero."""
+    A hom is the images of M's generators over the standard monomials of N,
+    and Hom(M, N) is the kernel of the precomposition with M's relation
+    columns d1.  With d2 the syzygies of d1 (a two-step free resolution of
+    M), Ext^1 = ker(Hom(F1, N) -> Hom(F2, N)) / im(Hom(F0, N) -> Hom(F1, N)),
+    and the rank of the second map is read off the Hom basis: one nullspace
+    per precomposition."""
     bn = n.kbasis()
     if bn is None:
-        raise NotFiniteDimensional("Hom needs a finite dimensional target")
-    mat = _precomposition(m.columns, m.rank, n, bn)
-    return pa.nullspace(n.over.ring.field, mat, m.rank * len(bn)), bn
+        raise NotFiniteDimensional("Hom and Ext need a finite dimensional "
+                                   "target")
+    field = n.over.ring.field
+    f0, f1 = m.rank * len(bn), len(m.columns) * len(bn)
+    hom = pa.nullspace(field, _precomposition(m.columns, m.rank, n, bn), f0)
+    if not m.columns:
+        return hom, bn, 0
+    d2 = pa.kernel_of_matrix(m.over, m.columns, m.rank)
+    ker2 = pa.nullspace(field, _precomposition(d2, len(m.columns), n, bn), f1)
+    return hom, bn, len(ker2) - (f0 - len(hom))
 
 
 def hom_dimension(m, n):
-    basis, _ = _hom_space(m, n)
-    return len(basis)
+    return len(_hom_ext(m, n)[0])
 
 
 def ext1_dimension(m: ModulePresentation, n: ModulePresentation):
-    """dim_k Ext^1(M, N) through a two-step free resolution of M:
-    ker(Hom(F1,N) -> Hom(F2,N)) / im(Hom(F0,N) -> Hom(F1,N))."""
-    over = m.over
-    d1 = list(m.columns)
-    if not d1:
-        return 0
-    d2 = pa.kernel_of_matrix(over, d1, m.rank)
-    bn = n.kbasis()
-    if bn is None:
-        raise NotFiniteDimensional("Ext needs finite dimensional modules")
-    field = over.ring.field
-    f0, f1 = m.rank * len(bn), len(d1) * len(bn)
-    ker2_dim = len(pa.nullspace(field, _precomposition(d2, len(d1), n, bn),
-                                f1))
-    rank1 = f0 - len(pa.nullspace(field, _precomposition(d1, m.rank, n, bn),
-                                  f0))
-    return ker2_dim - rank1
+    """dim_k Ext^1(M, N); 0 for a free M, whatever N."""
+    return _hom_ext(m, n)[2] if m.columns else 0
 
 
 def hom_ext_fiber_product(glue: GluingDatum, m: ModulePresentation,
@@ -416,18 +414,14 @@ def hom_ext_fiber_product(glue: GluingDatum, m: ModulePresentation,
         raise GateFailed("both modules must pass the Tor gate")
     dm = pullback_P(glue, m)
     dn = pullback_P(glue, n)
-    m0 = dm.reduction(2)
-    n0 = dn.reduction(2)
-    hom_c = hom_dimension(m, n)
-    s1 = _hom_space(dm.m1, dn.m1)
-    s2 = _hom_space(dm.m2, dn.m2)
-    s0 = _hom_space(m0, n0)
-    h1, h2, h0 = len(s1[0]), len(s2[0]), len(s0[0])
+    hom, _, ext_c = _hom_ext(m, n)
+    s1 = _hom_ext(dm.m1, dn.m1)
+    s2 = _hom_ext(dm.m2, dn.m2)
+    s0 = _hom_ext(dm.reduction(2), dn.reduction(2))
+    hom_c = len(hom)
+    h1, h2, h0 = (len(s[0]) for s in (s1, s2, s0))
+    e1, e2, e0 = (s[2] for s in (s1, s2, s0))
     fiber = _fiber_dimension(glue, dm, dn, s1, s2, s0)
-    ext_c = ext1_dimension(m, n)
-    e1 = ext1_dimension(dm.m1, dn.m1)
-    e2 = ext1_dimension(dm.m2, dn.m2)
-    e0 = ext1_dimension(m0, n0)
     report = {
         "hom": {"glued": hom_c, "sides": (h1, h2), "overlap": h0,
                 "fiber_product": fiber},
@@ -442,55 +436,26 @@ def hom_ext_fiber_product(glue: GluingDatum, m: ModulePresentation,
 
 
 def _fiber_dimension(glue, dm, dn, s1, s2, s0):
-    """dim(H_1 x_{H_0} H_2) by computing the restriction maps in bases;
-    s1, s2, s0 are the ``_hom_space`` results of the two sides and the
-    overlap."""
+    """dim(H_1 x_{H_0} H_2), s1, s2, s0 being the ``_hom_ext`` results of
+    the two sides and the overlap: the pairs (a, b) of side homs with equal
+    restrictions to C_0, the kernel of (r_1, -r_2).  A restriction is
+    written over the k-basis of N_0, in Hom(F_0, N_0), which contains H_0;
+    negating r_2 changes no rank, so the kernel of (r_1, r_2) has the same
+    dimension."""
     field = glue.c0.ring.field
-    (b1, bn1), (b2, bn2), (b0, bn0) = s1, s2, s0
-    if not b0:
-        return len(b1) + len(b2)
-    # coordinates of the restriction of each basis hom to C0
-    rows = []
-    for v in b1:
-        rows.append(_restrict_hom(glue, 1, dm, dn, v, bn1, bn0, b0))
-    rows2 = []
-    for v in b2:
-        rows2.append(_restrict_hom(glue, 2, dm, dn, v, bn2, bn0, b0))
-    # fiber product = kernel of (r1, -r2): dimension by rank
-    mat = []
-    dim0 = len(b0)
-    for t in range(dim0):
-        row = [rows[i][t] for i in range(len(b1))] + \
-              [field.neg(rows2[j][t]) for j in range(len(b2))]
-        mat.append(row)
-    null = pa.nullspace(field, mat, len(b1) + len(b2))
-    return len(null)
-
-
-def _restrict_hom(glue, which, dm, dn, v, bn_i, bn0, b0):
-    """Coordinates of the C0-restriction of a side hom in the b0-basis."""
-    field = glue.c0.ring.field
-    f = glue.f1 if which == 1 else glue.f2
-    m_i = dm.m1 if which == 1 else dm.m2
-    n_i = dn.m1 if which == 1 else dn.m2
-    m0 = dm.reduction(2)
-    n0 = dn.reduction(2)
-    # v gives images of m_i's generators over bn_i; push everything to C0
-    imgs0 = []
-    for pos in range(m_i.rank):
-        vec = v[pos * len(bn_i):(pos + 1) * len(bn_i)]
-        imgs0.append(n0.nf(pa.transport_col(f, {
-            b: coeff for coeff, b in zip(vec, bn_i)
-            if not field.is_zero(coeff)})))
-    # express through the hom basis b0 by matching generator images
-    target = []
-    for pos in range(m0.rank):
-        target.append(pa.coordinates(field, imgs0[pos], bn0))
-    flat_target = [c for vec in target for c in vec]
+    n0, bn0 = dn.reduction(2), s0[1]
     cols = []
-    for w in b0:
-        cols.append(list(w))
-    sol = pa.solve_linear(field, cols, flat_target)
-    if sol is None:
-        raise AssertionError("restriction misses the hom space")
-    return sol
+    for f, m_i, (basis, bn_i, _) in ((glue.f1, dm.m1, s1),
+                                     (glue.f2, dm.m2, s2)):
+        nb = len(bn_i)
+        for v in basis:
+            # v gives the images of m_i's generators over bn_i
+            col = []
+            for pos in range(m_i.rank):
+                img = pa.transport_col(f, {
+                    b: c for c, b in zip(v[pos * nb:(pos + 1) * nb], bn_i)
+                    if not field.is_zero(c)})
+                col += pa.coordinates(field, n0.nf(img), bn0)
+            cols.append(col)
+    rows = [list(row) for row in zip(*cols)]
+    return len(pa.nullspace(field, rows, len(cols)))

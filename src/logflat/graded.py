@@ -49,17 +49,15 @@ class UnsupportedShape(ValueError):
 class GradedRing:
     """A presented ring with a degree map from variables to an abelian group."""
 
-    def __init__(self, group: FgAbGroup, pres: RingPresentation, degrees,
-                 check=True):
+    def __init__(self, group: FgAbGroup, pres: RingPresentation, degrees):
         self.group = group
         self.pres = pres
         self.degrees = tuple(group.reduce(d) for d in degrees)
         if len(self.degrees) != pres.ring.nvars:
             raise ValueError("need one degree per variable")
-        if check:
-            for g in pres.ideal:
-                if not self.is_homogeneous_poly(g):
-                    raise NotHomogeneous("ideal generator is not homogeneous")
+        for g in pres.ideal:
+            if not self.is_homogeneous_poly(g):
+                raise NotHomogeneous("ideal generator is not homogeneous")
 
     def degree_of_monomial(self, mono):
         d = self.group.zero()

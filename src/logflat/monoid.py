@@ -225,8 +225,6 @@ class FineMonoid:
         if self.is_sharp():
             ok, mult = self.member_with_certificate(g)
             return mult if ok else None
-        if not self.member(g):
-            return None
         proj, sharp = self._sharp_data()
         ok, smult = sharp.member_with_certificate(proj.apply(g))
         if not ok:
@@ -409,6 +407,7 @@ class MonoidHom:
         self.partition_tag = None
         self.free_structure = None
         self._img_hom = None
+        self._img_mon = None
         if len(self.images) != len(source.generators):
             raise ValueError("need one image per source generator")
         if check:
@@ -449,7 +448,11 @@ class MonoidHom:
                          [self.apply_gp(v) for v in inner.images], check=False)
 
     def image_monoid(self):
-        return FineMonoid(self.target.ambient, self.images)
+        """The submonoid of the target generated by the images, built once
+        per hom, so its dual cones and functional are computed once."""
+        if self._img_mon is None:
+            self._img_mon = FineMonoid(self.target.ambient, self.images)
+        return self._img_mon
 
     def kernel_lattice(self):
         """Basis of {a in Z^n : sum a_i h(g_i) = 0}; n = number of source gens."""
@@ -556,13 +559,10 @@ class ListFreeBasis(FreeBasis):
     def decompose(self, x):
         amb = self.hom.target.ambient
         x = amb.reduce(x)
-        img = self.hom.image_monoid()
         for s in self.elements:
-            d = amb.sub(x, s)
-            if img.member(d):
-                q = _preimage_in_source(self.hom, d)
-                if q is not None:
-                    return q, s
+            q = _preimage_in_source(self.hom, amb.sub(x, s))
+            if q is not None:
+                return q, s
         raise ValueError("element does not decompose over the basis")
 
 
@@ -598,10 +598,9 @@ class MinFreeBasis(FreeBasis):
 class ProductFreeBasis(FreeBasis):
     """Componentwise basis for a product of free morphisms."""
 
-    def __init__(self, hom, factors, src_projs, tgt_projs, src_injs, tgt_injs):
+    def __init__(self, hom, factors, tgt_projs, src_injs, tgt_injs):
         self.hom = hom
         self.factors = factors
-        self.src_projs = src_projs
         self.tgt_projs = tgt_projs
         self.src_injs = src_injs
         self.tgt_injs = tgt_injs
@@ -696,7 +695,7 @@ class CosetFreeBasis(FreeBasis):
             imgs.append(pre)
         self.unit_hom = GroupHom(uq, up, tuple(imgs))
         self.up_incl = up_incl
-        self.w, self.w_proj = self.unit_hom.cokernel()
+        _, self.w_proj = self.unit_hom.cokernel()
         self._reps = {}
         # proj o h : Q -> P-bar
         self.proj, sharp_t = hom.target._sharp_data()
@@ -809,7 +808,7 @@ def identity_tagged(p):
 
 def product_hom(homs):
     """Product of morphisms, with combined tag and basis."""
-    src_amb, src_injs, src_projs = direct_sum([h.source.ambient for h in homs])
+    src_amb, src_injs, _ = direct_sum([h.source.ambient for h in homs])
     tgt_amb, tgt_injs, tgt_projs = direct_sum([h.target.ambient for h in homs])
     src = FineMonoid(src_amb, [inj.apply(g) for h, inj in zip(homs, src_injs)
                                for g in h.source.generators])
@@ -826,7 +825,7 @@ def product_hom(homs):
     if all(h.free_structure is not None for h in homs):
         out.free_structure = ProductFreeBasis(
             out, [h.free_structure for h in homs],
-            src_projs, tgt_projs, src_injs, tgt_injs)
+            tgt_projs, src_injs, tgt_injs)
     return out
 
 

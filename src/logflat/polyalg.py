@@ -813,11 +813,16 @@ def kernel_of_module_map(phi_cols, m: ModulePresentation, n: ModulePresentation)
     Their relations, when a caller needs K presented, are
     ``kernel_of_matrix(m.over, gens, m.rank, m.columns)``.  ValueError when
     the columns do not define a map of presented modules."""
+    _check_map(phi_cols, m, n)
+    return kernel_of_matrix(m.over, phi_cols, n.rank, n.columns)
+
+
+def _check_map(phi_cols, m: ModulePresentation, n: ModulePresentation):
+    """ValueError unless the columns send every relation of M to zero in N."""
     field = m.over.ring.field
     for col in m.columns:
         if not n.is_zero_elem(_apply_cols(field, phi_cols, col)):
             raise ValueError("matrix does not define a map of presented modules")
-    return kernel_of_matrix(m.over, phi_cols, n.rank, n.columns)
 
 
 def _apply_cols(field, cols, vec):
@@ -857,14 +862,27 @@ def lift_through(vecs, n: ModulePresentation, targets):
 
 
 def module_map_inverse(phi_cols, m: ModulePresentation, n: ModulePresentation):
-    """Columns over R^m.rank of the inverse of the map M -> N given by the
-    columns phi_cols, or None when the map is not bijective: the kernel must
-    vanish, and every basis vector of N must lift through phi_cols.
-    ValueError when the columns do not define a map of presented modules."""
-    if not is_injective(phi_cols, m, n):
+    """Columns over R^m.rank of the inverse of the map phi: M -> N given by
+    the columns phi_cols, or None when phi is not bijective.  ValueError
+    when the columns do not define a map of presented modules.
+
+    The candidate inverse psi is the lifts of N's basis vectors through
+    phi_cols, from one augmented basis.  phi is bijective exactly when
+    every lift exists (phi is onto), psi sends N's relation columns to zero
+    in M (psi is a map N -> M), and psi phi(e_i) = e_i in M (phi is one to
+    one); no kernel is built."""
+    _check_map(phi_cols, m, n)
+    psi = lift_through(phi_cols, n, [n.basis_elem(i) for i in range(n.rank)])
+    if any(w is None for w in psi):
         return None
-    inv = lift_through(phi_cols, n, [n.basis_elem(i) for i in range(n.rank)])
-    return None if any(w is None for w in inv) else inv
+    field = m.over.ring.field
+    if not all(m.is_zero_elem(_apply_cols(field, psi, col))
+               for col in n.columns):
+        return None
+    if not all(m.eq(_apply_cols(field, psi, phi_cols[i]), m.basis_elem(i))
+               for i in range(m.rank)):
+        return None
+    return psi
 
 
 def homology(over: RingPresentation, a_cols, mid_rank, mid_relations,

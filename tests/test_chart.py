@@ -3,12 +3,14 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linear_references as ref
 from logflat.abgrp import FgAbGroup
 from logflat.monoid import FineMonoid, MonoidHom, diagonal, nat_monoid, trivial_monoid
 from logflat import polyalg as pa
 from logflat.polyalg import ModulePresentation, PolyRing, RingMap, RingPresentation
 from logflat import chart as ch
 from logflat import graded as gd
+from logflat.graded import UnsupportedShape
 from logflat.chart import (
     ChartData,
     ChartInvalid,
@@ -730,3 +732,156 @@ class TestSharedTower:
         result = report["tasks"][0]["result"]
         assert result["invariant"] is True
         assert result["certificate"]["verdicts"] == [True, True]
+
+
+# -- unit inverses from the one lift ------------------------------------------------
+
+
+@st.composite
+def finite_ring_elements(draw):
+    """(R, p): R = k[x] or k[x, y] over Q, F_3 or F_5 modulo a power of
+    each variable and at most one more small polynomial, so R is finite
+    dimensional; p a small polynomial."""
+    field = draw(st.sampled_from([pa.QQ, pa.FieldFp(3), pa.FieldFp(5)]))
+    n = draw(st.integers(1, 2))
+    ring = PolyRing(field, ["x", "y"][:n])
+
+    def poly():
+        terms = draw(st.lists(st.tuples(
+            st.tuples(*[st.integers(0, 2)] * n), st.integers(-2, 2)),
+            max_size=3))
+        return ring.add(*(ring.monomial(m, field.of_int(c))
+                          for m, c in terms))
+
+    ideal = [ring.pow(ring.var(i), draw(st.integers(1, 3)))
+             for i in range(n)]
+    ideal += [poly() for _ in range(draw(st.integers(0, 1)))]
+    p = ring.add(ring.const(draw(st.integers(-2, 2))), poly())
+    return RingPresentation(ring, ideal), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_ring_elements())
+def test_certify_unit_matches_the_kbasis_system(case):
+    pres, p = case
+    try:
+        old = ref.certify_unit(pres, p)
+    except HomotopyInvalid:
+        with pytest.raises(HomotopyInvalid):
+            certify_unit(pres, p)
+        return
+    new = certify_unit(pres, p)
+    assert new.val == old.val == p
+    assert new.inv == old.inv
+
+
+def test_certify_unit_over_an_infinite_ring():
+    # Q[x] is infinite dimensional: the lift still decides exactly
+    ring = PolyRing(pa.QQ, ["x"])
+    qx = RingPresentation(ring, [])
+    u = certify_unit(qx, ring.const(3))
+    assert u.inv == ring.const(pa.QQ.inv(pa.QQ.of_int(3)))
+    with pytest.raises(HomotopyInvalid):
+        certify_unit(qx, ring.parse("1 + x"))
+    with pytest.raises(UnsupportedShape):
+        ref.certify_unit(qx, ring.const(3))
+
+
+def test_certify_unit_builds_no_kbasis(monkeypatch):
+    ext = eps_extension()
+    for name in ("vector_space_basis", "solve_linear", "standard_monomials"):
+        monkeypatch.setattr(pa, name, None)
+    u = certify_unit(ext.aprime, ext.aprime.parse("1 + e"))
+    assert ext.aprime.eq(ext.aprime.ring.mul(u.val, u.inv),
+                         ext.aprime.ring.one())
+
+
+# -- lifting over torsion ambients of the field's characteristic ------------------
+
+
+TORSION_LIFTS = {
+    (2, 1): (
+        ['rt0'],
+        ['x + 1',
+         'x*rt0^3 + rt0^3'],
+        ['x^2 + 1',
+         'x^2*rt0^3 + rt0^3'],
+        ['x^2*rt0^5 + rt0^5',
+         'x^2*rt0^2 + rt0^2'],
+    ),
+    (3, 1): (
+        ['rt0'],
+        ['x^4 + x^3 + x + 1',
+         'x^4*rt0^10 + 2*x^3*rt0^10 + 2*x^4*rt0^7 + 2*x*rt0^10'
+         ' + x^3*rt0^7 + rt0^10 + x^4*rt0^4 + x*rt0^7 + 2*x^3*rt0^4'
+         ' + 2*rt0^7 + 2*x*rt0^4 + rt0^4'],
+        ['2*x^5 + x^3 + 2*x^2 + 1',
+         'x^8*rt0^10 + 2*x^6*rt0^10 + 2*x^8*rt0^7 + x^6*rt0^7'
+         ' + x^8*rt0^4 + 2*x^2*rt0^10 + 2*x^6*rt0^4 + rt0^10 + x^2*rt0^7'
+         ' + 2*rt0^7 + 2*x^2*rt0^4 + rt0^4'],
+        ['rt0^11 + x^2*rt0^8 + x^3*rt0^5 + x^4*rt0^2 + 2*x^3*rt0^2',
+         'x*rt0^3 + x^3 + rt0^3 + 2*x'],
+    ),
+    (3, 2): (
+        ['rt0'],
+        ['x^4 + 2*x^3 + 2*x + 1',
+         'x^4*rt0^10 + x^3*rt0^10 + 2*x^4*rt0^7 + x*rt0^10 + 2*x^3*rt0^7'
+         ' + rt0^10 + x^4*rt0^4 + 2*x*rt0^7 + x^3*rt0^4 + 2*rt0^7'
+         ' + x*rt0^4 + rt0^4'],
+        ['x^5 + 2*x^3 + 2*x^2 + 1',
+         'x^8*rt0^10 + 2*x^6*rt0^10 + 2*x^8*rt0^7 + x^6*rt0^7'
+         ' + x^8*rt0^4 + 2*x^2*rt0^10 + 2*x^6*rt0^4 + rt0^10 + x^2*rt0^7'
+         ' + 2*rt0^7 + 2*x^2*rt0^4 + rt0^4'],
+        ['rt0^11 + x^2*rt0^8 + 2*x^3*rt0^5 + x^4*rt0^2 + x^3*rt0^2',
+         '2*x*rt0^3 + 2*x^3 + rt0^3 + x'],
+    ),
+    (5, 1): (
+        [],
+        ['x^12 + x^11 + x^8 + 4*x^6 + x^4 + x + 1',
+         'x^16 + 4*x^15 + 2*x^11 + 3*x^10 + 3*x^6 + 2*x^5 + 4*x + 1'],
+        ['4*x^13 + x^11 + 4*x^9 + x^8 + x^7 + 4*x^6 + 4*x^5 + x^4'
+         ' + 4*x^2 + 1',
+         'x^32 + 4*x^30 + 2*x^22 + 3*x^20 + 3*x^12 + 2*x^10 + 4*x^2 + 1'],
+        ['4*x^7 + 4*x^5 + x^2 + 1',
+         '4*x^4 + 1'],
+    ),
+    (5, 2): (
+        [],
+        ['x^12 + 3*x^11 + x^8 + x^6 + x^4 + 2*x + 1',
+         'x^16 + 2*x^15 + x^11 + 2*x^10 + 2*x^6 + 4*x^5 + 3*x + 1'],
+        ['3*x^13 + 3*x^11 + 3*x^9 + x^8 + 3*x^7 + x^6 + 3*x^5 + x^4'
+         ' + x^2 + 1',
+         'x^32 + x^30 + 3*x^22 + 3*x^20 + 3*x^12 + 3*x^10 + x^2 + 1'],
+        ['2*x^7 + 3*x^5 + 4*x^2 + 1',
+         '4*x^4 + 1'],
+    ),
+}
+
+
+@pytest.mark.parametrize("d, c", sorted(TORSION_LIFTS))
+def test_lift_over_torsion_of_the_characteristic(d, c):
+    # P = <(1,0), (1,1)> in Z + Z/d over F_d, A' = F_d[x]/(x^4) -> A =
+    # F_d[x]/(x^2), b = a = (1, 1 + cx); over F_2 and F_3 case 1 adjoins
+    # a root, which certify_unit inverts
+    ring = PolyRing(pa.FieldFp(d), ["x"])
+    aprime = RingPresentation(ring, [ring.parse("x^4")])
+    ext = SquareZeroExtension(aprime, [ring.parse("x^2")])
+    p = FineMonoid(FgAbGroup(1, (d,)), [(1, 0), (1, 1)])
+    h = MonoidHom(nat_monoid(2), p, p.generators)
+    r = trivial_monoid()
+    zeros = [r.ambient.zero()] * 2
+    unit = f"1 + {c}*x"
+    prob = LiftProblem(
+        ext, h, r,
+        zeros, [Unit.one(ext.aprime),
+                certify_unit(ext.aprime, ext.aprime.parse(unit))],
+        zeros, [Unit.one(ext.a), certify_unit(ext.a, ext.a.parse(unit))],
+        [Unit.one(ext.a)] * 2)
+    lift = homotopy_lift(prob)
+    assert ch.verify_lift_identities(lift, prob) == []
+    t = lift.tower
+    assert (list(lift.cover_adjoined),
+            [t.aprime.ring.to_str(u.val) for u in lift.l.units],
+            [t.a.ring.to_str(u.val) for u in lift.alpha.units],
+            [t.aprime.ring.to_str(u.val) for u in lift.beta.units]) == \
+        TORSION_LIFTS[(d, c)]

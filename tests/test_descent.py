@@ -1,5 +1,6 @@
 import pytest
 
+import linear_references as ref
 from logflat import polyalg as pa
 from logflat.polyalg import ModulePresentation, PolyRing, RingMap, RingPresentation
 from logflat import descent as de
@@ -358,3 +359,118 @@ def test_kernel_and_witness_share_one_graph_basis(monkeypatch):
     assert kernel_of_ring_map(f) == ker
     assert len(calls) == 1
 
+
+# -- Hom and Ext^1 from one precomposition per pair ------------------------------
+
+
+def criterion_7_modules(glue):
+    """The modules of acceptance criterion 7 over a nodal-shaped gluing,
+    with C/(g0^2) and C/(g0^2, g1^2) added."""
+    c = glue.c
+    r = c.ring
+    return {
+        "C": ModulePresentation(c, 1, []),
+        "C/(g0+g1)": ModulePresentation(c, 1, [r.parse("g0 + g1")]),
+        "C/(g0-1)": ModulePresentation(c, 1, [r.parse("g0 - 1")]),
+        "k": ModulePresentation(c, 1, [r.var(0), r.var(1)]),
+        "C+C/(g0-1)": ModulePresentation(c, 2, [
+            {((1, 0), 1): pa.QQ.one(), ((0, 0), 1): pa.QQ.of_int(-1)}]),
+        "C/(g0^2)": ModulePresentation(c, 1, [r.parse("g0^2")]),
+        "C/(g0^2,g1^2)": ModulePresentation(c, 1, [r.parse("g0^2"),
+                                                   r.parse("g1^2")]),
+    }
+
+
+@pytest.mark.parametrize("make_glue", [nodal_glue, fat_glue])
+def test_hom_ext_fiber_product_matches_separate_nullspaces(make_glue):
+    glue = make_glue()
+    mods = criterion_7_modules(glue)
+    gated = [m for m in mods.values() if tor_gate(glue, m)]
+    compared = 0
+    for m in gated:
+        for n in gated:
+            if n.dim() is None:
+                continue
+            assert hom_ext_fiber_product(glue, m, n) == \
+                ref.hom_ext_fiber_product(glue, m, n)
+            compared += 1
+    # nodal: C, C/(g0-1), C+C/(g0-1) into C/(g0-1); fat: 4 x 4
+    assert compared == (3 if make_glue is nodal_glue else 16)
+
+
+@pytest.mark.parametrize("make_glue", [nodal_glue, fat_glue])
+def test_hom_and_ext1_dimensions_match_separate_nullspaces(make_glue):
+    mods = criterion_7_modules(make_glue())
+    for m in mods.values():
+        for n in mods.values():
+            if n.dim() is None:
+                with pytest.raises(de.NotFiniteDimensional):
+                    hom_dimension(m, n)
+                continue
+            assert hom_dimension(m, n) == ref.hom_dimension(m, n)
+            assert ext1_dimension(m, n) == ref.ext1_dimension(m, n)
+
+
+@pytest.mark.parametrize("a", range(1, 5))
+@pytest.mark.parametrize("b", range(1, 5))
+def test_hom_ext_of_truncated_polynomial_rings(a, b):
+    # over k[x], Hom(k[x]/(x^a), k[x]/(x^b)) is the annihilator of x^a in
+    # k[x]/(x^b), and Ext^1 its cokernel of x^a: both of dimension min(a, b)
+    ring = PolyRing(pa.QQ, ["x"])
+    kx = RingPresentation(ring, [])
+    m = ModulePresentation(kx, 1, [ring.pow(ring.var(0), a)])
+    n = ModulePresentation(kx, 1, [ring.pow(ring.var(0), b)])
+    expect = min(a, b)
+    assert hom_dimension(m, n) == ext1_dimension(m, n) == expect
+    assert ref.hom_dimension(m, n) == ref.ext1_dimension(m, n) == expect
+
+
+def test_free_module_has_no_ext1_into_an_infinite_module():
+    ring = PolyRing(pa.QQ, ["x"])
+    kx = RingPresentation(ring, [])
+    free, n = ModulePresentation(kx, 2, []), ModulePresentation(kx, 1, [])
+    assert n.dim() is None
+    assert ext1_dimension(free, n) == ref.ext1_dimension(free, n) == 0
+    with pytest.raises(de.NotFiniteDimensional):
+        hom_dimension(free, n)
+
+
+def test_hom_ext_fiber_product_precomposes_twice_per_pair(monkeypatch):
+    # four pairs (glued, two sides, overlap), each with relations: the
+    # relation columns once and their syzygies once
+    glue = nodal_glue()
+    m = nodal_modules(glue)["unit_shift"]
+    calls = []
+    real = de._precomposition
+    monkeypatch.setattr(de, "_precomposition",
+                        lambda *a: calls.append(1) or real(*a))
+    hom_ext_fiber_product(glue, m, m)
+    assert len(calls) == 8
+
+
+# -- gluing kernels ------------------------------------------------------------------
+
+
+def _gallery_glue():
+    from logflat import cli
+    return cli.Workspace(cli.load_gallery("nodal-descent"), pa.QQ).get("glue")
+
+
+@pytest.mark.parametrize("make_glue", [nodal_glue, fat_glue, _gallery_glue])
+def test_gluing_kernels_are_the_kernels_of_the_projections(make_glue):
+    glue = make_glue()
+    assert glue.ker_p1 == kernel_of_ring_map(glue.p1)
+    assert glue.ker_p2 == kernel_of_ring_map(glue.p2)
+
+
+def test_nodal_gluing_builds_four_elimination_bases(monkeypatch):
+    # ker f1, the graph of f2 for the pair witnesses, and the two graph
+    # ideals of the free ring on the pairs; the kernels of p1 and p2 are
+    # the last two again and are not recomputed
+    calls = []
+    real = pa.elimination_basis
+    monkeypatch.setattr(pa, "elimination_basis",
+                        lambda *a: calls.append(1) or real(*a))
+    glue = nodal_glue()
+    assert len(calls) == 4
+    assert glue.exact_sequence_certificate()

@@ -413,3 +413,47 @@ def test_no_two_functions_share_a_body():
               for b in _function_bodies(path.stem, path.read_text())]
     assert len(bodies) > 100  # the walk sees the library's functions
     assert not _duplicates(bodies), _duplicates(bodies)
+
+
+def _stored_attributes(source):
+    """(Class.attribute) for every attribute a method stores on its first
+    argument, ``self.x = ...`` or ``self.x, self.y = ...``."""
+    out = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.args.args):
+                continue
+            me = fn.args.args[0].arg
+            out |= {(cls.name, node.attr) for node in ast.walk(fn)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == me}
+    return out
+
+
+def _read_attributes(source):
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_stored_attribute_is_read():
+    # the check sees state that is stored and never read
+    planted = ("class C:\n    def __init__(me, a, b):\n"
+               "        me.a, me.b = a, b\n\n"
+               "    def get(self):\n        return self.a\n")
+    assert {f"{c}.{a}" for c, a in _stored_attributes(planted)
+            if a not in _read_attributes(planted)} == {"C.b"}
+    src = Path(monmod.__file__).parent
+    sources = [path.read_text() for path in sorted(src.glob("*.py"))]
+    tests = [path.read_text()
+             for path in sorted(Path(__file__).parent.glob("*.py"))]
+    stored = set().union(*(_stored_attributes(s) for s in sources))
+    assert len(stored) > 80  # the walk sees the library's classes
+    read = set().union(*(_read_attributes(s) for s in sources + tests))
+    unread = sorted(f"{c}.{a}" for c, a in stored if a not in read)
+    assert not unread, unread

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from logflat import qcone
+from logflat import monoid as monoid_module, qcone
 from logflat.abgrp import FgAbGroup, IntMatrix, smith_normal_form
 from logflat.monoid import (
     FineMonoid,
+    ListFreeBasis,
     MonoidHom,
     MonoidIdeal,
     NotSubmonoid,
@@ -600,3 +601,46 @@ def test_units_and_faces_solve_no_feasibility_system(monkeypatch):
     p.unit_indices()
     p.faces()
     assert calls == []
+
+
+# -- one search per certificate ---------------------------------------------------
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_nonneg_certificate_with_units_searches_once(monkeypatch):
+    # N^2 (+) Z with the generators e1, e2, e3, -e3: the sharp certificate
+    # answers membership, so no separate member search runs first
+    p = FineMonoid(FgAbGroup.free(3),
+                   [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)])
+    searches = _counting(monkeypatch, monoid_module, "_bounded_search")
+    expect = {(2, 1, -3): (2, 1, 1, 4), (0, 0, 5): (0, 0, 5, 0),
+              (-1, 0, 0): None, (1, 1, 1): (1, 1, 1, 0),
+              (3, 0, -2): (3, 0, 0, 2)}
+    for g, mult in expect.items():
+        searches.clear()
+        assert p.nonneg_certificate(g) == mult
+        assert len(searches) == 1
+
+
+def test_list_free_basis_builds_its_image_monoid_once(monkeypatch):
+    # N (+) Z --(2, 1)--> N (+) Z over the basis {0, (1, 0)}: one bounded
+    # search per preimage tried, and the image monoid's dual cones once
+    mon = FineMonoid(FgAbGroup.free(2), [(1, 0), (0, 1), (0, -1)])
+    h = MonoidHom(mon, mon, [(2, 0), (0, 1), (0, -1)])
+    fb = ListFreeBasis(h, [(0, 0), (1, 0)])
+    assert h.image_monoid() is h.image_monoid()
+    searches = _counting(monkeypatch, monoid_module, "_bounded_search")
+    cones = _counting(monkeypatch, qcone, "dual_states")
+    got = [fb.decompose((a, b)) for a in range(5) for b in (-2, 0, 3)]
+    assert got == [((a // 2, b), (a % 2, 0))
+                   for a in range(5) for b in (-2, 0, 3)]
+    # even a: s = 0 fits at once; odd a: s = 0 fails, then s = (1, 0)
+    assert len(searches) == 15 + 6
+    assert len(cones) <= 2

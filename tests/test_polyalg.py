@@ -6,6 +6,7 @@ from unittest import mock
 
 import pytest
 
+import linear_references as ref
 from logflat import abgrp
 from logflat.abgrp import FgAbGroup
 from logflat.monoid import FineMonoid, nat_monoid
@@ -1077,3 +1078,79 @@ def test_kbasis_reads_the_presentations_own_basis(monkeypatch):
     assert mp.is_zero_elem(col)
     assert len(mp.kbasis()) == 6 + 3
     assert len(calls) == 1
+
+
+# -- map inverses: the lifts and two checks ---------------------------------------
+
+
+@st.composite
+def module_maps(draw):
+    """(phi, M, N) over k[x,y], k[x,y]/(xy) or k[x,y]/(x^2, y^2): M of rank
+    1 or 2 with random relations, phi = U D with U unipotent and D diagonal
+    of scalars (an isomorphism onto coker(phi(M's relations))) or with x,
+    y or 1 + x on the diagonal (onto a submodule only, or not one to one
+    over the quotient rings).  N's relations are the images of M's, those
+    plus a random element (a quotient: not one to one), or random elements
+    (often no map at all)."""
+    field = draw(st.sampled_from([QQ, FieldFp(3)]))
+    r = ring(["x", "y"], field)
+    over = RingPresentation(r, draw(st.sampled_from(
+        [[], [r.parse("x*y")], [r.parse("x^2"), r.parse("y^2")]])))
+    rank = draw(st.integers(1, 2))
+
+    def element():
+        term = st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                         st.integers(0, rank - 1),
+                         st.sampled_from([1, 2, -1]))
+        g = {}
+        for mono, pos, c in draw(st.lists(term, min_size=1, max_size=2)):
+            g = pa.m_add(field, g, {(mono, pos): field.of_int(c)})
+        return g
+
+    m = ModulePresentation(over, rank,
+                           [element() for _ in range(draw(st.integers(0, 2)))])
+    diag = [r.parse(draw(st.sampled_from(["1", "2", "-1", "x", "y", "1 + x"])))
+            for _ in range(rank)]
+    phi = [{(mono, i): c for (mono, _), c in d.items()}
+           for i, d in enumerate(diag)]
+    if rank == 2:  # add a multiple of the first column to the second
+        off = {(mono, 0): c for (mono, _), c in element().items()}
+        phi[1] = pa.m_add(field, phi[1], off)
+    image_rels = [pa._apply_cols(field, phi, g) for g in m.columns]
+    kind = draw(st.sampled_from(["image", "quotient", "random"]))
+    n_rels = {"image": image_rels,
+              "quotient": image_rels + [element()],
+              "random": [element() for _ in range(draw(st.integers(0, 2)))]
+              }[kind]
+    return phi, m, ModulePresentation(over, rank, n_rels)
+
+
+@settings(max_examples=120, deadline=None)
+@given(module_maps())
+def test_module_map_inverse_matches_kernel_and_lifts(problem):
+    phi, m, n = problem
+    try:
+        old = ref.module_map_inverse(phi, m, n)
+    except ValueError:
+        with pytest.raises(ValueError, match="does not define a map"):
+            pa.module_map_inverse(phi, m, n)
+        return
+    assert pa.module_map_inverse(phi, m, n) == old
+
+
+def test_module_map_inverse_builds_one_augmented_basis(monkeypatch):
+    r = ring(["x"])
+    over = RingPresentation(r, [r.parse("x^2")])
+    m = ModulePresentation(over, 2, [{((1,), 0): QQ.one()}])
+    n = ModulePresentation(over, 2, [{((1,), 1): QQ.one()}])
+    u = pa.ideal_rows([r.parse("x - 1")], 2)
+    aug, syz = [], []
+    real_aug, real_syz = pa._augmented_gb, pa.syzygies
+    monkeypatch.setattr(pa, "_augmented_gb",
+                        lambda *a: aug.append(1) or real_aug(*a))
+    monkeypatch.setattr(pa, "syzygies",
+                        lambda *a, **k: syz.append(1) or real_syz(*a, **k))
+    assert pa.module_map_inverse([u[1], u[0]], m, n) is not None
+    assert pa.module_map_inverse(pa.ideal_rows([r.parse("x")], 2),
+                                 m, m) is None
+    assert (len(aug), len(syz)) == (2, 0)
