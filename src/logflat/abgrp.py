@@ -27,6 +27,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+from . import scope
+
 
 class IntMatrix:
     """Immutable integer matrix, row major."""
@@ -147,8 +149,13 @@ def smith_normal_form(m: IntMatrix):
     same on columns), so the inverse costs no more than U itself; W is kept
     as its list of columns.  Pivot choice: smallest absolute nonzero value,
     ties broken by lowest (row, col), which makes the result deterministic
-    for a fixed input.
+    for a fixed input.  Inside a ``scope.run_scope()`` the four matrices,
+    which are immutable, are stored per input and returned again for an
+    equal one.
     """
+    memo = scope.memo()
+    if memo is not None and ("smith", m) in memo:
+        return memo["smith", m]
     r, c = m.rows, m.cols
     a = m.to_rows()
 
@@ -244,10 +251,13 @@ def smith_normal_form(m: IntMatrix):
             row_neg(t)
         t += 1
 
-    return (IntMatrix(r, r, [e for row in u for e in row]),
-            IntMatrix(r, c, [e for row in a for e in row]),
-            IntMatrix(c, c, [e for row in v for e in row]),
-            IntMatrix(r, r, [col[i] for i in range(r) for col in w]))
+    out = (IntMatrix(r, r, [e for row in u for e in row]),
+           IntMatrix(r, c, [e for row in a for e in row]),
+           IntMatrix(c, c, [e for row in v for e in row]),
+           IntMatrix(r, r, [col[i] for i in range(r) for col in w]))
+    if memo is not None:
+        memo["smith", m] = out
+    return out
 
 
 def _solve_smith(snf, b):

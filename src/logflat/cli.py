@@ -24,6 +24,7 @@ from .monoid import FineMonoid, MonoidHom
 from . import monmod
 from . import polyalg as pa
 from .polyalg import ModulePresentation, PolyRing, RingMap, RingPresentation
+from .scope import run_scope
 from . import graded as gd
 from . import chart as ch
 from . import descent as de
@@ -474,21 +475,23 @@ def _task_roundtrip(ws, task):
 def run_document(doc, field_spec=None):
     field = parse_field(field_spec)
     doc = validate_file(doc)
-    ws = Workspace(doc, field)
     tasks = []
     any_error = False
-    for task in doc.get("tasks", []):
-        entry = {"kind": task["kind"]}
-        if "name" in task:
-            entry["name"] = task["name"]
-        try:
-            entry["status"] = "ok"
-            entry["result"] = run_task(ws, task)
-        except Exception as e:  # task errors are carried in-report
-            entry["status"] = "error"
-            entry["error"] = f"{type(e).__name__}: {e}"
-            any_error = True
-        tasks.append(entry)
+    # one memo of Groebner bases and Smith forms per document
+    with run_scope():
+        ws = Workspace(doc, field)
+        for task in doc.get("tasks", []):
+            entry = {"kind": task["kind"]}
+            if "name" in task:
+                entry["name"] = task["name"]
+            try:
+                entry["status"] = "ok"
+                entry["result"] = run_task(ws, task)
+            except Exception as e:  # task errors are carried in-report
+                entry["status"] = "error"
+                entry["error"] = f"{type(e).__name__}: {e}"
+                any_error = True
+            tasks.append(entry)
     report = {
         "version": 1,
         "engine": {

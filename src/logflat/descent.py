@@ -119,17 +119,14 @@ class GluingDatum:
         zring = PolyRing(self.c1.ring.field,
                          [f"g{t}" for t in range(len(pairs))])
         free = RingPresentation(zring, [])
-        i1 = kernel_of_ring_map(RingMap(free, self.c1, [p[0] for p in pairs],
-                                        check=False))
-        i2 = kernel_of_ring_map(RingMap(free, self.c2, [p[1] for p in pairs],
-                                        check=False))
-        inter = pa.ideal_intersection(free, i1, i2)
-        self.c = RingPresentation(zring, inter)
-        self.p1 = RingMap(self.c, self.c1, [p[0] for p in pairs], check=False)
-        self.p2 = RingMap(self.c, self.c2, [p[1] for p in pairs], check=False)
+        g1 = RingMap(free, self.c1, [p[0] for p in pairs], check=False)
+        g2 = RingMap(free, self.c2, [p[1] for p in pairs], check=False)
+        i1, i2 = kernel_of_ring_map(g1), kernel_of_ring_map(g2)
+        self.c = RingPresentation(zring, pa.ideal_intersection(free, i1, i2))
         # C = F/(i1 cap i2) for the free ring F on the pairs, so ker p_i is
-        # i_i/(i1 cap i2), generated by i_i: the graph basis of p_i would be
-        # that of F -> C_i again, which reads only C_i's ideal and the images
+        # i_i/(i1 cap i2), generated by i_i, and the graph basis of p_i,
+        # which reads only C_i's ideal and the images, is that of F -> C_i
+        self.p1, self.p2 = g1.with_source(self.c), g2.with_source(self.c)
         self.ker_p1, self.ker_p2 = i1, i2
         self._to_c0 = self.f1.compose(self.p1)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from . import abgrp
+from . import abgrp, scope
 from .qcone import clear_denominators
 
 
@@ -157,9 +157,15 @@ def weighted_revlex_key(weights, last):
 
 
 def module_key(ring_key):
+    """The order of ``ring_key`` on monomials, ties broken by position.
+
+    Its ``tag``, like ``block_key``'s, names the order by value, so that
+    ``buchberger``'s run-scope memo sees two closures of one order as one
+    order."""
     def key(term):
         mono, pos = term
         return (ring_key(mono), -pos)
+    key.tag = ("module", ring_key)
     return key
 
 
@@ -168,6 +174,7 @@ def block_key(ring_key, cut):
     def key(term):
         mono, pos = term
         return (1 if pos < cut else 0, ring_key(mono), -pos)
+    key.tag = ("block", ring_key, cut)
     return key
 
 
@@ -286,15 +293,6 @@ def m_reduce(field, f, basis, key, lts=None):
     return out
 
 
-def m_monic(field, f, key):
-    if not f:
-        return f
-    c = f[m_lt(f, key)]
-    if field.eq(c, field.one()):
-        return f
-    return m_scale(field, field.inv(c), f)
-
-
 def _monic_remainder(field, r):
     """A nonzero result of ``m_reduce`` made monic, and its leading term,
     which ``m_reduce`` puts first."""
@@ -318,7 +316,21 @@ def buchberger(field, gens, key, ring_mode=False):
     monomials (product criterion, valid for ideals), are never queued.  The
     leading term of each basis element is found once, when the element is
     added or changed, and handed to every reduction.
+
+    Inside a ``scope.run_scope()`` (``cli.run_document`` enters one per
+    document) the result is stored under (field, order, ``ring_mode``, set
+    of generators), the order being the key's ``tag`` or, for an untagged
+    key, the key itself, and an equal input later gets a copy of it.  The
+    reduced basis is unique for a module and an order (``ring_mode`` is for
+    ideals), so generator order and duplicates cannot change it, and a
+    direct call outside any scope returns the same list.
     """
+    memo = scope.memo()
+    if memo is not None:
+        entry = (field, getattr(key, "tag", key), ring_mode,
+                 frozenset(frozenset(g.items()) for g in gens if g))
+        if entry in memo:
+            return [dict(g) for g in memo[entry]]
     basis, lts = [], []
     for g in sorted((g for g in gens if g),
                     key=lambda g: key(m_lt(g, key))):
@@ -371,6 +383,8 @@ def buchberger(field, gens, key, ring_mode=False):
                 changed = True
     order = sorted((t for t in range(len(basis)) if basis[t]),
                    key=lambda t: key(lts[t]))
+    if memo is not None:
+        memo[entry] = [dict(basis[t]) for t in order]
     return [basis[t] for t in order]
 
 
@@ -693,6 +707,14 @@ class RingMap:
     def compose(self, inner):
         return RingMap(inner.source, self.target,
                        [self.apply(v) for v in inner.images], check=False)
+
+    def with_source(self, source):
+        """The map with the same images from ``source``, a presentation on
+        the same polynomial ring whose ideal the map kills.  The graph basis
+        reads only the target and the images, so the two maps share it."""
+        out = RingMap(source, self.target, self.images, check=False)
+        out._graph = self.graph_basis()
+        return out
 
     def graph_basis(self):
         """The graph ideal (target ideal) + (z_i - image_i) in the ring of
@@ -1052,21 +1074,6 @@ def row_reduce(field, rows, ncols):
     return rows, pivots
 
 
-def solve_linear(field, cols, target):
-    """A solution x of sum_j x_j cols_j = target, with every free unknown
-    zero, or None if there is none."""
-    k = len(cols)
-    rows, pivots = row_reduce(
-        field, [[col[i] for col in cols] + [t] for i, t in enumerate(target)],
-        k)
-    if any(not field.is_zero(row[k]) for row in rows[len(pivots):]):
-        return None
-    x = [field.zero()] * k
-    for row, c in zip(rows, pivots):
-        x[c] = row[k]
-    return x
-
-
 def nullspace(field, rows, ncols):
     """A basis of {x : rows x = 0}, one vector per non-pivot column."""
     rows, pivots = row_reduce(field, rows, ncols)
@@ -1087,8 +1094,10 @@ def elimination_basis(field, gens, elim):
     of them), as (key, basis, contraction): the basis elements free of
     ``elim`` are a basis of the ideal's contraction to the other
     variables."""
+    elim = tuple(elim)
     key = module_key(lambda mono: (sum(mono[i] for i in elim),
                                    degrevlex_key(mono)))
+    key.tag = ("elim", elim)
     gb = buchberger(field, gens, key, ring_mode=True)
     return key, gb, [g for g in gb if all(all(mono[i] == 0 for i in elim)
                                           for (mono, _) in g)]

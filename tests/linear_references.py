@@ -6,7 +6,8 @@ module pair, unit inverses and module-map inverses through the one lift
 nullspaces, a unit inverse solved a linear system over the k-basis of the
 ring, and a map inverse built the kernel of the map before lifting.  Those
 routes are kept here, as they were, and the tests compare the library
-against them."""
+against them.  ``solve_linear`` and ``m_monic`` left the library with their
+last callers there; the oracles and tests here still use them."""
 
 from logflat import polyalg as pa
 from logflat.chart import HomotopyInvalid, Unit
@@ -23,6 +24,34 @@ from logflat.polyalg import (
     is_injective,
     lift_through,
 )
+
+
+# -- linear algebra over the field -----------------------------------------------
+
+
+def solve_linear(field, cols, target):
+    """A solution x of sum_j x_j cols_j = target, with every free unknown
+    zero, or None if there is none."""
+    k = len(cols)
+    rows, pivots = pa.row_reduce(
+        field, [[col[i] for col in cols] + [t] for i, t in enumerate(target)],
+        k)
+    if any(not field.is_zero(row[k]) for row in rows[len(pivots):]):
+        return None
+    x = [field.zero()] * k
+    for row, c in zip(rows, pivots):
+        x[c] = row[k]
+    return x
+
+
+def m_monic(field, f, key):
+    """f scaled so that its leading coefficient under ``key`` is 1."""
+    if not f:
+        return f
+    c = f[pa.m_lt(f, key)]
+    if field.eq(c, field.one()):
+        return f
+    return pa.m_scale(field, field.inv(c), f)
 
 
 # -- Hom and Ext^1: one nullspace for Hom, two more for each Ext^1 ------------
@@ -165,7 +194,7 @@ def _restrict_hom(glue, which, dm, dn, v, bn_i, bn0, b0):
     cols = []
     for w in b0:
         cols.append(list(w))
-    sol = pa.solve_linear(field, cols, flat_target)
+    sol = solve_linear(field, cols, flat_target)
     if sol is None:
         raise AssertionError("restriction misses the hom space")
     return sol
@@ -185,7 +214,7 @@ def certify_unit(pres: RingPresentation, p):
         field, pres.nf(pres.ring.mul(p, pres.ring.monomial(mono))), basis)
         for mono, _ in basis]
     target = pa.coordinates(field, pres.nf(pres.ring.one()), basis)
-    sol = pa.solve_linear(field, cols, target)
+    sol = solve_linear(field, cols, target)
     if sol is None:
         raise HomotopyInvalid("element is not a unit")
     inv = pres.ring.zero()

@@ -4,7 +4,7 @@ from math import gcd, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from logflat import abgrp
+from logflat import abgrp, scope
 from logflat.abgrp import (
     FgAbGroup,
     GroupHom,
@@ -92,6 +92,18 @@ def test_kernel_takes_one_smith_form_of_its_generators(monkeypatch):
     assert k.order() == 2 * 2 * 6  # Hom(Z/2 + Z/4 + Z/12, Z/6)
     assert all(hom.target.is_zero(hom.apply(incl.apply(x)))
                for x in k.generators())
+
+
+def test_smith_forms_are_stored_in_a_run_scope():
+    m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    outside = smith_normal_form(m)
+    assert smith_normal_form(m) is not outside
+    with scope.run_scope():
+        first = smith_normal_form(m)
+        assert first == outside
+        assert smith_normal_form(IntMatrix.from_rows(m.to_rows())) is first
+        assert smith_normal_form(IntMatrix.identity(3)) is not first
+    assert smith_normal_form(m) is not first
 
 
 def test_solve_and_kernel():

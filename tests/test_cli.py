@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from logflat import cli
+from logflat import cli, scope
+from logflat import polyalg as pa
 
 
 def run_cli(*args):
@@ -364,3 +365,78 @@ class TestGradingFallbackTask:
         res = report["tasks"][0]["result"]
         assert res["graded_flat"] is False
         assert res["certificate"]["complete"] is False
+
+
+# -- the run scope ----------------------------------------------------------------
+
+
+class _Abort(BaseException):
+    """Escapes ``run_document``, which carries only ``Exception``s in-report."""
+
+
+class TestRunScope:
+    def _watch(self, monkeypatch, fail=None):
+        """Patch ``run_task`` to record the memo it runs under, then raise
+        ``fail`` if given."""
+        seen = []
+        real = cli.run_task
+
+        def watching(ws, task):
+            seen.append(scope.memo())
+            out = real(ws, task)
+            if fail is not None:
+                raise fail
+            return out
+
+        monkeypatch.setattr(cli, "run_task", watching)
+        return seen
+
+    def test_one_memo_per_document(self, monkeypatch):
+        seen = self._watch(monkeypatch)
+        doc = cli.load_gallery("smooth-divisor")
+        cli.run_document(doc)
+        assert len(seen) == len(doc["tasks"]) > 1
+        assert seen[0] and all(m is seen[0] for m in seen)
+        assert scope.memo() is None
+        cli.run_document(doc)
+        assert seen[-1] is not seen[0]
+        assert scope.memo() is None
+
+    def test_no_memo_survives_a_failing_task(self, monkeypatch):
+        seen = self._watch(monkeypatch, fail=RuntimeError("boom"))
+        report, code = cli.run_document(cli.load_gallery("smooth-divisor"))
+        assert code == 1 and seen[0] is not None
+        assert {t["status"] for t in report["tasks"]} == {"error"}
+        assert scope.memo() is None
+
+    def test_no_memo_survives_an_escaping_exception(self, monkeypatch):
+        seen = self._watch(monkeypatch, fail=_Abort())
+        with pytest.raises(_Abort):
+            cli.run_document(cli.load_gallery("smooth-divisor"))
+        assert seen[0] is not None and scope.memo() is None
+
+    def test_nodal_degeneration_computes_each_basis_once(self, monkeypatch):
+        # 179 buchberger calls on 62 distinct inputs: a call that reduces
+        # nothing was answered from the memo
+        from logflat import graded
+        stats = {"calls": 0, "computed": 0, "reductions": 0}
+        real_gb, real_reduce = pa.buchberger, pa.m_reduce
+
+        def reduce(*args, **kwargs):
+            stats["reductions"] += 1
+            return real_reduce(*args, **kwargs)
+
+        def gb(*args, **kwargs):
+            before = stats["reductions"]
+            out = real_gb(*args, **kwargs)
+            stats["calls"] += 1
+            stats["computed"] += stats["reductions"] > before
+            return out
+
+        monkeypatch.setattr(pa, "m_reduce", reduce)
+        for ns in (pa, graded):
+            monkeypatch.setattr(ns, "buchberger", gb)
+        _, code, matches = cli.run_gallery("nodal-degeneration")
+        assert code == 0 and matches
+        assert stats["calls"] == 179
+        assert stats["computed"] <= 62

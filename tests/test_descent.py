@@ -474,3 +474,25 @@ def test_nodal_gluing_builds_four_elimination_bases(monkeypatch):
     glue = nodal_glue()
     assert len(calls) == 4
     assert glue.exact_sequence_certificate()
+
+
+def test_projections_share_the_graph_bases_of_the_free_ring(monkeypatch):
+    # gluing plus one descent: the graphs of f1 and f2 (equal inputs here,
+    # as the two sides are alike), of F -> C1 and F -> C2, which p1 and p2
+    # share, and of C -> C0
+    inputs = []
+    real = pa.elimination_basis
+
+    def recording(field, gens, elim):
+        inputs.append((frozenset(frozenset(g.items()) for g in gens),
+                       tuple(elim)))
+        return real(field, gens, elim)
+
+    monkeypatch.setattr(pa, "elimination_basis", recording)
+    glue = nodal_glue()
+    x, y = glue.c1.ring, glue.c2.ring
+    d = DescentDatum(glue, ModulePresentation(glue.c1, 1, [x.parse("x^2")]),
+                     ModulePresentation(glue.c2, 1, [y.parse("y^2")]),
+                     [ModulePresentation(glue.c0, 1, []).basis_elem(0)])
+    assert descend_D(d).dim() == 3
+    assert (len(inputs), len(set(inputs))) == (5, 4)

@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 import linear_references as ref
-from logflat import abgrp
+from logflat import abgrp, scope
 from logflat.abgrp import FgAbGroup
 from logflat.monoid import FineMonoid, nat_monoid
 from logflat import polyalg as pa
@@ -378,7 +378,7 @@ def _sorted_list_buchberger(field, gens, key, ring_mode=False):
                     key=lambda g: key(pa.m_lt(g, key))):
         r = pa.m_reduce(field, g, basis, key)
         if r:
-            basis.append(pa.m_monic(field, r, key))
+            basis.append(ref.m_monic(field, r, key))
 
     def pair_key(ij):
         i, j = ij
@@ -403,7 +403,7 @@ def _sorted_list_buchberger(field, gens, key, ring_mode=False):
         sj = pa.m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mj)), gj)
         r = pa.m_reduce(field, m_sub(field, si, sj), basis, key)
         if r:
-            basis.append(pa.m_monic(field, r, key))
+            basis.append(ref.m_monic(field, r, key))
             new = len(basis) - 1
             pairs.extend((t, new) for t in range(new))
     changed = True
@@ -415,7 +415,7 @@ def _sorted_list_buchberger(field, gens, key, ring_mode=False):
             others = [basis[t] for t in range(len(basis)) if t != i and basis[t]]
             r = pa.m_reduce(field, basis[i], others, key)
             if r != basis[i]:
-                basis[i] = pa.m_monic(field, r, key) if r else {}
+                basis[i] = ref.m_monic(field, r, key) if r else {}
                 changed = True
     basis = [g for g in basis if g]
     basis.sort(key=lambda g: key(pa.m_lt(g, key)))
@@ -710,7 +710,7 @@ def test_nullspace_and_solve_linear_match_sympy(system):
                for v in null for row in rows)
     assert _sympy_rank(field, null, ncols) == len(null)
     cols = [[row[j] for row in rows] for j in range(ncols)]
-    x = pa.solve_linear(field, cols, b)
+    x = ref.solve_linear(field, cols, b)
     grows = _sympy_rank(field, [row + [t] for row, t in zip(mat, target)],
                         ncols + 1) > rank
     assert (x is None) == grows
@@ -755,7 +755,7 @@ def _tagged_lift_through(field, vecs, rank, nvars, ring_key, target):
 def _dedupe(field, elems, key):
     seen = []
     for e in elems:
-        ce = pa.m_monic(field, e, key)
+        ce = ref.m_monic(field, e, key)
         if ce not in seen:
             seen.append(ce)
     return seen
@@ -1154,3 +1154,82 @@ def test_module_map_inverse_builds_one_augmented_basis(monkeypatch):
     assert pa.module_map_inverse(pa.ideal_rows([r.parse("x")], 2),
                                  m, m) is None
     assert (len(aug), len(syz)) == (2, 0)
+
+
+# -- the run scope's memo of reduced bases ----------------------------------------
+
+
+@st.composite
+def memo_problems(draw):
+    """Generators over QQ or F_3 under a module, block or elimination order,
+    and a second list of the same generators, permuted, some repeated and a
+    zero added.  Ring mode only on ideals, where it yields the reduced basis.
+    Returns (gens, again, compute), ``compute`` giving the reduced basis."""
+    field = draw(st.sampled_from([QQ, FieldFp(3)]))
+    nvars = draw(st.integers(1, 3))
+    order = draw(st.sampled_from(["module", "block", "elim"]))
+    rank = 1 if order == "elim" else draw(st.integers(1, 3))
+    gens = _elements(draw, field, nvars, rank, 4, 3, 2)
+    again = draw(st.permutations(gens))
+    if gens:
+        again += draw(st.lists(st.sampled_from(gens), max_size=3))
+    again.insert(draw(st.integers(0, len(again))), {})
+    if order == "elim":
+        elim = draw(st.lists(st.integers(0, nvars - 1), unique=True,
+                             min_size=1))
+        return gens, again, lambda g: pa.elimination_basis(field, g, elim)[1:]
+    key = (module_key(degrevlex_key) if order == "module"
+           else block_key(degrevlex_key, draw(st.integers(0, rank))))
+    ring_mode = rank == 1 and draw(st.booleans())
+    return gens, again, lambda g: buchberger(field, g, key, ring_mode)
+
+
+def _no_reduction(*args, **kwargs):
+    raise AssertionError("a stored basis was computed again")
+
+
+@settings(max_examples=80, deadline=None)
+@given(memo_problems())
+def test_buchberger_in_a_run_scope_matches_a_direct_call(problem):
+    gens, again, compute = problem
+    direct = compute(gens)
+    assert compute(again) == direct
+    with scope.run_scope():
+        assert compute(gens) == direct
+        with mock.patch.object(pa, "m_reduce", _no_reduction):
+            stored = compute(again)
+            assert stored == direct
+            # a caller that changes its copy leaves the stored basis alone
+            for g in stored[0] if isinstance(stored, tuple) else stored:
+                g.clear()
+            assert compute(gens) == direct
+
+
+def test_nested_run_scope_starts_empty_and_restores_the_outer():
+    r = ring(["x", "y"])
+    gens = [r.parse("x^2 - y"), r.parse("x*y")]
+    assert scope.memo() is None
+    with scope.run_scope():
+        outer = scope.memo()
+        gb = buchberger(QQ, gens, r.mkey(), ring_mode=True)
+        assert len(outer) == 1
+        with scope.run_scope():
+            inner = scope.memo()
+            assert inner == {} and inner is not outer
+            assert buchberger(QQ, gens, r.mkey(), ring_mode=True) == gb
+            buchberger(QQ, gens[:1], r.mkey(), ring_mode=True)
+            assert len(inner) == 2
+        assert scope.memo() is outer and len(outer) == 1
+    assert scope.memo() is None
+
+
+def test_order_tags_tell_orders_apart_by_value():
+    assert module_key(degrevlex_key).tag == module_key(degrevlex_key).tag
+    assert block_key(degrevlex_key, 1).tag != block_key(degrevlex_key, 2).tag
+    assert module_key(degrevlex_key).tag != block_key(degrevlex_key, 0).tag
+    r = ring(["x", "y"])
+    gens = [r.parse("x - y^2")]
+    k1, _, _ = pa.elimination_basis(QQ, gens, [0])
+    k2, _, _ = pa.elimination_basis(QQ, gens, range(1))
+    k3, _, _ = pa.elimination_basis(QQ, gens, [1])
+    assert k1.tag == k2.tag != k3.tag
