@@ -298,7 +298,7 @@ def first_chart_criterion_instances(chart: ChartData, m: ModulePresentation,
     # M[P^gp] = M (x)_C C[P^gp]: the same columns over the bigger ring
     mp = ModulePresentation(cpgp, m.rank,
                             [pa.embed(col, cpgp.ring, 0) for col in m.columns])
-    return [pa.tor1_along(comparison, list(gens), 1, mp)[1]
+    return [pa.tor1_along(comparison, list(gens), 1, mp)
             for gens in ideal_lists]
 
 

@@ -9,6 +9,7 @@ kernel), its ideal computed by elimination.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from . import polyalg as pa
@@ -38,45 +39,28 @@ class NotFiniteDimensional(ValueError):
     pass
 
 
-def kernel_of_ring_map(rmap: RingMap):
-    """Generators of ker(source -> target): the contraction of the map's
-    graph basis, restricted to the source variables."""
-    off = rmap.target.ring.nvars
-    return [{(mono[off:], 0): c for (mono, _), c in g.items()}
-            for g in rmap.graph_basis()[4]]
-
-
-def subalgebra_witness(rmap: RingMap, target_elem):
-    """A source polynomial mapping onto the target element, or None: its
-    normal form against the map's graph basis."""
-    joint, key, gb, lts, _ = rmap.graph_basis()
-    off = rmap.target.ring.nvars
-    nf = pa.m_reduce(joint.field, pa.embed(target_elem, joint, 0), gb, key,
-                     lts)
-    if any(any(mono[:off]) for (mono, _) in nf):
-        return None
-    return {(mono[off:], 0): c for (mono, _), c in nf.items()}
-
-
 @dataclass
 class GluingDatum:
-    """C = C_1 x_{C_0} C_2 along surjections f_1, f_2, with projections."""
+    """C = C_1 x_{C_0} C_2 along surjections f_1, f_2, with projections.
+
+    C, the projections p_i: C -> C_i and their kernels are built from the
+    five given fields at construction."""
 
     c1: RingPresentation
     c2: RingPresentation
     c0: RingPresentation
     f1: RingMap
     f2: RingMap
-    c: RingPresentation = None
-    p1: RingMap = None
-    p2: RingMap = None
-    ker_p1: list = None
-    ker_p2: list = None
+    c: RingPresentation = dataclasses.field(init=False)
+    p1: RingMap = dataclasses.field(init=False)
+    p2: RingMap = dataclasses.field(init=False)
+    ker_p1: list = dataclasses.field(init=False)
+    ker_p2: list = dataclasses.field(init=False)
 
     def __post_init__(self):
         for f, name in ((self.f1, "f1"), (self.f2, "f2")):
             for i in range(self.c0.ring.nvars):
-                if subalgebra_witness(f, self.c0.ring.var(i)) is None:
+                if f.preimage(self.c0.ring.var(i)) is None:
                     raise NotSurjective(f"{name} misses a generator of C0")
         self._build()
 
@@ -85,18 +69,18 @@ class GluingDatum:
         and for generators of ker(f1) x 0; the ideal by elimination from the
         product ring C_1 x C_2 (a single ring with idempotent split is
         avoided by embedding into C_1 (+) C_2 coordinates)."""
-        k1 = kernel_of_ring_map(self.f1)
+        k1 = self.f1.kernel()
         # generator pairs
         pairs = []
         for i in range(self.c1.ring.nvars):
             img = self.f1.apply(self.c1.ring.var(i))
-            p_i = subalgebra_witness(self.f2, img)
+            p_i = self.f2.preimage(img)
             if p_i is None:
                 raise NotSurjective("no f2-preimage for an f1-image")
             pairs.append((self.c1.ring.var(i), p_i))
         for j in range(self.c2.ring.nvars):
             img = self.f2.apply(self.c2.ring.var(j))
-            q_j = subalgebra_witness(self.f1, img)
+            q_j = self.f1.preimage(img)
             if q_j is None:
                 raise NotSurjective("no f1-preimage for an f2-image")
             pairs.append((q_j, self.c2.ring.var(j)))
@@ -121,7 +105,7 @@ class GluingDatum:
         free = RingPresentation(zring, [])
         g1 = RingMap(free, self.c1, [p[0] for p in pairs], check=False)
         g2 = RingMap(free, self.c2, [p[1] for p in pairs], check=False)
-        i1, i2 = kernel_of_ring_map(g1), kernel_of_ring_map(g2)
+        i1, i2 = g1.kernel(), g2.kernel()
         self.c = RingPresentation(zring, pa.ideal_intersection(free, i1, i2))
         # C = F/(i1 cap i2) for the free ring F on the pairs, so ker p_i is
         # i_i/(i1 cap i2), generated by i_i, and the graph basis of p_i,
@@ -142,7 +126,7 @@ class GluingDatum:
         equals ker f_1 (eq. of the pushout calculation)."""
         gens = [self.p1.apply(z) for z in self.ker_p2]
         lhs = self.c1.quotient(gens)
-        rhs = self.c1.quotient(kernel_of_ring_map(self.f1))
+        rhs = self.c1.quotient(self.f1.kernel())
         return _same_quotient(lhs, rhs)
 
     def exact_sequence_certificate(self):
@@ -217,7 +201,7 @@ def lift_coefficients(glue: GluingDatum, col, via):
     field = glue.c.ring.field
     out = {}
     for (mono, pos), cc in col.items():
-        w = subalgebra_witness(via, {(mono, 0): cc})
+        w = via.preimage({(mono, 0): cc})
         if w is None:
             raise KernelNotFinitelyGenerated("failed to lift a coefficient")
         out = m_add(field, out, {(mm, pos): c2 for (mm, _), c2 in w.items()})
@@ -229,7 +213,7 @@ def m0_over_c(glue: GluingDatum, d: DescentDatum):
     m0 = d.reduction(2)
     to0 = glue.to_c0()
     cols = [lift_coefficients(glue, c, to0) for c in m0.columns]
-    cols += pa.ideal_rows(kernel_of_ring_map(to0), m0.rank)
+    cols += pa.ideal_rows(to0.kernel(), m0.rank)
     return ModulePresentation(glue.c, m0.rank, cols)
 
 
@@ -271,14 +255,13 @@ def _module_over_c(glue: GluingDatum, m1, m2):
 def tor_gate(glue: GluingDatum, m: ModulePresentation) -> bool:
     """Tor_1^C(M, C_0) = 0."""
     j = [dict(g) for g in glue.ker_p1 + glue.ker_p2]
-    return pa.tor1(m, j)[1]
+    return pa.tor1(m, j)
 
 
 def tor_gate_side(glue: GluingDatum, which, m_i: ModulePresentation) -> bool:
     """Tor_1^{C_i}(M_i, C_0) = 0."""
     f = glue.f1 if which == 1 else glue.f2
-    j = kernel_of_ring_map(f)
-    return pa.tor1(m_i, j)[1]
+    return pa.tor1(m_i, f.kernel())
 
 
 def modules_isomorphic(m: ModulePresentation, n: ModulePresentation,

@@ -30,7 +30,6 @@ from .polyalg import (
     buchberger,
     regular_element_test,
     toric_ideal,
-    vector_space_dimension,
 )
 
 
@@ -219,7 +218,6 @@ class ChartShape:
 @dataclass
 class GroupAlgebraShape:
     ring: GradedRing
-    inverse_pairs: tuple  # (i, j) with u_i u_j = 1
 
 
 def graded_flat(m: ModulePresentation, shape):
@@ -239,7 +237,7 @@ def _flat_kp(m: ModulePresentation, shape: KPShape):
     verdict = True
     for prime in alg.monoid.prime_ideals():
         j = alg.to_ring_ideal(prime)
-        zero = pa.tor1(m, j.generators)[1]
+        zero = pa.tor1(m, j.generators)
         entries.append({"prime": [list(g) for g in prime.generators],
                         "tor1_zero": zero})
         verdict = verdict and zero
@@ -278,7 +276,7 @@ def _flat_chart(m: ModulePresentation, shape: ChartShape):
         verdict = base_ok
         to_m = RingMap(level, m.over, shape.to_c.images, check=False)
         for e in evars:
-            tz = pa.tor1_along(to_m, [ring.var(e)], 1, m)[1]
+            tz = pa.tor1_along(to_m, [ring.var(e)], 1, m)
             sub_m = quotient_module(m, [shape.to_c.apply(ring.var(e))])
             sub_ok, sub_cert = level_of(sub_m, [v for v in evars if v != e],
                                         killed + (e,))
@@ -312,7 +310,7 @@ def _base_flat(shape: ChartShape, m: ModulePresentation, level):
     base_pres = RingPresentation(base_ring, base_ideal)
     if base_pres.contains_one():
         return True, {"base": "zero ring", "flat": True}
-    if vector_space_dimension(base_pres, 1, []) == 1:
+    if ModulePresentation(base_pres, 1).dim() == 1:
         return True, {"base": "residue field", "flat": True}
     if shape.base[0] == "kt" and not base_ideal:
         t_b = ring.var(shape.avars[shape.base[1]])
@@ -408,16 +406,16 @@ def nodal_criteria_panel(m: ModulePresentation, shape=None):
         shape = _nodal_shape(pres)
     panel = {}
     panel["graded_flat"], _ = graded_flat(m, shape)
-    panel["tor_maximal_ideal"] = pa.tor1(m, [x, y])[1]
+    panel["tor_maximal_ideal"] = pa.tor1(m, [x, y])
     panel["clutching_injective"] = _nodal_map_injective(m, x, y)
     mx = quotient_module(m, [x])
     my = quotient_module(m, [y])
-    tor_x = pa.tor1(m, [x])[1]
-    tor_y = pa.tor1(m, [y])[1]
+    tor_x = pa.tor1(m, [x])
+    tor_y = pa.tor1(m, [y])
     y_reg = regular_element_test(y, mx)
     x_reg = regular_element_test(x, my)
-    gf_x = pa.tor1(mx, [y])[1]
-    gf_y = pa.tor1(my, [x])[1]
+    gf_x = pa.tor1(mx, [y])
+    gf_y = pa.tor1(my, [x])
     panel["tor_both_sides_regular"] = tor_x and y_reg and tor_y and x_reg
     panel["tor_both_sides_graded"] = tor_x and gf_x and tor_y and gf_y
     panel["tor_x_y_regular"] = tor_x and y_reg
@@ -471,7 +469,7 @@ def group_algebra(field, g: FgAbGroup):
     pres = RingPresentation(ring, relations)
     gr = GradedRing(g, pres, degrees)
     gr.inverse_pairs = tuple(inverse_pairs)
-    return gr, GroupAlgebraShape(gr, tuple(inverse_pairs))
+    return gr, GroupAlgebraShape(gr)
 
 
 @dataclass
@@ -583,5 +581,5 @@ def graded_flat_on_ideal_family(m: ModulePresentation, ideals):
     Complete only relative to the supplied family; used for cross-checks."""
     results = []
     for gens in ideals:
-        results.append(pa.tor1(m, list(gens))[1])
+        results.append(pa.tor1(m, list(gens)))
     return all(results), results

@@ -742,6 +742,23 @@ class RingMap:
                            contraction)
         return self._graph
 
+    def kernel(self):
+        """Generators of ker(source -> target): the contraction of the
+        graph basis, restricted to the source variables."""
+        off = self.target.ring.nvars
+        return [{(mono[off:], 0): c for (mono, _), c in g.items()}
+                for g in self.graph_basis()[4]]
+
+    def preimage(self, elem):
+        """A source polynomial that maps onto the target element ``elem``,
+        or None: its normal form against the graph basis."""
+        joint, key, gb, lts, _ = self.graph_basis()
+        off = self.target.ring.nvars
+        nf = m_reduce(joint.field, embed(elem, joint, 0), gb, key, lts)
+        if any(any(mono[:off]) for (mono, _) in nf):
+            return None
+        return {(mono[off:], 0): c for (mono, _), c in nf.items()}
+
 
 _UNSET = object()
 
@@ -857,9 +874,10 @@ def _apply_cols(field, cols, vec):
 
 def is_injective(phi_cols, m: ModulePresentation, n: ModulePresentation):
     """Whether the map M -> N given by the columns phi_cols is injective:
-    every generator of its kernel is zero in M."""
-    return all(m.is_zero_elem(g)
-               for g in kernel_of_module_map(phi_cols, m, n))
+    the homology of R^s --M's columns--> R^m.rank --phi--> N vanishes.
+    ValueError when the columns do not define a map of presented modules."""
+    _check_map(phi_cols, m, n)
+    return homology(m, phi_cols, n)
 
 
 def lift_through(vecs, n: ModulePresentation, targets):
@@ -907,27 +925,20 @@ def module_map_inverse(phi_cols, m: ModulePresentation, n: ModulePresentation):
     return psi
 
 
-def homology(over: RingPresentation, a_cols, mid_rank, mid_relations,
-             b_cols, out_rank, out_relations):
-    """Homology ker(B)/im(A) at the middle of
-       R^s --A--> R^mid_rank --B--> R^out_rank
-    where the outer terms carry the given relation columns.
-
-    Returns (presentation over ``over``, is_zero); a zero homology is
-    presented as the module of rank 0.
-    """
-    kgens = kernel_of_matrix(over, b_cols, out_rank, out_relations)
-    denom = list(a_cols) + list(mid_relations)
-    mid = ModulePresentation(over, mid_rank, denom)
-    if all(mid.is_zero_elem(k) for k in kgens):
-        return ModulePresentation(over, 0, []), True
-    rels = kernel_of_matrix(over, kgens, mid_rank, denom)
-    return ModulePresentation(over, len(kgens), rels), False
+def homology(mid: ModulePresentation, b_cols, out: ModulePresentation):
+    """Whether the homology ker(B)/im(A) vanishes at the middle of
+       R^s --A--> R^mid.rank --B--> R^out.rank
+    where the columns of A are among ``mid``'s relation columns (the rest
+    are relations of the middle term) and ``out``'s columns are those of
+    the outer term: every generator of the kernel of B modulo ``out``'s
+    columns is zero in ``mid``."""
+    return all(mid.is_zero_elem(k) for k in
+               kernel_of_matrix(mid.over, b_cols, out.rank, out.columns))
 
 
 def tor1_along(rmap: RingMap, cols, rank, n: ModulePresentation):
-    """Tor_1^R(coker(R^a --cols--> R^rank), N) for a module N over
-    S = ``rmap.target``, with R = ``rmap.source``.
+    """Whether Tor_1^R(coker(R^a --cols--> R^rank), N) vanishes, for a
+    module N over S = ``rmap.target``, with R = ``rmap.source``.
 
     The cokernel is resolved over R as F2 --d2--> F1 = R^a --cols--> F0 =
     R^rank, d2 from one syzygy computation.  Both maps are carried along
@@ -935,11 +946,9 @@ def tor1_along(rmap: RingMap, cols, rank, n: ModulePresentation):
     block of n.rank positions per basis vector of F_i, presented over S by
     N's relations in every block, and a column d of a map becomes the block
     columns d (x) e_u, one per basis vector e_u of N.  Tor_1 is the
-    homology at F1 (x) N; a free cokernel (no columns) has none.
-
-    Returns (presentation over S, is_zero)."""
+    homology at F1 (x) N; a free cokernel (no columns) has none."""
     if not cols:
-        return ModulePresentation(rmap.target, 0, []), True
+        return True
     r = n.rank
 
     def tensored(d):
@@ -952,16 +961,16 @@ def tor1_along(rmap: RingMap, cols, rank, n: ModulePresentation):
                 for j in range(count) for rel in n.columns]
 
     d2 = kernel_of_matrix(rmap.source, cols, rank)
-    return homology(rmap.target, tensored(d2), len(cols) * r,
-                    relation_blocks(len(cols)), tensored(cols), rank * r,
-                    relation_blocks(rank))
+    mid = ModulePresentation(rmap.target, len(cols) * r,
+                             tensored(d2) + relation_blocks(len(cols)))
+    return homology(mid, tensored(cols), ModulePresentation(
+        rmap.target, rank * r, relation_blocks(rank)))
 
 
 def tor1(m: ModulePresentation, j_gens):
-    """Tor_1^R(M, R/J) for the presented module M and ideal J of R: M
-    resolved over R and tensored with R/J along the quotient map.
-
-    Returns (presentation over R/J, is_zero)."""
+    """Whether Tor_1^R(M, R/J) vanishes, for the presented module M and
+    ideal J of R: M resolved over R and tensored with R/J along the
+    quotient map."""
     ring = m.over.ring
     rq = m.over.quotient(j_gens)
     to_rq = RingMap(m.over, rq, [ring.var(i) for i in range(ring.nvars)],
@@ -1025,11 +1034,6 @@ def standard_monomials(mp: ModulePresentation):
 def vector_space_basis(over: RingPresentation, rank, rel_cols):
     """Standard monomials (mono, pos) of the quotient, or None if infinite."""
     return ModulePresentation(over, rank, rel_cols).kbasis()
-
-
-def vector_space_dimension(over, rank, rel_cols):
-    b = vector_space_basis(over, rank, rel_cols)
-    return None if b is None else len(b)
 
 
 # -- linear algebra over the field -----------------------------------------------

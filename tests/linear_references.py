@@ -20,9 +20,12 @@ from logflat.descent import (
 from logflat.graded import UnsupportedShape
 from logflat.polyalg import (
     ModulePresentation,
+    RingMap,
     RingPresentation,
     is_injective,
+    kernel_of_matrix,
     lift_through,
+    transport_col,
 )
 
 
@@ -236,3 +239,69 @@ def module_map_inverse(phi_cols, m: ModulePresentation, n: ModulePresentation):
         return None
     inv = lift_through(phi_cols, n, [n.basis_elem(i) for i in range(n.rank)])
     return None if any(w is None for w in inv) else inv
+
+
+# -- homology and Tor_1 with a presentation of the homology module ---------------
+
+
+def homology_presentation(over: RingPresentation, a_cols, mid_rank,
+                          mid_relations, b_cols, out_rank, out_relations):
+    """Homology ker(B)/im(A) at the middle of
+       R^s --A--> R^mid_rank --B--> R^out_rank
+    where the outer terms carry the given relation columns.
+
+    Returns (presentation over ``over``, is_zero); a zero homology is
+    presented as the module of rank 0.
+    """
+    kgens = kernel_of_matrix(over, b_cols, out_rank, out_relations)
+    denom = list(a_cols) + list(mid_relations)
+    mid = ModulePresentation(over, mid_rank, denom)
+    if all(mid.is_zero_elem(k) for k in kgens):
+        return ModulePresentation(over, 0, []), True
+    rels = kernel_of_matrix(over, kgens, mid_rank, denom)
+    return ModulePresentation(over, len(kgens), rels), False
+
+
+def tor1_along_presentation(rmap: RingMap, cols, rank, n: ModulePresentation):
+    """Tor_1^R(coker(R^a --cols--> R^rank), N) for a module N over
+    S = ``rmap.target``, with R = ``rmap.source``.
+
+    The cokernel is resolved over R as F2 --d2--> F1 = R^a --cols--> F0 =
+    R^rank, d2 from one syzygy computation.  Both maps are carried along
+    ``rmap`` and tensored with N: F_i (x) N is a sum of copies of N, one
+    block of n.rank positions per basis vector of F_i, presented over S by
+    N's relations in every block, and a column d of a map becomes the block
+    columns d (x) e_u, one per basis vector e_u of N.  Tor_1 is the
+    homology at F1 (x) N; a free cokernel (no columns) has none.
+
+    Returns (presentation over S, is_zero)."""
+    if not cols:
+        return ModulePresentation(rmap.target, 0, []), True
+    r = n.rank
+
+    def tensored(d):
+        return [{(mono, pos * r + u): c
+                 for (mono, pos), c in transport_col(rmap, col).items()}
+                for col in d for u in range(r)]
+
+    def relation_blocks(count):
+        return [{(mono, j * r + pos): c for (mono, pos), c in rel.items()}
+                for j in range(count) for rel in n.columns]
+
+    d2 = kernel_of_matrix(rmap.source, cols, rank)
+    return homology_presentation(rmap.target, tensored(d2), len(cols) * r,
+                                 relation_blocks(len(cols)), tensored(cols),
+                                 rank * r, relation_blocks(rank))
+
+
+def tor1_presentation(m: ModulePresentation, j_gens):
+    """Tor_1^R(M, R/J) for the presented module M and ideal J of R: M
+    resolved over R and tensored with R/J along the quotient map.
+
+    Returns (presentation over R/J, is_zero)."""
+    ring = m.over.ring
+    rq = m.over.quotient(j_gens)
+    to_rq = RingMap(m.over, rq, [ring.var(i) for i in range(ring.nvars)],
+                    check=False)
+    return tor1_along_presentation(to_rq, m.columns, m.rank,
+                                   ModulePresentation(rq, 1))

@@ -595,9 +595,8 @@ def _tensored_homology_is_zero(m: ModulePresentation, a_cols, b_cols):
     for col in a_cols:
         for u in range(r):
             big_a.append(_kron_block(col, u, r))
-    out_rels = list(m.columns)
-    _, is_zero = pa.homology(over, big_a, s1 * r, mid_rels, big_b, r, out_rels)
-    return is_zero
+    return pa.homology(ModulePresentation(over, s1 * r, big_a + mid_rels),
+                       big_b, m)
 
 
 def _kron_block(col, u, r):

@@ -416,7 +416,7 @@ class TestRunScope:
         assert seen[0] is not None and scope.memo() is None
 
     def test_nodal_degeneration_computes_each_basis_once(self, monkeypatch):
-        # 179 buchberger calls on 62 distinct inputs: a call that reduces
+        # 165 buchberger calls on 53 distinct inputs: a call that reduces
         # nothing was answered from the memo
         from logflat import graded
         stats = {"calls": 0, "computed": 0, "reductions": 0}
@@ -438,5 +438,5 @@ class TestRunScope:
             monkeypatch.setattr(ns, "buchberger", gb)
         _, code, matches = cli.run_gallery("nodal-degeneration")
         assert code == 0 and matches
-        assert stats["calls"] == 179
-        assert stats["computed"] <= 62
+        assert stats["calls"] == 165
+        assert stats["computed"] <= 53

@@ -108,7 +108,7 @@ class TestTorMechanism:
         assert regular_element_test(f, free)
         for rels in ([], [r.parse("x + y")], [r.parse("x - 1")]):
             m = ModulePresentation(rp, 1, rels)
-            pres, zero = tor1(m, [f])
+            zero = tor1(m, [f])
             phi = pa.ideal_rows([f], 1)
             kgens = pa.kernel_of_module_map(phi, m, m)
             ker_zero = all(m.is_zero_elem(g) for g in kgens)
@@ -125,11 +125,11 @@ class TestTorMechanism:
             face_gens = [g for g in p.generators if not prime.contains(g)]
             face = FineMonoid(p.ambient, face_gens)
             face_pres, _ = toric_ideal(face) if face_gens else (None, None)
-            d1 = pa.vector_space_dimension(quotient_way, 1, [])
+            d1 = ModulePresentation(quotient_way, 1).dim()
             if face_pres is None:
                 assert d1 == 1
                 continue
-            d2 = pa.vector_space_dimension(face_pres, 1, [])
+            d2 = ModulePresentation(face_pres, 1).dim()
             # both infinite or both equal
             assert (d1 is None) == (d2 is None)
 
@@ -272,5 +272,5 @@ class TestCoverRank:
         name, prob = lift_instances()[4]
         lift = ch.homotopy_lift(prob)
         assert len(lift.cover_adjoined) == 1
-        dim_cover = pa.vector_space_dimension(lift.tower.aprime, 1, [])
+        dim_cover = ModulePresentation(lift.tower.aprime, 1).dim()
         assert dim_cover == 5 * 2  # basis 1..x^4 over k[e]/(e^2)
