@@ -394,10 +394,6 @@ class FgAbGroup:
     def zero_group(cls):
         return cls(0, ())
 
-    @classmethod
-    def cyclic(cls, d):
-        return cls(0, (d,)) if d else cls(1, ())
-
     def is_trivial(self):
         return self.dim == 0
 

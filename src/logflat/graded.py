@@ -136,13 +136,16 @@ class MonoidAlgebra:
     def pres(self):
         return self.graded.pres
 
-    def monomial_of_element(self, p):
-        return pa.monomial_of(self.monoid, p)
-
     def to_ring_ideal(self, ideal: MonoidIdeal) -> HomogeneousIdeal:
+        """The monomial ideal of the ideal's generators, each the monomial
+        of its certificate over the monoid's generators."""
         ring = self.pres.ring
-        gens = [ring.monomial(self.monomial_of_element(g))
-                for g in ideal.generators]
+        gens = []
+        for g in ideal.generators:
+            ok, mult = self.monoid.member_with_certificate(g)
+            if not ok:
+                raise ValueError("element is not in the monoid")
+            gens.append(ring.monomial(mult))
         return HomogeneousIdeal(self.graded, gens)
 
     def to_monoid_ideal(self, j) -> MonoidIdeal:

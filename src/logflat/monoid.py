@@ -4,8 +4,9 @@ morphism classifiers (injective, surjective, strict, vertical, flat, free).
 A fine monoid is kept embedded: a finite generator list inside an ambient
 finitely generated abelian group.  Integrality is automatic and the word
 problem is group arithmetic.  Membership is decided exactly: reduce modulo
-the unit subgroup, then branch-and-bound in the sharp quotient, certified by
-a strictly positive rational functional on the sharp generators.
+the unit subgroup, then branch-and-bound in the sharp quotient, bounded by
+a strictly positive integer functional on the sharp generators: the sum of
+the extreme rays of their dual cone.
 """
 
 from __future__ import annotations
@@ -155,30 +156,25 @@ class FineMonoid:
         return u, sharp, hom
 
     def _positive_functional(self):
-        """Strictly positive rational functional on the sharp generators.
+        """A strictly positive integer functional on the sharp generators:
+        the sum of the extreme rays of the cone dual to them, read off the
+        dual cones ``member`` searches with.
 
-        Exists because the sharp quotient of a fine monoid is sharp; failure
-        would mean 0 lies in the convex hull of the generators."""
-        if "lambda" in self._cache:
-            return self._cache["lambda"]
-        proj, sharp = self._sharp_data()
-        vecs = sorted({g[:sharp.ambient.rank] for g in sharp.generators})
-        lam = qcone.positive_functional(vecs, sharp.ambient.rank) \
-            if vecs else ()
-        if vecs and lam is None:
-            raise AssertionError("sharp quotient admits no positive functional")
-        self._cache["lambda"] = lam
-        return lam
-
-    def _integer_functional(self):
-        """The least positive integer multiple of ``_positive_functional``.
-
-        The membership searches only compare and divide its values, which
-        a positive scaling leaves unchanged, and integers are faster."""
-        if "int_lambda" not in self._cache:
-            self._cache["int_lambda"] = tuple(
-                qcone.clear_denominators(self._positive_functional()))
-        return self._cache["int_lambda"]
+        The sharp quotient of a fine monoid is sharp, so the rational cone
+        of its generators is pointed: a sharp generator is orthogonal to
+        the lineality and, being nonzero on the free coordinates, not to
+        every ray, so each ray is >= 0 on it and one is >= 1."""
+        if "lambda" not in self._cache:
+            _, sharp = self._sharp_data()
+            gens = tuple(sorted(set(sharp.generators)))
+            rank = sharp.ambient.rank
+            rays = self._suffix_cones(gens, rank)[0][1] if gens else []
+            lam = tuple(map(sum, zip(*rays))) if rays else (0,) * rank
+            if any(_lam_value(lam, g) < 1 for g in gens):
+                raise AssertionError(
+                    "sharp quotient admits no positive functional")
+            self._cache["lambda"] = lam
+        return self._cache["lambda"]
 
     # -- membership --------------------------------------------------------
 
@@ -209,9 +205,9 @@ class FineMonoid:
 
     def _search(self, amb, gens, target):
         """``_bounded_search`` over the sharp generators ``gens`` in
-        ``amb``, bounded by the integer functional and pruned by the dual
+        ``amb``, bounded by the positive functional and pruned by the dual
         cones of the suffixes of ``gens``."""
-        return _bounded_search(amb, self._integer_functional(), gens, target,
+        return _bounded_search(amb, self._positive_functional(), gens, target,
                                self._suffix_cones(gens, amb.rank))
 
     def nonneg_certificate(self, g):
@@ -733,19 +729,26 @@ class CosetFreeBasis(FreeBasis):
 
 def _positive_unit_relation(mon: FineMonoid):
     """An integer vector z >= 0 over the generators with sum z_i g_i = 0 and
-    z_i >= 1 for every unit generator (zero when there are no units)."""
+    z_i >= 1 for every unit generator (zero when there are no units): B c
+    for the relation lattice basis B and one rational point c of
+    (B c)_j >= 0 for every j and (B c)_i >= 1 for every unit i, its
+    denominators cleared.  Solved once per monoid."""
+    if "unit_relation" in mon._cache:
+        return mon._cache["unit_relation"]
     n = len(mon.generators)
     total = [0] * n
-    basis = mon.relation_lattice()
-    k = len(basis)
-    for i in sorted(mon.unit_indices()):
+    units = mon.unit_indices()
+    if units:
+        basis = mon.relation_lattice()
+        rows = [tuple(col[j] for col in basis) for j in range(n)]
         pt = qcone.feasible_point(
-            qcone.nonneg_combination_system(basis, i, n), k)
+            [(row, int(j in units)) for j, row in enumerate(rows)],
+            len(basis))
         if pt is None:
-            raise AssertionError("unit generator without positive relation")
-        ints = qcone.clear_denominators(pt)
-        for j in range(n):
-            total[j] += sum(ints[t] * basis[t][j] for t in range(k))
+            raise AssertionError("unit generators without positive relation")
+        c = qcone.clear_denominators(pt)
+        total = [sum(map(operator.mul, row, c)) for row in rows]
+    mon._cache["unit_relation"] = total
     return total
 
 

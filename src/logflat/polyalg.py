@@ -14,7 +14,6 @@ import heapq
 from fractions import Fraction
 
 from . import abgrp, scope
-from .qcone import clear_denominators
 
 
 # -- coefficient fields --------------------------------------------------------
@@ -303,7 +302,7 @@ def _monic_remainder(field, r):
     return r, lt
 
 
-def buchberger(field, gens, key, ring_mode=False):
+def buchberger(field, gens, key):
     """Reduced Groebner basis of the module generated by ``gens``.
 
     Deterministic: input is canonically sorted, S-pairs (i, j) with i < j
@@ -312,25 +311,27 @@ def buchberger(field, gens, key, ring_mode=False):
     interreduced, monic, and sorted.  Basis elements never change inside the
     pair loop, so a pair's order entry is fixed when the pair is formed and a
     heap pops the pairs in exactly that order.  Pairs whose leading terms sit
-    in different positions, and in ``ring_mode`` pairs with coprime leading
-    monomials (product criterion, valid for ideals), are never queued.  The
-    leading term of each basis element is found once, when the element is
-    added or changed, and handed to every reduction.
+    in different positions are never queued.  When every term of the input
+    lies in position 0 the input is an ideal, and pairs with coprime leading
+    monomials are not queued either (the product criterion, valid for
+    ideals).  The leading term of each basis element is found once, when
+    the element is added or changed, and handed to every reduction.
 
     Inside a ``scope.run_scope()`` (``cli.run_document`` enters one per
-    document) the result is stored under (field, order, ``ring_mode``, set
-    of generators), the order being the key's ``tag`` or, for an untagged
-    key, the key itself, and an equal input later gets a copy of it.  The
-    reduced basis is unique for a module and an order (``ring_mode`` is for
-    ideals), so generator order and duplicates cannot change it, and a
-    direct call outside any scope returns the same list.
+    document) the result is stored under (field, order, set of generators),
+    the order being the key's ``tag`` or, for an untagged key, the key
+    itself, and an equal input later gets a copy of it.  The reduced basis
+    is unique for a module and an order, so generator order and duplicates
+    cannot change it, and a direct call outside any scope returns the same
+    list.
     """
     memo = scope.memo()
     if memo is not None:
-        entry = (field, getattr(key, "tag", key), ring_mode,
+        entry = (field, getattr(key, "tag", key),
                  frozenset(frozenset(g.items()) for g in gens if g))
         if entry in memo:
             return [dict(g) for g in memo[entry]]
+    ideal = not any(pos for g in gens for (_, pos) in g)
     basis, lts = [], []
     for g in sorted((g for g in gens if g),
                     key=lambda g: key(m_lt(g, key))):
@@ -346,7 +347,7 @@ def buchberger(field, gens, key, ring_mode=False):
             mi, pi = lts[i]
             if pi != pj:
                 continue
-            if ring_mode and all(min(a, b) == 0 for a, b in zip(mi, mj)):
+            if ideal and all(min(a, b) == 0 for a, b in zip(mi, mj)):
                 continue
             lcm = tuple(max(a, b) for a, b in zip(mi, mj))
             yield (key((lcm, pj)), i, j, lcm)
@@ -643,8 +644,7 @@ class RingPresentation:
     def gb(self):
         if self._gb is None:
             key = self.ring.mkey()
-            self._gb = buchberger(self.ring.field, self.ideal, key,
-                                  ring_mode=True)
+            self._gb = buchberger(self.ring.field, self.ideal, key)
             self._lts = [m_lt(g, key) for g in self._gb]
         return self._gb
 
@@ -1102,7 +1102,7 @@ def elimination_basis(field, gens, elim):
     key = module_key(lambda mono: (sum(mono[i] for i in elim),
                                    degrevlex_key(mono)))
     key.tag = ("elim", elim)
-    gb = buchberger(field, gens, key, ring_mode=True)
+    gb = buchberger(field, gens, key)
     return key, gb, [g for g in gb if all(all(mono[i] == 0 for i in elim)
                                           for (mono, _) in g)]
 
@@ -1173,13 +1173,11 @@ def toric_ideal(p_monoid, field=QQ, names=None, allow_units=False):
         # positive weights from the certifying functional make the lattice
         # ideal homogeneous, so saturation per variable is revlex division
         lam = p_monoid._positive_functional()
-        rank = p_monoid.ambient.rank
-        weights = clear_denominators(
-            [sum(l * c for l, c in zip(lam, g[:rank])) for g in gens])
+        weights = [sum(l * c for l, c in zip(lam, g)) for g in gens]
         current = binomials
         for i in range(n):
             key = weighted_revlex_key(weights, i)
-            gb = buchberger(field, current, module_key(key), ring_mode=True)
+            gb = buchberger(field, current, module_key(key))
             divided = []
             for g in gb:
                 drop = min(m[i] for (m, _) in g)
@@ -1189,17 +1187,8 @@ def toric_ideal(p_monoid, field=QQ, names=None, allow_units=False):
                          for (m, p), c in g.items()}
                 divided.append(g)
             current = divided
-    pres = RingPresentation(ring, buchberger(field, current, ring.mkey(),
-                                             ring_mode=True))
+    pres = RingPresentation(ring, buchberger(field, current, ring.mkey()))
     return pres, list(gens)
-
-
-def monomial_of(p_monoid, element):
-    """Exponent vector of a monomial representing the monoid element."""
-    ok, mult = p_monoid.member_with_certificate(element)
-    if not ok:
-        raise ValueError("element is not in the monoid")
-    return mult
 
 
 def monomial_module_presentation(p_monoid, ring_pres, m_module):

@@ -1,23 +1,21 @@
-"""Exact rational polyhedral cones over primitive integer rows.
+"""Exact rational polyhedral cones over primitive integer rows, by one
+engine: the double description method (Motzkin, Raiffa, Thompson & Thrall
+1953; Fukuda & Prodon, "Double description method revisited", 1996).
+Small systems only (the monoid layer keeps generator counts in single
+digits).
 
-Three routines, for small systems only (the monoid layer keeps generator
-counts in single digits):
-
-- ``feasible_point``: rational linear feasibility by Fourier-Motzkin
-  elimination.  Constraints are pairs (coeffs, rhs) meaning
-  sum coeffs*x >= rhs, with int or Fraction entries.
 - ``dual_states``: the cone {lam : row . lam >= 0} after each row, as
-  lineality and rays, by the double description method (Motzkin, Raiffa,
-  Thompson & Thrall 1953; Fukuda & Prodon, "Double description method
-  revisited", 1996); ``dual_rays`` is its last state when that is pointed.
+  lineality and rays; ``dual_rays`` is its last state when that is pointed.
   With the generators of a full-dimensional cone as rows, these rays are
   the inner facet normals of that cone.
+- ``feasible_point``: rational linear feasibility, read off the rays of
+  one homogenised cone.  Constraints are pairs (coeffs, rhs) meaning
+  sum coeffs*x >= rhs, with int or Fraction entries.
 
 Each row is kept as one primitive integer row: denominators cleared, then
 divided by the gcd of its entries.  A positive scaling changes neither the
 half-space nor, up to another positive scaling, any row it is combined into,
-so rows that are positive multiples of each other coincide and are dropped,
-and every bound of the back-substitution is the one of the rational system.
+so rows that are positive multiples of each other coincide and are dropped.
 Only the point ``feasible_point`` returns is rational.
 """
 
@@ -37,77 +35,6 @@ def clear_denominators(values):
 def _primitive(row):
     g = gcd(*row)
     return tuple(x // g for x in row) if g > 1 else tuple(row)
-
-
-def _norm(con):
-    coeffs, rhs = con
-    return _primitive(clear_denominators([*coeffs, rhs]))
-
-
-def feasible_point(constraints, nvars):
-    """A rational point satisfying all constraints, or None."""
-    return _solve([_norm(c) for c in constraints], nvars)
-
-
-def _solve(rows, nvars):
-    rows = list(dict.fromkeys(rows))
-    if nvars == 0:
-        for row in rows:
-            if row[-1] > 0:
-                return None
-        return ()
-    k = nvars - 1
-    pos, neg, projected = [], [], []
-    for row in rows:
-        a = row[k]
-        if a > 0:
-            pos.append(row)
-        elif a < 0:
-            neg.append(row)
-        else:
-            projected.append(row[:k] + row[-1:])
-    for p in pos:
-        a = p[k]
-        pk = p[:k] + p[-1:]
-        for q in neg:
-            b = -q[k]
-            # b*(p >= .) + a*(q >= .), variable k cancels
-            projected.append(_primitive(
-                [b * x + a * y for x, y in zip(pk, q[:k] + q[-1:])]))
-    inner = _solve(projected, k)
-    if inner is None:
-        return None
-    lo, hi = None, None
-    for row in pos:
-        bound = Fraction(row[-1] - sum(c * x for c, x in zip(row, inner)),
-                         row[k])
-        lo = bound if lo is None or bound > lo else lo
-    for row in neg:
-        bound = Fraction(row[-1] - sum(c * x for c, x in zip(row, inner)),
-                         row[k])
-        hi = bound if hi is None or bound < hi else hi
-    if lo is None and hi is None:
-        val = Fraction(0)
-    elif lo is None:
-        val = hi
-    elif hi is None:
-        val = lo
-    else:
-        val = (lo + hi) / 2
-    return tuple(inner) + (val,)
-
-
-def positive_functional(vectors, dim):
-    """lambda with lambda . v >= 1 for every v, or None (0 in the convex hull)."""
-    cons = [(v, 1) for v in vectors]
-    return feasible_point(cons, dim)
-
-
-def nonneg_combination_system(basis_cols, i, n):
-    """Constraints on c, over the k = len(basis_cols) columns of the n-row
-    matrix B, saying (B c)_j >= 0 for all j and (B c)_i >= 1."""
-    rows = [tuple(col[j] for col in basis_cols) for j in range(n)]
-    return [(row, 0) for row in rows] + [(rows[i], 1)]
 
 
 def _dot(a, x):
@@ -188,3 +115,21 @@ def dual_rays(rows, dim):
     for lineality, rays in dual_states(rows, dim):
         pointed = not lineality
     return sorted(rays) if pointed else []
+
+
+def feasible_point(constraints, nvars):
+    """A rational point x with sum coeffs*x >= rhs for every constraint
+    (coeffs, rhs), or None.
+
+    One ``dual_states`` run on the homogenised cone of the pairs (x, s)
+    with coeffs . x - rhs*s >= 0 and s >= 0: the system is feasible exactly
+    when that cone holds a vector with s > 0, and then x/s is a point.  The
+    row s >= 0 puts the lineality into s = 0, so such a vector exists when
+    some ray has s > 0, and the sum of those rays is one."""
+    rows = [(0,) * nvars + (1,)]
+    rows += [(*coeffs, -rhs) for coeffs, rhs in constraints]
+    *_, (_, rays) = dual_states(rows, nvars + 1)
+    total = [sum(col) for col in zip(*(r for r in rays if r[-1] > 0))]
+    if not total:
+        return None
+    return tuple(Fraction(x, total[-1]) for x in total[:-1])

@@ -140,7 +140,8 @@ def tor_shadow_passes(name, m):
             j = alg.to_ring_ideal(prime)
             n = ModulePresentation(alg.pres, 1, list(j.generators))
             quot_cols = [alg.pres.ring.sub(alg.pres.ring.monomial(
-                alg.monomial_of_element(g)), alg.pres.ring.zero())
+                alg.monoid.member_with_certificate(g)[1]),
+                alg.pres.ring.zero())
                 for g in prime.generators]
             nquot = ModulePresentation(alg.pres, 1, quot_cols)
             if not pa.tor1_along(incl, nquot.columns, nquot.rank,

@@ -148,7 +148,7 @@ def reference_member_with_certificate(self, g):
     n = len(self.generators)
     if not any(g):
         return True, (0,) * n
-    lam = self._integer_functional()
+    lam = self._positive_functional()
     sub = self.ambient.reduced_sub()
     gens = self.generators
     lgs = [_lam_value(lam, gvec) for gvec in gens]

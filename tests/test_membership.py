@@ -1,9 +1,12 @@
-"""Membership searches over the integer multiple of the positive functional,
-against copies of the searches over the Fraction functional they replaced,
-against a copy of the search before it was pruned by the dual cones of the
-generator suffixes, and against brute-force enumeration of the monoid."""
+"""Membership searches over the positive integer functional (the sum of the
+dual rays of the sharp generators), against copies of the searches over a
+rational functional they replaced, against a copy of the search before it
+was pruned by the dual cones of the generator suffixes, and against
+brute-force enumeration of the monoid."""
 
 import sys
+from itertools import product
+from math import prod
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -12,6 +15,7 @@ from logflat.abgrp import FgAbGroup
 from logflat.monoid import FineMonoid, _lam_value
 
 from brute_force import elements_up_to
+from test_monoid import embedded_monoids
 
 
 # -- the Fraction-functional searches, kept as references ----------------------
@@ -163,12 +167,12 @@ def unpruned_member(mon, g):
         return True
     proj, sharp = mon._sharp_data()
     gens = sorted(set(sharp.generators))
-    return unpruned_bounded_search(sharp.ambient, mon._integer_functional(),
+    return unpruned_bounded_search(sharp.ambient, mon._positive_functional(),
                                    gens, proj.apply(g)) is not None
 
 
 def unpruned_certificate(mon, g):
-    out = unpruned_bounded_search(mon.ambient, mon._integer_functional(),
+    out = unpruned_bounded_search(mon.ambient, mon._positive_functional(),
                                   mon.generators, mon.ambient.reduce(g))
     return (True, out) if out is not None else (False, None)
 
@@ -267,6 +271,76 @@ def test_member_matches_enumeration(mon, data):
     elements = set(elements_up_to(mon, depth))
     for t in bounded:
         assert mon.member(t) == (t in elements)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(monoids(), embedded_monoids()))
+def test_positive_functional_is_integral_and_positive(mon):
+    """The sum of the dual rays is an integer functional, >= 1 on every
+    sharp generator, computed from the cones the searches read."""
+    _, sharp = mon._sharp_data()
+    lam = mon._positive_functional()
+    assert len(lam) == sharp.ambient.rank
+    assert all(type(x) is int for x in lam)
+    assert all(_lam_value(lam, g) >= 1 for g in sharp.generators)
+
+
+@st.composite
+def sharp_monoids(draw):
+    """Monoids in Z^rank (+) torsion with every generator on the positive
+    side of a random functional w, so that the monoid is sharp."""
+    rank = draw(st.integers(1, 3))
+    torsion = draw(st.sampled_from([(), (2,), (3,), (2, 4)]))
+    w = draw(st.tuples(*[st.integers(-2, 2)] * rank).filter(any))
+    vec = st.tuples(*[st.integers(-2, 2)] * rank,
+                    *[st.integers(0, d - 1) for d in torsion])
+    gens = []
+    for g in draw(st.lists(vec, min_size=1, max_size=4)):
+        side = _lam_value(w, g)
+        if side:
+            gens.append(g if side > 0 else
+                        tuple(-x for x in g[:rank]) + g[rank:])
+    assume(gens)
+    return FineMonoid(FgAbGroup(rank, torsion), gens)
+
+
+def _lex_first_in_box(mon, t, tops):
+    """The lexicographically first vector in the box prod [0, tops[i]]
+    whose combination of the generators is t, or None."""
+    amb = mon.ambient
+    for mult in product(*[range(top + 1) for top in tops]):
+        total = amb.zero()
+        for k, g in zip(mult, mon.generators):
+            total = amb.add(total, amb.scale(k, g))
+        if total == t:
+            return mult
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(sharp_monoids(), st.data())
+def test_certificate_is_lexicographically_first(mon, data):
+    """The certificate does not depend on the functional that bounds the
+    search: it is the first nonnegative vector in lexicographic order.
+    Every such vector v has v_i * lam(g_i) <= lam(t), so the box with those
+    sides holds them all."""
+    assert mon.is_sharp()
+    lam = mon._positive_functional()
+    amb = mon.ambient
+    targets = _targets(data.draw, mon, 4)
+    for _ in range(4):
+        t = amb.zero()
+        for g in mon.generators:
+            t = amb.add(t, amb.scale(data.draw(st.integers(0, 2)), g))
+        targets.append(t)
+    for t in targets:
+        lt = _lam_value(lam, t)
+        tops = [lt // _lam_value(lam, g) if lt >= 0 else -1
+                for g in mon.generators]
+        if prod(top + 1 for top in tops) > 4000:
+            continue
+        want = _lex_first_in_box(mon, t, tops)
+        assert mon.member_with_certificate(t) == (want is not None, want)
 
 
 # -- the cut at work: search calls on the cone over the benchmark 8-gon --------

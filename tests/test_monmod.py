@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ from sympy.solvers.simplex import linprog
 
 from logflat.abgrp import FgAbGroup
 from logflat.monoid import FineMonoid, MonoidHom, MonoidIdeal, diagonal, nat_monoid
-from logflat import monmod
+from logflat import cli, monmod
 from logflat.monmod import (
     NotFinitelyGenerated,
     PModule,
@@ -439,6 +440,70 @@ def _read_attributes(source):
     return {node.attr for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute)
             and isinstance(node.ctx, ast.Load)}
+
+
+def _defined_functions(source):
+    """The name of every function and method defined in the module."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def _referenced_names(source):
+    """Every name the module loads, as a variable or an attribute, and
+    every identifier inside one of its string constants, docstrings
+    left out: a stale docstring does not keep a function alive."""
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef,
+                                       ast.FunctionDef, ast.AsyncFunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            out |= set(re.findall(r"\w+", node.value))
+    return out
+
+
+def _unreferenced(defined_in, read_in):
+    """Functions defined in the sources ``defined_in`` whose names no
+    source in ``read_in`` refers to; dunder methods and the handlers that
+    ``cli`` finds by name are left out."""
+    defined = set().union(*(_defined_functions(s) for s in defined_in))
+    read = set().union(*(_referenced_names(s) for s in read_in))
+    return sorted(name for name in defined - read
+                  if not (name.startswith("__") and name.endswith("__"))
+                  and not name.startswith(("_build_", "_task_")))
+
+
+def test_every_defined_function_is_referenced():
+    # the check sees a function nothing calls, but not one named in a
+    # string (a traced span) or a docstring-only mention
+    planted = ('def used():\n    "Calls dead() never."\n    return 1\n\n'
+               'def traced():\n    return 2\n\n'
+               'def dead():\n    return used()\n')
+    reader = 'SPANS = [("m", "traced")]\n'
+    assert _unreferenced([planted], [planted, reader]) == ["dead"]
+    root = Path(monmod.__file__).parents[2]
+    sources = [p.read_text() for p in sorted((root / "src").rglob("*.py"))]
+    readers = [p.read_text() for d in ("src", "tests", "bench")
+               for p in sorted((root / d).rglob("*.py"))]
+    assert len(set().union(*map(_defined_functions, sources))) > 300
+    assert not _unreferenced(sources, readers), \
+        _unreferenced(sources, readers)
+
+
+def test_cli_handlers_match_the_kind_tables():
+    # one handler per object and task kind, found by name, and no other
+    defined = _defined_functions(Path(cli.__file__).read_text())
+    assert {n for n in defined if n.startswith("_build_")} == \
+        {f"_build_{kind}" for kind in cli.OBJECT_REFS}
+    assert {n for n in defined if n.startswith("_task_")} == \
+        {f"_task_{kind}" for kind in cli.TASK_REFS}
 
 
 def test_every_stored_attribute_is_read():

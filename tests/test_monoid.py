@@ -3,6 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from logflat import monoid as monoid_module, qcone
 from logflat.abgrp import FgAbGroup, IntMatrix, smith_normal_form
+from logflat.polyalg import toric_ideal
 from logflat.monoid import (
     FineMonoid,
     ListFreeBasis,
@@ -468,9 +469,12 @@ def _face_functional(zero_vectors, positive_vectors, dim):
 
 
 def _nonneg_combination_hits(basis_cols, i, n):
+    """Is there c with (B c)_j >= 0 for all j and (B c)_i >= 1, B the
+    n-row matrix with columns ``basis_cols``?"""
     if not basis_cols:
         return False
-    cons = qcone.nonneg_combination_system(basis_cols, i, n)
+    rows = [tuple(col[j] for col in basis_cols) for j in range(n)]
+    cons = [(row, 0) for row in rows] + [(rows[i], 1)]
     return qcone.feasible_point(cons, len(basis_cols)) is not None
 
 
@@ -588,19 +592,51 @@ def test_torsion_ambient_faces_sorted_by_rational_dimension():
     assert p.faces() == [(0, 1, 2), (0,), (1, 2), ()]
 
 
+def _sum_of(p, mult):
+    """The element of p's ambient group with multiplicities ``mult`` over
+    its generators."""
+    amb = p.ambient
+    out = amb.zero()
+    for k, g in zip(mult, p.generators):
+        out = amb.add(out, amb.scale(k, g))
+    return out
+
+
 def test_units_and_faces_solve_no_feasibility_system(monkeypatch):
-    calls = []
-    solve = qcone.feasible_point
-
-    def counted(constraints, nvars):
-        calls.append(nvars)
-        return solve(constraints, nvars)
-
-    monkeypatch.setattr(qcone, "feasible_point", counted)
-    p = FineMonoid(FgAbGroup.free(3), OCTAGON_CONE)
-    p.unit_indices()
-    p.faces()
+    # units, faces, membership, certificates and k[P] of a sharp monoid
+    # read the dual cones of its generators and nothing else
+    calls = _counting(monkeypatch, qcone, "feasible_point")
+    for gens in [OCTAGON_CONE, [(x, y, 1) for x, y in _POLYGONS["5-gon"]],
+                 [(1, 1, 0), (0, 1, 1), (1, 0, 1)]]:
+        p = FineMonoid(FgAbGroup.free(3), gens)
+        assert p.unit_indices() == frozenset()
+        p.faces()
+        toric_ideal(p)
+        for g in [(0, 0, 0), (3, 3, 2), (1, 2, 2), (-1, 0, 1), (5, 1, 3)]:
+            ok, mult = p.member_with_certificate(g)
+            assert p.member(g) == ok
+            if ok:
+                assert _sum_of(p, mult) == g
+    torsion = FineMonoid(FgAbGroup(2, (2,)), [(0, 1, 0), (1, 0, 0), (1, 0, 1)])
+    assert torsion.is_sharp()
+    torsion.faces()
+    ok, mult = torsion.member_with_certificate((2, 1, 1))
+    assert ok and _sum_of(torsion, mult) == (2, 1, 1)
+    assert torsion.member((3, 0, 0))
     assert calls == []
+
+
+def test_monoid_with_units_solves_one_system(monkeypatch):
+    # N^2 (+) Z with the generators e1, e2, e3, -e3, 2*e3: one system for
+    # the unit relation, however many certificates need it
+    calls = _counting(monkeypatch, qcone, "feasible_point")
+    p = FineMonoid(FgAbGroup.free(3), [(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                                       (0, 0, -1), (0, 0, 2)])
+    for g in [(1, 0, -3), (0, 2, 4), (2, 1, -1), (0, 0, -7)]:
+        mult = p.nonneg_certificate(g)
+        assert all(k >= 0 for k in mult)
+        assert _sum_of(p, mult) == g
+    assert len(calls) == 1
 
 
 # -- one search per certificate ---------------------------------------------------
@@ -620,13 +656,15 @@ def test_nonneg_certificate_with_units_searches_once(monkeypatch):
     p = FineMonoid(FgAbGroup.free(3),
                    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)])
     searches = _counting(monkeypatch, monoid_module, "_bounded_search")
-    expect = {(2, 1, -3): (2, 1, 1, 4), (0, 0, 5): (0, 0, 5, 0),
+    expect = {(2, 1, -3): (2, 1, 0, 3), (0, 0, 5): (0, 0, 5, 0),
               (-1, 0, 0): None, (1, 1, 1): (1, 1, 1, 0),
               (3, 0, -2): (3, 0, 0, 2)}
     for g, mult in expect.items():
         searches.clear()
         assert p.nonneg_certificate(g) == mult
         assert len(searches) == 1
+        if mult is not None:
+            assert _sum_of(p, mult) == g
 
 
 def test_list_free_basis_builds_its_image_monoid_once(monkeypatch):
@@ -638,9 +676,12 @@ def test_list_free_basis_builds_its_image_monoid_once(monkeypatch):
     assert h.image_monoid() is h.image_monoid()
     searches = _counting(monkeypatch, monoid_module, "_bounded_search")
     cones = _counting(monkeypatch, qcone, "dual_states")
+    systems = _counting(monkeypatch, qcone, "feasible_point")
     got = [fb.decompose((a, b)) for a in range(5) for b in (-2, 0, 3)]
     assert got == [((a // 2, b), (a % 2, 0))
                    for a in range(5) for b in (-2, 0, 3)]
     # even a: s = 0 fits at once; odd a: s = 0 fails, then s = (1, 0)
     assert len(searches) == 15 + 6
-    assert len(cones) <= 2
+    # each system is one more cone run, for the unit relation
+    assert len(systems) <= 1
+    assert len(cones) - len(systems) <= 2

@@ -383,10 +383,13 @@ def test_nf_difference_characterizes_equality(terms_f, terms_g):
     assert same_nf == diff_zero
 
 
-def _sorted_list_buchberger(field, gens, key, ring_mode=False):
+def _sorted_list_buchberger(field, gens, key):
     """The earlier pair loop of ``buchberger``, kept as the reference for
     its processing order: the whole pair list is re-sorted by
-    (key((lcm, pos)), i, j) before every pop."""
+    (key((lcm, pos)), i, j) before every pop.  An input with every term in
+    position 0 is an ideal, and the product criterion skips its pairs with
+    coprime leading monomials."""
+    ideal = not any(pos for g in gens for (_, pos) in g)
     basis = []
     for g in sorted((g for g in gens if g),
                     key=lambda g: key(pa.m_lt(g, key))):
@@ -411,7 +414,7 @@ def _sorted_list_buchberger(field, gens, key, ring_mode=False):
         if pi != pj:
             continue
         lcm = tuple(max(a, b) for a, b in zip(mi, mj))
-        if ring_mode and all(min(a, b) == 0 for a, b in zip(mi, mj)):
+        if ideal and all(min(a, b) == 0 for a, b in zip(mi, mj)):
             continue
         si = pa.m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mi)), gi)
         sj = pa.m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mj)), gj)
@@ -465,10 +468,10 @@ def module_problems(draw):
     rank = draw(st.integers(1, 3))
     gens = _elements(draw, field, nvars, rank, 4, 3, 2)
     key = _draw_key(draw, rank)
-    return field, rank, gens, key, draw(st.booleans())
+    return field, rank, gens, key
 
 
-def _reductions(gb, field, gens, key, ring_mode):
+def _reductions(gb, field, gens, key):
     """The output of ``gb`` on the problem, and every (f, len(basis)) that it
     handed to ``m_reduce``, in call order."""
     seen = []
@@ -479,7 +482,7 @@ def _reductions(gb, field, gens, key, ring_mode):
         return real(field, f, basis, key, lts)
 
     with mock.patch.object(pa, "m_reduce", recording):
-        return gb(field, gens, key, ring_mode), seen
+        return gb(field, gens, key), seen
 
 
 # leading terms xy, xz, yz: all three pairs tie on their lcm xyz, so the
@@ -491,21 +494,18 @@ _TIED_LCMS = [{((1, 1, 0), 0): QQ.one(), ((0, 0, 0), 0): QQ.one()},
 
 @settings(max_examples=80, deadline=None)
 @given(module_problems())
-@example((QQ, 1, _TIED_LCMS, module_key(degrevlex_key), False))
+@example((QQ, 1, _TIED_LCMS, module_key(degrevlex_key)))
 def test_heap_pair_order_matches_sorted_list_reference(problem):
     # The reduced basis does not depend on the pair order, so the order is
     # checked through the reductions: the same S-polynomials must reach
-    # m_reduce in the same sequence.  This holds for any input, including
-    # ring_mode on a module, where the product criterion may skip pairs a
-    # module basis needs.
-    field, rank, gens, key, ring_mode = problem
-    out, seen = _reductions(buchberger, field, gens, key, ring_mode)
-    ref, ref_seen = _reductions(_sorted_list_buchberger, field, gens, key,
-                                ring_mode)
+    # m_reduce in the same sequence.  Inputs of rank > 1 with every term in
+    # position 0 are ideals too, and skip the same coprime pairs.
+    field, rank, gens, key = problem
+    out, seen = _reductions(buchberger, field, gens, key)
+    ref, ref_seen = _reductions(_sorted_list_buchberger, field, gens, key)
     assert out == ref
     assert seen == ref_seen
-    if not ring_mode or rank == 1:
-        assert is_groebner_basis(field, out, key)
+    assert is_groebner_basis(field, out, key)
 
 
 def _max_scan_m_reduce(field, f, basis, key):
@@ -918,10 +918,11 @@ def _tagged_positions(monkeypatch):
     frames, seen = [], []
     real = pa.buchberger
 
-    def recording(field, gens, key, ring_mode=False):
-        if frames and not ring_mode:
+    def recording(field, gens, key):
+        # an input with every term in position 0 is an ideal, not a module
+        if frames and any(p for g in gens for (_, p) in g):
             seen.append((*frames[-1], [{p for (_, p) in g} for g in gens]))
-        return real(field, gens, key, ring_mode)
+        return real(field, gens, key)
 
     def entering(fn, shape):
         def wrapped(*args, **kwargs):
@@ -1182,8 +1183,7 @@ def test_module_map_inverse_builds_one_augmented_basis(monkeypatch):
 def memo_problems(draw):
     """Generators over QQ or F_3 under a module, block or elimination order,
     and a second list of the same generators, permuted, some repeated and a
-    zero added.  Ring mode only on ideals, where it yields the reduced basis.
-    Returns (gens, again, compute), ``compute`` giving the reduced basis."""
+    zero added.  Returns (gens, again, compute), ``compute`` giving the reduced basis."""
     field = draw(st.sampled_from([QQ, FieldFp(3)]))
     nvars = draw(st.integers(1, 3))
     order = draw(st.sampled_from(["module", "block", "elim"]))
@@ -1199,8 +1199,7 @@ def memo_problems(draw):
         return gens, again, lambda g: pa.elimination_basis(field, g, elim)[1:]
     key = (module_key(degrevlex_key) if order == "module"
            else block_key(degrevlex_key, draw(st.integers(0, rank))))
-    ring_mode = rank == 1 and draw(st.booleans())
-    return gens, again, lambda g: buchberger(field, g, key, ring_mode)
+    return gens, again, lambda g: buchberger(field, g, key)
 
 
 def _no_reduction(*args, **kwargs):
@@ -1230,13 +1229,13 @@ def test_nested_run_scope_starts_empty_and_restores_the_outer():
     assert scope.memo() is None
     with scope.run_scope():
         outer = scope.memo()
-        gb = buchberger(QQ, gens, r.mkey(), ring_mode=True)
+        gb = buchberger(QQ, gens, r.mkey())
         assert len(outer) == 1
         with scope.run_scope():
             inner = scope.memo()
             assert inner == {} and inner is not outer
-            assert buchberger(QQ, gens, r.mkey(), ring_mode=True) == gb
-            buchberger(QQ, gens[:1], r.mkey(), ring_mode=True)
+            assert buchberger(QQ, gens, r.mkey()) == gb
+            buchberger(QQ, gens[:1], r.mkey())
             assert len(inner) == 2
         assert scope.memo() is outer and len(outer) == 1
     assert scope.memo() is None

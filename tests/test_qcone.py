@@ -1,7 +1,7 @@
-"""Fourier-Motzkin over primitive integer rows against the Fraction
-elimination it replaced: the same point (or None on both sides) on random
-systems, and a point that satisfies every constraint.  Double description
-against brute force over the kernels of row subsets."""
+"""Feasibility by double description against a Fraction Fourier-Motzkin
+elimination: a point exactly when the elimination finds one, and a point
+that satisfies every constraint.  Double description against brute force
+over the kernels of row subsets."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -16,7 +16,7 @@ from logflat.monoid import FineMonoid
 from logflat.polyalg import toric_ideal
 
 
-# -- the Fraction elimination, kept as the reference ---------------------------
+# -- Fourier-Motzkin over Fractions, kept as the reference ---------------------
 
 
 def reference_feasible_point(constraints, nvars):
@@ -110,27 +110,11 @@ def test_feasible_point_matches_fraction_reference(system):
     constraints, nvars = system
     got = qcone.feasible_point(constraints, nvars)
     want = reference_feasible_point(constraints, nvars)
-    assert got == want
+    assert (got is None) == (want is None)
     if got is not None:
         assert all(type(x) is Fraction for x in got)
         assert len(got) == nvars
         assert _satisfies(got, constraints)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
-    st.just(d),
-    st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=4))))
-def test_functionals_match_fraction_reference(case):
-    dim, positive = case
-    cons = [(v, 1) for v in positive]
-    assert qcone.positive_functional(positive, dim) == \
-        reference_feasible_point(cons, dim)
-
-
-def test_nonneg_combination_system():
-    system = qcone.nonneg_combination_system([(1, 2), (3, 4)], 1, 2)
-    assert system == [((1, 3), 0), ((2, 4), 0), ((2, 4), 1)]
 
 
 # -- dual_rays against brute force over (dim - 1)-subsets of rows --------------
@@ -293,8 +277,10 @@ def test_clear_denominators(values):
 
 
 # Presentations from the denominator loop that toric_ideal had before
-# clear_denominators; the second monoid has functional (2/3, 1/3) and
-# weights (3, 3, 5, 7).
+# clear_denominators, when the second monoid had the functional (2/3, 1/3)
+# and weights (3, 3, 5, 7).  Its functional is now the sum (4, 1) of its
+# dual rays, with weights (7, 5, 7, 13); the saturation weights change no
+# reduced basis, so the presentations stay the same.
 TORIC_CASES = [
     (2, [(2, 1), (1, 3), (3, 2), (1, 1)],
      ["z0*z3 - z2", "z3^5 - z0^2*z1", "z2*z3^4 - z0^3*z1",
