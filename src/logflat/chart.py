@@ -104,104 +104,61 @@ def _monoid_elem_in_ring(mon, images, pres, element):
 def build_A_ht(chart: ChartData):
     """A(h,t) = A[Q^gp (+) P]/I(h,t) with the comparison map to C[P^gp].
 
-    Laurent directions are Rabinowitsch pairs; torsion generators carry their
-    order relations.  Returns (A(h,t), C[P^gp], the comparison RingMap).
+    Q^gp and P^gp enter as ``graded.group_algebra``, named s and v; the
+    monomial of a group element is its ``monomial_of_degree`` there.
+    Returns (A(h,t), C[P^gp], the comparison RingMap).
     """
     field = chart.a.ring.field
     qgp, qincl, _ = chart.q.generator_hom().image()
     pgp, pincl, _ = chart.p.generator_hom().image()
+    kq, _ = gd.group_algebra(field, qgp, "s")
+    kp, _ = gd.group_algebra(field, pgp, "v")
     aht_names = list(chart.a.ring.names)
-    a_idx = list(range(len(aht_names)))
-    q_names, q_rels_builder = _group_vars("s", qgp)
+    q_names = list(kq.pres.ring.names)
     p_names = [f"u{j}" for j in range(len(chart.p.generators))]
-    names = aht_names + q_names + p_names
-    ring = PolyRing(field, names)
+    ring = PolyRing(field, aht_names + q_names + p_names)
     q_off = len(aht_names)
     p_off = q_off + len(q_names)
     rels = [pa.embed(g, ring, 0) for g in chart.a.ideal]
-    rels += q_rels_builder(ring, q_off)
+    rels += [pa.embed(g, ring, q_off) for g in kq.pres.ideal]
     toric, _ = pa.toric_ideal(chart.p, field, allow_units=True)
     rels += [pa.embed(g, ring, p_off) for g in toric.ideal]
     # I(h,t): t(q)[q,0] - [0,h(q)] per Q-generator
     for i, qg in enumerate(chart.q.generators):
-        coords = qincl.preimage(qg)
-        mono_q = _group_monomial(ring, q_off, qgp, coords)
+        mono_q = _monomial_at(ring, q_off,
+                              kq.monomial_of_degree(qincl.preimage(qg)))
         t_img = pa.embed(chart.t[i], ring, 0)
-        lhs = ring.mul(t_img, mono_q)
-        rhs = _monomial_over(ring, p_off, chart.p, chart.h.images[i])
-        rels.append(ring.sub(lhs, rhs))
+        rhs = _monomial_at(ring, p_off,
+                           chart.p.nonneg_certificate(chart.h.images[i]))
+        rels.append(ring.sub(ring.mul(t_img, mono_q), rhs))
     aht = RingPresentation(ring, rels)
     # C[P^gp]
-    cp_names = list(chart.c.ring.names)
-    pg_names, pg_rels_builder = _group_vars("v", pgp)
-    cring = PolyRing(field, cp_names + pg_names)
-    pg_off = len(cp_names)
+    cring = PolyRing(field, list(chart.c.ring.names) + list(kp.pres.ring.names))
+    pg_off = chart.c.ring.nvars
     crels = [pa.embed(g, cring, 0) for g in chart.c.ideal]
-    crels += pg_rels_builder(cring, pg_off)
+    crels += [pa.embed(g, cring, pg_off) for g in kp.pres.ideal]
     cpgp = RingPresentation(cring, crels)
-    # the comparison map [q,p] |-> b(p) [h(q) + p]
-    images = []
-    for i in range(len(aht_names)):
-        images.append(pa.embed(chart.f.images[i], cring, 0))
-    for j in range(qgp.rank):
-        hq = chart.h.apply_gp(qincl.apply(qgp.generators()[j]))
-        coords = pincl.preimage(hq)
-        images.append(_group_monomial(cring, pg_off, pgp, coords))
-        images.append(_group_monomial(cring, pg_off, pgp, pgp.neg(coords)))
-    for j in range(len(qgp.torsion)):
-        hq = chart.h.apply_gp(qincl.apply(qgp.generators()[qgp.rank + j]))
-        coords = pincl.preimage(hq)
-        images.append(_group_monomial(cring, pg_off, pgp, coords))
-    for j, pg in enumerate(chart.p.generators):
-        coords = pincl.preimage(pg)
-        mono = _group_monomial(cring, pg_off, pgp, coords)
-        images.append(cring.mul(pa.embed(chart.b[j], cring, 0), mono))
+
+    def in_pgp(x):
+        """The monomial of C[P^gp] of x in the ambient of P."""
+        return _monomial_at(cring, pg_off,
+                            kp.monomial_of_degree(pincl.preimage(x)))
+
+    # the comparison map [q,p] |-> b(p) [h(q) + p], one image per variable
+    images = [pa.embed(v, cring, 0) for v in chart.f.images]
+    images += [in_pgp(chart.h.apply_gp(qincl.apply(d))) for d in kq.degrees]
+    images += [cring.mul(pa.embed(chart.b[j], cring, 0), in_pgp(pg))
+               for j, pg in enumerate(chart.p.generators)]
     comparison = RingMap(aht, cpgp, images)
     return aht, cpgp, comparison
 
 
-def _group_vars(prefix, g: FgAbGroup):
-    """Variable plan for the group algebra on g: Rabinowitsch pairs for the
-    free part, order relations for torsion."""
-    names = []
-    for i in range(g.rank):
-        names += [f"{prefix}{i}", f"{prefix}b{i}"]
-    for j, d in enumerate(g.torsion):
-        names.append(f"{prefix}t{j}")
-
-    def rels_builder(ring, off):
-        out = []
-        for i in range(g.rank):
-            out.append(ring.sub(ring.mul(ring.var(off + 2 * i),
-                                         ring.var(off + 2 * i + 1)),
-                                ring.one()))
-        base = off + 2 * g.rank
-        for j, d in enumerate(g.torsion):
-            out.append(ring.sub(ring.pow(ring.var(base + j), d), ring.one()))
-        return out
-
-    return names, rels_builder
-
-
-def _group_monomial(ring, off, g: FgAbGroup, coords):
-    """The Laurent monomial of a group element in the _group_vars layout."""
-    coords = g.reduce(coords)
-    exps = [0] * ring.nvars
-    for i in range(g.rank):
-        e = coords[i]
-        exps[off + 2 * i + (0 if e >= 0 else 1)] = abs(e)
-    base = off + 2 * g.rank
-    for j in range(len(g.torsion)):
-        exps[base + j] = coords[g.rank + j]
-    return ring.monomial(exps)
-
-
-def _monomial_over(ring, off, mon: FineMonoid, element):
-    """The monomial of a monoid element in the monoid variables, which start
-    at index ``off``; ChartInvalid when the element is outside the monoid."""
-    mult = mon.nonneg_certificate(element)
+def _monomial_at(ring, off, mult):
+    """The monomial of ``ring`` whose exponents from index ``off`` on are
+    the certificate ``mult``; ChartInvalid when there is none, that is,
+    when the element is outside the monoid."""
     if mult is None:
-        raise ChartInvalid("h-image outside the monoid")
+        raise ChartInvalid("element outside the monoid")
     exps = [0] * ring.nvars
     exps[off:off + len(mult)] = mult
     return ring.monomial(exps)
@@ -228,7 +185,8 @@ def build_B(chart: ChartData):
     rels += [pa.embed(g, ring, p_off) for g in toric.ideal]
     for i, qg in enumerate(chart.q.generators):
         t_img = pa.embed(chart.t[i], ring, 0)
-        mono = _monomial_over(ring, p_off, chart.p, chart.h.images[i])
+        mono = _monomial_at(ring, p_off,
+                            chart.p.nonneg_certificate(chart.h.images[i]))
         rels.append(ring.sub(mono, t_img))
     pres = RingPresentation(ring, rels)
     cok, to_cok = groupification_cokernel(chart.h)
@@ -255,13 +213,11 @@ def _base_descriptor(chart: ChartData):
 # -- log flatness over a point ----------------------------------------------------
 
 
-def log_flat_over_point(p_monoid: FineMonoid, m: ModulePresentation,
-                        algebra: gd.MonoidAlgebra | None = None):
-    """Per-prime Tor vanishing over k[P]; returns (verdict, list of entries)."""
-    if algebra is None:
-        algebra = gd.MonoidAlgebra(p_monoid, m.over.ring.field,
-                                   names=list(m.over.ring.names))
-    shape = gd.KPShape(algebra)
+def log_flat_over_point(p_monoid: FineMonoid, m: ModulePresentation):
+    """Per-prime Tor vanishing over k[P], named as the ring of M; returns
+    (verdict, list of entries)."""
+    shape = gd.KPShape(gd.MonoidAlgebra(p_monoid, m.over.ring.field,
+                                        names=list(m.over.ring.names)))
     ok, cert = gd.graded_flat(m, shape)
     return ok, cert["primes"]
 
@@ -370,7 +326,8 @@ def _canonical_chart_map(chart_from, cr_from: ChartShape, chart_to,
         # express the image of pg inside the target monoid P'
         target = to_ambient.apply(pg)
         try:
-            images.append(_monomial_over(ring_to, p_off, chart_to.p, target))
+            images.append(_monomial_at(ring_to, p_off,
+                                       chart_to.p.nonneg_certificate(target)))
         except ChartInvalid:
             raise ChartsUnrelated("element outside the target monoid") from None
     return RingMap(cr_from.pres, cr_to.pres, images)

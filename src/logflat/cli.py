@@ -410,8 +410,7 @@ def _task_nodal_panel(ws, task):
 def _task_log_flat_point(ws, task):
     p = ws.get(task["monoid"])
     m = ws.get(task["module"])
-    alg = gd.MonoidAlgebra(p, ws.field, names=list(m.over.ring.names))
-    ok, entries = ch.log_flat_over_point(p, m, alg)
+    ok, entries = ch.log_flat_over_point(p, m)
     return {"log_flat": ok, "primes": _jsonable(entries)}
 
 

@@ -54,6 +54,11 @@ class GradedRing:
         self.degrees = tuple(group.reduce(d) for d in degrees)
         if len(self.degrees) != pres.ring.nvars:
             raise ValueError("need one degree per variable")
+        # the monoid of the variable degrees; it drops zero and repeated
+        # degrees, so each generator stands for the first variable of it
+        self.degree_monoid = FineMonoid(group, self.degrees)
+        self._first_variable = tuple(
+            self.degrees.index(g) for g in self.degree_monoid.generators)
         for g in pres.ideal:
             if not self.is_homogeneous_poly(g):
                 raise NotHomogeneous("ideal generator is not homogeneous")
@@ -76,39 +81,17 @@ class GradedRing:
         return len(self.homogeneous_components(p)) <= 1
 
     def monomial_of_degree(self, d):
-        """A standard monomial of the given degree, for group-algebra-like
-        rings where every degree is populated (used by the shift machinery)."""
-        # greedy integer solve over the degree vectors
-        sol = GroupHom(FgAbGroup.free(len(self.degrees)), self.group,
-                       self.degrees).preimage(d)
-        if sol is None:
+        """A monomial of degree d, or None when there is none: the
+        ``nonneg_certificate`` of d over the monoid of the variable degrees,
+        each generator's multiplicity put on the first variable of that
+        degree.  It holds for any grading, a regraded one too."""
+        mult = self.degree_monoid.nonneg_certificate(d)
+        if mult is None:
             return None
-        exps = list(sol)
-        if any(e < 0 for e in exps):
-            # shift along inverse-pair relations when available
-            exps = self._make_nonneg(exps)
-            if exps is None:
-                return None
+        exps = [0] * len(self.degrees)
+        for i, k in zip(self._first_variable, mult):
+            exps[i] = k
         return tuple(exps)
-
-    def _make_nonneg(self, exps):
-        pairs = getattr(self, "inverse_pairs", ())
-        exps = list(exps)
-        for i, j in pairs:
-            # u_i u_j = 1: adding (1,1) to (e_i, e_j) leaves the class fixed
-            while exps[i] < 0 or exps[j] < 0:
-                exps[i] += 1
-                exps[j] += 1
-        return tuple(exps) if all(e >= 0 for e in exps) else None
-
-
-@dataclass
-class HomogeneousIdeal:
-    owner: GradedRing
-    generators: list
-
-    def __post_init__(self):
-        self.generators = [dict(g) for g in self.generators if g]
 
 
 def is_homogeneous_ideal(gr: GradedRing, gens):
@@ -136,43 +119,34 @@ class MonoidAlgebra:
     def pres(self):
         return self.graded.pres
 
-    def to_ring_ideal(self, ideal: MonoidIdeal) -> HomogeneousIdeal:
-        """The monomial ideal of the ideal's generators, each the monomial
-        of its certificate over the monoid's generators."""
+    def to_ring_ideal(self, ideal: MonoidIdeal) -> list:
+        """The monomials of the ideal's generators, each the monomial of its
+        ``nonneg_certificate`` over the monoid's generators."""
         ring = self.pres.ring
         gens = []
         for g in ideal.generators:
-            ok, mult = self.monoid.member_with_certificate(g)
-            if not ok:
+            mult = self.monoid.nonneg_certificate(g)
+            if mult is None:
                 raise ValueError("element is not in the monoid")
             gens.append(ring.monomial(mult))
-        return HomogeneousIdeal(self.graded, gens)
+        return gens
 
-    def to_monoid_ideal(self, j) -> MonoidIdeal:
-        gens = j.generators if isinstance(j, HomogeneousIdeal) else list(j)
+    def to_monoid_ideal(self, gens) -> MonoidIdeal:
         if not is_homogeneous_ideal(self.graded, gens):
             raise NotHomogeneous("ideal is not homogeneous")
-        out = []
-        for g in gens:
-            for (mono, _), _c in self.pres.nf(g).items():
-                elt = self.monoid.ambient.zero()
-                for e, gen in zip(mono, self.monoid.generators):
-                    elt = self.monoid.ambient.add(
-                        elt, self.monoid.ambient.scale(e, gen))
-                out.append(elt)
-        return MonoidIdeal(self.monoid, out)
+        return MonoidIdeal(self.monoid, [
+            self.graded.degree_of_monomial(mono)
+            for g in gens for (mono, _), _c in self.pres.nf(g).items()])
 
-    def is_semiprime(self, j) -> bool:
+    def is_semiprime(self, gens) -> bool:
         """Semiprime homogeneous ideals of k[P] are exactly k[I] for prime I."""
-        gens = j.generators if isinstance(j, HomogeneousIdeal) else list(j)
         for g in gens:
             if len(self.pres.nf(g)) > 1:
                 raise UnsupportedIdealClass("only monomial ideals are supported")
         ideal = self.to_monoid_ideal(gens)
         return any(ideal == p for p in self.monoid.prime_ideals())
 
-    def is_prime(self, j) -> bool:
-        gens = j.generators if isinstance(j, HomogeneousIdeal) else list(j)
+    def is_prime(self, gens) -> bool:
         semi = self.is_semiprime(gens)
         span, _, _ = self.monoid.generator_hom().image()
         if span.is_torsion_free():
@@ -239,8 +213,7 @@ def _flat_kp(m: ModulePresentation, shape: KPShape):
     entries = []
     verdict = True
     for prime in alg.monoid.prime_ideals():
-        j = alg.to_ring_ideal(prime)
-        zero = pa.tor1(m, j.generators)
+        zero = pa.tor1(m, alg.to_ring_ideal(prime))
         entries.append({"prime": [list(g) for g in prime.generators],
                         "tor1_zero": zero})
         verdict = verdict and zero
@@ -445,33 +418,26 @@ def _nodal_map_injective(m: ModulePresentation, x, y):
 # -- group algebras --------------------------------------------------------------
 
 
-def group_algebra(field, g: FgAbGroup):
-    """(GradedRing, shape) for k[G]: inverse pairs for free generators,
-    torsion relations for the rest."""
-    names = []
-    degrees = []
-    relations = []
-    inverse_pairs = []
-    idx = 0
+def group_algebra(field, g: FgAbGroup, prefix="u"):
+    """(GradedRing, shape) for k[G], the one presentation of a group
+    algebra: per free generator e_i the variables <prefix>i and
+    <prefix>bi of degrees e_i and -e_i with <prefix>i*<prefix>bi - 1, then
+    per torsion generator of order d the variable <prefix>tj with
+    <prefix>tj^d - 1."""
     gens = g.generators()
+    names, degrees = [], []
     for i in range(g.rank):
-        names += [f"u{i}", f"v{i}"]
+        names += [f"{prefix}{i}", f"{prefix}b{i}"]
         degrees += [gens[i], g.neg(gens[i])]
-        inverse_pairs.append((idx, idx + 1))
-        idx += 2
-    for j, d in enumerate(g.torsion):
-        names.append(f"w{j}")
+    for j in range(len(g.torsion)):
+        names.append(f"{prefix}t{j}")
         degrees.append(gens[g.rank + j])
-        idx += 1
     ring = PolyRing(field, names)
-    for i, j in inverse_pairs:
-        relations.append(ring.sub(ring.mul(ring.var(i), ring.var(j)), ring.one()))
-    pos = 2 * g.rank
-    for j, d in enumerate(g.torsion):
-        relations.append(ring.sub(ring.pow(ring.var(pos + j), d), ring.one()))
-    pres = RingPresentation(ring, relations)
-    gr = GradedRing(g, pres, degrees)
-    gr.inverse_pairs = tuple(inverse_pairs)
+    relations = [ring.sub(ring.mul(ring.var(2 * i), ring.var(2 * i + 1)),
+                          ring.one()) for i in range(g.rank)]
+    relations += [ring.sub(ring.pow(ring.var(2 * g.rank + j), d), ring.one())
+                  for j, d in enumerate(g.torsion)]
+    gr = GradedRing(g, RingPresentation(ring, relations), degrees)
     return gr, GroupAlgebraShape(gr)
 
 
@@ -567,11 +533,8 @@ def regrade(gr: GradedRing, gamma: GroupHom):
     """Regrade along an injective group hom (verdicts are invariant)."""
     if not gamma.is_injective():
         raise ValueError("regrading must be injective")
-    out = GradedRing(gamma.target, gr.pres,
-                     [gamma.apply(d) for d in gr.degrees])
-    if hasattr(gr, "inverse_pairs"):
-        out.inverse_pairs = gr.inverse_pairs
-    return out
+    return GradedRing(gamma.target, gr.pres,
+                      [gamma.apply(d) for d in gr.degrees])
 
 
 # -- the fallback finitely-generated-homogeneous-ideal test ----------------------

@@ -112,15 +112,16 @@ class PModule:
         elif self.action is None:
             mon = self.owner
         else:
-            mon = FineMonoid(self.ambient,
-                             [self.action.apply_gp(g) for g in self.owner.generators])
+            mon = self.action.image_monoid()
         self._cache["img_mon"] = mon
         return mon
 
     def _action_hom(self, indices):
         """The hom Z^k -> ambient onto the action of the owner generators
         with the given indices, in order."""
-        imgs = tuple(self.action_apply(self.owner.generators[i]) for i in indices)
+        gens = self.owner.generators if self.action is None else \
+            self.action.images
+        imgs = tuple(gens[i] for i in indices)
         return GroupHom(FgAbGroup.free(len(imgs)), self.ambient, imgs)
 
     def _canonical_components(self, gens):
@@ -393,7 +394,7 @@ def module_over_source(h: MonoidHom):
         cone = FineMonoid(amb, [*h.images, neg])
         if cone.generators.index(neg) not in cone.unit_indices():
             return None
-    img = FineMonoid(amb, h.images)
+    img = h.image_monoid()
 
     def covered(x, reps):
         return any(img.member(amb.sub(x, t)) for t in reps)

@@ -192,17 +192,6 @@ class FineMonoid:
                                         target) is not None
         return memo[target]
 
-    def member_with_certificate(self, g):
-        """(True, multiplicity vector over the generators) or (False, None).
-
-        Only valid for sharp monoids, where the search is directly bounded.
-        """
-        if self.unit_indices():
-            raise ValueError("certificates require a sharp monoid")
-        out = self._search(self.ambient, self.generators,
-                           self.ambient.reduce(g))
-        return (True, out) if out is not None else (False, None)
-
     def _search(self, amb, gens, target):
         """``_bounded_search`` over the sharp generators ``gens`` in
         ``amb``, bounded by the positive functional and pruned by the dual
@@ -211,19 +200,23 @@ class FineMonoid:
                                self._suffix_cones(gens, amb.rank))
 
     def nonneg_certificate(self, g):
-        """A multiplicity vector over the generators expressing g, or None.
+        """The certificate of g: a multiplicity vector over the generators
+        whose combination is g, or None when g is not in the monoid.  It is
+        the one way an element becomes exponents: over the monoid of the
+        variable degrees of a ring, it is the monomial of the element.
 
-        Unlike ``member_with_certificate`` this also handles monoids with
-        units: the sharp part is certified by bounded search and the unit
-        part is balanced by a positive relation."""
+        On a sharp monoid it is the bounded search over the generators in
+        their order, which returns the lexicographically first such vector.
+        With units, the sharp part is the certificate of the image in the
+        sharp quotient, and the unit part is balanced by a positive
+        relation."""
         g = self.ambient.reduce(g)
         n = len(self.generators)
         if self.is_sharp():
-            ok, mult = self.member_with_certificate(g)
-            return mult if ok else None
+            return self._search(self.ambient, self.generators, g)
         proj, sharp = self._sharp_data()
-        ok, smult = sharp.member_with_certificate(proj.apply(g))
-        if not ok:
+        smult = sharp.nonneg_certificate(proj.apply(g))
+        if smult is None:
             return None
         counts = [0] * n
         acc = self.ambient.zero()
@@ -936,10 +929,7 @@ def _is_strict(h: MonoidHom):
     induced = MonoidHom(sharp_s, sharp_t,
                         _match_sharp_images(h, proj_s, proj_t, sharp_s),
                         check=False)
-    if not induced.is_injective():
-        return False
-    img_mon = FineMonoid(sharp_t.ambient, induced.images)
-    return all(img_mon.member(g) for g in sharp_t.generators)
+    return induced.is_injective() and induced.is_surjective()
 
 
 def _match_sharp_images(h, proj_s, proj_t, sharp_s):

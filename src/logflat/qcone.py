@@ -5,9 +5,9 @@ Small systems only (the monoid layer keeps generator counts in single
 digits).
 
 - ``dual_states``: the cone {lam : row . lam >= 0} after each row, as
-  lineality and rays; ``dual_rays`` is its last state when that is pointed.
-  With the generators of a full-dimensional cone as rows, these rays are
-  the inner facet normals of that cone.
+  lineality and rays.  With the generators of a full-dimensional cone as
+  rows, the rays of the last state are the inner facet normals of that
+  cone.
 - ``feasible_point``: rational linear feasibility, read off the rays of
   one homogenised cone.  Constraints are pairs (coeffs, rhs) meaning
   sum coeffs*x >= rhs, with int or Fraction entries.
@@ -104,17 +104,6 @@ def _cut(a, bit, dim, lineality, rays):
                                      for x, y in zip(p, q)]),
                          common | bit))
     return lineality, kept
-
-
-def dual_rays(rows, dim):
-    """The primitive integer extreme rays of {lam in Q^dim : row . lam >= 0
-    for every row}, sorted: the rays of the last ``dual_states`` state.
-    When the rows do not span Q^dim the cone contains a line and has no
-    extreme rays, so the result is empty."""
-    pointed, rays = dim == 0, []  # before any row: the whole space
-    for lineality, rays in dual_states(rows, dim):
-        pointed = not lineality
-    return sorted(rays) if pointed else []
 
 
 def feasible_point(constraints, nvars):

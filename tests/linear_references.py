@@ -7,10 +7,17 @@ nullspaces, a unit inverse solved a linear system over the k-basis of the
 ring, and a map inverse built the kernel of the map before lifting.  Those
 routes are kept here, as they were, and the tests compare the library
 against them.  ``solve_linear`` and ``m_monic`` left the library with their
-last callers there; the oracles and tests here still use them."""
+last callers there; the oracles and tests here still use them.
+
+``build_A_ht`` wrote out its group algebras by hand and gave a group
+element its monomial in closed form (``_group_vars``, ``_group_monomial``);
+the library now embeds ``graded.group_algebra`` and reads every monomial
+off ``nonneg_certificate``.  The hand-written route is kept as the oracle
+for A(h,t) and C[P^gp]."""
 
 from logflat import polyalg as pa
-from logflat.chart import HomotopyInvalid, Unit
+from logflat.abgrp import FgAbGroup
+from logflat.chart import ChartData, ChartInvalid, HomotopyInvalid, Unit
 from logflat.descent import (
     GateFailed,
     NotFiniteDimensional,
@@ -18,8 +25,10 @@ from logflat.descent import (
     tor_gate,
 )
 from logflat.graded import UnsupportedShape
+from logflat.monoid import FineMonoid
 from logflat.polyalg import (
     ModulePresentation,
+    PolyRing,
     RingMap,
     RingPresentation,
     is_injective,
@@ -305,3 +314,111 @@ def tor1_presentation(m: ModulePresentation, j_gens):
                     check=False)
     return tor1_along_presentation(to_rq, m.columns, m.rank,
                                    ModulePresentation(rq, 1))
+
+
+# -- A(h,t) with hand-written group algebras ------------------------------------
+
+
+def build_A_ht(chart: ChartData):
+    """A(h,t) = A[Q^gp (+) P]/I(h,t) with the comparison map to C[P^gp].
+
+    Laurent directions are Rabinowitsch pairs; torsion generators carry their
+    order relations.  Returns (A(h,t), C[P^gp], the comparison RingMap).
+    """
+    field = chart.a.ring.field
+    qgp, qincl, _ = chart.q.generator_hom().image()
+    pgp, pincl, _ = chart.p.generator_hom().image()
+    aht_names = list(chart.a.ring.names)
+    q_names, q_rels_builder = _group_vars("s", qgp)
+    p_names = [f"u{j}" for j in range(len(chart.p.generators))]
+    names = aht_names + q_names + p_names
+    ring = PolyRing(field, names)
+    q_off = len(aht_names)
+    p_off = q_off + len(q_names)
+    rels = [pa.embed(g, ring, 0) for g in chart.a.ideal]
+    rels += q_rels_builder(ring, q_off)
+    toric, _ = pa.toric_ideal(chart.p, field, allow_units=True)
+    rels += [pa.embed(g, ring, p_off) for g in toric.ideal]
+    # I(h,t): t(q)[q,0] - [0,h(q)] per Q-generator
+    for i, qg in enumerate(chart.q.generators):
+        coords = qincl.preimage(qg)
+        mono_q = _group_monomial(ring, q_off, qgp, coords)
+        t_img = pa.embed(chart.t[i], ring, 0)
+        lhs = ring.mul(t_img, mono_q)
+        rhs = _monomial_over(ring, p_off, chart.p, chart.h.images[i])
+        rels.append(ring.sub(lhs, rhs))
+    aht = RingPresentation(ring, rels)
+    # C[P^gp]
+    cp_names = list(chart.c.ring.names)
+    pg_names, pg_rels_builder = _group_vars("v", pgp)
+    cring = PolyRing(field, cp_names + pg_names)
+    pg_off = len(cp_names)
+    crels = [pa.embed(g, cring, 0) for g in chart.c.ideal]
+    crels += pg_rels_builder(cring, pg_off)
+    cpgp = RingPresentation(cring, crels)
+    # the comparison map [q,p] |-> b(p) [h(q) + p]
+    images = []
+    for i in range(len(aht_names)):
+        images.append(pa.embed(chart.f.images[i], cring, 0))
+    for j in range(qgp.rank):
+        hq = chart.h.apply_gp(qincl.apply(qgp.generators()[j]))
+        coords = pincl.preimage(hq)
+        images.append(_group_monomial(cring, pg_off, pgp, coords))
+        images.append(_group_monomial(cring, pg_off, pgp, pgp.neg(coords)))
+    for j in range(len(qgp.torsion)):
+        hq = chart.h.apply_gp(qincl.apply(qgp.generators()[qgp.rank + j]))
+        coords = pincl.preimage(hq)
+        images.append(_group_monomial(cring, pg_off, pgp, coords))
+    for j, pg in enumerate(chart.p.generators):
+        coords = pincl.preimage(pg)
+        mono = _group_monomial(cring, pg_off, pgp, coords)
+        images.append(cring.mul(pa.embed(chart.b[j], cring, 0), mono))
+    comparison = RingMap(aht, cpgp, images)
+    return aht, cpgp, comparison
+
+
+def _group_vars(prefix, g: FgAbGroup):
+    """Variable plan for the group algebra on g: Rabinowitsch pairs for the
+    free part, order relations for torsion."""
+    names = []
+    for i in range(g.rank):
+        names += [f"{prefix}{i}", f"{prefix}b{i}"]
+    for j, d in enumerate(g.torsion):
+        names.append(f"{prefix}t{j}")
+
+    def rels_builder(ring, off):
+        out = []
+        for i in range(g.rank):
+            out.append(ring.sub(ring.mul(ring.var(off + 2 * i),
+                                         ring.var(off + 2 * i + 1)),
+                                ring.one()))
+        base = off + 2 * g.rank
+        for j, d in enumerate(g.torsion):
+            out.append(ring.sub(ring.pow(ring.var(base + j), d), ring.one()))
+        return out
+
+    return names, rels_builder
+
+
+def _group_monomial(ring, off, g: FgAbGroup, coords):
+    """The Laurent monomial of a group element in the _group_vars layout."""
+    coords = g.reduce(coords)
+    exps = [0] * ring.nvars
+    for i in range(g.rank):
+        e = coords[i]
+        exps[off + 2 * i + (0 if e >= 0 else 1)] = abs(e)
+    base = off + 2 * g.rank
+    for j in range(len(g.torsion)):
+        exps[base + j] = coords[g.rank + j]
+    return ring.monomial(exps)
+
+
+def _monomial_over(ring, off, mon: FineMonoid, element):
+    """The monomial of a monoid element in the monoid variables, which start
+    at index ``off``; ChartInvalid when the element is outside the monoid."""
+    mult = mon.nonneg_certificate(element)
+    if mult is None:
+        raise ChartInvalid("h-image outside the monoid")
+    exps = [0] * ring.nvars
+    exps[off:off + len(mult)] = mult
+    return ring.monomial(exps)

@@ -79,7 +79,7 @@ class TestMonoidIdealBijection:
         j = [r.parse("x^2*y")]
         ideal = self.alg.to_monoid_ideal(j)
         j2 = self.alg.to_ring_ideal(ideal)
-        assert self.alg.pres.eq(j[0], j2.generators[0])
+        assert self.alg.pres.eq(j[0], j2[0])
 
     def test_nonhomogeneous_guard(self):
         r = self.alg.pres.ring
@@ -221,6 +221,52 @@ class TestGroupAlgebra:
         gm = GradedModule(regraded, [(0, 0)], [])
         m0 = degree_zero_part(gm)
         assert m0.dim() == 1
+
+
+@st.composite
+def graded_group_algebras(draw):
+    """(k[G], degree, whether a monomial has it) for a group G of rank <= 2,
+    torsion included, either as ``group_algebra`` grades it or regraded
+    along the injective hom into Z^(rank + 1) (+) torsion that sends e_i to
+    2 e_i + e_rank and fixes the torsion generators.  A degree off the
+    image of that hom has no monomial.  Some rings get a variable of degree
+    zero in front and a second copy of every variable, so the degree
+    monoid drops generators."""
+    rank = draw(st.integers(0, 2))
+    torsion = draw(st.sampled_from([(), (2,), (3,), (2, 4)]))
+    g = FgAbGroup(rank, torsion)
+    gring, _ = group_algebra(pa.QQ, g)
+    if draw(st.booleans()):
+        names = gring.pres.ring.names
+        ring = PolyRing(pa.QQ, ["z", *names, *(n + "c" for n in names)])
+        gring = GradedRing(g, RingPresentation(ring, [
+            pa.embed(r, ring, 1) for r in gring.pres.ideal]),
+            [g.zero()] + list(gring.degrees) * 2)
+    d = tuple(draw(st.integers(-4, 4)) for _ in range(g.dim))
+    if not draw(st.booleans()):
+        return gring, d, True
+    big = FgAbGroup(rank + 1, torsion)
+    gamma = GroupHom(g, big, tuple(
+        tuple(2 * (j == i) + (j == rank) for j in range(big.dim))
+        for i in range(rank)) + tuple(big.generators()[rank + 1:]))
+    off_image = draw(st.booleans())
+    d = gamma.apply(d)
+    if off_image:
+        d = big.add(d, big.generators()[rank])
+    return regrade(gring, gamma), d, not off_image
+
+
+@settings(max_examples=80, deadline=None)
+@given(graded_group_algebras())
+def test_monomial_of_degree_is_a_monomial_of_that_degree(case):
+    gring, d, realizable = case
+    mono = gring.monomial_of_degree(d)
+    assert (mono is not None) == realizable
+    if mono is None:
+        return
+    assert len(mono) == gring.pres.ring.nvars
+    assert all(e >= 0 for e in mono)
+    assert gring.degree_of_monomial(mono) == gring.group.reduce(d)
 
 
 class TestFlatOverKt:

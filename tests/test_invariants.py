@@ -120,8 +120,7 @@ class TestTorMechanism:
         p = FineMonoid(FgAbGroup.free(2), [(1, 0), (1, 1), (1, 2)])
         alg = gd.MonoidAlgebra(p)
         for prime in p.prime_ideals():
-            j = alg.to_ring_ideal(prime)
-            quotient_way = alg.pres.quotient(list(j.generators))
+            quotient_way = alg.pres.quotient(alg.to_ring_ideal(prime))
             face_gens = [g for g in p.generators if not prime.contains(g)]
             face = FineMonoid(p.ambient, face_gens)
             face_pres, _ = toric_ideal(face) if face_gens else (None, None)
@@ -146,11 +145,10 @@ class TestChartAgreement:
         f = RingMap(k, c, [], check=False)
         chart = ch.ChartData(q, p, h, k, c, [],
                              [cring.var(0), cring.var(1)], f)
-        alg = gd.MonoidAlgebra(p, names=["x", "y"])
         for rels in ([], ["x"], ["x + y"], ["x + y - 1"], ["x*y"]):
             m = ModulePresentation(c, 1, [c.parse(s) for s in rels])
             via_chart, _ = ch.second_chart_criterion(chart, m)
-            via_point, _ = ch.log_flat_over_point(p, m, alg)
+            via_point, _ = ch.log_flat_over_point(p, m)
             assert via_chart == via_point
 
 

@@ -207,6 +207,14 @@ class TestModuleOverSource:
         res = extract_basis(m)
         assert res.ok and len(res.basis) == 2
 
+    def test_module_shares_the_image_monoid_of_its_hom(self):
+        # one image monoid per hom: its dual cones and functional are
+        # computed once for the cover search and the module's membership
+        h = MonoidHom(nat2(), nat2(), [(2, 0), (0, 3)])
+        m = monmod.module_over_source(h)
+        assert m is not None
+        assert m.action_image_monoid() is h.image_monoid()
+
     def test_surjection_not_flat(self):
         h = MonoidHom(nat2(), nat(), [(1,), (1,)])
         m = monmod.module_over_source(h)

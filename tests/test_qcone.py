@@ -117,7 +117,7 @@ def test_feasible_point_matches_fraction_reference(system):
         assert _satisfies(got, constraints)
 
 
-# -- dual_rays against brute force over (dim - 1)-subsets of rows --------------
+# -- dual_states against brute force over (dim - 1)-subsets of rows ------------
 
 
 def _det(m):
@@ -174,22 +174,6 @@ def cone_rows(draw):
             s = draw(st.sampled_from([Fraction(1, 2), 3, -1]))
             rows.append(tuple(s * x for x in row))
     return rows, dim
-
-
-@settings(max_examples=200, deadline=None)
-@given(cone_rows())
-@example(([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)], 3))
-@example(([(1, 0, 1), (2, 0, 1), (3, 1, 1), (3, 2, 1), (2, 3, 1), (1, 3, 1),
-           (0, 2, 1), (0, 1, 1)], 3))
-@example(([(1, 0), (-1, 0), (0, 1)], 2))
-@example(([(1, 1, 0), (1, -1, 0)], 3))
-@example(([(1,), (-1,)], 1))
-@example(([], 2))
-def test_dual_rays_match_brute_force(case):
-    rows, dim = case
-    rays = qcone.dual_rays(rows, dim)
-    assert rays == sorted(set(rays))
-    assert set(rays) == brute_force_rays(rows, dim)
 
 
 def _rank(vectors):
@@ -256,11 +240,6 @@ def test_dual_states_match_brute_force(case):
         assert {zeros(v) for v in rays} == {zeros(v) for v in pointed}
         if not lineality:
             assert set(rays) == pointed
-    want = qcone.dual_rays(rows, dim)
-    if states and not states[-1][0]:
-        assert sorted(states[-1][1]) == want
-    elif dim:
-        assert want == []
 
 
 @given(st.lists(st.one_of(st.integers(-20, 20),
