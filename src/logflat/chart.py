@@ -468,14 +468,12 @@ def try_nth_root(pres: RingPresentation, u: Unit, n):
     if field.char == 0:
         # rational n-th roots of the constant term of u
         const = u.val.get(((0,) * pres.ring.nvars, 0), field.zero())
-        from fractions import Fraction
-        c = Fraction(const)
-        num, den = c.numerator, c.denominator
-        rn = _int_nth_root(abs(num), n)
-        rd = _int_nth_root(den, n)
+        rn = _int_nth_root(abs(const.numerator), n)
+        rd = _int_nth_root(const.denominator, n)
         if rn is not None and rd is not None:
             for sign in (1, -1):
-                candidates.append(Fraction(sign * rn, rd))
+                candidates.append(field.div(field.of_int(sign * rn),
+                                            field.of_int(rd)))
     else:
         for c in range(1, field.char):
             if pow(c, n, field.char) == u.val.get(((0,) * pres.ring.nvars, 0), 0) % field.char:

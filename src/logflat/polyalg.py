@@ -4,6 +4,8 @@ modules over quotient rings, kernels, Tor_1, and toric ideals.
 
 Everything is a "module element": a dict mapping (exponent tuple, position)
 to a nonzero coefficient.  Ring elements are module elements in position 0.
+A coefficient over QQ is an ``int`` when it is integral and a ``Fraction``
+only when its denominator is not 1; over F_p it is an int in [0, p).
 Orders are key functions on (exponent tuple, position); the default ring
 order is degree-reverse-lexicographic with ties by position.
 """
@@ -20,36 +22,45 @@ from . import abgrp, scope
 
 
 class FieldQ:
-    """The rationals, with Fraction coefficients."""
+    """The rationals, exact.  A value is an ``int`` when it is integral and
+    a ``Fraction`` only when its denominator is not 1.
+
+    Every operation returns a value in that form.  It takes integral
+    ``Fraction``s too: ``Fraction(n)`` equals and hashes as ``n``, so dicts,
+    run-scope memo keys and ``to_str`` cannot tell the two apart.  Almost
+    every coefficient of the Groebner engine is a small integer, which
+    ``int`` arithmetic handles without a gcd per result."""
 
     char = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def of_int(self, n):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
-        return a + b
+        return _canonical(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _canonical(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _canonical(a * b)
 
     def neg(self, a):
-        return -a
+        return _canonical(-a)
 
     def inv(self, a):
-        return 1 / a
+        return self.div(1, a)
 
     def div(self, a, b):
-        return a / b
+        if b == 1:  # every reduction step against a monic basis element
+            return _canonical(a)
+        return _canonical(Fraction(a, b))  # never int / int, a float
 
     def is_zero(self, a):
         return a == 0
@@ -61,7 +72,7 @@ class FieldQ:
         return str(a)
 
     def of_str(self, s):
-        return Fraction(s)
+        return _canonical(Fraction(s))
 
     def __repr__(self):
         return "QQ"
@@ -71,6 +82,13 @@ class FieldQ:
 
     def __hash__(self):
         return hash("QQ")
+
+
+def _canonical(r):
+    """An int or Fraction value as an int when it is integral."""
+    if type(r) is int or r.denominator != 1:
+        return r
+    return r.numerator
 
 
 class FieldFp:

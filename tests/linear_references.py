@@ -13,7 +13,13 @@ last callers there; the oracles and tests here still use them.
 element its monomial in closed form (``_group_vars``, ``_group_monomial``);
 the library now embeds ``graded.group_algebra`` and reads every monomial
 off ``nonneg_certificate``.  The hand-written route is kept as the oracle
-for A(h,t) and C[P^gp]."""
+for A(h,t) and C[P^gp].
+
+``polyalg.FieldQ`` kept every rational as a ``Fraction``; it now keeps an
+integral one as an ``int``.  The ``Fraction`` field is kept as
+``FractionQQ``, and the tests run the Groebner engine over both."""
+
+from fractions import Fraction
 
 from logflat import polyalg as pa
 from logflat.abgrp import FgAbGroup
@@ -36,6 +42,63 @@ from logflat.polyalg import (
     lift_through,
     transport_col,
 )
+
+
+# -- the rationals with Fraction coefficients ----------------------------------
+
+
+class FractionQQ:
+    """The rationals, with Fraction coefficients."""
+
+    char = 0
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def of_int(self, n):
+        return Fraction(n)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        return 1 / a
+
+    def div(self, a, b):
+        return a / b
+
+    def is_zero(self, a):
+        return a == 0
+
+    def eq(self, a, b):
+        return a == b
+
+    def to_str(self, a):
+        return str(a)
+
+    def of_str(self, s):
+        return Fraction(s)
+
+    def __repr__(self):
+        return "QQ"
+
+    def __eq__(self, other):
+        return isinstance(other, FractionQQ)
+
+    def __hash__(self):
+        return hash("QQ")
 
 
 # -- linear algebra over the field -----------------------------------------------

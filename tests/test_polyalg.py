@@ -439,11 +439,13 @@ def _sorted_list_buchberger(field, gens, key):
     return basis
 
 
-def _elements(draw, field, nvars, rank, count, terms, exp):
+def _elements(draw, field, nvars, rank, count, terms, exp,
+              coeffs=st.integers(-3, 3)):
     """Up to ``count`` random elements of S^rank (zero ones included), each
-    a sum of up to ``terms`` terms with exponents at most ``exp``."""
+    a sum of up to ``terms`` terms with exponents at most ``exp`` and
+    coefficients drawn from ``coeffs``."""
     term = st.tuples(st.tuples(*[st.integers(0, exp)] * nvars),
-                     st.integers(0, rank - 1), st.integers(-3, 3))
+                     st.integers(0, rank - 1), coeffs)
     out = []
     for ts in draw(st.lists(st.lists(term, max_size=terms), max_size=count)):
         g = {}
@@ -564,7 +566,7 @@ def _monic_terms(terms):
     """A polynomial as {exponents: Fraction}, made monic under degrevlex and
     returned as a sorted tuple of its terms."""
     lead = terms[max(terms, key=degrevlex_key)]
-    return tuple(sorted((m, c / lead) for m, c in terms.items()))
+    return tuple(sorted((m, Fraction(c) / lead) for m, c in terms.items()))
 
 
 @settings(max_examples=30, deadline=None)
@@ -1017,7 +1019,7 @@ def test_only_polyalg_reads_its_private_names(tmp_path):
 
 
 def _ideal_digest(pres):
-    r = repr([sorted(g.items()) for g in pres.ideal])
+    r = repr([sorted((k, str(c)) for k, c in g.items()) for g in pres.ideal])
     return hashlib.sha256(r.encode()).hexdigest()
 
 
@@ -1062,13 +1064,14 @@ def test_toric_ideal_does_not_depend_on_the_lattice_basis(p):
 
 
 # Cones over the 7- and 8-gon of the monoid_cones benchmark, with the size and
-# sha256 of ``repr([sorted(g.items()) for g in pres.ideal])`` that the Smith
-# form basis gave.
+# the sha256 of ``_ideal_digest`` that the Smith form basis gave.  The digest
+# spells coefficients by ``str``, which is the same for ``Fraction(n)`` and
+# ``n``.
 POLYGON_IDEALS = [
     ([(0, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 1)], 20,
-     "3406a14514031d966b5bcf0bb15d87b1797e3e019c43e903502002b79503800e"),
+     "ae33f0123a0bc66b0c9949326c59ee97f6883b54cccfeec7579ccf3d0b580eb5"),
     ([(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)], 31,
-     "b9369fd1217e477318ce76ff6ba3a457b01d6ba1545144d10f73e8a8bd9a02be"),
+     "7d149240fc281b27a5e1329724a1417f10af10a0f4dea21770d93255273785e5"),
 ]
 
 
@@ -1251,3 +1254,127 @@ def test_order_tags_tell_orders_apart_by_value():
     k2, _, _ = pa.elimination_basis(QQ, gens, range(1))
     k3, _, _ = pa.elimination_basis(QQ, gens, [1])
     assert k1.tag == k2.tag != k3.tag
+
+
+# -- QQ with int coefficients against the Fraction field ---------------------------
+
+
+def _is_canonical(c):
+    """An int, or a Fraction whose denominator is not 1 (never a float)."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def _canonical_elements(elems):
+    return [{t: c.numerator if c.denominator == 1 else c for t, c in g.items()}
+            for g in elems]
+
+
+@st.composite
+def rational_problems(draw):
+    """Generators over QQ, an element f and a basis to reduce it by (usually
+    not a Groebner basis), under a module, block or elimination order, all
+    with Fraction coefficients."""
+    nvars = draw(st.integers(1, 3))
+    order = draw(st.sampled_from(["module", "block", "elim"]))
+    rank = 1 if order == "elim" else draw(st.integers(1, 3))
+    fq, coeffs = ref.FractionQQ(), st.fractions(-3, 3, max_denominator=4)
+    # up to three generators, as for the kernels above: the syzygies of four
+    # rational ones can take seconds under either field
+    gens = _elements(draw, fq, nvars, rank, 3, 3, 2, coeffs)
+    basis = _elements(draw, fq, nvars, rank, 4, 3, 2, coeffs)
+    f = _elements(draw, fq, nvars, rank, 1, 6, 3, coeffs)
+    if order == "elim":
+        elim = draw(st.lists(st.integers(0, nvars - 1), unique=True,
+                             min_size=1))
+        key = pa.elimination_basis(QQ, [], elim)[0]  # its order only
+    elif order == "module":
+        key = module_key(degrevlex_key)
+    else:
+        key = block_key(degrevlex_key, draw(st.integers(0, rank)))
+    return nvars, rank, gens, basis, f[0] if f else {}, key
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_problems())
+def test_int_backed_qq_matches_the_fraction_field(problem):
+    nvars, rank, gens, basis, f, key = problem
+    fq = ref.FractionQQ()
+
+    def run(field, gens, basis, f):
+        return (buchberger(field, gens, key),
+                pa.m_reduce(field, f, basis, key),
+                pa.syzygies(field, gens, rank, nvars, degrevlex_key))
+
+    out = run(QQ, _canonical_elements(gens), _canonical_elements(basis),
+              _canonical_elements([f])[0])
+    assert out == run(fq, gens, basis, f)
+    gb, rem, syz = out
+    assert all(_is_canonical(c) for g in gb + [rem] + syz for c in g.values())
+
+
+def test_integral_fractions_hit_the_memo_entry_of_their_ints():
+    r = ring(["x", "y"])
+    gens = [{((2, 0), 0): 2, ((0, 1), 0): -1}, {((1, 1), 0): 1}]
+    as_fractions = [{t: Fraction(c) for t, c in g.items()} for g in gens]
+    with scope.run_scope():
+        gb = buchberger(QQ, gens, r.mkey())
+        with mock.patch.object(pa, "m_reduce", _no_reduction):
+            assert buchberger(QQ, as_fractions, r.mkey()) == gb
+        assert len(scope.memo()) == 1
+
+
+_RATIONALS = st.fractions(-10, 10, max_denominator=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_RATIONALS, _RATIONALS.map(lambda c: QQ.of_str(str(c)))),
+       st.one_of(_RATIONALS, _RATIONALS.map(lambda c: QQ.of_str(str(c)))))
+def test_qq_operations_are_exact_and_canonical(a, b):
+    # a and b are Fractions, integral ones included, or canonical values
+    fa, fb = Fraction(a), Fraction(b)
+    results = [(QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
+               (QQ.mul(a, b), fa * fb), (QQ.neg(a), -fa),
+               (QQ.of_str(str(a)), fa), (QQ.of_int(fa.numerator), fa.numerator)]
+    if b != 0:
+        results += [(QQ.div(a, b), fa / fb), (QQ.inv(b), 1 / fb)]
+    for got, want in results:
+        assert got == want and _is_canonical(got), (got, want)
+
+
+def test_qq_keeps_integers_as_ints_and_divides_exactly():
+    assert [type(v) for v in (QQ.zero(), QQ.one(), QQ.of_int(5))] == [int] * 3
+    third = QQ.div(1, 3)
+    assert third == Fraction(1, 3) and type(third) is Fraction
+    assert type(QQ.div(6, 3)) is int and QQ.div(6, 3) == 2
+    assert QQ.inv(Fraction(1, 2)) == 2 and type(QQ.inv(Fraction(1, 2))) is int
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
+def _fraction_names(path):
+    """``file:line`` of every place the module at ``path`` names Fraction:
+    as a name, an attribute (``fractions.Fraction``) or an import."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if ((isinstance(node, ast.Name) and node.id == "Fraction")
+                or (isinstance(node, ast.Attribute) and node.attr == "Fraction")
+                or (isinstance(node, ast.alias) and node.name == "Fraction")):
+            out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_only_fieldq_and_cone_points_name_fraction(tmp_path):
+    # A coefficient made anywhere else could bypass QQ's canonical form.
+    probe = tmp_path / "probe.py"
+    probe.write_text("import fractions\n"
+                     "from fractions import Fraction as F\n"
+                     "fractions.Fraction(1)\n"
+                     "Fraction\n")
+    assert len(_fraction_names(probe)) == 3  # the walk sees them
+    src = Path(pa.__file__).parent
+    offenders = [r for path in sorted(src.glob("*.py"))
+                 if path.name not in ("polyalg.py", "qcone.py")
+                 for r in _fraction_names(path)]
+    assert not offenders, offenders
