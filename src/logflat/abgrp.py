@@ -558,10 +558,6 @@ class GroupHom:
         return GroupHom(inner.source, self.target,
                         tuple(self.apply(v) for v in inner.images))
 
-    def matrix(self):
-        return IntMatrix.from_columns([list(v) for v in self.images],
-                                      nrows=self.target.dim)
-
     # -- linear solving against the hom ----------------------------------
 
     def _stacked_system(self):

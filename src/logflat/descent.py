@@ -192,7 +192,7 @@ def pullback_P(glue: GluingDatum, m: ModulePresentation) -> DescentDatum:
 def _base_change(rmap: RingMap, m: ModulePresentation):
     """M (x)_R S for the ring map R -> S: M's columns carried along it."""
     return ModulePresentation(rmap.target, m.rank,
-                              [pa.transport_col(rmap, c) for c in m.columns])
+                              [rmap.apply(c) for c in m.columns])
 
 
 def lift_coefficients(glue: GluingDatum, col, via):
@@ -320,10 +320,10 @@ def _pd_certificate(glue, d: DescentDatum, back):
     are isomorphisms (kernel and cokernel vanish)."""
     gens = back.descent_generators
     r1 = d.m1.rank
-    proj1_cols = [pa.transport_col(glue.p1, {
+    proj1_cols = [glue.p1.apply({
         (mono, pos): c for (mono, pos), c in g.items() if pos < r1})
         for g in gens]
-    proj2_cols = [pa.transport_col(glue.p2, {
+    proj2_cols = [glue.p2.apply({
         (mono, pos - r1): c for (mono, pos), c in g.items() if pos >= r1})
         for g in gens]
     return all(
@@ -337,21 +337,30 @@ def _pd_certificate(glue, d: DescentDatum, back):
 
 def _precomposition(cols, rank, n: ModulePresentation, bn):
     """Precomposition Hom(R^rank, N) -> Hom(R^len(cols), N) with the matrix
-    of columns ``cols``, as a matrix over the k-basis ``bn`` of N: the
-    coordinate of b_u in the image of e_pos is unknown pos * len(bn) + u."""
+    of columns ``cols``, over the k-basis ``bn`` of N, as one sparse column
+    per unknown over k presented in no variables: the coordinate of b_u in
+    the image of e_pos is unknown pos * len(bn) + u, and that of b_u in the
+    image of column j is entry j * len(bn) + u."""
     field = n.over.ring.field
     bidx = {b: i for i, b in enumerate(bn)}
     nb = len(bn)
-    mat = [[field.zero()] * (rank * nb) for _ in range(len(cols) * nb)]
+    out = [{} for _ in range(rank * nb)]
     for j, col in enumerate(cols):
         for (mono, pos), c in col.items():
             for b_u, b in enumerate(bn):
                 prod = n.nf({(tuple(a + e for a, e in zip(b[0], mono)),
                               b[1]): c})
-                for k, cc in prod.items():
-                    row, at = mat[j * nb + bidx[k]], pos * nb + b_u
-                    row[at] = field.add(row[at], cc)
-    return mat
+                out[pos * nb + b_u] = m_add(field, out[pos * nb + b_u], {
+                    ((), j * nb + bidx[k]): cc for k, cc in prod.items()})
+    return out
+
+
+def _kernel(field, cols, rank):
+    """A basis of the kernel of the k-linear map with the given sparse
+    columns in k^rank: ``kernel_of_matrix`` over k presented in no
+    variables, whose reduced basis is the reduced row echelon form."""
+    return pa.kernel_of_matrix(RingPresentation(PolyRing(field, [])), cols,
+                               rank)
 
 
 def _hom_ext(m: ModulePresentation, n: ModulePresentation):
@@ -362,7 +371,7 @@ def _hom_ext(m: ModulePresentation, n: ModulePresentation):
     and Hom(M, N) is the kernel of the precomposition with M's relation
     columns d1.  With d2 the syzygies of d1 (a two-step free resolution of
     M), Ext^1 = ker(Hom(F1, N) -> Hom(F2, N)) / im(Hom(F0, N) -> Hom(F1, N)),
-    and the rank of the second map is read off the Hom basis: one nullspace
+    and the rank of the second map is read off the Hom basis: one kernel
     per precomposition."""
     bn = n.kbasis()
     if bn is None:
@@ -370,11 +379,12 @@ def _hom_ext(m: ModulePresentation, n: ModulePresentation):
                                    "target")
     field = n.over.ring.field
     f0, f1 = m.rank * len(bn), len(m.columns) * len(bn)
-    hom = pa.nullspace(field, _precomposition(m.columns, m.rank, n, bn), f0)
+    hom = _kernel(field, _precomposition(m.columns, m.rank, n, bn), f1)
     if not m.columns:
         return hom, bn, 0
     d2 = pa.kernel_of_matrix(m.over, m.columns, m.rank)
-    ker2 = pa.nullspace(field, _precomposition(d2, len(m.columns), n, bn), f1)
+    ker2 = _kernel(field, _precomposition(d2, len(m.columns), n, bn),
+                   len(d2) * len(bn))
     return hom, bn, len(ker2) - (f0 - len(hom))
 
 
@@ -419,23 +429,23 @@ def _fiber_dimension(glue, dm, dn, s1, s2, s0):
     """dim(H_1 x_{H_0} H_2), s1, s2, s0 being the ``_hom_ext`` results of
     the two sides and the overlap: the pairs (a, b) of side homs with equal
     restrictions to C_0, the kernel of (r_1, -r_2).  A restriction is
-    written over the k-basis of N_0, in Hom(F_0, N_0), which contains H_0;
-    negating r_2 changes no rank, so the kernel of (r_1, r_2) has the same
-    dimension."""
-    field = glue.c0.ring.field
+    written over the k-basis of N_0, in Hom(F_0, N_0), which contains H_0,
+    one column per side hom; negating r_2 changes no rank, so the kernel of
+    (r_1, r_2) has the same dimension."""
     n0, bn0 = dn.reduction(2), s0[1]
+    idx0 = {b: i for i, b in enumerate(bn0)}
     cols = []
     for f, m_i, (basis, bn_i, _) in ((glue.f1, dm.m1, s1),
                                      (glue.f2, dm.m2, s2)):
         nb = len(bn_i)
         for v in basis:
             # v gives the images of m_i's generators over bn_i
-            col = []
+            col = {}
             for pos in range(m_i.rank):
-                img = pa.transport_col(f, {
-                    b: c for c, b in zip(v[pos * nb:(pos + 1) * nb], bn_i)
-                    if not field.is_zero(c)})
-                col += pa.coordinates(field, n0.nf(img), bn0)
+                img = f.apply({bn_i[u - pos * nb]: c
+                               for (_, u), c in v.items() if u // nb == pos})
+                col.update({((), pos * len(bn0) + idx0[k]): c
+                            for k, c in n0.nf(img).items()})
             cols.append(col)
-    rows = [list(row) for row in zip(*cols)]
-    return len(pa.nullspace(field, rows, len(cols)))
+    return len(_kernel(glue.c0.ring.field, cols,
+                       dm.reduction(2).rank * len(bn0)))

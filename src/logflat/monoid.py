@@ -21,7 +21,6 @@ from .abgrp import (
     pushout,
 )
 from . import qcone
-from .polyalg import QQ, row_reduce
 
 
 def _lam_value(lam, x):
@@ -257,24 +256,25 @@ class FineMonoid:
 
         Each face is cut out by a functional of the dual cone, so it is the
         whole monoid or the generators a nonempty set of dual rays all
-        vanish on: the zero sets of the rays closed under intersection."""
+        vanish on: the zero sets of the rays closed under intersection.
+        The face lattice of a cone is graded by dimension, so a face's
+        dimension is the rank of the unit group, the least face, plus the
+        length of the longest chain of faces below it, and the faces sort
+        by that length."""
         if "faces" in self._cache:
             return self._cache["faces"]
         n = len(self.generators)
         masks = {(1 << n) - 1}
         for z in self._dual_zero_sets():
             masks |= {m & z for m in masks}
-        found = [tuple(i for i in range(n) if m >> i & 1) for m in masks]
-
-        rank = self.ambient.rank
-
-        def face_dim(f):
-            # the rational rank of the free coordinates: torsion has none
-            rows = [[QQ.of_int(x) for x in self.generators[i][:rank]]
-                    for i in f]
-            return len(row_reduce(QQ, rows, rank)[1])
-
-        found.sort(key=lambda f: (-face_dim(f), f))
+        # a proper subface has fewer generators, so it is ranked first
+        below = {}
+        for m in sorted(masks, key=int.bit_count):
+            below[m] = max((below[f] + 1 for f in below if f & m == f),
+                           default=0)
+        found = [f for _, f in sorted(
+            (-below[m], tuple(i for i in range(n) if m >> i & 1))
+            for m in masks)]
         self._cache["faces"] = found
         return found
 

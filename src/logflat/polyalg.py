@@ -328,12 +328,15 @@ def buchberger(field, gens, key):
     ``lcm`` and ``pos`` come from the two leading terms, and the result is
     interreduced, monic, and sorted.  Basis elements never change inside the
     pair loop, so a pair's order entry is fixed when the pair is formed and a
-    heap pops the pairs in exactly that order.  Pairs whose leading terms sit
+    heap pops the pairs in exactly that order.  Each element enters fully
+    reduced, so the leading terms are pairwise distinct, and the loop ends
+    with one pass: the elements whose leading term no other one divides,
+    each reduced against the others.  Pairs whose leading terms sit
     in different positions are never queued.  When every term of the input
     lies in position 0 the input is an ideal, and pairs with coprime leading
     monomials are not queued either (the product criterion, valid for
     ideals).  The leading term of each basis element is found once, when
-    the element is added or changed, and handed to every reduction.
+    the element is added, and handed to every reduction.
 
     Inside a ``scope.run_scope()`` (``cli.run_document`` enters one per
     document) the result is stored under (field, order, set of generators),
@@ -349,10 +352,13 @@ def buchberger(field, gens, key):
                  frozenset(frozenset(g.items()) for g in gens if g))
         if entry in memo:
             return [dict(g) for g in memo[entry]]
+    # every coefficient in the field's own form (over QQ an integral
+    # Fraction becomes an int): a term no reducer divides keeps it
+    gens = [{t: c if type(c) is int else field.add(field.zero(), c)
+             for t, c in g.items()} for g in gens if g]
     ideal = not any(pos for g in gens for (_, pos) in g)
     basis, lts = [], []
-    for g in sorted((g for g in gens if g),
-                    key=lambda g: key(m_lt(g, key))):
+    for g in sorted(gens, key=lambda g: key(m_lt(g, key))):
         r = m_reduce(field, g, basis, key, lts)
         if r:
             r, lt = _monic_remainder(field, r)
@@ -386,22 +392,17 @@ def buchberger(field, gens, key):
             lts.append(lt)
             for e in pairs_with(len(basis) - 1):
                 heapq.heappush(queue, e)
-    # interreduce
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            if not basis[i]:
-                continue
-            others = [t for t in range(len(basis)) if t != i and basis[t]]
-            r = m_reduce(field, basis[i], [basis[t] for t in others], key,
-                         [lts[t] for t in others])
-            if r != basis[i]:
-                basis[i], lts[i] = (_monic_remainder(field, r) if r
-                                    else ({}, None))
-                changed = True
-    order = sorted((t for t in range(len(basis)) if basis[t]),
-                   key=lambda t: key(lts[t]))
+    # a minimal basis, then one reduction of each element against the
+    # others: no leading term divides another, so none changes and one
+    # pass leaves the basis reduced.  An element entered reduced against
+    # the earlier ones, so only a later one can divide its leading term.
+    keep = [i for i, (mi, pi) in enumerate(lts)
+            if not any(pj == pi and _divides(mj, mi)
+                       for mj, pj in lts[i + 1:])]
+    basis = [m_reduce(field, basis[i], [basis[t] for t in keep if t != i],
+                      key, [lts[t] for t in keep if t != i]) for i in keep]
+    lts = [lts[i] for i in keep]
+    order = sorted(range(len(basis)), key=lambda t: key(lts[t]))
     if memo is not None:
         memo[entry] = [dict(basis[t]) for t in order]
     return [basis[t] for t in order]
@@ -712,14 +713,18 @@ class RingMap:
                                 for i in range(pres.ring.nvars)], check=False)
 
     def apply(self, p):
+        """The image of a polynomial, or of a module element entry by
+        entry: each term keeps its position."""
         tring = self.target.ring
-        out = tring.zero()
-        for (m, _), c in p.items():
+        out = {}
+        for (m, pos), c in p.items():
             term = m_scale(tring.field, c, tring.one())
             for i, e in enumerate(m):
                 for _ in range(e):
                     term = tring.mul(term, self.images[i])
-            out = tring.add(out, term)
+            if pos:
+                term = {(mm, pos): cc for (mm, _), cc in term.items()}
+            out = m_add(tring.field, out, term)
         return out
 
     def compose(self, inner):
@@ -971,7 +976,7 @@ def tor1_along(rmap: RingMap, cols, rank, n: ModulePresentation):
 
     def tensored(d):
         return [{(mono, pos * r + u): c
-                 for (mono, pos), c in transport_col(rmap, col).items()}
+                 for (mono, pos), c in rmap.apply(col).items()}
                 for col in d for u in range(r)]
 
     def relation_blocks(count):
@@ -994,16 +999,6 @@ def tor1(m: ModulePresentation, j_gens):
     to_rq = RingMap(m.over, rq, [ring.var(i) for i in range(ring.nvars)],
                     check=False)
     return tor1_along(to_rq, m.columns, m.rank, ModulePresentation(rq, 1))
-
-
-def transport_col(rmap: RingMap, col):
-    """A column over the source of ``rmap``, entry by entry, over its target."""
-    field = rmap.target.ring.field
-    out = {}
-    for (mono, pos), c in col.items():
-        p = rmap.apply({(mono, 0): c})
-        out = m_add(field, out, {(mm, pos): cc for (mm, _), cc in p.items()})
-    return out
 
 
 def regular_element_test(f, m: ModulePresentation):
@@ -1054,59 +1049,7 @@ def vector_space_basis(over: RingPresentation, rank, rel_cols):
     return ModulePresentation(over, rank, rel_cols).kbasis()
 
 
-# -- linear algebra over the field -----------------------------------------------
-
-
-def coordinates(field, v, basis):
-    """The coefficients of v, a combination of the terms in ``basis`` (a
-    normal form against a standard-monomial basis), in basis order."""
-    idx = {b: i for i, b in enumerate(basis)}
-    out = [field.zero()] * len(basis)
-    for k, c in v.items():
-        out[idx[k]] = c
-    return out
-
-
-def row_reduce(field, rows, ncols):
-    """Gauss-Jordan elimination over ``field``, pivoting in the first
-    ``ncols`` columns only; entries past them (a right-hand side, say) are
-    carried along.
-
-    Returns (rows, pivots): the reduced rows, a new list whose first
-    len(pivots) rows hold a leading 1 in the pivot column of the same index
-    and zeros in every other pivot column, and whose remaining rows are zero
-    in the first ``ncols`` columns."""
-    rows = [list(row) for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        sel = next((i for i in range(r, len(rows))
-                    if not field.is_zero(rows[i][c])), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i, row in enumerate(rows):
-            if i != r and not field.is_zero(row[c]):
-                f = row[c]
-                rows[i] = [field.sub(a, field.mul(f, b))
-                           for a, b in zip(row, rows[r])]
-        pivots.append(c)
-    return rows, pivots
-
-
-def nullspace(field, rows, ncols):
-    """A basis of {x : rows x = 0}, one vector per non-pivot column."""
-    rows, pivots = row_reduce(field, rows, ncols)
-    basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        v = [field.zero()] * ncols
-        v[free] = field.one()
-        for row, c in zip(rows, pivots):
-            v[c] = field.neg(row[free])
-        basis.append(v)
-    return basis
+# -- elimination -------------------------------------------------------------------
 
 
 def elimination_basis(field, gens, elim):

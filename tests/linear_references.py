@@ -1,13 +1,20 @@
 """Earlier implementations kept as oracles for the tests.
 
-The library computes Hom and Ext^1 from one precomposition nullspace per
-module pair, unit inverses and module-map inverses through the one lift
-(``polyalg.lift_through``).  Before, Hom and Ext^1 took separate
-nullspaces, a unit inverse solved a linear system over the k-basis of the
-ring, and a map inverse built the kernel of the map before lifting.  Those
-routes are kept here, as they were, and the tests compare the library
-against them.  ``solve_linear`` and ``m_monic`` left the library with their
-last callers there; the oracles and tests here still use them.
+The library solves every linear system over the field with the module
+Groebner engine: Hom and Ext^1 are one ``kernel_of_matrix`` over the field
+presented in no variables per precomposition, unit inverses and module-map
+inverses go through the one lift (``polyalg.lift_through``), and a face's
+dimension is read off the face lattice.  Before, a Gauss-Jordan
+elimination (``row_reduce``, with ``nullspace`` and ``coordinates`` over
+it) served them: Hom and Ext^1 took separate nullspaces, a unit inverse
+solved a linear system over the k-basis of the ring, a map inverse built
+the kernel of the map before lifting, and a face's dimension was the rank
+of its generators.  That elimination and those routes are kept here, as
+they were, so the oracles share no elimination with the library, and the
+tests compare the library against them.  ``solve_linear`` and ``m_monic``
+left the library with their last callers there; the oracles and tests here
+still use them.  ``transport_col``, a column carried along a ring map entry
+by entry, is now ``RingMap.apply``; the earlier loop is kept too.
 
 ``build_A_ht`` wrote out its group algebras by hand and gave a group
 element its monomial in closed form (``_group_vars``, ``_group_monomial``);
@@ -40,7 +47,7 @@ from logflat.polyalg import (
     is_injective,
     kernel_of_matrix,
     lift_through,
-    transport_col,
+    m_add,
 )
 
 
@@ -104,11 +111,68 @@ class FractionQQ:
 # -- linear algebra over the field -----------------------------------------------
 
 
+def coordinates(field, v, basis):
+    """The coefficients of v, a combination of the terms in ``basis`` (a
+    normal form against a standard-monomial basis), in basis order."""
+    idx = {b: i for i, b in enumerate(basis)}
+    out = [field.zero()] * len(basis)
+    for k, c in v.items():
+        out[idx[k]] = c
+    return out
+
+
+def row_reduce(field, rows, ncols):
+    """Gauss-Jordan elimination over ``field``, pivoting in the first
+    ``ncols`` columns only; entries past them (a right-hand side, say) are
+    carried along.
+
+    Returns (rows, pivots): the reduced rows, a new list whose first
+    len(pivots) rows hold a leading 1 in the pivot column of the same index
+    and zeros in every other pivot column, and whose remaining rows are zero
+    in the first ``ncols`` columns."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(rows))
+                    if not field.is_zero(rows[i][c])), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = [field.mul(inv, v) for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and not field.is_zero(row[c]):
+                f = row[c]
+                rows[i] = [field.sub(a, field.mul(f, b))
+                           for a, b in zip(row, rows[r])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def matrix_rank(field, rows, ncols):
+    """The rank of the matrix with the given rows, by ``row_reduce``."""
+    return len(row_reduce(field, rows, ncols)[1])
+
+
+def nullspace(field, rows, ncols):
+    """A basis of {x : rows x = 0}, one vector per non-pivot column."""
+    rows, pivots = row_reduce(field, rows, ncols)
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        v = [field.zero()] * ncols
+        v[free] = field.one()
+        for row, c in zip(rows, pivots):
+            v[c] = field.neg(row[free])
+        basis.append(v)
+    return basis
+
+
 def solve_linear(field, cols, target):
     """A solution x of sum_j x_j cols_j = target, with every free unknown
     zero, or None if there is none."""
     k = len(cols)
-    rows, pivots = pa.row_reduce(
+    rows, pivots = row_reduce(
         field, [[col[i] for col in cols] + [t] for i, t in enumerate(target)],
         k)
     if any(not field.is_zero(row[k]) for row in rows[len(pivots):]):
@@ -160,7 +224,7 @@ def _hom_space(m: ModulePresentation, n: ModulePresentation):
     if bn is None:
         raise NotFiniteDimensional("Hom needs a finite dimensional target")
     mat = _precomposition(m.columns, m.rank, n, bn)
-    return pa.nullspace(n.over.ring.field, mat, m.rank * len(bn)), bn
+    return nullspace(n.over.ring.field, mat, m.rank * len(bn)), bn
 
 
 def hom_dimension(m, n):
@@ -181,9 +245,9 @@ def ext1_dimension(m: ModulePresentation, n: ModulePresentation):
         raise NotFiniteDimensional("Ext needs finite dimensional modules")
     field = over.ring.field
     f0, f1 = m.rank * len(bn), len(d1) * len(bn)
-    ker2_dim = len(pa.nullspace(field, _precomposition(d2, len(d1), n, bn),
+    ker2_dim = len(nullspace(field, _precomposition(d2, len(d1), n, bn),
                                 f1))
-    rank1 = f0 - len(pa.nullspace(field, _precomposition(d1, m.rank, n, bn),
+    rank1 = f0 - len(nullspace(field, _precomposition(d1, m.rank, n, bn),
                                   f0))
     return ker2_dim - rank1
 
@@ -242,7 +306,7 @@ def _fiber_dimension(glue, dm, dn, s1, s2, s0):
         row = [rows[i][t] for i in range(len(b1))] + \
               [field.neg(rows2[j][t]) for j in range(len(b2))]
         mat.append(row)
-    null = pa.nullspace(field, mat, len(b1) + len(b2))
+    null = nullspace(field, mat, len(b1) + len(b2))
     return len(null)
 
 
@@ -258,13 +322,13 @@ def _restrict_hom(glue, which, dm, dn, v, bn_i, bn0, b0):
     imgs0 = []
     for pos in range(m_i.rank):
         vec = v[pos * len(bn_i):(pos + 1) * len(bn_i)]
-        imgs0.append(n0.nf(pa.transport_col(f, {
+        imgs0.append(n0.nf(transport_col(f, {
             b: coeff for coeff, b in zip(vec, bn_i)
             if not field.is_zero(coeff)})))
     # express through the hom basis b0 by matching generator images
     target = []
     for pos in range(m0.rank):
-        target.append(pa.coordinates(field, imgs0[pos], bn0))
+        target.append(coordinates(field, imgs0[pos], bn0))
     flat_target = [c for vec in target for c in vec]
     cols = []
     for w in b0:
@@ -285,10 +349,10 @@ def certify_unit(pres: RingPresentation, p):
     if basis is None:
         raise UnsupportedShape("unit certification needs a finite dimensional ring")
     field = pres.ring.field
-    cols = [pa.coordinates(
+    cols = [coordinates(
         field, pres.nf(pres.ring.mul(p, pres.ring.monomial(mono))), basis)
         for mono, _ in basis]
-    target = pa.coordinates(field, pres.nf(pres.ring.one()), basis)
+    target = coordinates(field, pres.nf(pres.ring.one()), basis)
     sol = solve_linear(field, cols, target)
     if sol is None:
         raise HomotopyInvalid("element is not a unit")
@@ -332,6 +396,16 @@ def homology_presentation(over: RingPresentation, a_cols, mid_rank,
         return ModulePresentation(over, 0, []), True
     rels = kernel_of_matrix(over, kgens, mid_rank, denom)
     return ModulePresentation(over, len(kgens), rels), False
+
+
+def transport_col(rmap: RingMap, col):
+    """A column over the source of ``rmap``, entry by entry, over its target."""
+    field = rmap.target.ring.field
+    out = {}
+    for (mono, pos), c in col.items():
+        p = rmap.apply({(mono, 0): c})
+        out = m_add(field, out, {(mm, pos): cc for (mm, _), cc in p.items()})
+    return out
 
 
 def tor1_along_presentation(rmap: RingMap, cols, rank, n: ModulePresentation):

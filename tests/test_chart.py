@@ -648,7 +648,7 @@ def reference_tower(cr, m, evars, killed=()):
         ze = ring.var(e)
         d2 = pa.kernel_of_matrix(to_m.source, [ze], 1)
         tz = _tensored_homology_is_zero(
-            m, [pa.transport_col(to_m, s) for s in d2], [to_m.apply(ze)])
+            m, [to_m.apply(s) for s in d2], [to_m.apply(ze)])
         sub_m = ModulePresentation(
             m.over.quotient([cr.to_c.apply(ze)]), m.rank, m.columns)
         sub_ok, sub_cert = reference_tower(

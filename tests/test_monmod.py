@@ -458,8 +458,10 @@ def _defined_functions(source):
 
 def _referenced_names(source):
     """Every name the module loads, as a variable or an attribute, and
-    every identifier inside one of its string constants, docstrings
-    left out: a stale docstring does not keep a function alive."""
+    every part of a string constant that is wholly a name or a dotted name
+    (how ``bench/spans.TRACED`` names a function), docstrings left out: a
+    stale docstring or a word in a message does not keep a function
+    alive."""
     tree = ast.parse(source)
     docstrings = {id(node.body[0].value) for node in ast.walk(tree)
                   if isinstance(node, (ast.Module, ast.ClassDef,
@@ -473,7 +475,8 @@ def _referenced_names(source):
             out.add(node.attr)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings):
-            out |= set(re.findall(r"\w+", node.value))
+            if re.fullmatch(r"\w+(\.\w+)*", node.value):
+                out |= set(node.value.split("."))
     return out
 
 
@@ -489,13 +492,18 @@ def _unreferenced(defined_in, read_in):
 
 
 def test_every_defined_function_is_referenced():
-    # the check sees a function nothing calls, but not one named in a
-    # string (a traced span) or a docstring-only mention
+    # the check sees a function nothing calls, or one named only in a
+    # docstring or inside a message, but not one a string names (a traced
+    # span, dotted or not)
     planted = ('def used():\n    "Calls dead() never."\n    return 1\n\n'
                'def traced():\n    return 2\n\n'
-               'def dead():\n    return used()\n')
-    reader = 'SPANS = [("m", "traced")]\n'
-    assert _unreferenced([planted], [planted, reader]) == ["dead"]
+               'class C:\n    def method(self):\n        return 3\n\n'
+               'def mentioned():\n    return 4\n\n'
+               'def dead():\n    if used():\n'
+               '        raise ValueError("not mentioned here")\n')
+    reader = 'SPANS = [("m", "traced"), ("m", "C.method")]\n'
+    assert _unreferenced([planted], [planted, reader]) == ["dead",
+                                                           "mentioned"]
     root = Path(monmod.__file__).parents[2]
     sources = [p.read_text() for p in sorted((root / "src").rglob("*.py"))]
     readers = [p.read_text() for d in ("src", "tests", "bench")
@@ -503,6 +511,43 @@ def test_every_defined_function_is_referenced():
     assert len(set().union(*map(_defined_functions, sources))) > 300
     assert not _unreferenced(sources, readers), \
         _unreferenced(sources, readers)
+
+
+_INTEGER_AND_MONOID_LAYERS = ("monoid", "monmod", "qcone", "abgrp")
+_RING_LAYERS = ("polyalg", "graded", "chart", "descent", "cli")
+
+
+def _logflat_imports(source):
+    """The logflat modules the source imports from, at any depth:
+    ``from .m import``, ``from . import m``, ``from logflat.m import``,
+    ``from logflat import m`` and ``import logflat.m``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "logflat"):
+            parts = [p for p in (node.module or "").split(".")
+                     if p and p != "logflat"]
+            out |= {parts[0]} if parts else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {a.name.split(".")[1] for a in node.names
+                    if a.name.startswith("logflat.")}
+    return out
+
+
+def test_integer_and_monoid_layers_import_no_ring_layer():
+    # the walk sees every form of import, nested ones included
+    planted = ("from . import qcone, polyalg\n"
+               "from .abgrp import FgAbGroup\n"
+               "import logflat.graded\n"
+               "def f():\n    from logflat.chart import ChartData\n"
+               "    from logflat import descent\n")
+    assert _logflat_imports(planted) == {"qcone", "polyalg", "abgrp",
+                                         "graded", "chart", "descent"}
+    src = Path(monmod.__file__).parent
+    crossing = {name: sorted(_logflat_imports((src / f"{name}.py").read_text())
+                             & set(_RING_LAYERS))
+                for name in _INTEGER_AND_MONOID_LAYERS}
+    assert not any(crossing.values()), crossing
 
 
 def test_cli_handlers_match_the_kind_tables():

@@ -3,7 +3,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from logflat import monoid as monoid_module, qcone
 from logflat.abgrp import FgAbGroup, IntMatrix, smith_normal_form
-from logflat.polyalg import toric_ideal
+from logflat.polyalg import QQ, toric_ideal
 from logflat.monoid import (
     FineMonoid,
     ListFreeBasis,
@@ -24,6 +24,7 @@ from logflat.monoid import (
     trivial_monoid,
 )
 
+import linear_references as ref
 from brute_force import basis_up_to, elements_up_to
 
 
@@ -555,6 +556,24 @@ def test_units_and_faces_match_reference(p):
     n = len(p.generators)
     assert [q.generators for q in p.prime_ideals()] == [
         tuple(p.generators[i] for i in range(n) if i not in f) for f in faces]
+
+
+@settings(max_examples=300, deadline=None)
+@given(embedded_monoids())
+@example(FineMonoid(FgAbGroup.free(2), [(1, 0), (-1, 0), (0, 1)]))
+@example(FineMonoid(FgAbGroup(1, (2,)), [(1, 1), (-1, 0), (0, 1), (2, 0)]))
+@example(FineMonoid(FgAbGroup(2, (2,)), [(0, 1, 0), (1, 0, 0), (1, 0, 1)]))
+def test_faces_sorted_by_rational_rank_of_their_generators(p):
+    # faces() ranks a face by the longest chain of faces below it; the
+    # oracle ranks it by the rational rank of its generators' free parts,
+    # by Gauss-Jordan over QQ
+    rank = p.ambient.rank
+
+    def face_dim(f):
+        rows = [[QQ.of_int(x) for x in p.generators[i][:rank]] for i in f]
+        return ref.matrix_rank(QQ, rows, rank)
+
+    assert p.faces() == sorted(p.faces(), key=lambda f: (-face_dim(f), f))
 
 
 OCTAGON_CONE = [(x, y, 1) for x, y in _POLYGONS["8-gon"]]

@@ -383,6 +383,10 @@ def test_nf_difference_characterizes_equality(terms_f, terms_g):
     assert same_nf == diff_zero
 
 
+def _divides(m1, m2):
+    return all(a <= b for a, b in zip(m1, m2))
+
+
 def _sorted_list_buchberger(field, gens, key):
     """The earlier pair loop of ``buchberger``, kept as the reference for
     its processing order: the whole pair list is re-sorted by
@@ -423,18 +427,14 @@ def _sorted_list_buchberger(field, gens, key):
             basis.append(ref.m_monic(field, r, key))
             new = len(basis) - 1
             pairs.extend((t, new) for t in range(new))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            if not basis[i]:
-                continue
-            others = [basis[t] for t in range(len(basis)) if t != i and basis[t]]
-            r = pa.m_reduce(field, basis[i], others, key)
-            if r != basis[i]:
-                basis[i] = ref.m_monic(field, r, key) if r else {}
-                changed = True
-    basis = [g for g in basis if g]
+    # the final step of buchberger: drop each element whose leading term
+    # another one divides, then reduce each survivor against the others
+    lts = [pa.m_lt(g, key) for g in basis]
+    keep = [g for g, (mi, pi) in zip(basis, lts)
+            if not any(pj == pi and (mj, pj) != (mi, pi) and _divides(mj, mi)
+                       for (mj, pj) in lts)]
+    basis = [pa.m_reduce(field, g, [h for h in keep if h is not g], key)
+             for g in keep]
     basis.sort(key=lambda g: key(pa.m_lt(g, key)))
     return basis
 
@@ -508,6 +508,21 @@ def test_heap_pair_order_matches_sorted_list_reference(problem):
     assert out == ref
     assert seen == ref_seen
     assert is_groebner_basis(field, out, key)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_ring_map_apply_keeps_each_terms_position(data):
+    # a module element goes along a ring map entry by entry, as the
+    # earlier column transport did
+    field = data.draw(st.sampled_from([QQ, FieldFp(5)]))
+    images = [(_elements(data.draw, field, 2, 1, 1, 3, 2) or [{}])[0]
+              for _ in range(3)]
+    rmap = RingMap(RingPresentation(ring(["x", "y", "z"], field)),
+                   RingPresentation(ring(["s", "t"], field)), images,
+                   check=False)
+    for col in _elements(data.draw, field, 3, 3, 2, 4, 2):
+        assert rmap.apply(col) == ref.transport_col(rmap, col)
 
 
 def _max_scan_m_reduce(field, f, basis, key):
@@ -721,11 +736,21 @@ def _dot(field, row, x):
 @settings(max_examples=150, deadline=None)
 @given(linear_systems())
 def test_nullspace_and_solve_linear_match_sympy(system):
+    # the nullspace is kernel_of_matrix over the field presented in no
+    # variables, one sparse column per unknown
     field, mat, ncols, target = system
     rows = [[field.of_int(v) for v in row] for row in mat]
     b = [field.of_int(t) for t in target]
     rank = _sympy_rank(field, mat, ncols)
-    null = pa.nullspace(field, rows, ncols)
+    point = RingPresentation(PolyRing(field, []))
+    cols = [{((), i): row[j] for i, row in enumerate(rows)
+             if not field.is_zero(row[j])} for j in range(ncols)]
+    null = []
+    for g in kernel_of_matrix(point, cols, len(rows)):
+        v = [field.zero()] * ncols
+        for ((), j), c in g.items():
+            v[j] = c
+        null.append(v)
     assert len(null) == ncols - rank
     assert all(field.is_zero(_dot(field, row, v))
                for v in null for row in rows)
@@ -1321,6 +1346,16 @@ def test_integral_fractions_hit_the_memo_entry_of_their_ints():
         with mock.patch.object(pa, "m_reduce", _no_reduction):
             assert buchberger(QQ, as_fractions, r.mkey()) == gb
         assert len(scope.memo()) == 1
+
+
+def test_integral_fraction_generators_come_out_as_ints():
+    # no reducer divides either term, so the remainder keeps the input's
+    # coefficients: buchberger takes them into QQ's int form first
+    x, y = ((1, 0), 0), ((0, 1), 0)
+    gb = buchberger(QQ, [{x: Fraction(1), y: Fraction(2)}],
+                    module_key(degrevlex_key))
+    assert gb == [{x: 1, y: 2}]
+    assert [type(c) for c in gb[0].values()] == [int, int]
 
 
 _RATIONALS = st.fractions(-10, 10, max_denominator=6)
