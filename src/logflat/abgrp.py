@@ -423,21 +423,22 @@ class FgAbGroup:
     # -- element arithmetic ----------------------------------------------
 
     def reduce(self, vec):
-        vec = tuple(int(x) for x in vec)
+        vec = tuple(map(int, vec))
         if len(vec) != self.dim:
             raise ValueError("element has wrong length")
-        free = vec[:self.rank]
-        tors = tuple(x % d for x, d in zip(vec[self.rank:], self.torsion))
-        return free + tors
+        if not self.torsion:
+            return vec
+        rank = self.rank
+        return vec[:rank] + tuple(map(operator.mod, vec[rank:], self.torsion))
 
     def zero(self):
         return (0,) * self.dim
 
     def add(self, x, y):
-        return self.reduce(tuple(a + b for a, b in zip(x, y)))
+        return self.reduce(map(operator.add, x, y))
 
     def sub(self, x, y):
-        return self.reduce(tuple(a - b for a, b in zip(x, y)))
+        return self.reduce(map(operator.sub, x, y))
 
     def reduced_sub(self):
         """``sub`` for elements already in reduced form, as a function.
@@ -456,7 +457,7 @@ class FgAbGroup:
         return sub
 
     def neg(self, x):
-        return self.reduce(tuple(-a for a in x))
+        return self.reduce(map(operator.neg, x))
 
     def scale(self, n, x):
         return self.reduce(tuple(n * a for a in x))

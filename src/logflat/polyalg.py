@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from operator import add, le, mul, neg, sub
 
 from . import abgrp, scope
 
@@ -159,17 +160,24 @@ QQ = FieldQ()
 
 
 def degrevlex_key(mono):
-    return (sum(mono), tuple(-e for e in reversed(mono)))
+    return (sum(mono), tuple(map(neg, reversed(mono))))
 
 
 def weighted_revlex_key(weights, last):
-    """Graded reverse lex for the given positive weights, with the variable
-    ``last`` treated as the cheapest (rightmost) one."""
+    """Graded reverse lex for the given positive weights, one per variable,
+    with the variable ``last`` treated as the cheapest (rightmost) one.
+
+    Its ``tag`` names the order by value: two keys of equal weights and
+    ``last`` are one order to ``buchberger``'s run-scope memo."""
+    weights = tuple(weights)
+    # the variables from the cheapest: last, then the others from the
+    # rightmost
+    rev = sorted(range(len(weights)), key=lambda i: (i != last, -i))
+
     def key(mono):
-        n = len(mono)
-        perm = [i for i in range(n) if i != last] + [last]
-        w = sum(weights[i] * mono[i] for i in range(n))
-        return (w, tuple(-mono[perm[i]] for i in reversed(range(n))))
+        return (sum(map(mul, weights, mono)),
+                tuple(map(neg, map(mono.__getitem__, rev))))
+    key.tag = ("wrevlex", weights, last)
     return key
 
 
@@ -178,11 +186,11 @@ def module_key(ring_key):
 
     Its ``tag``, like ``block_key``'s, names the order by value, so that
     ``buchberger``'s run-scope memo sees two closures of one order as one
-    order."""
+    order: a tagged ``ring_key`` enters it by its own tag."""
     def key(term):
         mono, pos = term
         return (ring_key(mono), -pos)
-    key.tag = ("module", ring_key)
+    key.tag = ("module", getattr(ring_key, "tag", ring_key))
     return key
 
 
@@ -228,7 +236,7 @@ def m_shift(field, c, mono, f):
         return {}
     out = {}
     for (m, p), v in f.items():
-        out[(tuple(a + b for a, b in zip(m, mono)), p)] = field.mul(c, v)
+        out[(tuple(map(add, m, mono)), p)] = field.mul(c, v)
     return out
 
 
@@ -241,7 +249,7 @@ def m_sorted_terms(f, key):
 
 
 def _divides(m1, m2):
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 class _Desc:
@@ -268,6 +276,9 @@ def m_reduce(field, f, basis, key, lts=None):
     terms of ``basis`` position for position (any value for a zero element);
     it is computed when omitted.  The remainder's terms come out in
     descending order.
+
+    The exponent arithmetic of the scan, the shift and the shifted terms
+    runs through ``map`` over ``operator`` functions, whose loops run in C.
     """
     if lts is None:
         lts = [m_lt(g, key) if g else None for g in basis]
@@ -283,19 +294,19 @@ def m_reduce(field, f, basis, key, lts=None):
             continue  # cancelled, or a second entry of a processed term
         mono, pos = t
         for lm, lp, g, lc in reducers:
-            if lp == pos and _divides(lm, mono):
+            if lp == pos and all(map(le, lm, mono)):
                 break
         else:
             out[t] = c
             continue
-        shift = tuple(a - b for a, b in zip(mono, lm))
+        shift = tuple(map(sub, mono, lm))
         factor = field.div(c, lc)
         lead = (lm, lp)
         for term, v in g.items():
             if term == lead:
                 continue
             m, p = term
-            s = (tuple(a + b for a, b in zip(m, shift)), p)
+            s = (tuple(map(add, m, shift)), p)
             d = field.mul(factor, v)
             old = f.get(s)
             if old is None:
@@ -336,7 +347,10 @@ def buchberger(field, gens, key):
     lies in position 0 the input is an ideal, and pairs with coprime leading
     monomials are not queued either (the product criterion, valid for
     ideals).  The leading term of each basis element is found once, when
-    the element is added, and handed to every reduction.
+    the element is added, and handed to every reduction.  Each term's order
+    key is computed at most once per call, whether the initial sort, a
+    reduction, a pair or the final sort asks for it, and kept in a dict
+    that dies with the call.
 
     Inside a ``scope.run_scope()`` (``cli.run_document`` enters one per
     document) the result is stored under (field, order, set of generators),
@@ -352,6 +366,15 @@ def buchberger(field, gens, key):
                  frozenset(frozenset(g.items()) for g in gens if g))
         if entry in memo:
             return [dict(g) for g in memo[entry]]
+    # each term's key once per call, in a dict that dies with the call
+    keys, order = {}, key
+
+    def key(term):
+        k = keys.get(term)
+        if k is None:
+            k = keys[term] = order(term)
+        return k
+
     # every coefficient in the field's own form (over QQ an integral
     # Fraction becomes an int): a term no reducer divides keeps it
     gens = [{t: c if type(c) is int else field.add(field.zero(), c)
@@ -371,9 +394,9 @@ def buchberger(field, gens, key):
             mi, pi = lts[i]
             if pi != pj:
                 continue
-            if ideal and all(min(a, b) == 0 for a, b in zip(mi, mj)):
+            if ideal and not any(map(min, mi, mj)):
                 continue
-            lcm = tuple(max(a, b) for a, b in zip(mi, mj))
+            lcm = tuple(map(max, mi, mj))
             yield (key((lcm, pj)), i, j, lcm)
 
     queue = [e for j in range(len(basis)) for e in pairs_with(j)]
@@ -382,8 +405,8 @@ def buchberger(field, gens, key):
         _, i, j, lcm = heapq.heappop(queue)
         gi, gj = basis[i], basis[j]
         mi, mj = lts[i][0], lts[j][0]
-        si = m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mi)), gi)
-        sj = m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mj)), gj)
+        si = m_shift(field, field.one(), tuple(map(sub, lcm, mi)), gi)
+        sj = m_shift(field, field.one(), tuple(map(sub, lcm, mj)), gj)
         s = m_sub(field, si, sj)
         r = m_reduce(field, s, basis, key, lts)
         if r:
@@ -508,7 +531,7 @@ class PolyRing:
             nxt = {}
             for (m1, _), c1 in out.items():
                 for (m2, _), c2 in p.items():
-                    k = (tuple(a + b for a, b in zip(m1, m2)), 0)
+                    k = (tuple(map(add, m1, m2)), 0)
                     s = self.field.add(nxt.get(k, self.field.zero()),
                                        self.field.mul(c1, c2))
                     if self.field.is_zero(s):
@@ -1060,7 +1083,7 @@ def elimination_basis(field, gens, elim):
     ``elim`` are a basis of the ideal's contraction to the other
     variables."""
     elim = tuple(elim)
-    key = module_key(lambda mono: (sum(mono[i] for i in elim),
+    key = module_key(lambda mono: (sum(map(mono.__getitem__, elim)),
                                    degrevlex_key(mono)))
     key.tag = ("elim", elim)
     gb = buchberger(field, gens, key)
@@ -1134,7 +1157,7 @@ def toric_ideal(p_monoid, field=QQ, names=None, allow_units=False):
         # positive weights from the certifying functional make the lattice
         # ideal homogeneous, so saturation per variable is revlex division
         lam = p_monoid._positive_functional()
-        weights = [sum(l * c for l, c in zip(lam, g)) for g in gens]
+        weights = [sum(map(mul, lam, g)) for g in gens]
         current = binomials
         for i in range(n):
             key = weighted_revlex_key(weights, i)
@@ -1167,9 +1190,9 @@ def monomial_module_presentation(p_monoid, ring_pres, m_module):
             (gi, ci), (gj, cj) = gens[i], gens[j]
             if ci != cj:
                 continue
-            join = tuple(max(a, b) for a, b in zip(gi, gj))
-            ei = tuple(a - b for a, b in zip(join, gi))
-            ej = tuple(a - b for a, b in zip(join, gj))
+            join = tuple(map(max, gi, gj))
+            ei = tuple(map(sub, join, gi))
+            ej = tuple(map(sub, join, gj))
             cols.append(m_add(field, {(ei, i): field.one()},
                               {(ej, j): field.neg(field.one())}))
     return ModulePresentation(ring_pres, len(gens), cols)

@@ -24,7 +24,12 @@ for A(h,t) and C[P^gp].
 
 ``polyalg.FieldQ`` kept every rational as a ``Fraction``; it now keeps an
 integral one as an ``int``.  The ``Fraction`` field is kept as
-``FractionQQ``, and the tests run the Groebner engine over both."""
+``FractionQQ``, and the tests run the Groebner engine over both.
+
+The monomial orders and ``FgAbGroup``'s element arithmetic now run their
+loops through ``map`` over ``operator`` functions.  Their generator-
+expression forms are kept as ``degrevlex_key``, ``weighted_revlex_key``,
+``group_reduce``, ``group_add`` and ``group_sub``."""
 
 from fractions import Fraction
 
@@ -106,6 +111,41 @@ class FractionQQ:
 
     def __hash__(self):
         return hash("QQ")
+
+
+# -- monomial orders and group elements, by generator expressions ---------------
+
+
+def degrevlex_key(mono):
+    return (sum(mono), tuple(-e for e in reversed(mono)))
+
+
+def weighted_revlex_key(weights, last):
+    """Graded reverse lex for the given positive weights, with the variable
+    ``last`` treated as the cheapest (rightmost) one."""
+    def key(mono):
+        n = len(mono)
+        perm = [i for i in range(n) if i != last] + [last]
+        w = sum(weights[i] * mono[i] for i in range(n))
+        return (w, tuple(-mono[perm[i]] for i in reversed(range(n))))
+    return key
+
+
+def group_reduce(group: FgAbGroup, vec):
+    vec = tuple(int(x) for x in vec)
+    if len(vec) != group.dim:
+        raise ValueError("element has wrong length")
+    free = vec[:group.rank]
+    tors = tuple(x % d for x, d in zip(vec[group.rank:], group.torsion))
+    return free + tors
+
+
+def group_add(group: FgAbGroup, x, y):
+    return group_reduce(group, tuple(a + b for a, b in zip(x, y)))
+
+
+def group_sub(group: FgAbGroup, x, y):
+    return group_reduce(group, tuple(a - b for a, b in zip(x, y)))
 
 
 # -- linear algebra over the field -----------------------------------------------

@@ -4,6 +4,8 @@ from math import gcd, prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import linear_references as ref
+
 from logflat import abgrp, scope
 from logflat.abgrp import (
     FgAbGroup,
@@ -281,6 +283,40 @@ def test_reduced_sub_matches_sub(rank, torsion, data):
     for _ in range(6):
         x, y = data.draw(vec), data.draw(vec)
         assert sub(x, y) == g.sub(x, y)
+
+
+def _entries(draw, n):
+    """n integer coordinates, given as a tuple or a list of ints, as a list
+    of integral Fractions or as a list of bools."""
+    form = draw(st.sampled_from(["tuple", "list", "fraction", "bool"]))
+    if form == "bool":
+        return draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    xs = draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
+    if form == "fraction":
+        return [Fraction(x) for x in xs]
+    return xs if form == "list" else tuple(xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.sampled_from([(), (2,), (3,), (2, 4), (2, 6, 12)]),
+       st.data())
+def test_element_arithmetic_matches_the_generator_reference(rank, torsion,
+                                                             data):
+    # the map(operator.*) forms of reduce, add and sub give the values of
+    # the generator expressions they replaced, on Z^rank alone and with
+    # torsion, for inputs that are not int tuples too
+    g = FgAbGroup(rank, torsion)
+    x, y = _entries(data.draw, g.dim), _entries(data.draw, g.dim)
+    assert g.reduce(x) == ref.group_reduce(g, x)
+    assert g.add(x, y) == ref.group_add(g, x, y)
+    assert g.sub(x, y) == ref.group_sub(g, x, y)
+    for out in (g.reduce(x), g.add(x, y), g.sub(x, y)):
+        assert type(out) is tuple and all(type(c) is int for c in out)
+    wrong = _entries(data.draw,
+                     data.draw(st.integers(0, 6).filter(lambda n: n != g.dim)))
+    for reduce in (g.reduce, lambda v: ref.group_reduce(g, v)):
+        with pytest.raises(ValueError):
+            reduce(wrong)
 
 
 # -- direct sums, sections and Hom from the one Smith form ----------------------

@@ -550,6 +550,57 @@ def test_integer_and_monoid_layers_import_no_ring_layer():
     assert not any(crossing.values()), crossing
 
 
+def _zip_loops(source):
+    """The line of every comprehension or generator expression whose one
+    ``for``, with no ``if``, iterates a ``zip(...)`` call and whose element
+    is one binary operator, one comparison, or one ``min``/``max`` call, on
+    the loop names alone: a loop that ``map`` over an ``operator`` function
+    (or ``min``/``max``) runs in C."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp))
+                and len(node.generators) == 1
+                and not node.generators[0].ifs):
+            continue
+        loop, elt = node.generators[0], node.elt
+        if not (isinstance(loop.iter, ast.Call)
+                and isinstance(loop.iter.func, ast.Name)
+                and loop.iter.func.id == "zip"):
+            continue
+        names = {n.id for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
+        if isinstance(elt, ast.BinOp):
+            operands = [elt.left, elt.right]
+        elif isinstance(elt, ast.Compare) and len(elt.ops) == 1:
+            operands = [elt.left] + elt.comparators
+        elif (isinstance(elt, ast.Call) and isinstance(elt.func, ast.Name)
+              and elt.func.id in ("min", "max") and not elt.keywords):
+            operands = elt.args
+        else:
+            continue
+        if operands and all(isinstance(o, ast.Name) and o.id in names
+                            for o in operands):
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_groebner_and_lattice_loops_use_operator_maps():
+    # the check sees each slow form, and leaves alone what map cannot say
+    planted = ("a = tuple(x + y for x, y in zip(u, v))\n"
+               "b = all(x <= y for x, y in zip(u, v))\n"
+               "c = [max(x, y) for x, y in zip(u, v)]\n"
+               "d = sum(l * c for l, c in zip(lam, g))\n"
+               "e = [x + q * y for x, y in zip(u, v)]\n"
+               "f = [x for x, y in zip(u, v)]\n"
+               "g = (x - y for x, y in zip(u, v) if x)\n"
+               "h = tuple(x - y for x in u for y in v)\n"
+               "i = tuple(map(operator.sub, u, v))\n")
+    assert _zip_loops(planted) == [1, 2, 3, 4]
+    src = Path(monmod.__file__).parent
+    slow = {name: _zip_loops((src / f"{name}.py").read_text())
+            for name in ("polyalg", "abgrp")}
+    assert not any(slow.values()), slow
+
+
 def test_cli_handlers_match_the_kind_tables():
     # one handler per object and task kind, found by name, and no other
     defined = _defined_functions(Path(cli.__file__).read_text())

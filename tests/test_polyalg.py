@@ -510,6 +510,33 @@ def test_heap_pair_order_matches_sorted_list_reference(problem):
     assert is_groebner_basis(field, out, key)
 
 
+def _counting(key):
+    """``key``, tagged by value, recording every term it is evaluated on."""
+    seen = []
+
+    def counting(term):
+        seen.append(term)
+        return key(term)
+    counting.tag = ("counting", key.tag)
+    return counting, seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(module_problems())
+@example((QQ, 1, _TIED_LCMS, module_key(degrevlex_key)))
+def test_buchberger_computes_each_terms_key_once_per_call(problem):
+    field, rank, gens, key = problem
+    counting, seen = _counting(key)
+    out = buchberger(field, gens, counting)
+    first = list(seen)
+    assert len(first) == len(set(first))  # no term's key twice in a call
+    # outside any scope an equal call computes every key again: none of
+    # them outlived the first call
+    assert buchberger(field, gens, counting) == out
+    assert seen[len(first):] == first
+    assert out == buchberger(field, gens, key)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_ring_map_apply_keeps_each_terms_position(data):
@@ -575,6 +602,26 @@ def test_m_reduce_matches_max_scan_reference(problem):
         assert out == ref
         # the remainder comes out in descending order, like the reference
         assert list(out) == list(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_order_keys_match_the_generator_reference(data):
+    # no variables (the field presented in none, for Hom and Ext) up to five
+    nvars = data.draw(st.integers(0, 5))
+    mono = st.tuples(*[st.integers(0, 6)] * nvars)
+    monos = data.draw(st.lists(mono, min_size=1, max_size=6))
+    weights = data.draw(st.lists(st.integers(1, 5), min_size=nvars,
+                                 max_size=nvars))
+    for m in monos:
+        assert degrevlex_key(m) == ref.degrevlex_key(m)
+    for last in range(nvars):
+        key = pa.weighted_revlex_key(weights, last)
+        want = ref.weighted_revlex_key(weights, last)
+        assert [key(m) for m in monos] == [want(m) for m in monos]
+    if not nvars:
+        assert pa.weighted_revlex_key([], 0)(()) == \
+            ref.weighted_revlex_key([], 0)(())
 
 
 def _monic_terms(terms):
@@ -1279,6 +1326,13 @@ def test_order_tags_tell_orders_apart_by_value():
     k2, _, _ = pa.elimination_basis(QQ, gens, range(1))
     k3, _, _ = pa.elimination_basis(QQ, gens, [1])
     assert k1.tag == k2.tag != k3.tag
+    # the toric orders: equal weights and last variable, one order
+    w1 = module_key(pa.weighted_revlex_key([1, 2, 3], 0))
+    w2 = module_key(pa.weighted_revlex_key((1, 2, 3), 0))
+    assert w1.tag == w2.tag
+    assert w1.tag != module_key(pa.weighted_revlex_key([1, 2, 3], 2)).tag
+    assert w1.tag != module_key(pa.weighted_revlex_key([1, 2, 4], 0)).tag
+    assert module_key(degrevlex_key).tag == ("module", degrevlex_key)
 
 
 # -- QQ with int coefficients against the Fraction field ---------------------------
@@ -1346,6 +1400,21 @@ def test_integral_fractions_hit_the_memo_entry_of_their_ints():
         with mock.patch.object(pa, "m_reduce", _no_reduction):
             assert buchberger(QQ, as_fractions, r.mkey()) == gb
         assert len(scope.memo()) == 1
+
+
+def test_a_repeated_toric_ideal_hits_the_memo_entries_of_the_first():
+    # each saturation's order is a fresh closure, tagged by its weights and
+    # variable, so the second toric_ideal of one monoid reduces nothing
+    p = FineMonoid(FgAbGroup.free(3), [(1, 0, 1), (0, 1, 1), (1, 1, 1),
+                                       (0, 0, 1), (2, 1, 1)])
+    with scope.run_scope():
+        first, _ = toric_ideal(p)
+        stored = len(scope.memo())
+        assert stored >= 2 and first.ideal
+        with mock.patch.object(pa, "m_reduce", _no_reduction):
+            again, _ = toric_ideal(p)
+        assert again.ideal == first.ideal
+        assert len(scope.memo()) == stored
 
 
 def test_integral_fraction_generators_come_out_as_ints():
