@@ -371,6 +371,8 @@ class FgAbGroup:
     __slots__ = ("rank", "torsion")
 
     def __init__(self, rank, torsion=()):
+        if type(rank) is not int or rank < 0:  # a bool is not a rank
+            raise ValueError(f"rank must be an integer >= 0, not {rank!r}")
         torsion = tuple(int(d) for d in torsion)
         if any(d < 2 for d in torsion):
             raise ValueError("torsion orders must be >= 2")

@@ -6,6 +6,12 @@ engine knob is a flag and is recorded in the report.  Reports are
 byte-stable for a fixed input (the timing block is excluded from golden
 comparisons).
 
+Each part of a file is read once.  ``validate_file`` checks the document:
+its version, the names and kinds of its objects, their references and the
+fields of its tasks.  Building an object (``Workspace``) is the one check
+of its content, over the field the tasks use, so each polynomial is parsed
+once.  ``validate`` and ``check`` run both before any task.
+
 Exit codes: 0 success (verdict "false" is not an error), 1 task error,
 2 validation error.
 """
@@ -80,15 +86,24 @@ def parse_field(spec):
     if spec in (None, "q"):
         return pa.QQ
     if spec.startswith("fp:"):
-        return pa.FieldFp(int(spec.split(":", 1)[1]))
+        try:
+            return pa.FieldFp(int(spec.split(":", 1)[1]))
+        except ValueError as e:
+            raise ValidationError(f"field {spec!r}: {e}") from e
     raise ValidationError(f"unknown field {spec!r}")
 
 
+def _check_natural(what, value):
+    if type(value) is not int or value < 0:  # a bool is not an integer here
+        raise ValidationError(f"{what} must be an integer >= 0, not {value!r}")
+
+
 def validate_file(doc):
+    """The document-level checks: version, names, kinds, references and task
+    fields.  An object's content is checked by building it (Workspace)."""
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ValidationError("file must be a dict with version 1")
     kinds = {}
-    ring_vars = {}
     for obj in doc.get("objects", []):
         if "name" not in obj or "kind" not in obj:
             raise ValidationError("object without name or kind")
@@ -98,23 +113,25 @@ def validate_file(doc):
             raise ValidationError(f"duplicate name {obj['name']!r}")
         # objects are built in file order, so references point backwards
         _check_refs(obj, OBJECT_REFS[obj["kind"]], kinds)
-        if obj["kind"] == "ring":
-            ring_vars[obj["name"]] = _check_ring(obj)
-        elif obj["kind"] == "module":
-            _check_module(obj, ring_vars.get(obj["ring"]))
         kinds[obj["name"]] = obj["kind"]
     for task in doc.get("tasks", []):
         if task.get("kind") not in TASK_REFS:
             raise ValidationError(f"unknown task kind {task.get('kind')!r}")
         refs = TASK_REFS[task["kind"]]
         _check_refs(task, refs, kinds)
-        if task["kind"] == "graded_flat" and not any(
-                f in task for f in OPTIONAL_REFS["graded_flat"]):
-            raise ValidationError("graded_flat needs a monoid, chart or grading")
-        rank = task.get("units_rank", 0)
-        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
-            raise ValidationError(
-                f"units_rank must be an integer >= 0, not {rank!r}")
+        if task["kind"] == "graded_flat":
+            if not any(f in task for f in OPTIONAL_REFS["graded_flat"]):
+                raise ValidationError(
+                    "graded_flat needs a monoid, chart or grading")
+            ideals = task.get("ideals", [])
+            if not isinstance(ideals, list) or not all(
+                    isinstance(gens, list)
+                    and all(isinstance(g, str) for g in gens)
+                    for gens in ideals):
+                raise ValidationError(
+                    f"graded_flat ideals must be a list of lists of "
+                    f"polynomials, not {ideals!r}")
+        _check_natural("units_rank", task.get("units_rank", 0))
         for key, val in task.items():
             if key in refs or key in ("kind", "name", "units_rank", "shape"):
                 continue
@@ -145,46 +162,6 @@ def _check_refs(entry, refs, kinds):
                 f"{kinds[val]}; expected {' or '.join(accepted)}")
 
 
-def _check_ring(obj):
-    """The ring's variable names, after checking that every relation is a
-    polynomial in them."""
-    names = obj.get("variables")
-    if not isinstance(names, list) or not all(
-            isinstance(v, str) for v in names):
-        raise ValidationError(
-            f"ring {obj['name']!r} needs a list of variable names")
-    _check_polys(obj, obj.get("relations", []), names)
-    return names
-
-
-def _check_module(obj, names):
-    """A rank >= 0, and relation columns with at most ``rank`` entries, each
-    a polynomial in ``names`` (unchecked when ``names`` is None: a module
-    over a gluing, whose variables exist only once the gluing is built, so
-    that Workspace checks them)."""
-    rank = obj.get("rank")
-    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 0:
-        raise ValidationError(
-            f"module {obj['name']!r} rank must be an integer >= 0, "
-            f"not {rank!r}")
-    for col in obj.get("relations", []):
-        if not isinstance(col, list) or len(col) > rank:
-            raise ValidationError(
-                f"module {obj['name']!r} relation {col!r} is not a list of "
-                f"at most {rank} entries")
-        if names is not None:
-            _check_polys(obj, [e for e in col if e], names)
-
-
-def _check_polys(obj, texts, names):
-    for text in texts:
-        try:
-            PolyRing(pa.QQ, names).parse(text)
-        except (TypeError, ValueError, ZeroDivisionError) as e:
-            raise ValidationError(f"{obj['kind']} {obj['name']!r}: bad "
-                                  f"polynomial {text!r}: {e}")
-
-
 def _parse_columns(ring, cols):
     """Module columns from lists of polynomial strings, one per position."""
     out = []
@@ -200,19 +177,24 @@ def _parse_columns(ring, cols):
 
 
 class Workspace:
-    """Materialized objects of a problem file.  An object that cannot be
-    built (a polynomial in unknown variables, an image outside its monoid)
-    raises ValidationError naming it."""
+    """Materialized objects of a problem file, each built once over the
+    document's field; building an object is the one check of its content.
+    An object that cannot be built (a missing field, a polynomial in
+    unknown variables, an image outside its monoid) raises ValidationError
+    naming it."""
 
     def __init__(self, doc, field):
         self.field = field
         self.objects = {}
         for obj in doc.get("objects", []):
+            what = f"{obj['kind']} {obj['name']!r}"
             try:
                 self.objects[obj["name"]] = self._build(obj)
-            except ValueError as e:
+            except KeyError as e:
                 raise ValidationError(
-                    f"{obj['kind']} {obj['name']!r}: {e}") from e
+                    f"{what} is missing its {e.args[0]!r} field") from e
+            except (TypeError, ValueError) as e:
+                raise ValidationError(f"{what}: {e}") from e
 
     def get(self, name):
         if name not in self.objects:
@@ -250,7 +232,11 @@ class Workspace:
         return monmod.PModule.embedded(owner, gens, kind=kind)
 
     def _build_ring(self, obj):
-        ring = PolyRing(self.field, obj["variables"])
+        names = obj["variables"]
+        if not isinstance(names, list) or not all(
+                isinstance(v, str) for v in names):
+            raise ValidationError("needs a list of variable names")
+        ring = PolyRing(self.field, names)
         rels = [ring.parse(s) for s in obj.get("relations", [])]
         return RingPresentation(ring, rels)
 
@@ -258,9 +244,13 @@ class Workspace:
         over = self.get(obj["ring"])
         if isinstance(over, de.GluingDatum):
             over = over.c
-        return ModulePresentation(over, obj["rank"],
-                                  _parse_columns(over.ring,
-                                                 obj.get("relations", [])))
+        rank, cols = obj["rank"], obj.get("relations", [])
+        _check_natural("rank", rank)
+        for col in cols:
+            if not isinstance(col, list) or len(col) > rank:
+                raise ValidationError(f"relation {col!r} is not a list of "
+                                      f"at most {rank} entries")
+        return ModulePresentation(over, rank, _parse_columns(over.ring, cols))
 
     def _build_grading(self, obj):
         over = self.get(obj["ring"])
@@ -391,7 +381,7 @@ def _task_graded_flat(ws, task):
         for gens in task.get("ideals", []):
             parsed = [grading.pres.ring.parse(s) for s in gens]
             if not gd.is_homogeneous_ideal(grading, parsed):
-                raise ValidationError("ideal in the family is not homogeneous")
+                raise gd.NotHomogeneous("ideal in the family is not homogeneous")
             family.append(parsed)
         ok, results = gd.graded_flat_on_ideal_family(m, family)
         cert = {"criterion": "homogeneous ideal family",

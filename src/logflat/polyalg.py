@@ -72,9 +72,6 @@ class FieldQ:
     def to_str(self, a):
         return str(a)
 
-    def of_str(self, s):
-        return _canonical(Fraction(s))
-
     def __repr__(self):
         return "QQ"
 
@@ -123,10 +120,10 @@ class FieldFp:
         return (-a) % self.p
 
     def inv(self, a):
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)  # ValueError on a multiple of p
 
     def div(self, a, b):
-        return (a * pow(b, self.p - 2, self.p)) % self.p
+        return (a * pow(b, -1, self.p)) % self.p
 
     def is_zero(self, a):
         return a % self.p == 0
@@ -136,12 +133,6 @@ class FieldFp:
 
     def to_str(self, a):
         return str(a % self.p)
-
-    def of_str(self, s):
-        if "/" in s:
-            num, den = s.split("/")
-            return self.div(self.of_int(int(num)), self.of_int(int(den)))
-        return self.of_int(int(s))
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -271,11 +262,12 @@ def m_reduce(field, f, basis, key, lts=None):
 
     Each step takes the leading term of what is left of f.  The first basis
     element, in list order, whose leading term lies in the same position and
-    divides it cancels it; if none does, the term moves to the remainder.
-    Zero basis elements are skipped.  ``lts``, when given, holds the leading
-    terms of ``basis`` position for position (any value for a zero element);
-    it is computed when omitted.  The remainder's terms come out in
-    descending order.
+    divides it cancels it; if none does, the term moves to the remainder,
+    its coefficient in the field's own form (over QQ an integral
+    ``Fraction`` becomes an ``int``).  Zero basis elements are skipped.
+    ``lts``, when given, holds the leading terms of ``basis`` position for
+    position (any value for a zero element); it is computed when omitted.
+    The remainder's terms come out in descending order.
 
     The exponent arithmetic of the scan, the shift and the shifted terms
     runs through ``map`` over ``operator`` functions, whose loops run in C.
@@ -297,7 +289,7 @@ def m_reduce(field, f, basis, key, lts=None):
             if lp == pos and all(map(le, lm, mono)):
                 break
         else:
-            out[t] = c
+            out[t] = c if type(c) is int else field.add(field.zero(), c)
             continue
         shift = tuple(map(sub, mono, lm))
         factor = field.div(c, lc)
@@ -375,10 +367,7 @@ def buchberger(field, gens, key):
             k = keys[term] = order(term)
         return k
 
-    # every coefficient in the field's own form (over QQ an integral
-    # Fraction becomes an int): a term no reducer divides keeps it
-    gens = [{t: c if type(c) is int else field.add(field.zero(), c)
-             for t, c in g.items()} for g in gens if g]
+    gens = [g for g in gens if g]
     ideal = not any(pos for g in gens for (_, pos) in g)
     basis, lts = [], []
     for g in sorted(gens, key=lambda g: key(m_lt(g, key))):
@@ -586,7 +575,10 @@ class PolyRing:
 
 
 def _parse_poly(ring, s):
-    """Tiny recursive-descent parser: names, integers, + - * ^ ( )."""
+    """Tiny recursive-descent parser: names, integers, + - * ^ ( ), and
+    constants n/d, divided in the ring's field."""
+    if not isinstance(s, str):
+        raise ValueError(f"a polynomial is a string, not {s!r}")
     tokens = []
     i = 0
     while i < len(s):
@@ -629,7 +621,11 @@ def _parse_poly(ring, s):
             if peek()[0] == "/":
                 take()
                 _, den = take("int")
-                p = ring.const(ring.field.of_str(f"{val}/{den}"))
+                field = ring.field
+                d = field.of_int(int(den))
+                if field.is_zero(d):
+                    raise ValueError(f"denominator {den} is zero in {field}")
+                p = ring.const(field.div(field.of_int(int(val)), d))
             else:
                 p = ring.const(int(val))
         elif kind == "name":

@@ -100,9 +100,6 @@ class FractionQQ:
     def to_str(self, a):
         return str(a)
 
-    def of_str(self, s):
-        return Fraction(s)
-
     def __repr__(self):
         return "QQ"
 

@@ -338,6 +338,14 @@ def test_from_columns_keeps_the_shape():
         IntMatrix.from_columns([(1, 2)], nrows=3)
 
 
+@pytest.mark.parametrize("rank", [None, -1, True, "2", 1.0])
+def test_group_refuses_a_rank_that_is_not_a_natural_number(rank):
+    # as it refuses bad torsion: FgAbGroup(None) once built, then failed
+    # in the first operation that read its rank
+    with pytest.raises(ValueError, match="rank must be an integer >= 0"):
+        FgAbGroup(rank)
+
+
 def test_kernel_into_the_zero_group_is_everything():
     # a system with no rows keeps its columns, so the kernel is all of Z^2
     h = GroupHom(FgAbGroup.free(2), FgAbGroup.zero_group(), ((), ()))

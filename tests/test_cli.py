@@ -1,6 +1,9 @@
+import ast
+import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +28,33 @@ NODAL_FILE = {
         {"kind": "nodal_panel", "module": "M"},
     ],
 }
+
+
+GRADED_FAMILY_FILE = {
+    "version": 1,
+    "objects": [
+        {"name": "B", "kind": "ring", "variables": ["x", "y"],
+         "relations": ["x*y"]},
+        {"name": "G", "kind": "grading", "ring": "B", "group_rank": 1,
+         "degrees": [[1], [-1]]},
+        {"name": "M", "kind": "module", "ring": "B", "rank": 1,
+         "relations": [["x + y"]]},
+    ],
+    "tasks": [
+        {"kind": "graded_flat", "module": "M", "grading": "G",
+         "ideals": [["x"], ["y"], ["x", "y"]]},
+    ],
+}
+
+
+def main_in_process(capsys, tmp_path, command, doc, *flags):
+    """``cli.main`` on ``doc`` written to a file: (exit code, stderr)."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = cli.main([*flags, "--out", str(tmp_path / "out.json"), command,
+                     str(path)])
+    return code, capsys.readouterr().err
 
 
 def lift_file(h_images, b_chart, b_units):
@@ -213,6 +243,16 @@ class TestValidation:
         assert r.returncode == 2
         assert "module 'node_ring_module': unknown variable 'q'" in r.stderr
 
+    @pytest.mark.parametrize("ideals", [5, "x", [5], ["x"], [[5]]])
+    def test_bad_ideal_family_exits_2(self, capsys, tmp_path, ideals):
+        # ideals: 5 once failed inside the task with TypeError (exit 1)
+        doc = dict(GRADED_FAMILY_FILE, tasks=[dict(
+            GRADED_FAMILY_FILE["tasks"][0], ideals=ideals)])
+        for command in ("validate", "check"):
+            code, err = main_in_process(capsys, tmp_path, command, doc)
+            assert code == 2
+            assert "graded_flat ideals must be a list of lists" in err
+
     def test_empty_tasks_exit_0(self, tmp_path):
         doc = {"version": 1, "objects": [], "tasks": []}
         f = tmp_path / "empty.json"
@@ -227,6 +267,132 @@ class TestValidation:
         f.write_text(json.dumps(NODAL_FILE))
         r = run_cli("validate", str(f))
         assert r.returncode == 0
+
+
+# -- malformed objects -------------------------------------------------------------
+
+
+_DELETED = "<deleted>"
+
+
+def object_field_mutations():
+    """Every object field but name and kind of every bundled gallery, deleted
+    or set to 5, "zz", null or [[["q"]]]: (label, document) pairs."""
+    for name in cli.list_galleries():
+        base = cli.load_gallery(name)
+        for i, obj in enumerate(base["objects"]):
+            for field in sorted(obj.keys() - {"name", "kind"}):
+                for value in (_DELETED, 5, "zz", None, [[["q"]]]):
+                    doc = copy.deepcopy(base)
+                    if value == _DELETED:
+                        del doc["objects"][i][field]
+                    else:
+                        doc["objects"][i][field] = value
+                    yield f"{name}: {obj['name']}.{field} = {value!r}", doc
+
+
+def test_no_object_field_mutation_ends_in_a_traceback(capsys, tmp_path):
+    # 605 files; while validation parsed some fields and building read the
+    # rest, 142 of them ended in an uncaught TypeError, AttributeError or
+    # KeyError under validate.  Building an object is its one check, so
+    # validate and check reject the same files.
+    codes = {}
+    for label, doc in object_field_mutations():
+        try:
+            got = tuple(main_in_process(capsys, tmp_path, command, doc)[0]
+                        for command in ("validate", "check"))
+        except Exception as e:  # name the case that raised
+            pytest.fail(f"{label}: {type(e).__name__}: {e}")
+        assert got[0] in (0, 2) and got[1] in (0, 1, 2), (label, got)
+        assert (got[0] == 2) == (got[1] == 2), (label, got)
+        codes[got] = codes.get(got, 0) + 1
+    assert sum(codes.values()) == 605
+    assert codes[(2, 2)] > 500 and codes[(0, 0)] > 0
+
+
+def _gallery_with(name, obj, field, value):
+    """A bundled gallery with one field of one object set, or deleted."""
+    doc = cli.load_gallery(name)
+    target = next(o for o in doc["objects"] if o["name"] == obj)
+    if value == _DELETED:
+        del target[field]
+    else:
+        target[field] = value
+    return doc
+
+
+def _nodal_with(relations):
+    doc = copy.deepcopy(NODAL_FILE)
+    doc["objects"][0]["relations"] = relations
+    return doc
+
+
+@pytest.mark.parametrize("command", ["validate", "check"])
+@pytest.mark.parametrize("doc, flags, message", [
+    (_gallery_with("smooth-divisor", "P", "generators", _DELETED), (),
+     "monoid 'P' is missing its 'generators' field"),
+    (_gallery_with("smooth-divisor", "P", "ambient_rank", None), (),
+     "monoid 'P': rank must be an integer >= 0, not None"),
+    (_nodal_with([5]), (), "ring 'B': a polynomial is a string, not 5"),
+    (_nodal_with(["1/0*x*y"]), (), "ring 'B': denominator 0 is zero in QQ"),
+    # 1/2 once read as 1 in F_2, so this file checked with relation x*y
+    (_nodal_with(["1/2*x*y"]), ("--field", "fp:2"),
+     "ring 'B': denominator 2 is zero in GF(2)"),
+    (NODAL_FILE, ("--field", "fp:4"), "field 'fp:4': p must be prime"),
+    (NODAL_FILE, ("--field", "fp:abc"), "field 'fp:abc': invalid literal"),
+], ids=["missing-field", "null-rank", "non-string", "zero-denominator-q",
+        "zero-denominator-fp2", "fp4", "fp-abc"])
+def test_malformed_input_is_named_and_exits_2(capsys, tmp_path, command, doc,
+                                              flags, message):
+    code, err = main_in_process(capsys, tmp_path, command, doc, *flags)
+    assert code == 2
+    assert message in err
+
+
+def _parsing_calls(source, root="validate_file"):
+    """The module functions that ``root`` reaches through calls by name,
+    and the line of each ``.parse(``, ``PolyRing(`` or ``FieldFp(`` call in
+    them."""
+    funcs = {node.name: node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef)}
+    todo, reached, lines = [root], set(), []
+    while todo:
+        name = todo.pop()
+        if name in reached or name not in funcs:
+            continue
+        reached.add(name)
+        for node in ast.walk(funcs[name]):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                todo.append(func.id)
+                if func.id in ("PolyRing", "FieldFp"):
+                    lines.append(node.lineno)
+            elif isinstance(func, ast.Attribute) and func.attr in (
+                    "parse", "PolyRing", "FieldFp"):
+                lines.append(node.lineno)
+    return reached, sorted(lines)
+
+
+def test_validate_file_parses_no_polynomial():
+    # a document's objects are read once, by building them over the field
+    # the tasks use; the walk sees each form, at any depth, and only there
+    planted = ("def validate_file(doc):\n"
+               "    _helper(doc)\n"
+               "    return pa.FieldFp(7)\n"
+               "def _helper(doc):\n"
+               "    ring = PolyRing(QQ, [])\n"
+               "    return _deeper(ring)\n"
+               "def _deeper(ring):\n"
+               "    return ring.parse('x'), FieldFp(3)\n"
+               "def elsewhere(ring):\n"
+               "    return ring.parse('y')\n")
+    assert _parsing_calls(planted) == (
+        {"validate_file", "_helper", "_deeper"}, [3, 5, 8, 8])
+    reached, lines = _parsing_calls(Path(cli.__file__).read_text())
+    assert {"validate_file", "_check_refs"} <= reached
+    assert not lines, lines
 
 
 class TestCheck:
@@ -342,29 +508,24 @@ class TestGalleries:
 
 class TestGradingFallbackTask:
     def test_family_route(self, tmp_path):
-        doc = {
-            "version": 1,
-            "objects": [
-                {"name": "B", "kind": "ring", "variables": ["x", "y"],
-                 "relations": ["x*y"]},
-                {"name": "G", "kind": "grading", "ring": "B", "group_rank": 1,
-                 "degrees": [[1], [-1]]},
-                {"name": "M", "kind": "module", "ring": "B", "rank": 1,
-                 "relations": [["x + y"]]},
-            ],
-            "tasks": [
-                {"kind": "graded_flat", "module": "M", "grading": "G",
-                 "ideals": [["x"], ["y"], ["x", "y"]]},
-            ],
-        }
         f = tmp_path / "fam.json"
-        f.write_text(json.dumps(doc))
+        f.write_text(json.dumps(GRADED_FAMILY_FILE))
         r = run_cli("check", str(f))
         assert r.returncode == 0
         report = json.loads(r.stdout)
         res = report["tasks"][0]["result"]
         assert res["graded_flat"] is False
         assert res["certificate"]["complete"] is False
+
+    def test_inhomogeneous_family_is_a_task_error(self):
+        # the family parses but x + y is not homogeneous: the task fails
+        # (exit 1) and says so, not as a validation error, which means exit 2
+        doc = dict(GRADED_FAMILY_FILE, tasks=[dict(
+            GRADED_FAMILY_FILE["tasks"][0], ideals=[["x + y"]])])
+        report, code = cli.run_document(doc)
+        assert code == 1
+        assert report["tasks"][0]["error"] == \
+            "NotHomogeneous: ideal in the family is not homogeneous"
 
 
 # -- the run scope ----------------------------------------------------------------

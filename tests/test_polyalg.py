@@ -95,6 +95,26 @@ class TestGroebner:
         rp = RingPresentation(r, [r.parse("x + 4*y")])
         assert rp.eq(r.parse("x"), r.parse("y"))
 
+    def test_constants_divide_in_the_field(self):
+        # 3/4 is 3 * 4^-1 = 2 in F_5; a denominator zero in the field is
+        # refused, where F_p once read it as 1/0 = 0 (or 1 in F_2)
+        assert ring(["x"], FieldFp(5)).parse("3/4*x") == {((1,), 0): 2}
+        assert ring(["x"]).parse("3/4*x") == {((1,), 0): Fraction(3, 4)}
+        for field, text in ((FieldFp(2), "1/2*x"), (FieldFp(5), "3/5"),
+                            (QQ, "1/0")):
+            with pytest.raises(ValueError, match="denominator"):
+                ring(["x"], field).parse(text)
+        with pytest.raises(ValueError, match="not invertible"):
+            FieldFp(5).inv(10)
+        with pytest.raises(ValueError, match="not invertible"):
+            FieldFp(2).div(1, 0)
+        assert FieldFp(7).div(3, 5) == 2 and FieldFp(7).inv(3) == 5
+
+    @pytest.mark.parametrize("text", [5, None, ["x"], b"x"])
+    def test_parse_refuses_what_is_not_a_string(self, text):
+        with pytest.raises(ValueError, match="a polynomial is a string"):
+            ring(["x"]).parse(text)
+
 
 class TestSyzygies:
     def test_koszul(self):
@@ -1418,27 +1438,33 @@ def test_a_repeated_toric_ideal_hits_the_memo_entries_of_the_first():
 
 
 def test_integral_fraction_generators_come_out_as_ints():
-    # no reducer divides either term, so the remainder keeps the input's
-    # coefficients: buchberger takes them into QQ's int form first
+    # no reducer divides either term, and m_reduce moves each into QQ's
+    # int form as it goes to the remainder
     x, y = ((1, 0), 0), ((0, 1), 0)
     gb = buchberger(QQ, [{x: Fraction(1), y: Fraction(2)}],
                     module_key(degrevlex_key))
     assert gb == [{x: 1, y: 2}]
     assert [type(c) for c in gb[0].values()] == [int, int]
+    # m_reduce does the same for a term it moves to the remainder untouched
+    rem = pa.m_reduce(QQ, {x: Fraction(1), y: Fraction(1, 2)}, [],
+                      module_key(degrevlex_key))
+    assert rem == {x: 1, y: Fraction(1, 2)}
+    assert [type(c) for c in rem.values()] == [int, Fraction]
 
 
 _RATIONALS = st.fractions(-10, 10, max_denominator=6)
+_CANONICAL = _RATIONALS.map(lambda c: QQ.div(c.numerator, c.denominator))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_RATIONALS, _RATIONALS.map(lambda c: QQ.of_str(str(c)))),
-       st.one_of(_RATIONALS, _RATIONALS.map(lambda c: QQ.of_str(str(c)))))
+@given(st.one_of(_RATIONALS, _CANONICAL), st.one_of(_RATIONALS, _CANONICAL))
 def test_qq_operations_are_exact_and_canonical(a, b):
     # a and b are Fractions, integral ones included, or canonical values
     fa, fb = Fraction(a), Fraction(b)
     results = [(QQ.add(a, b), fa + fb), (QQ.sub(a, b), fa - fb),
                (QQ.mul(a, b), fa * fb), (QQ.neg(a), -fa),
-               (QQ.of_str(str(a)), fa), (QQ.of_int(fa.numerator), fa.numerator)]
+               (QQ.div(fa.numerator, fa.denominator), fa),
+               (QQ.of_int(fa.numerator), fa.numerator)]
     if b != 0:
         results += [(QQ.div(a, b), fa / fb), (QQ.inv(b), 1 / fb)]
     for got, want in results:
