@@ -590,9 +590,10 @@ class GroupHom:
 
     def image(self):
         """(H, inclusion H -> target, lift) for the subgroup H generated by
-        the images of a free source: H = Z^n / kernel_lattice(), and column
-        j of lift writes the j-th canonical generator of H over the images.
-        Computed once per hom."""
+        the images: H = Z^n / kernel_lattice(), n the source dimension, for
+        any source (the lattice holds the torsion relations d_i e_i), and
+        column j of lift writes the j-th canonical generator of H over the
+        images.  Computed once per hom."""
         if "image" not in self._memo:
             h, _, lift = FgAbGroup.from_relations(self.source.dim,
                                                   self.kernel_lattice())
@@ -636,8 +637,10 @@ class GroupHom:
         return c, GroupHom(self.target, c, tuple(imgs))
 
     def is_injective(self):
-        k, _ = self.kernel()
-        return k.is_trivial()
+        """Whether the image has the source's canonical form: the source maps
+        onto its image, and finitely generated abelian groups are Hopfian,
+        so a surjection onto a copy of the source is an isomorphism."""
+        return self.image()[0] == self.source
 
     def is_surjective(self):
         c, _ = self.cokernel()

@@ -374,7 +374,8 @@ def _degree_iso(cr1: ChartShape, cr2: ChartShape, fwd: RingMap):
         gamma = GroupHom(g1, g2, tuple(imgs))
     except ValueError:
         return None
-    if not (gamma.is_injective() and gamma.is_surjective()):
+    # G_1 and G_2 have one canonical form, so onto is iso (Hopfian)
+    if not (g1 == g2 and gamma.is_surjective()):
         return None
     for j in range(len(cr1.evars)):
         d1 = cr1.grading.degrees[cr1.evars[j]]

@@ -181,7 +181,8 @@ class Workspace:
     document's field; building an object is the one check of its content.
     An object that cannot be built (a missing field, a polynomial in
     unknown variables, an image outside its monoid) raises ValidationError
-    naming it."""
+    naming it.  A graded_flat task's ideal family on a grading is parsed
+    here too, into ``families`` by the task's id(), and named on failure."""
 
     def __init__(self, doc, field):
         self.field = field
@@ -195,6 +196,17 @@ class Workspace:
                     f"{what} is missing its {e.args[0]!r} field") from e
             except (TypeError, ValueError) as e:
                 raise ValidationError(f"{what}: {e}") from e
+        self.families = {}
+        for i, task in enumerate(doc.get("tasks", [])):
+            if task["kind"] != "graded_flat" or task.keys() & {"monoid", "chart"}:
+                continue
+            ring = self.get(task["grading"]).pres.ring
+            try:
+                self.families[id(task)] = [[ring.parse(s) for s in gens]
+                                           for gens in task.get("ideals", [])]
+            except ValueError as e:
+                raise ValidationError(
+                    f"graded_flat task {task.get('name', i)!r}: {e}") from e
 
     def get(self, name):
         if name not in self.objects:
@@ -377,12 +389,9 @@ def _task_graded_flat(ws, task):
     else:
         # fallback: exactness against an explicit family of homogeneous ideals
         grading = ws.get(task["grading"])
-        family = []
-        for gens in task.get("ideals", []):
-            parsed = [grading.pres.ring.parse(s) for s in gens]
-            if not gd.is_homogeneous_ideal(grading, parsed):
-                raise gd.NotHomogeneous("ideal in the family is not homogeneous")
-            family.append(parsed)
+        family = ws.families[id(task)]
+        if not all(gd.is_homogeneous_ideal(grading, gens) for gens in family):
+            raise gd.NotHomogeneous("ideal in the family is not homogeneous")
         ok, results = gd.graded_flat_on_ideal_family(m, family)
         cert = {"criterion": "homogeneous ideal family",
                 "family_size": len(family), "entries": results,

@@ -487,10 +487,8 @@ def degree_zero_part(gm: GradedModule):
 
 
 def extend_scalars_group_algebra(base_mod: ModulePresentation, gr: GradedRing,
-                                 shifts=None):
-    """k-module back to a graded k[G]-module (degree-zero relations)."""
-    if shifts is None:
-        shifts = tuple(gr.group.zero() for _ in range(base_mod.rank))
+                                 shifts):
+    """k-module back to a graded k[G]-module, basis i in degree shifts[i]."""
     cols = []
     for col in base_mod.columns:
         out = {}

@@ -145,9 +145,6 @@ class PModule:
         return self._cache["span_hom"].preimage(
             self.ambient.sub(x, y)) is not None
 
-    def components(self):
-        return sorted({c for _, c in self.generators})
-
     def contains(self, x, comp):
         """Module membership of (x, comp)."""
         x = self.ambient.reduce(x)

@@ -136,16 +136,15 @@ class FineMonoid:
         return u, incl
 
     def _sharp_data(self):
-        """(projection hom ambient -> sharp ambient, sharp monoid)."""
-        if "sharp" in self._cache:
-            return self._cache["sharp"]
-        if self.unit_indices():
-            _, proj = self._unit_hom().cokernel()
-        else:
-            proj = GroupHom.identity(self.ambient)
-        sharp = FineMonoid(proj.target, [proj.apply(g) for g in self.generators])
-        self._cache["sharp"] = (proj, sharp)
-        return proj, sharp
+        """(projection onto the sharp ambient, sharp monoid), P itself if sharp."""
+        if "sharp" not in self._cache:
+            if not self.unit_indices():
+                self._cache["sharp"] = GroupHom.identity(self.ambient), self
+            else:
+                _, proj = self._unit_hom().cokernel()
+                self._cache["sharp"] = proj, FineMonoid(
+                    proj.target, [proj.apply(g) for g in self.generators])
+        return self._cache["sharp"]
 
     def sharpening(self):
         """(P*, sharp monoid, projection MonoidHom P -> P-bar)."""
@@ -443,18 +442,12 @@ class MonoidHom:
             self._img_mon = FineMonoid(self.target.ambient, self.images)
         return self._img_mon
 
-    def kernel_lattice(self):
-        """Basis of {a in Z^n : sum a_i h(g_i) = 0}; n = number of source gens."""
-        return self._image_hom().kernel_lattice()
-
     def is_injective(self):
-        """Injectivity of the induced map on groupifications (equivalently, of
-        the monoid map itself, since the monoids are integral)."""
-        src_rel = self.source.relation_lattice()
-        rel_span = GroupHom(FgAbGroup.free(len(src_rel)),
-                            FgAbGroup.free(len(self.images)), tuple(src_rel))
-        return all(rel_span.preimage(a) is not None
-                   for a in self.kernel_lattice())
+        """Injectivity on groupifications, which is that of the map itself as
+        the monoids are integral: as in ``GroupHom.is_injective`` (Hopfian),
+        whether the image has the canonical form of the source's group."""
+        return (self.source.generator_hom().image()[0]
+                == self._image_hom().image()[0])
 
     def is_surjective(self):
         img = self.image_monoid()
@@ -462,28 +455,22 @@ class MonoidHom:
 
     def groupification_hom(self):
         """(Q^gp, P^gp, induced GroupHom) with the groupifications presented
-        abstractly from the generator lattices."""
-        qgp, q_incl, _ = self.source.generator_hom().image()
+        abstractly from the generator lattices: column j of the lift of Q^gp
+        writes its j-th generator over the source generators, so h sends it
+        to that combination of the images."""
+        qgp, _, q_lift = self.source.generator_hom().image()
         pgp, p_incl, _ = self.target.generator_hom().image()
-        imgs = []
-        for j in range(qgp.dim):
-            amb = q_incl.apply(qgp.generators()[j])
-            img_amb = self.apply_gp(amb)
-            pre = p_incl.preimage(img_amb)
-            if pre is None:
-                raise AssertionError("image misses the target groupification")
-            imgs.append(pre)
-        return qgp, pgp, GroupHom(qgp, pgp, tuple(imgs))
+        imgs = tuple(p_incl.preimage(self._image_hom().apply(q_lift.column(j)))
+                     for j in range(qgp.dim))
+        return qgp, pgp, GroupHom(qgp, pgp, imgs)
 
 
 def groupification_cokernel(h: MonoidHom):
     """((P/Q)^gp, to_cok) where to_cok maps an ambient element of the target
     groupification to its class in the cokernel."""
-    src_gens = [h.apply_gp(g) for g in h.source.generators]
-    free_src = FgAbGroup.free(len(src_gens)) if src_gens else FgAbGroup.zero_group()
     span, incl, _ = h.target.generator_hom().image()
-    pre = [incl.preimage(v) for v in src_gens]
-    hom = GroupHom(free_src, span, tuple(pre))
+    hom = GroupHom(FgAbGroup.free(len(h.images)), span,
+                   tuple(incl.preimage(v) for v in h.images))
     cok, proj = hom.cokernel()
 
     def to_cok(x):
@@ -924,37 +911,25 @@ def classify_morphism(h: MonoidHom):
 
 
 def _is_strict(h: MonoidHom):
-    proj_s, sharp_s = h.source._sharp_data()
+    """Whether the induced map of sharp monoids is an isomorphism.  It has the
+    image of h followed by the target's sharpening, which must be onto and,
+    Hopfian, have the canonical form of the sharp source's group."""
     proj_t, sharp_t = h.target._sharp_data()
-    induced = MonoidHom(sharp_s, sharp_t,
-                        _match_sharp_images(h, proj_s, proj_t, sharp_s),
-                        check=False)
-    return induced.is_injective() and induced.is_surjective()
-
-
-def _match_sharp_images(h, proj_s, proj_t, sharp_s):
-    """Images of the sharp source generators under the sharpened map."""
-    out = []
-    used = {}
-    sharp_gen_source = [proj_s.apply(g) for g in h.source.generators]
-    for sg in sharp_s.generators:
-        for i, cand in enumerate(sharp_gen_source):
-            if cand == sg:
-                out.append(proj_t.apply(h.images[i]))
-                break
-        else:
-            raise AssertionError("sharp generator matching failed")
-    return out
+    _, sharp_s = h.source._sharp_data()
+    onto = h if sharp_t is h.target else MonoidHom(
+        h.source, sharp_t, [proj_t.apply(v) for v in h.images], check=False)
+    return (onto._image_hom().image()[0] == sharp_s.generator_hom().image()[0]
+            and onto.is_surjective())
 
 
 def _is_vertical(h: MonoidHom):
-    """Whether the cokernel monoid P/Q is a group: every generator class is
-    invertible, i.e. -p lies in P + Z h(Q)."""
+    """Whether the cokernel monoid P/Q is a group: -p lies in M = P + Z h(Q)
+    for every generator p of P, listed first in M; by Farkas, whether every
+    such p is among M's unit indices."""
     tgt = h.target
-    gens = list(tgt.generators) + [v for v in h.images] + \
-           [tgt.ambient.neg(v) for v in h.images]
-    big = FineMonoid(tgt.ambient, gens)
-    return all(big.member(tgt.ambient.neg(p)) for p in tgt.generators)
+    big = FineMonoid(tgt.ambient, tgt.generators + h.images
+                     + tuple(tgt.ambient.neg(v) for v in h.images))
+    return all(i in big.unit_indices() for i in range(len(tgt.generators)))
 
 
 def _free_coordinate_recognizer(h: MonoidHom):

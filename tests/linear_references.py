@@ -29,12 +29,26 @@ integral one as an ``int``.  The ``Fraction`` field is kept as
 The monomial orders and ``FgAbGroup``'s element arithmetic now run their
 loops through ``map`` over ``operator`` functions.  Their generator-
 expression forms are kept as ``degrevlex_key``, ``weighted_revlex_key``,
-``group_reduce``, ``group_add`` and ``group_sub``."""
+``group_reduce``, ``group_add`` and ``group_sub``.
+
+The morphism classifier now reads injectivity and strictness off canonical
+forms (finitely generated abelian groups are Hopfian) and verticality off
+unit indices (Farkas).  Before, a group hom was injective when its
+``kernel()`` was trivial; a monoid hom when each vector of its kernel
+lattice solved over the source relations; strict when the induced map of
+sharp monoids, built by matching sharp generators, was injective and onto;
+and vertical when one membership search per target generator found its
+negative.  Those procedures are kept as ``group_is_injective``,
+``monoid_is_injective``, ``is_strict`` and ``is_vertical``.  The induced
+map of groupifications and the cokernel of groupifications now read the
+images of the generators off the hom; before, each was found by solving for
+a preimage in the source (``apply_gp``), kept as ``groupification_hom`` and
+``groupification_cokernel``."""
 
 from fractions import Fraction
 
 from logflat import polyalg as pa
-from logflat.abgrp import FgAbGroup
+from logflat.abgrp import FgAbGroup, GroupHom
 from logflat.chart import ChartData, ChartInvalid, HomotopyInvalid, Unit
 from logflat.descent import (
     GateFailed,
@@ -43,7 +57,7 @@ from logflat.descent import (
     tor_gate,
 )
 from logflat.graded import UnsupportedShape
-from logflat.monoid import FineMonoid
+from logflat.monoid import FineMonoid, MonoidHom
 from logflat.polyalg import (
     ModulePresentation,
     PolyRing,
@@ -596,3 +610,82 @@ def _monomial_over(ring, off, mon: FineMonoid, element):
     exps = [0] * ring.nvars
     exps[off:off + len(mult)] = mult
     return ring.monomial(exps)
+
+
+# -- the morphism decisions by solving and searching ------------------------------
+
+
+def group_is_injective(hom: GroupHom):
+    """Injectivity of a group hom: a trivial kernel."""
+    k, _ = hom.kernel()
+    return k.is_trivial()
+
+
+def monoid_is_injective(h: MonoidHom):
+    """Injectivity on groupifications: every relation among the images lies
+    in the span of the source relations, one solve per vector."""
+    src_rel = h.source.relation_lattice()
+    rel_span = GroupHom(FgAbGroup.free(len(src_rel)),
+                        FgAbGroup.free(len(h.images)), tuple(src_rel))
+    return all(rel_span.preimage(a) is not None
+               for a in h._image_hom().kernel_lattice())
+
+
+def _match_sharp_images(h, proj_s, proj_t, sharp_s):
+    """Images of the sharp source generators under the sharpened map."""
+    out = []
+    sharp_gen_source = [proj_s.apply(g) for g in h.source.generators]
+    for sg in sharp_s.generators:
+        for i, cand in enumerate(sharp_gen_source):
+            if cand == sg:
+                out.append(proj_t.apply(h.images[i]))
+                break
+        else:
+            raise AssertionError("sharp generator matching failed")
+    return out
+
+
+def is_strict(h: MonoidHom):
+    """Strictness: the induced map of sharp monoids is injective and onto."""
+    proj_s, sharp_s = h.source._sharp_data()
+    proj_t, sharp_t = h.target._sharp_data()
+    induced = MonoidHom(sharp_s, sharp_t,
+                        _match_sharp_images(h, proj_s, proj_t, sharp_s),
+                        check=False)
+    return monoid_is_injective(induced) and induced.is_surjective()
+
+
+def is_vertical(h: MonoidHom):
+    """Verticality: -p lies in P + Z h(Q) for every generator p of P, one
+    membership search each."""
+    tgt = h.target
+    gens = list(tgt.generators) + list(h.images) + \
+        [tgt.ambient.neg(v) for v in h.images]
+    big = FineMonoid(tgt.ambient, gens)
+    return all(big.member(tgt.ambient.neg(p)) for p in tgt.generators)
+
+
+def groupification_hom(h: MonoidHom):
+    """(Q^gp, P^gp, induced GroupHom), each generator of Q^gp carried
+    through the ambient and ``apply_gp``."""
+    qgp, q_incl, _ = h.source.generator_hom().image()
+    pgp, p_incl, _ = h.target.generator_hom().image()
+    imgs = []
+    for j in range(qgp.dim):
+        img_amb = h.apply_gp(q_incl.apply(qgp.generators()[j]))
+        pre = p_incl.preimage(img_amb)
+        if pre is None:
+            raise AssertionError("image misses the target groupification")
+        imgs.append(pre)
+    return qgp, pgp, GroupHom(qgp, pgp, tuple(imgs))
+
+
+def groupification_cokernel(h: MonoidHom):
+    """((P/Q)^gp, to_cok), the source generators carried by ``apply_gp``."""
+    src_gens = [h.apply_gp(g) for g in h.source.generators]
+    free_src = FgAbGroup.free(len(src_gens)) if src_gens else \
+        FgAbGroup.zero_group()
+    span, incl, _ = h.target.generator_hom().image()
+    hom = GroupHom(free_src, span, tuple(incl.preimage(v) for v in src_gens))
+    cok, proj = hom.cokernel()
+    return cok, lambda x: proj.apply(incl.preimage(x))

@@ -354,6 +354,20 @@ def test_kernel_into_the_zero_group_is_everything():
     assert not h.is_injective()
 
 
+@pytest.mark.parametrize("t, subgroup, injective", [
+    (2, FgAbGroup(1, (4,)), True),
+    (4, FgAbGroup(1, (2,)), False),
+    (0, FgAbGroup(1), False),
+])
+def test_image_of_a_torsion_source(t, subgroup, injective):
+    # Z (+) Z/4 -> Z (+) Z/8 sending the order-4 generator to t: the kernel
+    # lattice holds 4 e_2, so image() is right for a torsion source too
+    h = GroupHom(FgAbGroup(1, (4,)), FgAbGroup(1, (8,)), ((1, 0), (0, t)))
+    assert h.image()[0] == subgroup
+    assert h.is_injective() is injective
+    assert h.kernel()[0].is_trivial() is injective
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(groups, max_size=4))
 def test_direct_sum_injections_and_projections(gs):

@@ -339,9 +339,22 @@ def _nodal_with(relations):
     (_nodal_with(["1/2*x*y"]), ("--field", "fp:2"),
      "ring 'B': denominator 2 is zero in GF(2)"),
     (NODAL_FILE, ("--field", "fp:4"), "field 'fp:4': p must be prime"),
+    (NODAL_FILE, ("--field", "fp:561"), "field 'fp:561': p must be prime"),
     (NODAL_FILE, ("--field", "fp:abc"), "field 'fp:abc': invalid literal"),
+    # the square root of p once overflowed a float here, uncaught
+    (NODAL_FILE, ("--field", "fp:" + "9" * 400),
+     f"p must be below {pa.FP_BOUND}"),
+    # ideals once parsed only in the task: a task error, exit 1
+    (dict(GRADED_FAMILY_FILE, tasks=[dict(GRADED_FAMILY_FILE["tasks"][0],
+                                          ideals=[["q"]])]), (),
+     "graded_flat task 0: unknown variable 'q'"),
+    (dict(GRADED_FAMILY_FILE, tasks=[dict(GRADED_FAMILY_FILE["tasks"][0],
+                                          name="fam",
+                                          ideals=[["x"], ["q"]])]), (),
+     "graded_flat task 'fam': unknown variable 'q'"),
 ], ids=["missing-field", "null-rank", "non-string", "zero-denominator-q",
-        "zero-denominator-fp2", "fp4", "fp-abc"])
+        "zero-denominator-fp2", "fp4", "fp561", "fp-abc", "fp-400-digits",
+        "family-unknown-variable", "family-named-task"])
 def test_malformed_input_is_named_and_exits_2(capsys, tmp_path, command, doc,
                                               flags, message):
     code, err = main_in_process(capsys, tmp_path, command, doc, *flags)

@@ -266,7 +266,7 @@ class TestPushoutAgainstRingPushout:
 class TestCoverRank:
     def test_root_adjunction_cover_is_free_of_stated_rank(self):
         # the F5 cover adjoins one fifth root: dim B' = 5 * dim A'
-        from tests.test_acceptance import eps_extension, lift_instances
+        from test_acceptance import eps_extension, lift_instances
         name, prob = lift_instances()[4]
         lift = ch.homotopy_lift(prob)
         assert len(lift.cover_adjoined) == 1

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -377,6 +378,36 @@ class TestParser:
         r = ring(["x"])
         with pytest.raises(ValueError):
             r.parse("q + 1")
+
+
+class TestPrimeField:
+    def test_primality_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+        assert [n for n in range(10 ** 5) if pa.is_prime(n)] == \
+            [n for n in range(10 ** 5) if trial(n)]
+
+    def test_large_prime_is_quick(self):
+        # trial division took over a second on this prime near 1e14, and
+        # would take hours on 2^61 - 1; Miller-Rabin takes microseconds
+        start = time.perf_counter()
+        assert pa.FieldFp(100000000000031).p == 100000000000031
+        assert pa.FieldFp(2 ** 61 - 1).char == 2 ** 61 - 1
+        assert time.perf_counter() - start < 0.1
+
+    # 561 is a Carmichael number; the last passes Miller-Rabin to every
+    # prime base up to 37 and fails at 41
+    @pytest.mark.parametrize("p", [-7, 0, 1, 4, 561, 3215031751,
+                                   318665857834031151167461])
+    def test_composites_are_refused(self, p):
+        with pytest.raises(ValueError, match="p must be prime"):
+            pa.FieldFp(p)
+
+    @pytest.mark.parametrize("p", [pa.FP_BOUND, int("9" * 400)])
+    def test_bound_is_stated(self, p):
+        with pytest.raises(ValueError, match=f"p must be below {pa.FP_BOUND}"):
+            pa.FieldFp(p)
 
 
 from hypothesis import example, given, settings, strategies as st
