@@ -54,6 +54,21 @@ OBJECT_REFS = {
     "lift_problem": {"aprime": ("ring",), "h": ("monoid_hom",),
                      "chart": ("monoid",)},
 }
+# The list-valued fields of each object kind: a present one that is not a
+# list is named when the object is built.
+OBJECT_LISTS = {
+    "monoid": ("generators", "ambient_torsion"),
+    "monoid_hom": ("images",),
+    "module_over_monoid": ("generators", "denominators"),
+    "ring": ("variables", "relations"),
+    "module": ("relations",),
+    "grading": ("degrees", "group_torsion"),
+    "chart": ("t", "b", "f"),
+    "gluing": ("f1", "f2"),
+    "descent_datum": ("phi",),
+    "lift_problem": ("kernel", "a_chart", "a_units", "b_chart", "b_units",
+                     "eta_units"),
+}
 TASK_REFS = {
     "classify": {"hom": ("monoid_hom",)},
     "primes": {"monoid": ("monoid",)},
@@ -215,6 +230,9 @@ class Workspace:
 
     def _build(self, obj):
         kind = obj["kind"]
+        for field in OBJECT_LISTS[kind]:
+            if field in obj and not isinstance(obj[field], list):
+                raise ValidationError(f"field {field!r} must be a list")
         build = getattr(self, f"_build_{kind}")
         return build(obj)
 
@@ -245,8 +263,7 @@ class Workspace:
 
     def _build_ring(self, obj):
         names = obj["variables"]
-        if not isinstance(names, list) or not all(
-                isinstance(v, str) for v in names):
+        if not all(isinstance(v, str) for v in names):
             raise ValidationError("needs a list of variable names")
         ring = PolyRing(self.field, names)
         rels = [ring.parse(s) for s in obj.get("relations", [])]

@@ -277,7 +277,19 @@ class _Desc:
         return other.k < self.k
 
 
-def m_reduce(field, f, basis, key, lts=None):
+def reducer_table(basis, key):
+    """The reducer table of ``basis`` that ``m_reduce`` reads: one
+    (leading monomial, position, element, leading coefficient) row per
+    nonzero element, in list order."""
+    out = []
+    for g in basis:
+        if g:
+            lm, pos = lt = m_lt(g, key)
+            out.append((lm, pos, g, g[lt]))
+    return out
+
+
+def m_reduce(field, f, basis, key, table=None):
     """Full normal form of f against the list of module elements ``basis``.
 
     Each step takes the leading term of what is left of f.  The first basis
@@ -285,16 +297,15 @@ def m_reduce(field, f, basis, key, lts=None):
     divides it cancels it; if none does, the term moves to the remainder,
     its coefficient in the field's own form (over QQ an integral
     ``Fraction`` becomes an ``int``).  Zero basis elements are skipped.
-    ``lts``, when given, holds the leading terms of ``basis`` position for
-    position (any value for a zero element); it is computed when omitted.
-    The remainder's terms come out in descending order.
+    ``table``, when given, is ``reducer_table(basis, key)``, kept by the
+    caller across calls, and ``basis`` itself is then not read; it is built
+    when omitted.  The remainder's terms come out in descending order.
 
     The exponent arithmetic of the scan, the shift and the shifted terms
     runs through ``map`` over ``operator`` functions, whose loops run in C.
     """
-    if lts is None:
-        lts = [m_lt(g, key) if g else None for g in basis]
-    reducers = [(lt[0], lt[1], g, g[lt]) for lt, g in zip(lts, basis) if g]
+    if table is None:
+        table = reducer_table(basis, key)
     f = dict(f)
     heap = [_Desc(key(t), t) for t in f]
     heapq.heapify(heap)
@@ -305,7 +316,7 @@ def m_reduce(field, f, basis, key, lts=None):
         if c is None:
             continue  # cancelled, or a second entry of a processed term
         mono, pos = t
-        for lm, lp, g, lc in reducers:
+        for lm, lp, g, lc in table:
             if lp == pos and all(map(le, lm, mono)):
                 break
         else:
@@ -352,17 +363,29 @@ def buchberger(field, gens, key):
     interreduced, monic, and sorted.  Basis elements never change inside the
     pair loop, so a pair's order entry is fixed when the pair is formed and a
     heap pops the pairs in exactly that order.  Each element enters fully
-    reduced, so the leading terms are pairwise distinct, and the loop ends
-    with one pass: the elements whose leading term no other one divides,
-    each reduced against the others.  Pairs whose leading terms sit
-    in different positions are never queued.  When every term of the input
-    lies in position 0 the input is an ideal, and pairs with coprime leading
-    monomials are not queued either (the product criterion, valid for
-    ideals).  The leading term of each basis element is found once, when
-    the element is added, and handed to every reduction.  Each term's order
-    key is computed at most once per call, whether the initial sort, a
-    reduction, a pair or the final sort asks for it, and kept in a dict
-    that dies with the call.
+    reduced against every earlier one, so the leading terms are pairwise
+    distinct.  Three rules keep the reductions to those that can change
+    something, with the same output:
+
+    * one reducer table (``reducer_table``) grows with the basis and every
+      reduction reads it, so no reduction rebuilds it;
+    * two single-term elements form no pair: both are monic terms in one
+      position, so their S-vector is 0;
+    * the loop ends with one pass over the elements whose leading term no
+      other one divides.  Only a later leading term can divide a term of an
+      element, so an element is reduced against the others only when a
+      later kept leading term in its position divides one of its terms;
+      any other element is already its own normal form and is kept as it
+      is (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms, ch. 2
+      Sec. 7).
+
+    Pairs whose leading terms sit in different positions are never queued.
+    When every term of the input lies in position 0 the input is an ideal,
+    and pairs with coprime leading monomials are not queued either (the
+    product criterion, valid for ideals).  Each term's order key is
+    computed at most once per call, whether the initial sort, a reduction,
+    a pair or the final sort asks for it, and kept in a dict that dies with
+    the call.
 
     Inside a ``scope.run_scope()`` (``cli.run_document`` enters one per
     document) the result is stored under (field, order, set of generators),
@@ -389,19 +412,24 @@ def buchberger(field, gens, key):
 
     gens = [g for g in gens if g]
     ideal = not any(pos for g in gens for (_, pos) in g)
-    basis, lts = [], []
+    basis, table = [], []
+
+    def add(r):
+        r, (lm, pos) = _monic_remainder(field, r)
+        basis.append(r)
+        table.append((lm, pos, r, field.one()))
+
     for g in sorted(gens, key=lambda g: key(m_lt(g, key))):
-        r = m_reduce(field, g, basis, key, lts)
+        r = m_reduce(field, g, basis, key, table)
         if r:
-            r, lt = _monic_remainder(field, r)
-            basis.append(r)
-            lts.append(lt)
+            add(r)
 
     def pairs_with(j):
-        mj, pj = lts[j]
+        mj, pj, gj, _ = table[j]
+        single = len(gj) == 1
         for i in range(j):
-            mi, pi = lts[i]
-            if pi != pj:
+            mi, pi, gi, _ = table[i]
+            if pi != pj or (single and len(gi) == 1):
                 continue
             if ideal and not any(map(min, mi, mj)):
                 continue
@@ -412,32 +440,36 @@ def buchberger(field, gens, key):
     heapq.heapify(queue)
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
-        gi, gj = basis[i], basis[j]
-        mi, mj = lts[i][0], lts[j][0]
+        mi, _, gi, _ = table[i]
+        mj, _, gj, _ = table[j]
         si = m_shift(field, field.one(), tuple(map(sub, lcm, mi)), gi)
         sj = m_shift(field, field.one(), tuple(map(sub, lcm, mj)), gj)
-        s = m_sub(field, si, sj)
-        r = m_reduce(field, s, basis, key, lts)
+        r = m_reduce(field, m_sub(field, si, sj), basis, key, table)
         if r:
-            r, lt = _monic_remainder(field, r)
-            basis.append(r)
-            lts.append(lt)
+            add(r)
             for e in pairs_with(len(basis) - 1):
                 heapq.heappush(queue, e)
-    # a minimal basis, then one reduction of each element against the
-    # others: no leading term divides another, so none changes and one
-    # pass leaves the basis reduced.  An element entered reduced against
-    # the earlier ones, so only a later one can divide its leading term.
-    keep = [i for i, (mi, pi) in enumerate(lts)
+    # a minimal basis, then one pass: no kept leading term divides another,
+    # so one pass leaves the basis reduced.  An element entered reduced
+    # against the earlier ones, so only a later one can divide its leading
+    # term or, among the kept ones, any other of its terms.
+    keep = [i for i, (mi, pi, _, _) in enumerate(table)
             if not any(pj == pi and _divides(mj, mi)
-                       for mj, pj in lts[i + 1:])]
-    basis = [m_reduce(field, basis[i], [basis[t] for t in keep if t != i],
-                      key, [lts[t] for t in keep if t != i]) for i in keep]
-    lts = [lts[i] for i in keep]
-    order = sorted(range(len(basis)), key=lambda t: key(lts[t]))
+                       for mj, pj, _, _ in table[i + 1:])]
+    final = []
+    for n, i in enumerate(keep):
+        later = [table[t][:2] for t in keep[n + 1:]]
+        g = basis[i]
+        if any(pj == p and _divides(mj, m)
+               for m, p in g for mj, pj in later):
+            others = [t for t in keep if t != i]
+            g = m_reduce(field, g, [basis[t] for t in others], key,
+                         [table[t] for t in others])
+        final.append(g)
+    order = sorted(range(len(keep)), key=lambda n: key(table[keep[n]][:2]))
     if memo is not None:
-        memo[entry] = [dict(basis[t]) for t in order]
-    return [basis[t] for t in order]
+        memo[entry] = [dict(final[n]) for n in order]
+    return [final[n] for n in order]
 
 
 def _augmented_gb(field, vecs, rank, nvars, ring_key, relations=()):
@@ -693,18 +725,18 @@ class RingPresentation:
         self.ring = ring
         self.ideal = [dict(g) for g in ideal_gens if g]
         self._gb = None
-        self._lts = None
+        self._table = None
 
     def gb(self):
         if self._gb is None:
             key = self.ring.mkey()
             self._gb = buchberger(self.ring.field, self.ideal, key)
-            self._lts = [m_lt(g, key) for g in self._gb]
+            self._table = reducer_table(self._gb, key)
         return self._gb
 
     def nf(self, p):
         gb = self.gb()
-        return m_reduce(self.ring.field, p, gb, self.ring.mkey(), self._lts)
+        return m_reduce(self.ring.field, p, gb, self.ring.mkey(), self._table)
 
     def is_zero(self, p):
         return not self.nf(p)
@@ -779,7 +811,7 @@ class RingMap:
         the target variables followed by the source variables z_i, and its
         reduced basis under the order that eliminates the target variables.
 
-        Returns (ring, key, basis, leading terms, contraction), computed
+        Returns (ring, key, basis, reducer table, contraction), computed
         once per map.  The contraction, the basis elements free of target
         variables, generates the kernel; an element of the target lies in
         the image exactly when its normal form is free of them, and the
@@ -796,7 +828,7 @@ class RingMap:
                      for i, img in enumerate(self.images)]
             key, gb, contraction = elimination_basis(joint.field, rels,
                                                      range(off))
-            self._graph = (joint, key, gb, [m_lt(g, key) for g in gb],
+            self._graph = (joint, key, gb, reducer_table(gb, key),
                            contraction)
         return self._graph
 
@@ -810,9 +842,9 @@ class RingMap:
     def preimage(self, elem):
         """A source polynomial that maps onto the target element ``elem``,
         or None: its normal form against the graph basis."""
-        joint, key, gb, lts, _ = self.graph_basis()
+        joint, key, gb, table, _ = self.graph_basis()
         off = self.target.ring.nvars
-        nf = m_reduce(joint.field, embed(elem, joint, 0), gb, key, lts)
+        nf = m_reduce(joint.field, embed(elem, joint, 0), gb, key, table)
         if any(any(mono[:off]) for (mono, _) in nf):
             return None
         return {(mono[off:], 0): c for (mono, _), c in nf.items()}
@@ -829,7 +861,7 @@ class ModulePresentation:
         self.rank = rank
         self.columns = [dict(c) for c in columns if c]
         self._gb = None
-        self._lts = None
+        self._table = None
         self._kbasis = _UNSET
 
     def relations(self):
@@ -841,13 +873,13 @@ class ModulePresentation:
         if self._gb is None:
             key = self.over.ring.mkey()
             self._gb = buchberger(self.over.ring.field, self.relations(), key)
-            self._lts = [m_lt(g, key) for g in self._gb]
+            self._table = reducer_table(self._gb, key)
         return self._gb
 
     def nf(self, v):
         gb = self.gb()
         return m_reduce(self.over.ring.field, v, gb, self.over.ring.mkey(),
-                        self._lts)
+                        self._table)
 
     def is_zero_elem(self, v):
         return not self.nf(v)
@@ -950,10 +982,10 @@ def lift_through(vecs, n: ModulePresentation, targets):
     field, rank = ring.field, n.rank
     gb, key = _augmented_gb(field, vecs, rank, ring.nvars, ring.key,
                             n.relations())
-    lts = [m_lt(g, key) for g in gb]
+    table = reducer_table(gb, key)
     out = []
     for target in targets:
-        r = m_reduce(field, target, gb, key, lts)
+        r = m_reduce(field, target, gb, key, table)
         out.append(None if any(p < rank for (_, p) in r) else
                    {(m, p - rank): field.neg(c) for (m, p), c in r.items()})
     return out
@@ -1051,11 +1083,10 @@ def standard_monomials(mp: ModulePresentation):
     Finiteness is decided from the leading terms before any monomial is
     enumerated, so the enumeration of a finite quotient always ends."""
     mp.gb()
-    leads = mp._lts
     nv = mp.over.ring.nvars
     basis = []
     for pos in range(mp.rank):
-        pos_leads = [m for (m, p) in leads if p == pos]
+        pos_leads = [m for m, p, _, _ in mp._table if p == pos]
         if (0,) * nv in pos_leads:
             continue  # the whole position dies
         # finite iff every variable is capped at this position

@@ -43,9 +43,16 @@ negative.  Those procedures are kept as ``group_is_injective``,
 map of groupifications and the cokernel of groupifications now read the
 images of the generators off the hom; before, each was found by solving for
 a preimage in the source (``apply_gp``), kept as ``groupification_hom`` and
-``groupification_cokernel``."""
+``groupification_cokernel``.
 
+``polyalg.buchberger`` keeps one reducer table for its basis, forms no pair
+of two single-term elements and, in its final pass, reduces only the
+elements that a later leading term can change.  The loop that formed every
+pair and reduced every survivor is kept as ``buchberger``."""
+
+import heapq
 from fractions import Fraction
+from operator import sub
 
 from logflat import polyalg as pa
 from logflat.abgrp import FgAbGroup, GroupHom
@@ -689,3 +696,67 @@ def groupification_cokernel(h: MonoidHom):
     hom = GroupHom(free_src, span, tuple(incl.preimage(v) for v in src_gens))
     cok, proj = hom.cokernel()
     return cok, lambda x: proj.apply(incl.preimage(x))
+
+
+# -- the Groebner engine: every pair, every survivor reduced -------------------
+
+
+def buchberger(field, gens, key):
+    """The earlier ``polyalg.buchberger``, outside any run scope: it forms
+    every pair of leading terms in one position (the product criterion
+    aside), pairs of two single-term elements included, and its final pass
+    reduces every survivor against the others.  Each reduction builds its
+    reducer table from the basis."""
+    keys, order = {}, key
+
+    def key(term):
+        k = keys.get(term)
+        if k is None:
+            k = keys[term] = order(term)
+        return k
+
+    gens = [g for g in gens if g]
+    ideal = not any(pos for g in gens for (_, pos) in g)
+    basis, lts = [], []
+    for g in sorted(gens, key=lambda g: key(pa.m_lt(g, key))):
+        r = pa.m_reduce(field, g, basis, key)
+        if r:
+            r, lt = pa._monic_remainder(field, r)
+            basis.append(r)
+            lts.append(lt)
+
+    def pairs_with(j):
+        mj, pj = lts[j]
+        for i in range(j):
+            mi, pi = lts[i]
+            if pi != pj:
+                continue
+            if ideal and not any(map(min, mi, mj)):
+                continue
+            lcm = tuple(map(max, mi, mj))
+            yield (key((lcm, pj)), i, j, lcm)
+
+    queue = [e for j in range(len(basis)) for e in pairs_with(j)]
+    heapq.heapify(queue)
+    while queue:
+        _, i, j, lcm = heapq.heappop(queue)
+        gi, gj = basis[i], basis[j]
+        mi, mj = lts[i][0], lts[j][0]
+        si = pa.m_shift(field, field.one(), tuple(map(sub, lcm, mi)), gi)
+        sj = pa.m_shift(field, field.one(), tuple(map(sub, lcm, mj)), gj)
+        s = pa.m_sub(field, si, sj)
+        r = pa.m_reduce(field, s, basis, key)
+        if r:
+            r, lt = pa._monic_remainder(field, r)
+            basis.append(r)
+            lts.append(lt)
+            for e in pairs_with(len(basis) - 1):
+                heapq.heappush(queue, e)
+    keep = [i for i, (mi, pi) in enumerate(lts)
+            if not any(pj == pi and pa._divides(mj, mi)
+                       for mj, pj in lts[i + 1:])]
+    basis = [pa.m_reduce(field, basis[i], [basis[t] for t in keep if t != i],
+                         key) for i in keep]
+    lts = [lts[i] for i in keep]
+    order = sorted(range(len(basis)), key=lambda t: key(lts[t]))
+    return [basis[t] for t in order]

@@ -334,6 +334,10 @@ def _nodal_with(relations):
     (_gallery_with("smooth-divisor", "P", "ambient_rank", None), (),
      "monoid 'P': rank must be an integer >= 0, not None"),
     (_nodal_with([5]), (), "ring 'B': a polynomial is a string, not 5"),
+    # once "ring 'B': 'NoneType' object is not iterable", the field unnamed
+    (_nodal_with(None), (), "ring 'B': field 'relations' must be a list"),
+    (_gallery_with("smooth-divisor", "P", "generators", 5), (),
+     "monoid 'P': field 'generators' must be a list"),
     (_nodal_with(["1/0*x*y"]), (), "ring 'B': denominator 0 is zero in QQ"),
     # 1/2 once read as 1 in F_2, so this file checked with relation x*y
     (_nodal_with(["1/2*x*y"]), ("--field", "fp:2"),
@@ -352,7 +356,8 @@ def _nodal_with(relations):
                                           name="fam",
                                           ideals=[["x"], ["q"]])]), (),
      "graded_flat task 'fam': unknown variable 'q'"),
-], ids=["missing-field", "null-rank", "non-string", "zero-denominator-q",
+], ids=["missing-field", "null-rank", "non-string", "null-list",
+        "non-list", "zero-denominator-q",
         "zero-denominator-fp2", "fp4", "fp561", "fp-abc", "fp-400-digits",
         "family-unknown-variable", "family-named-task"])
 def test_malformed_input_is_named_and_exits_2(capsys, tmp_path, command, doc,

@@ -443,7 +443,9 @@ def _sorted_list_buchberger(field, gens, key):
     its processing order: the whole pair list is re-sorted by
     (key((lcm, pos)), i, j) before every pop.  An input with every term in
     position 0 is an ideal, and the product criterion skips its pairs with
-    coprime leading monomials."""
+    coprime leading monomials.  Two single-term elements form no pair, and
+    the final pass reduces only the survivors that a later survivor's
+    leading term can change, as in ``buchberger``."""
     ideal = not any(pos for g in gens for (_, pos) in g)
     basis = []
     for g in sorted((g for g in gens if g),
@@ -471,6 +473,8 @@ def _sorted_list_buchberger(field, gens, key):
         lcm = tuple(max(a, b) for a, b in zip(mi, mj))
         if ideal and all(min(a, b) == 0 for a, b in zip(mi, mj)):
             continue
+        if len(gi) == 1 and len(gj) == 1:
+            continue
         si = pa.m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mi)), gi)
         sj = pa.m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mj)), gj)
         r = pa.m_reduce(field, m_sub(field, si, sj), basis, key)
@@ -479,13 +483,20 @@ def _sorted_list_buchberger(field, gens, key):
             new = len(basis) - 1
             pairs.extend((t, new) for t in range(new))
     # the final step of buchberger: drop each element whose leading term
-    # another one divides, then reduce each survivor against the others
+    # another one divides, then reduce against the others each survivor
+    # that has a term a later survivor's leading term divides
     lts = [pa.m_lt(g, key) for g in basis]
     keep = [g for g, (mi, pi) in zip(basis, lts)
             if not any(pj == pi and (mj, pj) != (mi, pi) and _divides(mj, mi)
                        for (mj, pj) in lts)]
+
+    def changes(n):
+        later = [pa.m_lt(h, key) for h in keep[n + 1:]]
+        return any(pj == p and _divides(mj, m)
+                   for (m, p) in keep[n] for (mj, pj) in later)
+
     basis = [pa.m_reduce(field, g, [h for h in keep if h is not g], key)
-             for g in keep]
+             if changes(n) else g for n, g in enumerate(keep)]
     basis.sort(key=lambda g: key(pa.m_lt(g, key)))
     return basis
 
@@ -530,9 +541,9 @@ def _reductions(gb, field, gens, key):
     seen = []
     real = pa.m_reduce
 
-    def recording(field, f, basis, key, lts=None):
+    def recording(field, f, basis, key, table=None):
         seen.append((dict(f), len(basis)))
-        return real(field, f, basis, key, lts)
+        return real(field, f, basis, key, table)
 
     with mock.patch.object(pa, "m_reduce", recording):
         return gb(field, gens, key), seen
@@ -586,6 +597,122 @@ def test_buchberger_computes_each_terms_key_once_per_call(problem):
     assert buchberger(field, gens, counting) == out
     assert seen[len(first):] == first
     assert out == buchberger(field, gens, key)
+
+
+@st.composite
+def term_rich_problems(draw):
+    """Generators of a submodule of S^rank, most of them single terms, over
+    QQ or F_5, with a module, block or elimination order."""
+    field = draw(st.sampled_from([QQ, FieldFp(5)]))
+    nvars = draw(st.integers(1, 3))
+    rank = draw(st.integers(1, 2))
+    gens = (_elements(draw, field, nvars, rank, 6, 1, 3)
+            + _elements(draw, field, nvars, rank, 3, 3, 2))
+    gens = draw(st.permutations(gens))
+    kind = draw(st.sampled_from(["module", "block", "elim"]))
+    if kind == "module":
+        key = module_key(degrevlex_key)
+    elif kind == "block":
+        key = block_key(degrevlex_key, draw(st.integers(0, rank)))
+    else:
+        # the order of elimination_basis, read off a call on no input
+        key = pa.elimination_basis(field, [], draw(st.lists(
+            st.integers(0, nvars - 1), min_size=1, unique=True)))[0]
+    return field, gens, key
+
+
+@settings(max_examples=150, deadline=None)
+@given(term_rich_problems())
+@example((QQ, _TIED_LCMS, module_key(degrevlex_key)))
+def test_buchberger_matches_every_pair_reference(problem):
+    # the earlier loop formed every pair and reduced every survivor in its
+    # final pass; the skipped pairs and reductions change nothing, so the
+    # reduced bases agree element by element and term by term
+    field, gens, key = problem
+    out = buchberger(field, gens, key)
+    want = ref.buchberger(field, gens, key)
+    assert out == want
+    assert [list(g) for g in out] == [list(g) for g in want]
+
+
+def _buchberger_work(monkeypatch, run):
+    """Run ``run()`` and return, for each ``buchberger`` call that computed
+    its basis, (field, gens, key, reductions): every (f, len(basis),
+    result) that the call handed to ``m_reduce``, in call order."""
+    from logflat import graded
+    calls, current = [], []
+    real_gb, real_reduce = pa.buchberger, pa.m_reduce
+
+    def reduce(field, f, basis, key, table=None):
+        out = real_reduce(field, f, basis, key, table)
+        if current:
+            current[-1].append((dict(f), len(basis), out))
+        return out
+
+    def gb(field, gens, key):
+        current.append([])
+        try:
+            return real_gb(field, gens, key)
+        finally:
+            work = current.pop()
+            if work:
+                calls.append((field, list(gens), key, work))
+
+    monkeypatch.setattr(pa, "m_reduce", reduce)
+    for ns in (pa, graded):
+        monkeypatch.setattr(ns, "buchberger", gb)
+    run()
+    return calls
+
+
+def _check_work(field, gens, key, work):
+    """Check one call's reductions; return (pairs of two single-term
+    elements that the earlier loop reduced, final-pass reductions, kept
+    elements)."""
+    # while the basis grows, each reduction sees the whole basis; the final
+    # pass reduces against the kept elements but one, a shorter list
+    built, final = [], []
+    for f, size, out in work:
+        if size == len(built) and not final:
+            # two monic terms in one position have S-vector exactly 0
+            assert f, "a zero S-vector reached m_reduce"
+            if out:
+                built.append(ref.m_monic(field, out, key))
+        else:
+            assert size < len(built)
+            final.append(f)
+    leads = [pa.m_lt(g, key) for g in built]
+    ideal = not any(pos for g in gens for (_, pos) in g)
+    single_pairs = sum(
+        1 for j in range(len(built)) for i in range(j)
+        if len(built[i]) == len(built[j]) == 1 and leads[i][1] == leads[j][1]
+        and not (ideal and not any(map(min, leads[i][0], leads[j][0]))))
+    kept = [n for n, (m, p) in enumerate(leads)
+            if not any(q == p and (l, q) != (m, p) and _divides(l, m)
+                       for l, q in leads)]
+    changing = [n for t, n in enumerate(kept)
+                if any(leads[k][1] == p and _divides(leads[k][0], m)
+                       for m, p in built[n] for k in kept[t + 1:])]
+    assert final == [built[n] for n in changing]
+    return single_pairs, len(final), len(kept)
+
+
+def test_buchberger_reduces_only_what_can_change(monkeypatch):
+    # a deterministic work bound: no pair of two single-term elements is
+    # reduced, and the final pass reduces exactly the kept elements with a
+    # term that a later kept leading term divides, once each
+    from logflat import cli
+    calls = _buchberger_work(
+        monkeypatch, lambda: cli.run_gallery("nodal-descent"))
+    calls += _buchberger_work(monkeypatch, lambda: pa.buchberger(
+        QQ, _TIED_LCMS, module_key(degrevlex_key)))
+    single_pairs = final = kept = 0
+    for call in calls:
+        counts = _check_work(*call)
+        single_pairs, final, kept = (a + b for a, b in zip(
+            (single_pairs, final, kept), counts))
+    # not vacuous: the earlier loop reduced such pairs and every survivor
+    assert single_pairs > 0 and final < kept
 
 
 @settings(max_examples=100, deadline=None)
@@ -647,9 +774,9 @@ def reduction_problems(draw):
 def test_m_reduce_matches_max_scan_reference(problem):
     field, f, basis, key = problem
     ref = _max_scan_m_reduce(field, f, basis, key)
-    lts = [pa.m_lt(g, key) if g else None for g in basis]
+    table = pa.reducer_table(basis, key)
     for out in (pa.m_reduce(field, f, basis, key),
-                pa.m_reduce(field, f, basis, key, lts)):
+                pa.m_reduce(field, f, basis, key, table)):
         assert out == ref
         # the remainder comes out in descending order, like the reference
         assert list(out) == list(ref)
