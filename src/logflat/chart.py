@@ -550,22 +550,16 @@ def _span_homs(mon: FineMonoid, chart_amb: FgAbGroup, chart_vals, units,
     from one chart value and one unit per generator of mon.  The values must
     respect the monoid relations (checked exactly)."""
     span, _, lift = mon.generator_hom().image()
-    chart = GroupHom(FgAbGroup.free(len(mon.generators)), chart_amb,
-                     tuple(chart_vals))
-
-    def unit_at(combo):
-        out = Unit.one(pres)
-        for c, u in zip(combo, units):
-            out = out.mul(u.pow(c))
-        return out
-
+    free = FgAbGroup.free(len(mon.generators))
+    chart = GroupHom(free, chart_amb, tuple(chart_vals))
+    unit = UnitHom(free, units, pres=pres, check=False)
     for rel in mon.relation_lattice():
-        if not chart_amb.is_zero(chart.apply(rel)) or not unit_at(rel).is_one():
+        if not chart_amb.is_zero(chart.apply(rel)) or not unit.apply(rel).is_one():
             raise HomotopyInvalid("values do not respect the monoid relations")
     combos = [lift.column(j) for j in range(span.dim)]
     return (span,
             GroupHom(span, chart_amb, tuple(chart.apply(c) for c in combos)),
-            UnitHom(span, [unit_at(c) for c in combos], pres=pres, check=False))
+            UnitHom(span, [unit.apply(c) for c in combos], pres=pres, check=False))
 
 
 @dataclass
@@ -585,6 +579,17 @@ class LiftProblem:
     b_chart: list
     b_units: list  # Units over ext.a
     eta_units: list  # Units over ext.a, per Q-generator
+
+    def __post_init__(self):
+        # checked when the problem is built, so a problem file with a value
+        # missing fails validation instead of its task
+        q, p = len(self.h.source.generators), len(self.h.target.generators)
+        for field, n in (("a_chart", q), ("a_units", q), ("b_chart", p),
+                         ("b_units", p), ("eta_units", q)):
+            got = len(getattr(self, field))
+            if got != n:
+                raise HomotopyInvalid(
+                    f"{field} has {got} entries for {n} monoid generators")
 
     def homs(self, tower):
         """((Q^gp, chart of a, a), (P^gp, chart of b, b), eta) on the span
@@ -707,29 +712,27 @@ def homotopy_lift(problem: LiftProblem) -> HomotopyLift:
                 tower.to_a(a.apply(g))):
             raise HomotopyInvalid("eta . b h != i a")
 
-    # factor span_q -> G -> H -> span_p
+    # factor span_q ->> G >-> H >-> span_p: H adds to G a preimage of each
+    # free generator of the cokernel of G >-> span_p
     k_grp, k_incl = qgp_h.kernel()
     g_grp, proj_g = k_incl.cokernel()
     mono1 = GroupHom(g_grp, span_p,
                      tuple(qgp_h.apply(proj_g.preimage(x))
                            for x in g_grp.generators()))
     c_grp, proj_c = mono1.cokernel()
-    h_cols = [mono1.apply(x) for x in g_grp.generators()]
-    free_lifts = []
-    for i in range(c_grp.rank):
-        gen = c_grp.generators()[i]
-        free_lifts.append(proj_c.preimage(gen))
-    h_gens = h_cols + free_lifts
+    h_gens = list(mono1.images) + [proj_c.preimage(x)
+                                   for x in c_grp.generators()[:c_grp.rank]]
     h_grp, h_incl, _ = GroupHom(FgAbGroup.free(len(h_gens)), span_p,
                                 tuple(h_gens)).image()
+    mono2 = GroupHom(g_grp, h_grp,
+                     tuple(h_incl.preimage(x) for x in mono1.images))
 
-    # stage 1 (case 1): lift a along the surjection span_q ->> G
+    # lift a along the surjection span_q ->> G, then extend along G >-> H
+    # (free cokernel) and along H >-> span_p (torsion cokernel)
     l1, alpha1, beta = _case1(tower, proj_g, mono1, a, b)
-    # stage 2 (case 2): extend along G -> H, torsion-free cokernel
-    mono2 = _restrict_into(h_grp, h_incl, mono1)
-    l2, alpha2 = _case2(tower, mono2, h_incl, b, l1, alpha1)
-    # stage 3 (case 3): extend along H -> span_p, torsion cokernel
-    l3, alpha3 = _case3(tower, h_incl, b, l2, alpha2)
+    l2, alpha2 = _extend(tower, mono2, h_incl, b, l1, alpha1)
+    l3, alpha3 = _extend(tower, h_incl, GroupHom.identity(span_p), b, l2,
+                         alpha2)
 
     # a cover adjoined in a later stage extends the ring under earlier data
     lift = HomotopyLift(tower, problem.h, span_q, span_p, b_chart,
@@ -740,17 +743,6 @@ def homotopy_lift(problem: LiftProblem) -> HomotopyLift:
     if errs:
         raise HomotopyInvalid(f"constructed lift fails identities: {errs}")
     return lift
-
-
-def _restrict_into(h_grp, h_incl, hom):
-    """The hom source -> H through which hom factors."""
-    imgs = []
-    for x in hom.source.generators():
-        pre = h_incl.preimage(hom.apply(x))
-        if pre is None:
-            raise AssertionError("factorization failed")
-        imgs.append(pre)
-    return GroupHom(hom.source, h_grp, tuple(imgs))
 
 
 def _case1(tower, proj_g: GroupHom, mono1: GroupHom, a: UnitHom,
@@ -784,53 +776,32 @@ def _case1(tower, proj_g: GroupHom, mono1: GroupHom, a: UnitHom,
     return l1, alpha1, beta
 
 
-def _case2(tower, mono2: GroupHom, h_incl: GroupHom, b: UnitHom,
-           l_prev: UnitHom, alpha_prev: UnitHom):
-    """G -> H injective with torsion-free (free) cokernel: split and lift the
-    complement through b."""
-    h_grp = mono2.target
-    cok, proj = mono2.cokernel()
-    if cok.torsion:
-        raise AssertionError("case 2 expects a free cokernel")
-    w_elems = [proj.preimage(cok.generators()[i]) for i in range(cok.rank)]
-    g_imgs = [mono2.apply(x) for x in mono2.source.generators()]
-    split = GroupHom(FgAbGroup.free(len(g_imgs) + len(w_elems)), h_grp,
-                     tuple(g_imgs + w_elems))
-    units, alpha_units = [], []
-    for gen in h_grp.generators():
-        sol = split.preimage(gen)
-        if sol is None:
-            raise AssertionError("case 2 splitting failed")
-        # the G-part goes through the previous lift
-        gl = mono2.source.reduce(tuple(sol[:len(g_imgs)]))
-        unit = Unit.one(tower.aprime).mul(l_prev.apply(gl))
-        alpha_units.append(Unit.one(tower.a).mul(alpha_prev.apply(gl)))
-        # the complement goes through a lift of b
-        for c, w in zip(sol[len(g_imgs):], w_elems):
-            unit = unit.mul(tower.promote_prime(b.apply(h_incl.apply(w))).pow(c))
-        units.append(unit)
-    return (UnitHom(h_grp, units, pres=tower.aprime),
-            UnitHom(h_grp, alpha_units, pres=tower.a))
+def _extend(tower, incl: GroupHom, to_p: GroupHom, b: UnitHom,
+            l_prev: UnitHom, alpha_prev: UnitHom):
+    """Extend (l, alpha) from S to T along the injection incl: S >-> T;
+    to_p maps T into span_p, where b is read.
 
-
-def _case3(tower, h_incl: GroupHom, b: UnitHom, l_prev: UnitHom,
-           alpha_prev: UnitHom):
-    """H -> span_p injective with torsion cokernel: adjoin roots as needed."""
-    span_p = h_incl.target
-    cok, proj = h_incl.cokernel()
-    if cok.rank:
-        raise AssertionError("case 3 expects a torsion cokernel")
+    Each generator of the cokernel of incl has a preimage p in T, and l(p)
+    takes a lift m of b(to_p(p)).  For a generator of order n > 0, l(n p) is
+    already defined, and l(p) and alpha(p) also take an n-th root x of
+    l(n p) / m^n, found or adjoined, and its image i(x).  A generator of T
+    is written over the images of S's generators followed by the preimages
+    p, in that order; the Smith-form solution depends on that order."""
+    cok, proj = incl.cokernel()
     p_elems, x_units, m_units = [], [], []
-    for n_j, gen in zip(cok.torsion, cok.generators()):
+    for i, gen in enumerate(cok.generators()):
         p_j = proj.preimage(gen)
-        m_lift = tower.promote_prime(b.apply(p_j))
-        au = tower.promote_prime(
-            l_prev.apply(h_incl.preimage(span_p.scale(n_j, p_j))))
-        u_j = au.mul(m_lift.pow(n_j).invert())
-        root = try_nth_root(tower.aprime, u_j, n_j)
-        if root is None:
-            root = tower.adjoin_root(n_j, u_j)
-            m_lift = tower.promote_prime(m_lift)
+        m_lift = tower.promote_prime(b.apply(to_p.apply(p_j)))
+        n_j = cok.generator_order(i)
+        root = Unit.one(tower.aprime)
+        if n_j:
+            au = tower.promote_prime(
+                l_prev.apply(incl.preimage(incl.target.scale(n_j, p_j))))
+            u_j = au.mul(m_lift.pow(n_j).invert())
+            root = try_nth_root(tower.aprime, u_j, n_j)
+            if root is None:
+                root = tower.adjoin_root(n_j, u_j)
+                m_lift = tower.promote_prime(m_lift)
         p_elems.append(p_j)
         x_units.append(root)
         m_units.append(m_lift)
@@ -838,25 +809,22 @@ def _case3(tower, h_incl: GroupHom, b: UnitHom, l_prev: UnitHom,
     x_units = [tower.promote_prime(u) for u in x_units]
     m_units = [tower.promote_prime(u) for u in m_units]
     l_prev, alpha_prev = tower.promote(l_prev), tower.promote(alpha_prev)
-    # define on the generators of span_p through  gen = incl(h) + sum c_j p_j
-    h_imgs = [h_incl.apply(x) for x in h_incl.source.generators()]
-    decomp = GroupHom(FgAbGroup.free(len(h_imgs) + len(p_elems)), span_p,
-                      tuple(h_imgs + p_elems))
+    s_imgs = list(incl.images)
+    decomp = GroupHom(FgAbGroup.free(len(s_imgs) + len(p_elems)), incl.target,
+                      tuple(s_imgs + p_elems))
     units, alpha_units = [], []
-    for gen in span_p.generators():
+    for gen in incl.target.generators():
         sol = decomp.preimage(gen)
-        if sol is None:
-            raise AssertionError("case 3 decomposition failed")
-        hpart = h_incl.source.reduce(sol[:len(h_imgs)])
-        unit = l_prev.apply(hpart)
-        alpha_u = alpha_prev.apply(hpart)
-        for c, xu, mu in zip(sol[len(h_imgs):], x_units, m_units):
+        spart = incl.source.reduce(sol[:len(s_imgs)])
+        unit = l_prev.apply(spart)
+        alpha_u = alpha_prev.apply(spart)
+        for c, xu, mu in zip(sol[len(s_imgs):], x_units, m_units):
             unit = unit.mul(xu.pow(c)).mul(mu.pow(c))
             alpha_u = alpha_u.mul(tower.to_a(xu).pow(c))
         units.append(unit)
         alpha_units.append(alpha_u)
-    return (UnitHom(span_p, units, pres=tower.aprime),
-            UnitHom(span_p, alpha_units, pres=tower.a))
+    return (UnitHom(incl.target, units, pres=tower.aprime),
+            UnitHom(incl.target, alpha_units, pres=tower.a))
 
 
 def verify_lift_identities(lift: HomotopyLift, problem: LiftProblem):

@@ -54,20 +54,49 @@ OBJECT_REFS = {
     "lift_problem": {"aprime": ("ring",), "h": ("monoid_hom",),
                      "chart": ("monoid",)},
 }
-# The list-valued fields of each object kind: a present one that is not a
-# list is named when the object is built.
+
+
+def _is_int(x):
+    return type(x) is int  # a bool is not an integer here
+
+
+def _is_vector(x):
+    return isinstance(x, list) and all(map(_is_int, x))
+
+
+def _is_str(x):
+    return isinstance(x, str)
+
+
+def _is_strings(x):
+    return isinstance(x, list) and all(map(_is_str, x))
+
+
+# What an entry of a list-valued field must be: (the rule, its test).
+ORDER = ("an order is an integer", _is_int)
+VECTOR = ("a vector is a list of integers", _is_vector)
+POLYNOMIAL = ("a polynomial is a string", _is_str)
+VARIABLE = ("a variable name is a string", _is_str)
+COLUMN = ("a column is a list of polynomial strings", _is_strings)
+GENERATOR = ("a generator is a pair [list of integers, integer]",
+             lambda x: isinstance(x, list) and len(x) == 2
+             and _is_vector(x[0]) and _is_int(x[1]))
+# The list-valued fields of each object kind and the kind of their entries:
+# a present one that is not a list, or that holds an entry breaking its
+# rule, is named when the object is built.
 OBJECT_LISTS = {
-    "monoid": ("generators", "ambient_torsion"),
-    "monoid_hom": ("images",),
-    "module_over_monoid": ("generators", "denominators"),
-    "ring": ("variables", "relations"),
-    "module": ("relations",),
-    "grading": ("degrees", "group_torsion"),
-    "chart": ("t", "b", "f"),
-    "gluing": ("f1", "f2"),
-    "descent_datum": ("phi",),
-    "lift_problem": ("kernel", "a_chart", "a_units", "b_chart", "b_units",
-                     "eta_units"),
+    "monoid": {"generators": VECTOR, "ambient_torsion": ORDER},
+    "monoid_hom": {"images": VECTOR},
+    "module_over_monoid": {"generators": GENERATOR, "denominators": VECTOR},
+    "ring": {"variables": VARIABLE, "relations": POLYNOMIAL},
+    "module": {"relations": COLUMN},
+    "grading": {"degrees": VECTOR, "group_torsion": ORDER},
+    "chart": {"t": POLYNOMIAL, "b": POLYNOMIAL, "f": POLYNOMIAL},
+    "gluing": {"f1": POLYNOMIAL, "f2": POLYNOMIAL},
+    "descent_datum": {"phi": COLUMN},
+    "lift_problem": {"kernel": POLYNOMIAL, "a_chart": VECTOR,
+                     "a_units": POLYNOMIAL, "b_chart": VECTOR,
+                     "b_units": POLYNOMIAL, "eta_units": POLYNOMIAL},
 }
 TASK_REFS = {
     "classify": {"hom": ("monoid_hom",)},
@@ -148,7 +177,7 @@ def validate_file(doc):
                     f"polynomials, not {ideals!r}")
         _check_natural("units_rank", task.get("units_rank", 0))
         for key, val in task.items():
-            if key in refs or key in ("kind", "name", "units_rank", "shape"):
+            if key in refs or key in ("kind", "name", "units_rank"):
                 continue
             if isinstance(val, str) and val not in kinds:
                 raise ValidationError(
@@ -230,9 +259,15 @@ class Workspace:
 
     def _build(self, obj):
         kind = obj["kind"]
-        for field in OBJECT_LISTS[kind]:
-            if field in obj and not isinstance(obj[field], list):
+        for field, (rule, ok) in OBJECT_LISTS[kind].items():
+            if field not in obj:
+                continue
+            if not isinstance(obj[field], list):
                 raise ValidationError(f"field {field!r} must be a list")
+            for i, entry in enumerate(obj[field]):
+                if not ok(entry):
+                    raise ValidationError(f"{rule}, not {entry!r} (field "
+                                          f"{field!r}, entry {i})")
         build = getattr(self, f"_build_{kind}")
         return build(obj)
 
@@ -262,10 +297,7 @@ class Workspace:
         return monmod.PModule.embedded(owner, gens, kind=kind)
 
     def _build_ring(self, obj):
-        names = obj["variables"]
-        if not all(isinstance(v, str) for v in names):
-            raise ValidationError("needs a list of variable names")
-        ring = PolyRing(self.field, names)
+        ring = PolyRing(self.field, obj["variables"])
         rels = [ring.parse(s) for s in obj.get("relations", [])]
         return RingPresentation(ring, rels)
 
@@ -276,7 +308,7 @@ class Workspace:
         rank, cols = obj["rank"], obj.get("relations", [])
         _check_natural("rank", rank)
         for col in cols:
-            if not isinstance(col, list) or len(col) > rank:
+            if len(col) > rank:
                 raise ValidationError(f"relation {col!r} is not a list of "
                                       f"at most {rank} entries")
         return ModulePresentation(over, rank, _parse_columns(over.ring, cols))

@@ -354,6 +354,26 @@ def _monic_remainder(field, r):
     return r, lt
 
 
+def _s_pairs(table, j, ideal, key):
+    """The queue entries ``(key((lcm, pos)), i, j, lcm)`` of the S-pairs
+    (i, j), i < j, that ``buchberger`` forms when row j of its reducer table
+    ``table`` is added.  A pair is formed when both leading terms lie in one
+    position, the two elements are not both single terms, and, for an ideal,
+    the leading monomials are not coprime (the product criterion).  The
+    entries order as the pairs are processed; the tests pop them from a
+    list re-sorted before every pop, as the reference for the heap."""
+    mj, pj, gj, _ = table[j]
+    single = len(gj) == 1
+    for i in range(j):
+        mi, pi, gi, _ = table[i]
+        if pi != pj or (single and len(gi) == 1):
+            continue
+        if ideal and not any(map(min, mi, mj)):
+            continue
+        lcm = tuple(map(max, mi, mj))
+        yield (key((lcm, pj)), i, j, lcm)
+
+
 def buchberger(field, gens, key):
     """Reduced Groebner basis of the module generated by ``gens``.
 
@@ -424,19 +444,8 @@ def buchberger(field, gens, key):
         if r:
             add(r)
 
-    def pairs_with(j):
-        mj, pj, gj, _ = table[j]
-        single = len(gj) == 1
-        for i in range(j):
-            mi, pi, gi, _ = table[i]
-            if pi != pj or (single and len(gi) == 1):
-                continue
-            if ideal and not any(map(min, mi, mj)):
-                continue
-            lcm = tuple(map(max, mi, mj))
-            yield (key((lcm, pj)), i, j, lcm)
-
-    queue = [e for j in range(len(basis)) for e in pairs_with(j)]
+    queue = [e for j in range(len(basis))
+             for e in _s_pairs(table, j, ideal, key)]
     heapq.heapify(queue)
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
@@ -447,7 +456,7 @@ def buchberger(field, gens, key):
         r = m_reduce(field, m_sub(field, si, sj), basis, key, table)
         if r:
             add(r)
-            for e in pairs_with(len(basis) - 1):
+            for e in _s_pairs(table, len(basis) - 1, ideal, key):
                 heapq.heappush(queue, e)
     # a minimal basis, then one pass: no kept leading term divides another,
     # so one pass leaves the basis reduced.  An element entered reduced

@@ -911,3 +911,91 @@ def test_lift_over_torsion_of_the_characteristic(d, c):
             [t.a.ring.to_str(u.val) for u in lift.alpha.units],
             [t.aprime.ring.to_str(u.val) for u in lift.beta.units]) == \
         TORSION_LIFTS[(d, c)]
+
+
+# -- lifting along a cokernel with a free and a torsion part ----------------------
+
+
+# (characteristic, h images, b units): (cover_adjoined, l, alpha, beta).  The
+# cokernel of h^gp is Z + Z/n; its free part is lifted in one extension step
+# and its torsion part in the next.  One step along G >-> P^gp prints other
+# units, equal in A', on all but the first problem.
+MIXED_LIFTS = {
+    # the fifth root of (1 + x^2) is adjoined
+    (5, ((5, 0),), ("1 + x", "1")): (
+        ['rt0'],
+        ['x*rt0 + rt0', '1'],
+        ['rt0', '1'],
+        ['4*x^9 + x^5 + 4*x^4 + 1'],
+    ),
+    (5, ((5, 5),), ("1", "1 + x")): (
+        ['rt0'],
+        ['rt0', 'x + 1'],
+        ['rt0', '1'],
+        ['4*x^9 + x^5 + 4*x^4 + 1'],
+    ),
+    (3, ((3, 6),), ("1 + x", "1 + x")): (
+        ['rt0'],
+        ['x*rt0 + rt0', 'x + 1'],
+        ['rt0', '1'],
+        ['2*x^13 + x^9 + 2*x^4 + 1'],
+    ),
+    (2, ((2, 2),), ("1", "1 + x")): (
+        ['rt0'],
+        ['rt0', 'x + 1'],
+        ['rt0', '1'],
+        ['x^4 + 1'],
+    ),
+    (0, ((2, 2),), ("1", "1 + x")): (
+        [],
+        ['1/2*x^10 + 1/2*x^8 - x^6 - x^4 + 1/2*x^2 + 1', 'x + 1'],
+        ['1/2*x^10 + 1/2*x^8 - x^6 - x^4 + 1/2*x^2 + 1', '1'],
+        ['-2*x^7 - 2*x^6 - 2*x^5 - 3*x^4 + 1'],
+    ),
+    (5, ((4, 6),), ("1", "1 + x")): (
+        [],
+        ['2*x^7 + 3*x^5 + 2*x^2 + 1', '3*x^3 + 3*x^2 + x + 1'],
+        ['2*x^7 + 3*x^5 + 2*x^2 + 1', '1'],
+        ['4*x^9 + x^5 + 4*x^4 + 1'],
+    ),
+    (7, ((4, 6),), ("1", "1 + x")): (
+        [],
+        ['3*x^9 + 4*x^7 + 3*x^2 + 1', '4*x^3 + 4*x^2 + x + 1'],
+        ['3*x^9 + 4*x^7 + 3*x^2 + 1', '1'],
+        ['6*x^11 + x^7 + 6*x^4 + 1'],
+    ),
+}
+
+
+@pytest.mark.parametrize("char, images, b_units", sorted(MIXED_LIFTS))
+def test_lift_over_a_mixed_cokernel(char, images, b_units):
+    # h: N^s -> N^r over k[x]/(x^4) -> k[x]/(x^2), chart R trivial, eta = 1,
+    # a = (b h)(1 + x^2) on every generator of N^s
+    ring = PolyRing(pa.FieldFp(char) if char else pa.QQ, ["x"])
+    aprime = RingPresentation(ring, [ring.parse("x^4")])
+    ext = SquareZeroExtension(aprime, [ring.parse("x^2")])
+    h = MonoidHom(nat_monoid(len(images)), nat_monoid(len(b_units)), images)
+    _, _, qgp_h = h.groupification_hom()
+    cok, _ = qgp_h.cokernel()
+    assert cok.rank and cok.torsion
+    a_units = []
+    for img in images:
+        a = ring.parse("1 + x^2")
+        for e, b in zip(img, b_units):
+            a = ring.mul(a, ring.pow(ring.parse(b), e))
+        a_units.append(certify_unit(ext.aprime, a))
+    r = trivial_monoid()
+    prob = LiftProblem(
+        ext, h, r,
+        [r.ambient.zero()] * len(images), a_units,
+        [r.ambient.zero()] * len(b_units),
+        [certify_unit(ext.a, ext.a.parse(b)) for b in b_units],
+        [Unit.one(ext.a)] * len(images))
+    lift = homotopy_lift(prob)
+    assert ch.verify_lift_identities(lift, prob) == []
+    t = lift.tower
+    assert (list(lift.cover_adjoined),
+            [t.aprime.ring.to_str(u.val) for u in lift.l.units],
+            [t.a.ring.to_str(u.val) for u in lift.alpha.units],
+            [t.aprime.ring.to_str(u.val) for u in lift.beta.units]) == \
+        MIXED_LIFTS[(char, images, b_units)]

@@ -321,6 +321,13 @@ def _gallery_with(name, obj, field, value):
     return doc
 
 
+def _gallery_task_with(name, field, value):
+    """A bundled gallery with one field of its first task set."""
+    doc = cli.load_gallery(name)
+    doc["tasks"][0][field] = value
+    return doc
+
+
 def _nodal_with(relations):
     doc = copy.deepcopy(NODAL_FILE)
     doc["objects"][0]["relations"] = relations
@@ -338,6 +345,20 @@ def _nodal_with(relations):
     (_nodal_with(None), (), "ring 'B': field 'relations' must be a list"),
     (_gallery_with("smooth-divisor", "P", "generators", 5), (),
      "monoid 'P': field 'generators' must be a list"),
+    # once "'int' object is not iterable" and "invalid literal for int()
+    # with base 10: 'a'", neither field nor entry named
+    (_gallery_with("smooth-divisor", "Q", "generators", [5]), (),
+     "monoid 'Q': a vector is a list of integers, not 5 "
+     "(field 'generators', entry 0)"),
+    (_gallery_with("smooth-divisor", "h", "images", ["a"]), (),
+     "monoid_hom 'h': a vector is a list of integers, not 'a' "
+     "(field 'images', entry 0)"),
+    # a missing unit once read as 1, and the file checked with exit 0
+    (lift_file([1, 1], [[1], [0]], ["1"]), (),
+     "lift_problem 'L': b_units has 1 entries for 2 monoid generators"),
+    # no task reads a "shape" field; it once passed with exit 0
+    (_gallery_task_with("smooth-divisor", "shape", "nonsense"), (),
+     "task references unknown object 'nonsense'"),
     (_nodal_with(["1/0*x*y"]), (), "ring 'B': denominator 0 is zero in QQ"),
     # 1/2 once read as 1 in F_2, so this file checked with relation x*y
     (_nodal_with(["1/2*x*y"]), ("--field", "fp:2"),
@@ -357,7 +378,8 @@ def _nodal_with(relations):
                                           ideals=[["x"], ["q"]])]), (),
      "graded_flat task 'fam': unknown variable 'q'"),
 ], ids=["missing-field", "null-rank", "non-string", "null-list",
-        "non-list", "zero-denominator-q",
+        "non-list", "non-vector-entry", "non-integer-entry",
+        "missing-lift-unit", "stale-shape-field", "zero-denominator-q",
         "zero-denominator-fp2", "fp4", "fp561", "fp-abc", "fp-400-digits",
         "family-unknown-variable", "family-named-task"])
 def test_malformed_input_is_named_and_exits_2(capsys, tmp_path, command, doc,

@@ -440,12 +440,10 @@ def _divides(m1, m2):
 
 def _sorted_list_buchberger(field, gens, key):
     """The earlier pair loop of ``buchberger``, kept as the reference for
-    its processing order: the whole pair list is re-sorted by
-    (key((lcm, pos)), i, j) before every pop.  An input with every term in
-    position 0 is an ideal, and the product criterion skips its pairs with
-    coprime leading monomials.  Two single-term elements form no pair, and
-    the final pass reduces only the survivors that a later survivor's
-    leading term can change, as in ``buchberger``."""
+    its processing order: the pairs that ``polyalg._s_pairs`` forms are
+    kept in a list, re-sorted before every pop.  The final pass reduces only
+    the survivors that a later survivor's leading term can change, as in
+    ``buchberger``."""
     ideal = not any(pos for g in gens for (_, pos) in g)
     basis = []
     for g in sorted((g for g in gens if g),
@@ -454,34 +452,21 @@ def _sorted_list_buchberger(field, gens, key):
         if r:
             basis.append(ref.m_monic(field, r, key))
 
-    def pair_key(ij):
-        i, j = ij
-        (mi, pi) = pa.m_lt(basis[i], key)
-        (mj, pj) = pa.m_lt(basis[j], key)
-        lcm = tuple(max(a, b) for a, b in zip(mi, mj))
-        return (key((lcm, pi if pi == pj else 0)), i, j)
+    def pairs_of(j):
+        return list(pa._s_pairs(pa.reducer_table(basis, key), j, ideal, key))
 
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    pairs = [e for j in range(len(basis)) for e in pairs_of(j)]
     while pairs:
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
+        pairs.sort()
+        _, i, j, lcm = pairs.pop(0)
         gi, gj = basis[i], basis[j]
-        (mi, pi) = pa.m_lt(gi, key)
-        (mj, pj) = pa.m_lt(gj, key)
-        if pi != pj:
-            continue
-        lcm = tuple(max(a, b) for a, b in zip(mi, mj))
-        if ideal and all(min(a, b) == 0 for a, b in zip(mi, mj)):
-            continue
-        if len(gi) == 1 and len(gj) == 1:
-            continue
+        (mi, _), (mj, _) = pa.m_lt(gi, key), pa.m_lt(gj, key)
         si = pa.m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mi)), gi)
         sj = pa.m_shift(field, field.one(), tuple(a - b for a, b in zip(lcm, mj)), gj)
         r = pa.m_reduce(field, m_sub(field, si, sj), basis, key)
         if r:
             basis.append(ref.m_monic(field, r, key))
-            new = len(basis) - 1
-            pairs.extend((t, new) for t in range(new))
+            pairs.extend(pairs_of(len(basis) - 1))
     # the final step of buchberger: drop each element whose leading term
     # another one divides, then reduce against the others each survivor
     # that has a term a later survivor's leading term divides
